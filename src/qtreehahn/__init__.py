@@ -40,6 +40,7 @@ from .qops import (
     apply_D_at_vertex,
     apply_L,
     apply_R,
+    check_identity,
     eigenvalue,
     kernel_basis,
     lower_chain,

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .connect import (
@@ -26,9 +24,13 @@ from .connect import (
 )
 from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
 from .lattice import GridFunction, ParamSet, inner_product
-from .multihahn import basis, eval_Q, norm_Q, verify_eigen
+from .multihahn import basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
-from .qops import spectral_decomposition_check, verify_operator_algebra
+from .qops import (
+    check_identity,
+    spectral_decomposition_check,
+    verify_operator_algebra,
+)
 from .trees import (
     NotRightReachable,
     all_trees,
@@ -97,12 +99,8 @@ def _emit(args, obj) -> None:
         sys.stdout.write(text)
 
 
-def _parse_tree_arg(text: str):
-    return parse_tree(text)
-
-
 def cmd_eval(args) -> int:
-    tree = _parse_tree_arg(args.tree)
+    tree = parse_tree(args.tree)
     params = _build_params(args, tree.h)
     if args.labels is None:
         raise ConfigError("eval requires --labels")
@@ -149,7 +147,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    tree = _parse_tree_arg(args.tree)
+    tree = parse_tree(args.tree)
     params = _build_params(args, tree.h)
     N = args.N
     if N is None:
@@ -190,8 +188,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    source = _parse_tree_arg(args.source)
-    target = _parse_tree_arg(args.target)
+    source = parse_tree(args.source)
+    target = parse_tree(args.target)
     if source.h != target.h:
         raise ConfigError("source and target must have the same leaf count")
     params = _build_params(args, source.h)
@@ -220,7 +218,7 @@ def _suite_operator_algebra(params, h, N, seed):
 
 
 def _suite_spectral(params, h, N, seed):
-    return [spectral_decomposition_check(h, N, params)]
+    return spectral_decomposition_check(h, N, params)
 
 
 def _suite_hahn_recurrences(params, h, N, seed):
@@ -230,82 +228,71 @@ def _suite_hahn_recurrences(params, h, N, seed):
 
 def _suite_vandermonde(params, h, N, seed):
     ctx = params.ctx
-    cases = 0
-    ok = True
-    for n in range(N + 1):
-        for j in range(n + 1):
-            cases += 1
-            if not vandermonde_sum_check(
-                ctx, n, j, params.alphas[0], params.alphas[1]
-            ):
-                ok = False
-    return [
-        {
-            "identity": "alternating-seed-sum",
-            "cases": cases,
-            "status": "pass" if ok else "fail",
-        }
-    ]
+    a, b = params.alphas[0], params.alphas[1]
+    cases = (
+        ({"n": n, "j": j}, vandermonde_sum_check(ctx, n, j, a, b))
+        for n in range(N + 1)
+        for j in range(n + 1)
+    )
+    return [check_identity("alternating-seed-sum", cases)]
 
 
 def _suite_eigen(params, h, N, seed):
-    reports = []
-    for tree in all_trees(h):
-        ok = True
-        cases = 0
-        for n in range(min(N, 2) + 1):
-            for labeling in enumerate_labelings(tree, n):
-                cases += 1
-                rep = verify_eigen(tree, labeling, params, N)
-                if rep["status"] != "pass":
-                    ok = False
-        reports.append(
-            {
-                "identity": "vertex-eigenvalues",
-                "tree": tree.serialize(),
-                "cases": cases,
-                "status": "pass" if ok else "fail",
-            }
-        )
-    return reports
+    cases = (
+        case
+        for tree in all_trees(h)
+        for n in range(min(N, 2) + 1)
+        for labeling in enumerate_labelings(tree, n)
+        for case in vertex_eigen_cases(tree, labeling, params, N)
+    )
+    return [check_identity("vertex-eigenvalues", cases)]
 
 
 def _suite_connections(params, h, N, seed):
     trees = all_trees(h)
-    n_max = min(N, 2)
-    pairs = 0
-    ok = True
+    by_path = {}
     for src in trees:
         for tgt in trees:
             try:
                 path = find_rl_path(src, tgt)
             except NotRightReachable:
                 continue
-            pairs += 1
-            for n in range(n_max + 1):
-                by_path = connection_by_path(src, tgt, n, params, path=path)
-                oracle = connection_oracle(src, tgt, n, params)
-                if by_path.rows != oracle.rows:
-                    ok = False
-                if not by_path.orthogonality_check():
-                    ok = False
+            for n in range(min(N, 2) + 1):
+                by_path[src, tgt, n] = connection_by_path(
+                    src, tgt, n, params, path=path
+                )
+
+    def where(src, tgt, n):
+        return {"source": src.serialize(), "target": tgt.serialize(), "n": n}
+
     return [
-        {
-            "identity": "connection-path-vs-oracle",
-            "reachable_pairs": pairs,
-            "degrees": n_max + 1,
-            "status": "pass" if ok else "fail",
-        }
+        check_identity(
+            "connection-path-vs-oracle",
+            (
+                (where(*key), m.rows == connection_oracle(*key, params).rows)
+                for key, m in by_path.items()
+            ),
+        ),
+        check_identity(
+            "connection-path-orthogonality",
+            ((where(*key), m.orthogonality_check()) for key, m in by_path.items()),
+        ),
     ]
 
 
 def _suite_classical_bridge(params, h, N, seed):
-    return [gr_correspondence_check(params, n) for n in range(min(N, 2) + 1)]
+    return [
+        report
+        for n in range(min(N, 2) + 1)
+        for report in gr_correspondence_check(params, n)
+    ]
 
 
 def _suite_worked_example(params, h, N, seed):
     return [
-        three_dim_racah_example_check(params, n) for n in range(min(N, 2) + 1)
+        report
+        for n in range(min(N, 2) + 1)
+        for report in three_dim_racah_example_check(params, n)
     ]
 
 
@@ -347,24 +334,11 @@ def cmd_verify(args) -> int:
                 f"suite {args.suite!r} requires --h {need_h}"
             )
         names = [args.suite]
-    threads = int(os.environ.get("QTREE_THREADS", "1"))
     started = time.monotonic()
-
-    def run(name):
-        return SUITES[name][0](params, h, N, args.seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, names))
-    else:
-        results = [run(name) for name in names]
-    elapsed = time.monotonic() - started
     suites = []
-    all_pass = True
-    for name, reports in zip(names, results):
-        suite_pass = all(r.get("status") == "pass" for r in reports)
-        if not suite_pass:
-            all_pass = False
+    for name in names:
+        reports = SUITES[name][0](params, h, N, args.seed)
+        suite_pass = all(report["status"] == "pass" for report in reports)
         suites.append(
             {
                 "suite": name,
@@ -372,6 +346,8 @@ def cmd_verify(args) -> int:
                 "status": "pass" if suite_pass else "fail",
             }
         )
+    elapsed = time.monotonic() - started
+    all_pass = all(suite["status"] == "pass" for suite in suites)
     _emit(
         args,
         {

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from ._linalg import invert as _invert_dense
@@ -40,7 +41,7 @@ from .qnum import (
     q_factorial,
     rational_sqrt,
 )
-from .qops import apply_L
+from .qops import apply_L, check_identity
 from .trees import (
     MoveRecord,
     NotRightReachable,
@@ -48,6 +49,25 @@ from .trees import (
     enumerate_labelings,
     find_rl_path,
 )
+
+__all__ = [
+    "NotInKernel",
+    "MoveCoefficientSpec",
+    "one_move_coefficients",
+    "apply_move",
+    "ConnectionMatrix",
+    "connection_by_path",
+    "connection_oracle",
+    "dunkl_expansion_coeffs",
+    "kernel_interpolation_basis",
+    "gasper_rahman_racah",
+    "gr_substitution",
+    "comb_connection_product",
+    "gr_conversion_factor",
+    "gr_weight_factor",
+    "gr_correspondence_check",
+    "three_dim_racah_example_check",
+]
 
 
 class NotInKernel(ValueError):
@@ -99,20 +119,15 @@ class MoveCoefficientSpec:
         j = sum(cvec[k + 2 + a + b : k + 2 + a + b + c])
         v = c_R + l + j
         base = move.base
-        ctx = params.ctx
-
-        def span_p(lo, hi):
-            return params.span_product(lo, hi) * ctx.q_power(hi - lo)
-
         return cls(
             i=i,
             l=l,
             j=j,
             n_U=c_U + i + v,
             v=v,
-            p1=span_p(base, base + move.s_local),
-            p2=span_p(base + move.s_local, base + move.r_local),
-            p3=span_p(base + move.r_local, base + move.h_local),
+            p1=params.span_p(base, base + move.s_local),
+            p2=params.span_p(base + move.s_local, base + move.r_local),
+            p3=params.span_p(base + move.r_local, base + move.h_local),
         )
 
 
@@ -684,11 +699,11 @@ def gr_weight_factor(params: ParamSet, n: int) -> Fraction:
     )
 
 
-def gr_correspondence_check(params: ParamSet, n: int) -> dict:
+def gr_correspondence_check(params: ParamSet, n: int) -> list[dict]:
     """Verify the bridge between the comb-to-comb connection products
     and the classical multivariable q-Racah family at degree n.
 
-    Three exact checks:
+    Three exact checks, one `check_identity` report each:
       * squared product identity: classical product (squared) equals the
         squared conversion factor times the squared connection product,
         for every pair of labelings;
@@ -705,78 +720,58 @@ def gr_correspondence_check(params: ParamSet, n: int) -> dict:
     ctx = params.ctx
     sub = gr_substitution(params, n)
     labelings = enumerate_compositions(h - 1, n)
-    product_ok = True
-    signed_ok = True
-    signed_cases = 0
-    counterexample = None
-    for nv in labelings:
-        nlist = nv[: h - 2]
-        conv_sq = gr_conversion_factor(params, n, nv, squared=True)
-        all_even = all(v % 2 == 0 for v in nlist)
-        conv = (
-            gr_conversion_factor(params, n, nv, squared=False)
-            if all_even
-            else None
-        )
-        for m in labelings:
-            x = []
-            acc = 0
-            for k in range(h - 2):
-                acc += m[k]
-                x.append(acc)
-            ours = comb_connection_product(params, n, nv, m)
-            lhs_sq = gasper_rahman_racah(
-                ctx, sub["a"], sub["b"], sub["N"], x, nlist, squared=True
-            )
-            if lhs_sq != conv_sq * ours * ours:
-                product_ok = False
-                if counterexample is None:
-                    counterexample = {"nv": list(nv), "m": list(m)}
-            if all_even:
-                signed_cases += 1
-                lhs = gasper_rahman_racah(
-                    ctx, sub["a"], sub["b"], sub["N"], x, nlist, squared=False
-                )
-                if lhs != conv * ours:
-                    signed_ok = False
-                    if counterexample is None:
-                        counterexample = {
-                            "nv": list(nv),
-                            "m": list(m),
-                            "signed": True,
-                        }
-    conn = connection_by_path(right_comb(h), left_comb(h), n, params)
-    wf = gr_weight_factor(params, n)
-    weights = {m: wf / xi_norm(params, m, n) for m in labelings}
-    weight_ok = True
-    targets = conn.target_labelings()
-    for idx, d1 in enumerate(targets):
-        for d2 in targets[idx:]:
-            acc = Fraction(0)
-            for c in labelings:
-                v1 = conn.value(c, d1)
-                v2 = conn.value(c, d2)
-                if v1 and v2:
-                    acc += v1 * v2 * weights[c]
-            if d1 == d2:
-                expected = wf / norm_Q(left_comb(h), d1, params, n)
-            else:
-                expected = Fraction(0)
-            if acc != expected:
-                weight_ok = False
-    status = "pass" if product_ok and signed_ok and weight_ok else "fail"
-    return {
-        "identity": "classical-product-bridge",
-        "h": h,
-        "n": n,
-        "product_identity": product_ok,
-        "signed_identity": signed_ok,
-        "signed_cases": signed_cases,
-        "weight_orthogonality": weight_ok,
-        "pairs_checked": len(labelings) ** 2,
-        "counterexample": counterexample,
-        "status": status,
+    points = {m: list(accumulate(m[: h - 2])) for m in labelings}
+    ours = {
+        (nv, m): comb_connection_product(params, n, nv, m)
+        for nv in labelings
+        for m in labelings
     }
+
+    def classical(nv, m, squared):
+        return gasper_rahman_racah(
+            ctx, sub["a"], sub["b"], sub["N"], points[m], nv[: h - 2], squared=squared
+        )
+
+    def product_cases():
+        for nv in labelings:
+            conv_sq = gr_conversion_factor(params, n, nv, squared=True)
+            for m in labelings:
+                ok = classical(nv, m, True) == conv_sq * ours[nv, m] * ours[nv, m]
+                yield {"n": n, "nv": list(nv), "m": list(m)}, ok
+
+    def signed_cases():
+        for nv in labelings:
+            if any(v % 2 for v in nv[: h - 2]):
+                continue
+            conv = gr_conversion_factor(params, n, nv, squared=False)
+            for m in labelings:
+                ok = classical(nv, m, False) == conv * ours[nv, m]
+                yield {"n": n, "nv": list(nv), "m": list(m)}, ok
+
+    def weight_cases():
+        conn = connection_by_path(right_comb(h), left_comb(h), n, params)
+        wf = gr_weight_factor(params, n)
+        weights = {m: wf / xi_norm(params, m, n) for m in labelings}
+        targets = conn.target_labelings()
+        for idx, d1 in enumerate(targets):
+            for d2 in targets[idx:]:
+                acc = Fraction(0)
+                for c in labelings:
+                    v1 = conn.value(c, d1)
+                    v2 = conn.value(c, d2)
+                    if v1 and v2:
+                        acc += v1 * v2 * weights[c]
+                if d1 == d2:
+                    expected = wf / norm_Q(left_comb(h), d1, params, n)
+                else:
+                    expected = Fraction(0)
+                yield {"n": n, "d1": list(d1), "d2": list(d2)}, acc == expected
+
+    return [
+        check_identity("classical-product-identity", product_cases()),
+        check_identity("classical-signed-product-identity", signed_cases()),
+        check_identity("classical-weight-orthogonality", weight_cases()),
+    ]
 
 
 def _example_norm_reciprocal(
@@ -823,16 +818,18 @@ def _example_norm_reciprocal(
     return num / den * ctx.q_power(exponent)
 
 
-def three_dim_racah_example_check(params: ParamSet, n: int) -> dict:
+def three_dim_racah_example_check(params: ParamSet, n: int) -> list[dict]:
     """Verify the worked five-leaf example end to end at degree n.
 
     The three-move path from the right comb to (((1 2) (3 4)) 5) is
-    composed explicitly; every entry is compared against the displayed
-    triple product, against the inner-product oracle, and the displayed
-    squared-norm expression is compared against the closed-form norm of
-    the final tree.
+    composed explicitly and compared against the trees of the figures;
+    every entry is compared against the displayed triple product and
+    against the inner-product oracle; the displayed squared-norm
+    expression is compared against the closed-form norm of the final
+    tree; and the composed matrix is checked for orthogonality.  Returns
+    one `check_identity` report per check.
     """
-    from .trees import parse_tree, right_comb, transplant_right_to_left
+    from .trees import right_comb, transplant_right_to_left
 
     if params.h != 5:
         raise ValueError("the worked example has five leaves")
@@ -842,73 +839,66 @@ def three_dim_racah_example_check(params: ParamSet, n: int) -> dict:
     t1, mv1 = transplant_right_to_left(t0, 0)
     t2, mv2 = transplant_right_to_left(t1, 2)
     t3, mv3 = transplant_right_to_left(t2, 0)
-    path = (mv1, mv2, mv3)
-    final = parse_tree("(((1 2) (3 4)) 5)")
-    report = {
-        "identity": "five-leaf-worked-example",
-        "n": n,
-        "final_tree": t3.serialize(),
-        "path_matches_figures": t3 == final
-        and t1.serialize() == "((1 2) (3 (4 5)))"
-        and t2.serialize() == "((1 2) ((3 4) 5))",
-        "triple_product": True,
-        "oracle_agreement": True,
-        "norm_display": True,
-        "orthogonality": True,
-    }
-    conn = connection_by_path(t0, t3, n, params, path=path)
+    conn = connection_by_path(t0, t3, n, params, path=(mv1, mv2, mv3))
     oracle = connection_oracle(t0, t3, n, params)
-    for m in conn.source_labelings():
+    figures = [t.serialize() for t in (t1, t2, t3)]
+    figures_ok = figures == [
+        "((1 2) (3 (4 5)))",
+        "((1 2) ((3 4) 5))",
+        "(((1 2) (3 4)) 5)",
+    ]
+
+    def triple_product(m, d):
         m1, m2, m3, m4 = m
-        for d in conn.target_labelings():
-            u1, u2 = d[2], d[3]
-            u3 = n - d[0]  # d[1] == u3 - u1 - u2 for every degree-n labeling
-            if u1 > m1 + m2 or u2 > m3 + m4:
-                formula = Fraction(0)
-            else:
-                formula = (
-                    racah_eval(
-                        ctx, u1, m2, a2, a1,
-                        a2 * a3 * a4 * a5 * ctx.q_power(n + m3 + m4 + 3),
-                        m1 + m2,
-                    )
-                    * racah_eval(
-                        ctx, u2, m4, a4, a3,
-                        a4 * a5 * ctx.q_power(m3 + m4 + 1),
-                        m3 + m4,
-                    )
-                    * ctx.q_power(-u1 * (m3 + m4 - u2))
-                    * racah_eval(
-                        ctx, u3 - u1 - u2, m3 + m4 - u2,
-                        a3 * a4 * ctx.q_power(2 * u2 + 1),
-                        a1 * a2 * ctx.q_power(2 * u1 + 1),
-                        a3 * a4 * a5 * ctx.q_power(n + u2 - u1 + 2),
-                        n - u1 - u2,
-                    )
-                )
-            if conn.value(m, d) != formula:
-                report["triple_product"] = False
-            if oracle.value(m, d) != conn.value(m, d):
-                report["oracle_agreement"] = False
-    for d in conn.target_labelings():
         u1, u2 = d[2], d[3]
-        u3 = n - d[0]
-        displayed = _example_norm_reciprocal(params, n, u1, u2, u3)
-        if displayed * norm_Q(t3, d, params, n) != 1:
-            report["norm_display"] = False
-    report["orthogonality"] = conn.orthogonality_check()
-    report["status"] = (
-        "pass"
-        if all(
-            report[key]
-            for key in (
-                "path_matches_figures",
-                "triple_product",
-                "oracle_agreement",
-                "norm_display",
-                "orthogonality",
+        u3 = n - d[0]  # d[1] == u3 - u1 - u2 for every degree-n labeling
+        if u1 > m1 + m2 or u2 > m3 + m4:
+            return Fraction(0)
+        return (
+            racah_eval(
+                ctx, u1, m2, a2, a1,
+                a2 * a3 * a4 * a5 * ctx.q_power(n + m3 + m4 + 3),
+                m1 + m2,
+            )
+            * racah_eval(
+                ctx, u2, m4, a4, a3,
+                a4 * a5 * ctx.q_power(m3 + m4 + 1),
+                m3 + m4,
+            )
+            * ctx.q_power(-u1 * (m3 + m4 - u2))
+            * racah_eval(
+                ctx, u3 - u1 - u2, m3 + m4 - u2,
+                a3 * a4 * ctx.q_power(2 * u2 + 1),
+                a1 * a2 * ctx.q_power(2 * u1 + 1),
+                a3 * a4 * a5 * ctx.q_power(n + u2 - u1 + 2),
+                n - u1 - u2,
             )
         )
-        else "fail"
-    )
-    return report
+
+    def entry_cases(check):
+        for m in conn.source_labelings():
+            for d in conn.target_labelings():
+                yield {"n": n, "m": list(m), "d": list(d)}, check(m, d)
+
+    def norm_cases():
+        for d in conn.target_labelings():
+            displayed = _example_norm_reciprocal(params, n, d[2], d[3], n - d[0])
+            yield {"n": n, "d": list(d)}, displayed * norm_Q(t3, d, params, n) == 1
+
+    return [
+        check_identity(
+            "worked-example-path", [({"n": n, "trees": figures}, figures_ok)]
+        ),
+        check_identity(
+            "worked-example-triple-product",
+            entry_cases(lambda m, d: conn.value(m, d) == triple_product(m, d)),
+        ),
+        check_identity(
+            "worked-example-oracle-agreement",
+            entry_cases(lambda m, d: oracle.value(m, d) == conn.value(m, d)),
+        ),
+        check_identity("worked-example-norm-display", norm_cases()),
+        check_identity(
+            "worked-example-orthogonality", [({"n": n}, conn.orthogonality_check())]
+        ),
+    ]

@@ -27,7 +27,7 @@ from .qnum import (
     q_factorial,
     rational_sqrt,
 )
-from .qops import apply_D
+from .qops import apply_D, check_identity
 
 __all__ = [
     "NonSquareRadicand",
@@ -220,91 +220,62 @@ def verify_hahn_recurrences(
 
     Raising and lowering are checked against their explicit two-variable
     displays; the eigen relation goes through the operator module.
+    Returns one `check_identity` report per relation.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    q = ctx.q
     p = ParamSet(ctx, (alpha, beta), unchecked=True)
-    reports = []
 
     def value(n, x, N):
         return hahn_eval(ctx, n, x, alpha, beta, N)
 
-    raise_fail = None
-    raise_cases = 0
-    for n in range(n_max + 1):
-        for N in range(n + 1, n_max + 1):
-            for x1 in range(N + 1):
-                x2 = N - x1
-                lhs = Fraction(0)
-                if x1 > 0:
+    def raise_cases():
+        for n in range(n_max + 1):
+            for N in range(n + 1, n_max + 1):
+                for x1 in range(N + 1):
+                    x2 = N - x1
+                    lhs = Fraction(0)
+                    if x1 > 0:
+                        lhs += (
+                            ctx.q_power(-x1 - x2)
+                            * (1 - ctx.q_power(x1))
+                            * value(n, x1 - 1, N - 1)
+                        )
+                    if x2 > 0:
+                        lhs += ctx.q_power(-x2) * (1 - ctx.q_power(x2)) * value(n, x1, N - 1)
+                    rhs = (ctx.q_power(-x1 - x2 + n) - 1) * value(n, x1, N)
+                    yield {"n": n, "N": N, "x1": x1}, lhs == rhs
+
+    def lower_cases():
+        for n in range(n_max + 1):
+            for N in range(n, n_max + 1):
+                for x1 in range(N + 1):
+                    x2 = N - x1
+                    lhs = (alpha * ctx.q_power(x1 + 1) - 1) * value(n, x1 + 1, N + 1)
                     lhs += (
-                        ctx.q_power(-x1 - x2)
-                        * (1 - ctx.q_power(x1))
-                        * value(n, x1 - 1, N - 1)
+                        alpha
+                        * ctx.q_power(x1 + 1)
+                        * (beta * ctx.q_power(x2 + 1) - 1)
+                        * value(n, x1, N + 1)
                     )
-                if x2 > 0:
-                    lhs += ctx.q_power(-x2) * (1 - ctx.q_power(x2)) * value(n, x1, N - 1)
-                rhs = (ctx.q_power(-x1 - x2 + n) - 1) * value(n, x1, N)
-                raise_cases += 1
-                if lhs != rhs and raise_fail is None:
-                    raise_fail = {"n": n, "N": N, "x1": x1}
-    reports.append(
-        {
-            "identity": "raising_shifts_level",
-            "cases": raise_cases,
-            "status": "pass" if raise_fail is None else "fail",
-            "counterexample": raise_fail,
-        }
-    )
+                    rhs = (
+                        ctx.q_power(-n)
+                        * (alpha * beta * ctx.q_power(x1 + x2 + n + 2) - 1)
+                        * value(n, x1, N)
+                    )
+                    yield {"n": n, "N": N, "x1": x1}, lhs == rhs
 
-    lower_fail = None
-    lower_cases = 0
-    for n in range(n_max + 1):
-        for N in range(n, n_max + 1):
-            for x1 in range(N + 1):
-                x2 = N - x1
-                lhs = (alpha * ctx.q_power(x1 + 1) - 1) * value(n, x1 + 1, N + 1)
-                lhs += (
-                    alpha
-                    * ctx.q_power(x1 + 1)
-                    * (beta * ctx.q_power(x2 + 1) - 1)
-                    * value(n, x1, N + 1)
-                )
-                rhs = (
-                    ctx.q_power(-n)
-                    * (alpha * beta * ctx.q_power(x1 + x2 + n + 2) - 1)
-                    * value(n, x1, N)
-                )
-                lower_cases += 1
-                if lhs != rhs and lower_fail is None:
-                    lower_fail = {"n": n, "N": N, "x1": x1}
-    reports.append(
-        {
-            "identity": "lowering_shifts_level",
-            "cases": lower_cases,
-            "status": "pass" if lower_fail is None else "fail",
-            "counterexample": lower_fail,
-        }
-    )
+    def eigen_cases():
+        for n in range(n_max + 1):
+            lam = ctx.q_power(-n) * (1 - ctx.q_power(n)) * (1 - alpha * beta * ctx.q_power(n + 1))
+            for N in range(n, n_max + 1):
+                grid = _hahn_grid(ctx, n, alpha, beta, N)
+                yield {"n": n, "N": N}, apply_D(grid, p) == grid.scale(lam)
 
-    eigen_fail = None
-    eigen_cases = 0
-    for n in range(n_max + 1):
-        lam = ctx.q_power(-n) * (1 - ctx.q_power(n)) * (1 - alpha * beta * ctx.q_power(n + 1))
-        for N in range(n, n_max + 1):
-            grid = _hahn_grid(ctx, n, alpha, beta, N)
-            eigen_cases += 1
-            if apply_D(grid, p) != grid.scale(lam) and eigen_fail is None:
-                eigen_fail = {"n": n, "N": N}
-    reports.append(
-        {
-            "identity": "diagonal_operator_eigenvalue",
-            "cases": eigen_cases,
-            "status": "pass" if eigen_fail is None else "fail",
-            "counterexample": eigen_fail,
-        }
-    )
-    return reports
+    return [
+        check_identity("raising_shifts_level", raise_cases()),
+        check_identity("lowering_shifts_level", lower_cases()),
+        check_identity("diagonal_operator_eigenvalue", eigen_cases()),
+    ]
 
 
 def vandermonde_sum_check(

@@ -164,6 +164,10 @@ class ParamSet:
             out *= a
         return out
 
+    def span_p(self, lo: int, hi: int) -> Fraction:
+        """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
+        return self.span_product(lo, hi) * self.ctx.q_power(hi - lo)
+
     def restrict(self, lo: int, hi: int) -> "ParamSet":
         """Parameter set for the variables in the span (lo, hi]."""
         if not (0 <= lo < hi <= self.h):

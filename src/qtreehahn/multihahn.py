@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .hahn1d import hahn_eval
 from .lattice import GridFunction, ParamSet, composition_count
 from .qnum import pochhammer, pochhammer_many, q_factorial
-from .qops import apply_D, apply_D_at_vertex, eigenvalue, raise_chain
+from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
 from .trees import PlanarTree, attributes, coefficient_sums, enumerate_labelings
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "basis",
     "raise_basis_element",
     "verify_eigen",
+    "vertex_eigen_cases",
     "vertex_eigenvalue",
     "xi_polynomial",
     "xi_norm",
@@ -82,8 +83,8 @@ def eval_Q(
         rcs = cs[vert.right] if vert.right is not None else 0
         lv = sum(x[vert.lo : vert.split])
         v = lv + sum(x[vert.split : vert.hi])
-        lp = params.span_product(vert.lo, vert.split) * ctx.q_power(vert.split - vert.lo)
-        rp = params.span_product(vert.split, vert.hi) * ctx.q_power(vert.hi - vert.split)
+        lp = params.span_p(vert.lo, vert.split)
+        rp = params.span_p(vert.split, vert.hi)
         value *= ctx.q_power(-rcs * lv) * hahn_eval(
             ctx,
             labeling[vert.index],
@@ -102,7 +103,7 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
     ctx = params.ctx
     vert = tree.vertices[u]
     cs = coefficient_sums(tree, labeling)[u]
-    p_u = params.span_product(vert.lo, vert.hi) * ctx.q_power(vert.hi - vert.lo)
+    p_u = params.span_p(vert.lo, vert.hi)
     return ctx.q_power(-cs) * (1 - ctx.q_power(cs)) * (1 - p_u * ctx.q_power(cs - 1))
 
 
@@ -123,9 +124,9 @@ def gamma_vertex(
     lcs = cs_all[vert.left] if vert.left is not None else 0
     rcs = cs_all[vert.right] if vert.right is not None else 0
     cs = cs_all[u]
-    p_u = params.span_product(vert.lo, vert.hi) * ctx.q_power(vert.hi - vert.lo)
-    lp = params.span_product(vert.lo, vert.split) * ctx.q_power(vert.split - vert.lo)
-    rp = params.span_product(vert.split, vert.hi) * ctx.q_power(vert.hi - vert.split)
+    p_u = params.span_p(vert.lo, vert.hi)
+    lp = params.span_p(vert.lo, vert.split)
+    rp = params.span_p(vert.split, vert.hi)
     lp_shift = lp * ctx.q_power(2 * lcs)
     numerator = pochhammer_many(
         ctx,
@@ -223,35 +224,40 @@ def raise_basis_element(elem: TreeBasisElement, target_N: int) -> TreeBasisEleme
     return TreeBasisElement(elem.tree, elem.labeling, elem.params, N, chain.scale(scale))
 
 
-def verify_eigen(
+def vertex_eigen_cases(
     tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
-) -> dict:
-    """Check that every vertex operator acts diagonally on the basis function.
+) -> Iterator[tuple[dict, bool]]:
+    """Cases of the vertex-eigenvalue identity for one labeled tree.
 
     The operator of `qops` restricted to the span of a vertex U multiplies
-    the function by q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)); the full
+    the basis function by q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)); the full
     operator (the root case with cs = n) is checked explicitly as well.
+    Yields (locator, ok) pairs for `check_identity`, one per vertex and one
+    for vertex "global"; each locator names the tree and the labeling.
     """
     labeling = tuple(labeling)
     grid = GridFunction.from_callable(
         tree.h, N, lambda x: eval_Q(tree, labeling, params, x)
     )
-    failures = []
+    where = {"tree": tree.serialize(), "labeling": list(labeling)}
     for vert in tree.vertices:
         lam = vertex_eigenvalue(tree, labeling, params, vert.index)
         got = apply_D_at_vertex(grid, params, vert.lo, vert.hi)
-        if got != grid.scale(lam):
-            failures.append({"vertex": vert.index, "span": [vert.lo, vert.hi]})
+        yield {**where, "vertex": vert.index}, got == grid.scale(lam)
     lam_global = eigenvalue(params, sum(labeling))
-    if apply_D(grid, params) != grid.scale(lam_global):
-        failures.append({"vertex": "global"})
-    return {
-        "tree": tree.serialize(),
-        "labeling": list(labeling),
-        "N": N,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
+    yield {**where, "vertex": "global"}, apply_D(grid, params) == grid.scale(lam_global)
+
+
+def verify_eigen(
+    tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
+) -> list[dict]:
+    """Check that every vertex operator acts diagonally on the basis function
+    at level N: the `check_identity` report of `vertex_eigen_cases`."""
+    return [
+        check_identity(
+            "vertex-eigenvalues", vertex_eigen_cases(tree, labeling, params, N)
+        )
+    ]
 
 
 # --- closed forms for the two comb trees ---------------------------------

@@ -9,14 +9,15 @@ The three operators implemented here close into a small algebra:
 
 `verify_operator_algebra` and `spectral_decomposition_check` re-derive all
 of this numerically, with exact rational equality, for a given parameter
-set; they are used both as tests and from the command line.
+set; they are used both as tests and from the command line.  Every
+verification report of the package is built by `check_identity`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import _linalg
 from .lattice import (
@@ -41,6 +42,7 @@ __all__ = [
     "to_matrix",
     "kernel_basis",
     "eigenvalue",
+    "check_identity",
     "verify_operator_algebra",
     "spectral_decomposition_check",
 ]
@@ -267,6 +269,27 @@ def _funcs_for_level(h: int, N: int, rng: random.Random) -> list[GridFunction]:
     return funcs
 
 
+def check_identity(name: str, cases: Iterable[tuple[object, bool]]) -> dict:
+    """Run the cases of one identity and report on them.
+
+    `cases` yields (locator, ok) pairs and is consumed up to its first
+    failing case.  The report has exactly the keys "identity", "cases"
+    (the number of cases run), "status" ("pass" or "fail") and
+    "counterexample": the locator of the failing case, None on a pass.
+    """
+    count = 0
+    for locator, ok in cases:
+        count += 1
+        if not ok:
+            return {
+                "identity": name,
+                "cases": count,
+                "status": "fail",
+                "counterexample": locator,
+            }
+    return {"identity": name, "cases": count, "status": "pass", "counterexample": None}
+
+
 def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> list[dict]:
     """Re-derive the operator algebra exactly on every level up to n_max.
 
@@ -285,31 +308,12 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
         chains from the same level scale norms by the closed-form factor,
         and every chain is injective.
 
-    Returns one report dict per identity; "status" is "pass" or "fail"
-    and a failing report carries a counterexample locator.
+    Returns one `check_identity` report per identity.
     """
     ctx = p.ctx
     q = ctx.q
     A_h = p.prefix_product(h)
     rng = random.Random(seed)
-    reports = []
-
-    def run(name: str, cases) -> None:
-        count = 0
-        for locator, ok in cases:
-            count += 1
-            if not ok:
-                reports.append(
-                    {
-                        "identity": name,
-                        "h": h,
-                        "cases": count,
-                        "status": "fail",
-                        "counterexample": locator,
-                    }
-                )
-                return
-        reports.append({"identity": name, "h": h, "cases": count, "status": "pass"})
 
     def rl_cases():
         for N in range(1, n_max + 1):
@@ -319,8 +323,6 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                 rhs = apply_D(f, p) - f.scale(scalar)
                 yield {"N": N, "f": k}, lhs == rhs
 
-    run("raise_after_lower_equals_D_minus_scalar", rl_cases())
-
     def lr_cases():
         for N in range(0, n_max):
             scalar = (1 - ctx.q_power(-N - 1)) * (A_h * ctx.q_power(N + h) - 1)
@@ -329,16 +331,12 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                 rhs = apply_D(f, p) - f.scale(scalar)
                 yield {"N": N, "f": k}, lhs == rhs
 
-    run("lower_after_raise_equals_D_minus_scalar", lr_cases())
-
     def commutator_cases():
         for N in range(1, n_max):
             scalar = ctx.q_power(-N - 1) * (1 - q) * (A_h * ctx.q_power(2 * N + h) - 1)
             for k, f in enumerate(_funcs_for_level(h, N, rng)):
                 lhs = apply_L(apply_R(f, p), p) - apply_R(apply_L(f, p), p)
                 yield {"N": N, "f": k}, lhs == f.scale(scalar)
-
-    run("commutator_is_scalar", commutator_cases())
 
     def adjoint_cases():
         for N in range(1, n_max + 1):
@@ -352,8 +350,6 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                         f1, raised[k2], p
                     )
                     yield {"N": N, "f1": k1, "f2": k2}, ok
-
-    run("lowering_is_minus_adjoint_of_raising", adjoint_cases())
 
     def chain_swap_cases():
         for n in range(0, n_max):
@@ -378,17 +374,19 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                         rhs = rhs + lchain[N - n]
                     yield {"n": n, "N": N, "f": k}, lhs == rhs
 
-    run("lowering_moves_through_raising_chain", chain_swap_cases())
+    # raised[n][N]: the kernel basis of L on level n raised to level N,
+    # shared by the three kernel identities below.
+    raised = {}
+    for n in range(n_max + 1):
+        raised[n] = {n: kernel_basis(h, n, p)}
+        for N in range(n + 1, n_max + 1):
+            raised[n][N] = [apply_R(g, p) for g in raised[n][N - 1]]
 
     def collapse_cases():
         for n in range(0, n_max + 1):
-            kernel = kernel_basis(h, n, p)
-            for k, f in enumerate(kernel):
-                chain = [f]
-                for N in range(n + 1, n_max + 1):
-                    chain.append(apply_R(chain[-1], p))
+            for k in range(len(raised[n][n])):
                 for N in range(n, n_max + 1):
-                    lowered = chain[N - n]
+                    lowered = raised[n][N][k]
                     for m in range(N, n - 1, -1):
                         scalar = (
                             (-1) ** (N - m)
@@ -396,21 +394,12 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                             * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
                             * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
                         )
-                        rhs = chain[m - n].scale(scalar)
+                        rhs = raised[n][m][k].scale(scalar)
                         yield {"n": n, "m": m, "N": N, "f": k}, lowered == rhs
                         if m > n:
                             lowered = apply_L(lowered, p)
 
-    run("lowering_chain_collapses_raising_chain_on_kernel", collapse_cases())
-
     def chain_norm_cases():
-        kernels = {n: kernel_basis(h, n, p) for n in range(n_max + 1)}
-        raised = {
-            n: {n: list(kernels[n])} for n in range(n_max + 1)
-        }
-        for n in range(n_max + 1):
-            for N in range(n + 1, n_max + 1):
-                raised[n][N] = [apply_R(g, p) for g in raised[n][N - 1]]
         for n in range(0, n_max + 1):
             for m in range(0, n + 1):
                 for N in range(n, n_max + 1):
@@ -419,10 +408,10 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                         * pochhammer(ctx, q, N - n)
                         * pochhammer(ctx, A_h * ctx.q_power(2 * n + h), N - n)
                     )
-                    for k2, f2 in enumerate(kernels[n]):
-                        g2 = raised[n][N][k2]
-                        for k1, f1 in enumerate(kernels[m]):
-                            g1 = raised[m][N][k1]
+                    for k2, g2 in enumerate(raised[n][N]):
+                        f2 = raised[n][n][k2]
+                        for k1, g1 in enumerate(raised[m][N]):
+                            f1 = raised[m][m][k1]
                             got = inner_product(g1, g2, p)
                             if m == n:
                                 want = factor * inner_product(f1, f2, p)
@@ -430,56 +419,56 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                                 want = Fraction(0)
                             yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, got == want
 
-    run("raising_chain_preserves_orthogonality_and_scales_norms", chain_norm_cases())
-
     def injectivity_cases():
         for n in range(0, n_max + 1):
-            kernel = kernel_basis(h, n, p)
             for N in range(n, n_max + 1):
-                raised = [raise_chain(f, p, N) for f in kernel]
-                matrix = [list(g.values) for g in raised]
-                ok = _linalg.rank(matrix) == len(kernel)
+                matrix = [list(g.values) for g in raised[n][N]]
+                ok = _linalg.rank(matrix) == len(raised[n][n])
                 yield {"n": n, "N": N}, ok
 
-    run("raising_chain_is_injective_on_kernel", injectivity_cases())
+    return [
+        check_identity("raise_after_lower_equals_D_minus_scalar", rl_cases()),
+        check_identity("lower_after_raise_equals_D_minus_scalar", lr_cases()),
+        check_identity("commutator_is_scalar", commutator_cases()),
+        check_identity("lowering_is_minus_adjoint_of_raising", adjoint_cases()),
+        check_identity("lowering_moves_through_raising_chain", chain_swap_cases()),
+        check_identity(
+            "lowering_chain_collapses_raising_chain_on_kernel", collapse_cases()
+        ),
+        check_identity(
+            "raising_chain_preserves_orthogonality_and_scales_norms",
+            chain_norm_cases(),
+        ),
+        check_identity("raising_chain_is_injective_on_kernel", injectivity_cases()),
+    ]
 
-    return reports
 
-
-def spectral_decomposition_check(h: int, N: int, p: ParamSet) -> dict:
+def spectral_decomposition_check(h: int, N: int, p: ParamSet) -> list[dict]:
     """Decompose [h; N] into raised kernels and test the eigenvalues of D.
 
     Verifies that the kernel dimensions sum to the dimension of the level,
     that the raised kernels together span it, and that D acts on each
-    raised kernel by q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)).
+    raised kernel by q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)).  Returns one
+    `check_identity` report per identity.
     """
-    dims = []
-    raised_all = []
-    eigen_ok = True
-    failure = None
-    for n in range(N + 1):
-        kernel = kernel_basis(h, n, p)
-        dims.append(len(kernel))
-        lam = eigenvalue(p, n)
-        for k, f in enumerate(kernel):
-            g = raise_chain(f, p, N)
-            raised_all.append(g)
-            if apply_D(g, p) != g.scale(lam):
-                eigen_ok = False
-                if failure is None:
-                    failure = {"n": n, "f": k}
+    raised = [
+        [raise_chain(f, p, N) for f in kernel_basis(h, n, p)] for n in range(N + 1)
+    ]
     total = composition_count(h, N)
-    dim_ok = sum(dims) == total
-    span_ok = _linalg.rank([list(g.values) for g in raised_all]) == total
-    status = "pass" if (dim_ok and span_ok and eigen_ok) else "fail"
-    return {
-        "h": h,
-        "N": N,
-        "kernel_dims": dims,
-        "dimension_total": total,
-        "dimensions_sum": dim_ok,
-        "raised_kernels_span": span_ok,
-        "eigenvalues_match": eigen_ok,
-        "status": status,
-        "counterexample": failure,
-    }
+    dims = [len(level) for level in raised]
+    rank = _linalg.rank([list(g.values) for level in raised for g in level])
+
+    def eigen_cases():
+        for n, level in enumerate(raised):
+            lam = eigenvalue(p, n)
+            for k, g in enumerate(level):
+                yield {"n": n, "f": k}, apply_D(g, p) == g.scale(lam)
+
+    return [
+        check_identity(
+            "kernel_dimensions_sum_to_level_dimension",
+            [({"N": N, "kernel_dims": dims}, sum(dims) == total)],
+        ),
+        check_identity("raised_kernels_span_level", [({"N": N}, rank == total)]),
+        check_identity("raised_kernels_are_eigenvectors_of_D", eigen_cases()),
+    ]

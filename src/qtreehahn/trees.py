@@ -340,9 +340,6 @@ def attributes(
     cs = coefficient_sums(tree, labeling) if labeling is not None else None
     labeling = tuple(labeling) if labeling is not None else None
 
-    def span_p(lo, hi):
-        return params.span_product(lo, hi) * params.ctx.q_power(hi - lo)
-
     def span_v(lo, hi):
         return sum(x[lo:hi])
 
@@ -350,9 +347,9 @@ def attributes(
     for v in tree.vertices:
         entry = {"index": v.index}
         if params is not None:
-            entry["p"] = span_p(v.lo, v.hi)
-            entry["lp"] = span_p(v.lo, v.split)
-            entry["rp"] = span_p(v.split, v.hi)
+            entry["p"] = params.span_p(v.lo, v.hi)
+            entry["lp"] = params.span_p(v.lo, v.split)
+            entry["rp"] = params.span_p(v.split, v.hi)
         if x is not None:
             entry["v"] = span_v(v.lo, v.hi)
             entry["lv"] = span_v(v.lo, v.split)
@@ -414,13 +411,10 @@ def transplant_right_to_left(tree: PlanarTree, u: int) -> tuple[PlanarTree, Move
         if here == u:
             t1 = shape[0]
             t2, t3 = shape[1]
-            return (( _copy(t1), _copy(t2)), _copy(t3))
+            return ((t1, t2), t3)
         left = rebuild(shape[0])
         right = rebuild(shape[1])
         return (left, right)
-
-    def _copy(shape: Shape) -> Shape:
-        return shape  # shapes are immutable nested tuples
 
     new_tree = PlanarTree(rebuild(tree.shape))
     record = MoveRecord(

@@ -82,9 +82,16 @@ def test_criterion_01_operator_algebra():
 def test_criterion_02_spectral_decomposition():
     """Kernel chains decompose the h=3, N=4 level with the right eigenvalues."""
     with criterion(2, "spectral-decomposition", 10.0):
-        rep = spectral_decomposition_check(3, 4, make_params(3))
-        assert rep["status"] == "pass", rep
-        assert sum(rep["kernel_dims"]) == comb(6, 2) == rep["dimension_total"]
+        reports = spectral_decomposition_check(3, 4, make_params(3))
+        assert [r["identity"] for r in reports] == [
+            "kernel_dimensions_sum_to_level_dimension",
+            "raised_kernels_span_level",
+            "raised_kernels_are_eigenvectors_of_D",
+        ]
+        for rep in reports:
+            assert rep["status"] == "pass", rep
+            assert rep["cases"] > 0
+        assert composition_count(3, 4) == comb(6, 2)
 
 
 def test_criterion_03_hahn_dual_routes():
@@ -277,13 +284,17 @@ def test_criterion_09_five_leaf_worked_example():
         for which in ("primary", "secondary"):
             p = make_params(5, which)
             for n in range(3):
-                rep = three_dim_racah_example_check(p, n)
-                assert rep["status"] == "pass", (which, n, rep)
-                assert rep["path_matches_figures"]
-                assert rep["triple_product"]
-                assert rep["oracle_agreement"]
-                assert rep["norm_display"]
-                assert rep["orthogonality"]
+                reports = three_dim_racah_example_check(p, n)
+                assert [r["identity"] for r in reports] == [
+                    "worked-example-path",
+                    "worked-example-triple-product",
+                    "worked-example-oracle-agreement",
+                    "worked-example-norm-display",
+                    "worked-example-orthogonality",
+                ]
+                for rep in reports:
+                    assert rep["status"] == "pass", (which, n, rep)
+                    assert rep["cases"] > 0
 
 
 def test_criterion_10_classical_product_bridge():
@@ -293,11 +304,15 @@ def test_criterion_10_classical_product_bridge():
         for which in ("primary", "secondary"):
             p = make_params(4, which)
             for n in range(4):
-                rep = gr_correspondence_check(p, n)
-                assert rep["status"] == "pass", (which, n, rep)
-                assert rep["product_identity"]
-                assert rep["signed_identity"]
-                assert rep["weight_orthogonality"]
+                reports = gr_correspondence_check(p, n)
+                assert [r["identity"] for r in reports] == [
+                    "classical-product-identity",
+                    "classical-signed-product-identity",
+                    "classical-weight-orthogonality",
+                ]
+                for rep in reports:
+                    assert rep["status"] == "pass", (which, n, rep)
+                    assert rep["cases"] > 0
 
 
 def test_criterion_11_combinatorial_counts():

@@ -8,6 +8,7 @@ the script an installer would write from the ``qtree`` entry in
 checkout with ``PYTHONPATH=src``.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_params
-from qtreehahn import cli
+from qtreehahn import cli, multihahn
 from qtreehahn.cli import main
 from qtreehahn import (
     connection_by_path,
@@ -317,6 +318,9 @@ def test_verify_all_suites_three_leaves(capsys):
     for suite in obj["suites"]:
         assert suite["status"] == "pass"
         assert suite["reports"]
+        for report in suite["reports"]:
+            assert set(report) == {"identity", "cases", "status", "counterexample"}
+            assert report["status"] == "pass" and report["counterexample"] is None
     assert "suite(s)" in captured.err
 
 
@@ -347,7 +351,7 @@ def test_verify_worked_example_five_leaves(capsys):
     )
     assert obj["status"] == "pass"
     reports = obj["suites"][0]["reports"]
-    assert len(reports) == 2  # degrees 0 and 1
+    assert len(reports) == 10  # five identities at each of degrees 0 and 1
     assert all(r["status"] == "pass" for r in reports)
 
 
@@ -378,6 +382,64 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     obj = json.loads(captured.out)
     assert obj["status"] == "fail"
     assert obj["suites"][0]["status"] == "fail"
+
+
+def failing_report(capsys, argv):
+    """Run a verify suite expected to fail; return its one failing report."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    obj = json.loads(captured.out)
+    assert obj["status"] == "fail"
+    [suite] = obj["suites"]
+    assert suite["status"] == "fail"
+    [report] = [r for r in suite["reports"] if r["status"] == "fail"]
+    assert set(report) == {"identity", "cases", "status", "counterexample"}
+    return report
+
+
+def test_verify_eigen_failure_names_tree_labeling_and_vertex(capsys, monkeypatch):
+    """Break the vertex operator on span (0, 2], which only ((1 2) 3) has."""
+    original = multihahn.apply_D_at_vertex
+
+    def broken(f, p, lo, hi):
+        out = original(f, p, lo, hi)
+        return out.scale(2) if (lo, hi) == (0, 2) else out
+
+    monkeypatch.setattr(multihahn, "apply_D_at_vertex", broken)
+    report = failing_report(
+        capsys, ["verify", "--suite", "eigen", "--h", "3", "--N", "2"]
+    )
+    assert report["identity"] == "vertex-eigenvalues"
+    assert report["counterexample"] == {
+        "tree": "((1 2) 3)",
+        "labeling": [0, 1],
+        "vertex": 1,
+    }
+
+
+def test_verify_connections_failure_names_pair_and_degree(capsys, monkeypatch):
+    """Drop one row of the oracle matrix for every distinct pair at n = 1."""
+    original = cli.connection_oracle
+
+    def broken(src, tgt, n, params):
+        matrix = original(src, tgt, n, params)
+        if n != 1 or src == tgt:
+            return matrix
+        rows = dict(matrix.rows)
+        rows.pop(next(iter(rows)))
+        return dataclasses.replace(matrix, rows=rows)
+
+    monkeypatch.setattr(cli, "connection_oracle", broken)
+    report = failing_report(
+        capsys, ["verify", "--suite", "connections", "--h", "3", "--N", "2"]
+    )
+    assert report["identity"] == "connection-path-vs-oracle"
+    assert report["counterexample"] == {
+        "source": "(1 (2 3))",
+        "target": "((1 2) 3)",
+        "n": 1,
+    }
 
 
 # ------------------------------------------------- exit codes and output
@@ -412,13 +474,10 @@ def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert json.loads(out_file.read_text(encoding="utf-8")) == direct
 
 
-def test_stdout_bytes_are_deterministic(capsys, monkeypatch):
+def test_stdout_bytes_are_deterministic(capsys):
     argv = ["verify", "--h", "3", "--N", "1"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
-    monkeypatch.setenv("QTREE_THREADS", "2")
     assert main(argv) == 0
     assert capsys.readouterr().out == first
 

@@ -332,18 +332,31 @@ def test_gr_correspondence_reports():
     for h in (3, 4):
         p = make_params(h)
         for n in range(3):
-            rep = gr_correspondence_check(p, n)
-            assert rep["status"] == "pass", rep
-            assert rep["product_identity"]
-            assert rep["signed_identity"]
-            assert rep["weight_orthogonality"]
-            assert rep["pairs_checked"] > 0
-            assert rep["counterexample"] is None
+            reports = gr_correspondence_check(p, n)
+            assert [r["identity"] for r in reports] == [
+                "classical-product-identity",
+                "classical-signed-product-identity",
+                "classical-weight-orthogonality",
+            ]
+            for rep in reports:
+                assert rep["status"] == "pass", rep
+                assert rep["cases"] > 0
+                assert rep["counterexample"] is None
+            # the squared identity covers every pair of degree-n labelings
+            assert reports[0]["cases"] == len(enumerate_labelings(left_comb(h), n)) ** 2
 
 
 def test_five_leaf_example_reports():
     p5 = make_params(5)
     for n in range(2):
-        rep = three_dim_racah_example_check(p5, n)
-        assert rep["status"] == "pass", rep
-        assert rep["final_tree"] == "(((1 2) (3 4)) 5)"
+        reports = three_dim_racah_example_check(p5, n)
+        assert [r["identity"] for r in reports] == [
+            "worked-example-path",
+            "worked-example-triple-product",
+            "worked-example-oracle-agreement",
+            "worked-example-norm-display",
+            "worked-example-orthogonality",
+        ]
+        for rep in reports:
+            assert rep["status"] == "pass", rep
+            assert rep["cases"] > 0

@@ -127,9 +127,10 @@ def test_verify_eigen_reports():
     for tree in all_trees(3):
         for n in range(3):
             for lab in enumerate_labelings(tree, n):
-                rep = verify_eigen(tree, lab, p, 3)
+                [rep] = verify_eigen(tree, lab, p, 3)
                 assert rep["status"] == "pass", rep
-                assert rep["failures"] == []
+                assert rep["counterexample"] is None
+                assert rep["cases"] == tree.n_internal + 1  # every vertex, then global
 
 
 def test_raise_basis_element_consistency():

@@ -13,6 +13,8 @@ from qtreehahn import (
     apply_D_at_vertex,
     apply_L,
     apply_R,
+    check_identity,
+    composition_count,
     eigenvalue,
     inner_product,
     kernel_basis,
@@ -147,21 +149,59 @@ def test_kernel_basis_structure():
             assert not f.is_zero()
 
 
+REPORT_KEYS = {"identity", "cases", "status", "counterexample"}
+
+
+def test_check_identity_stops_at_first_failure():
+    consumed = []
+
+    def cases():
+        for k in range(5):
+            consumed.append(k)
+            yield {"k": k}, k != 2
+
+    assert check_identity("demo", cases()) == {
+        "identity": "demo",
+        "cases": 3,
+        "status": "fail",
+        "counterexample": {"k": 2},
+    }
+    assert consumed == [0, 1, 2]
+    passing = check_identity("demo", (({"k": k}, True) for k in range(4)))
+    assert passing == {
+        "identity": "demo",
+        "cases": 4,
+        "status": "pass",
+        "counterexample": None,
+    }
+    assert set(check_identity("empty", [])) == REPORT_KEYS
+
+
 def test_verify_operator_algebra_report_shape():
     reports = verify_operator_algebra(2, 3, P2)
     names = [r["identity"] for r in reports]
     assert len(names) == len(set(names)) == 8
     for r in reports:
+        assert set(r) == REPORT_KEYS
         assert r["status"] == "pass"
         assert r["cases"] > 0
-        assert r["h"] == 2
+        assert r["counterexample"] is None
 
 
 def test_spectral_decomposition_levels():
-    rep = spectral_decomposition_check(3, 3, P3)
-    assert rep["status"] == "pass"
-    assert rep["kernel_dims"] == [1, 2, 3, 4]
-    assert rep["dimension_total"] == 10
-    rep2 = spectral_decomposition_check(2, 3, P2)
-    assert rep2["kernel_dims"] == [1, 1, 1, 1]
-    assert rep2["status"] == "pass"
+    reports = spectral_decomposition_check(3, 3, P3)
+    assert [r["identity"] for r in reports] == [
+        "kernel_dimensions_sum_to_level_dimension",
+        "raised_kernels_span_level",
+        "raised_kernels_are_eigenvectors_of_D",
+    ]
+    for r in reports:
+        assert set(r) == REPORT_KEYS
+        assert r["status"] == "pass" and r["cases"] > 0
+    assert reports[2]["cases"] == 10  # one case per raised kernel vector
+    assert [len(kernel_basis(3, n, P3)) for n in range(4)] == [1, 2, 3, 4]
+    assert composition_count(3, 3) == 10
+    assert [len(kernel_basis(2, n, P2)) for n in range(4)] == [1, 1, 1, 1]
+    assert all(r["status"] == "pass" for r in spectral_decomposition_check(2, 3, P2))
+
+
