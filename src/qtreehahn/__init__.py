@@ -106,11 +106,13 @@ from .connect import (
     dunkl_expansion_coeffs,
     gasper_rahman_racah,
     gr_conversion_factor,
+    gr_correspondence_cases,
     gr_correspondence_check,
     gr_substitution,
     gr_weight_factor,
     kernel_interpolation_basis,
     one_move_coefficients,
+    three_dim_racah_example_cases,
     three_dim_racah_example_check,
 )
 

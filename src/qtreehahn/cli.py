@@ -15,15 +15,16 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .connect import (
     connection_by_path,
     connection_oracle,
-    gr_correspondence_check,
-    three_dim_racah_example_check,
+    gr_correspondence_cases,
+    three_dim_racah_example_cases,
 )
 from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
-from .lattice import GridFunction, ParamSet, inner_product
+from .lattice import ParamSet, enumerate_compositions, inner_product
 from .multihahn import basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
 from .qops import (
@@ -118,7 +119,7 @@ def cmd_eval(args) -> int:
     if sum(labels) > N:
         raise ConfigError(f"degree {sum(labels)} exceeds level {N}")
     if args.all:
-        points = GridFunction.zero(tree.h, N).domain()
+        points = enumerate_compositions(tree.h, N)
     elif args.x is not None:
         point = _parse_int_list(args.x)
         if len(point) != tree.h or any(v < 0 for v in point):
@@ -280,20 +281,21 @@ def _suite_connections(params, h, N, seed):
     ]
 
 
-def _suite_classical_bridge(params, h, N, seed):
+def _over_degrees(cases_at, params, N):
+    """One report per identity, its cases chained over the degrees 0..min(N, 2)."""
+    per_degree = [cases_at(params, n) for n in range(min(N, 2) + 1)]
     return [
-        report
-        for n in range(min(N, 2) + 1)
-        for report in gr_correspondence_check(params, n)
+        check_identity(name, chain.from_iterable(cases[name] for cases in per_degree))
+        for name in per_degree[0]
     ]
+
+
+def _suite_classical_bridge(params, h, N, seed):
+    return _over_degrees(gr_correspondence_cases, params, N)
 
 
 def _suite_worked_example(params, h, N, seed):
-    return [
-        report
-        for n in range(min(N, 2) + 1)
-        for report in three_dim_racah_example_check(params, n)
-    ]
+    return _over_degrees(three_dim_racah_example_cases, params, N)
 
 
 SUITES = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._linalg import invert as _invert_dense
 from .hahn1d import NonSquareRadicand, Racah1DSpec, gr_racah_bridge, racah_eval
@@ -66,7 +66,9 @@ __all__ = [
     "gr_conversion_factor",
     "gr_weight_factor",
     "gr_correspondence_check",
+    "gr_correspondence_cases",
     "three_dim_racah_example_check",
+    "three_dim_racah_example_cases",
 ]
 
 
@@ -700,10 +702,21 @@ def gr_weight_factor(params: ParamSet, n: int) -> Fraction:
 
 
 def gr_correspondence_check(params: ParamSet, n: int) -> list[dict]:
-    """Verify the bridge between the comb-to-comb connection products
+    """The `check_identity` reports of `gr_correspondence_cases` at degree n."""
+    return [
+        check_identity(name, cases)
+        for name, cases in gr_correspondence_cases(params, n).items()
+    ]
+
+
+def gr_correspondence_cases(
+    params: ParamSet, n: int
+) -> dict[str, Iterable[tuple[dict, bool]]]:
+    """Cases of the bridge between the comb-to-comb connection products
     and the classical multivariable q-Racah family at degree n.
 
-    Three exact checks, one `check_identity` report each:
+    Three exact identities, each mapped to its (locator, ok) cases; every
+    locator names n:
       * squared product identity: classical product (squared) equals the
         squared conversion factor times the squared connection product,
         for every pair of labelings;
@@ -767,11 +780,11 @@ def gr_correspondence_check(params: ParamSet, n: int) -> list[dict]:
                     expected = Fraction(0)
                 yield {"n": n, "d1": list(d1), "d2": list(d2)}, acc == expected
 
-    return [
-        check_identity("classical-product-identity", product_cases()),
-        check_identity("classical-signed-product-identity", signed_cases()),
-        check_identity("classical-weight-orthogonality", weight_cases()),
-    ]
+    return {
+        "classical-product-identity": product_cases(),
+        "classical-signed-product-identity": signed_cases(),
+        "classical-weight-orthogonality": weight_cases(),
+    }
 
 
 def _example_norm_reciprocal(
@@ -819,15 +832,25 @@ def _example_norm_reciprocal(
 
 
 def three_dim_racah_example_check(params: ParamSet, n: int) -> list[dict]:
-    """Verify the worked five-leaf example end to end at degree n.
+    """The `check_identity` reports of `three_dim_racah_example_cases` at degree n."""
+    return [
+        check_identity(name, cases)
+        for name, cases in three_dim_racah_example_cases(params, n).items()
+    ]
+
+
+def three_dim_racah_example_cases(
+    params: ParamSet, n: int
+) -> dict[str, Iterable[tuple[dict, bool]]]:
+    """Cases of the worked five-leaf example, end to end at degree n.
 
     The three-move path from the right comb to (((1 2) (3 4)) 5) is
     composed explicitly and compared against the trees of the figures;
     every entry is compared against the displayed triple product and
     against the inner-product oracle; the displayed squared-norm
     expression is compared against the closed-form norm of the final
-    tree; and the composed matrix is checked for orthogonality.  Returns
-    one `check_identity` report per check.
+    tree; and the composed matrix is checked for orthogonality.  Maps
+    each identity to its (locator, ok) cases; every locator names n.
     """
     from .trees import right_comb, transplant_right_to_left
 
@@ -885,20 +908,14 @@ def three_dim_racah_example_check(params: ParamSet, n: int) -> list[dict]:
             displayed = _example_norm_reciprocal(params, n, d[2], d[3], n - d[0])
             yield {"n": n, "d": list(d)}, displayed * norm_Q(t3, d, params, n) == 1
 
-    return [
-        check_identity(
-            "worked-example-path", [({"n": n, "trees": figures}, figures_ok)]
+    return {
+        "worked-example-path": [({"n": n, "trees": figures}, figures_ok)],
+        "worked-example-triple-product": entry_cases(
+            lambda m, d: conn.value(m, d) == triple_product(m, d)
         ),
-        check_identity(
-            "worked-example-triple-product",
-            entry_cases(lambda m, d: conn.value(m, d) == triple_product(m, d)),
+        "worked-example-oracle-agreement": entry_cases(
+            lambda m, d: oracle.value(m, d) == conn.value(m, d)
         ),
-        check_identity(
-            "worked-example-oracle-agreement",
-            entry_cases(lambda m, d: oracle.value(m, d) == conn.value(m, d)),
-        ),
-        check_identity("worked-example-norm-display", norm_cases()),
-        check_identity(
-            "worked-example-orthogonality", [({"n": n}, conn.orthogonality_check())]
-        ),
-    ]
+        "worked-example-norm-display": norm_cases(),
+        "worked-example-orthogonality": [({"n": n}, conn.orthogonality_check())],
+    }

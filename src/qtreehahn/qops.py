@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import _linalg
 from .lattice import (
     GridFunction,
     ParamSet,
+    _domain,
     composition_count,
     enumerate_compositions,
     inner_product,
     partial_sums,
 )
-from .qnum import pochhammer
+from .qnum import QContext, pochhammer
 
 __all__ = [
     "EmptyDomain",
@@ -82,67 +84,7 @@ def apply_D_at_vertex(f: GridFunction, p: ParamSet, lo: int, hi: int) -> GridFun
         raise InvalidSlice(f"span ({lo}, {hi}] is not inside 1..{p.h}")
     if f.h != p.h:
         raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
-    ctx = p.ctx
-    q = ctx.q
-    alphas = p.alphas
-    width = hi - lo
-
-    domain = f.domain()
-    table = dict(zip(domain, f.values))
-    out = []
-    for x in domain:
-        X = partial_sums(x)
-        # local data for the span (lo, hi]
-        n_loc = X[hi] - X[lo]
-        value = Fraction(0)
-        # off-diagonal terms: move one unit from slot i to slot j, i != j
-        for j in range(lo + 1, hi + 1):
-            a_prefix = p.span_product(lo, j - 1)  # local A_{j-1}
-            coeff_j = a_prefix * (alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
-            if coeff_j == 0:
-                continue
-            for i in range(lo + 1, hi + 1):
-                if i == j or x[i - 1] == 0:
-                    continue
-                shifted = list(x)
-                shifted[i - 1] -= 1
-                shifted[j - 1] += 1
-                fv = table[tuple(shifted)]
-                if fv == 0:
-                    continue
-                expo = (
-                    (j - 1 - lo)
-                    + (X[j - 1] - X[lo])
-                    + (X[i - 1] - X[lo])
-                    - n_loc
-                    - (1 if i < j else 0)
-                )
-                value += (
-                    coeff_j
-                    * ctx.q_power(expo)
-                    * (1 - ctx.q_power(x[i - 1]))
-                    * fv
-                )
-        # diagonal terms
-        fv = table[x]
-        if fv != 0:
-            diag = Fraction(0)
-            for j in range(lo + 1, hi + 1):
-                if x[j - 1] == 0:
-                    continue
-                a_prefix = p.span_product(lo, j - 1)
-                diag += (
-                    a_prefix
-                    * ctx.q_power((j - 1 - lo) + 2 * (X[j - 1] - X[lo]) - n_loc)
-                    * (alphas[j - 1] * ctx.q_power(x[j - 1]) - 1)
-                    * (1 - ctx.q_power(x[j - 1]))
-                )
-            diag += (p.span_product(lo, hi) * ctx.q_power(width + n_loc - 1) - 1) * (
-                1 - ctx.q_power(-n_loc)
-            )
-            value += diag * fv
-        out.append(value)
-    return GridFunction(f.h, f.N, tuple(out))
+    return _apply(_vertex_stencil(p, f.N, lo, hi), f, f.N)
 
 
 def apply_R(f: GridFunction, p: ParamSet) -> GridFunction:
@@ -154,24 +96,7 @@ def apply_R(f: GridFunction, p: ParamSet) -> GridFunction:
     """
     if f.h != p.h:
         raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
-    ctx = p.ctx
-    N = f.N
-    table = dict(zip(f.domain(), f.values))
-    out = []
-    for x in enumerate_compositions(f.h, N + 1):
-        X = partial_sums(x)
-        value = Fraction(0)
-        for i in range(1, f.h + 1):
-            if x[i - 1] == 0:
-                continue
-            lowered = list(x)
-            lowered[i - 1] -= 1
-            fv = table[tuple(lowered)]
-            if fv == 0:
-                continue
-            value += ctx.q_power(X[i - 1] - N - 1) * (1 - ctx.q_power(x[i - 1])) * fv
-        out.append(value)
-    return GridFunction(f.h, N + 1, tuple(out))
+    return _apply(_raising_stencil(p.ctx, f.h, f.N), f, f.N + 1)
 
 
 def apply_L(f: GridFunction, p: ParamSet) -> GridFunction:
@@ -183,47 +108,123 @@ def apply_L(f: GridFunction, p: ParamSet) -> GridFunction:
         raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
     if f.N == 0:
         raise EmptyDomain("cannot lower a level-0 function")
+    return _apply(_lowering_stencil(p, f.N), f, f.N - 1)
+
+
+def _stencil(rows, ranks):
+    """Sparse operator matrix: per image point, its (column, coefficient)
+    pairs without zeros.  Stencil caches hold one request's working set."""
+    return tuple(tuple((ranks[y], c) for y, c in row if c) for row in rows)
+
+
+def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
+    """The image of f, a function on [h; level], under a stencil."""
+    v = f.values
+    out = (sum((c * v[k] for k, c in row if v[k]), Fraction(0)) for row in stencil)
+    return GridFunction(f.h, level, tuple(out))
+
+
+@lru_cache(maxsize=32)
+def _vertex_stencil(p: ParamSet, N: int, lo: int, hi: int):
     ctx = p.ctx
-    N = f.N
-    table = dict(zip(f.domain(), f.values))
-    out = []
-    for x in enumerate_compositions(f.h, N - 1):
+    alphas = p.alphas
+    points, ranks = _domain(p.h, N)
+    rows = []
+    for x in points:
         X = partial_sums(x)
-        value = Fraction(0)
-        for j in range(1, f.h + 1):
+        # local data for the span (lo, hi]
+        n_loc = X[hi] - X[lo]
+        row = []
+        # off-diagonal terms: move one unit from slot i to slot j, i != j
+        for j in range(lo + 1, hi + 1):
+            a_prefix = p.span_product(lo, j - 1)  # local A_{j-1}
+            coeff_j = a_prefix * (alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
+            for i in range(lo + 1, hi + 1):
+                if i == j or x[i - 1] == 0:
+                    continue
+                shifted = list(x)
+                shifted[i - 1] -= 1
+                shifted[j - 1] += 1
+                expo = (
+                    (j - 1 - lo)
+                    + (X[j - 1] - X[lo])
+                    + (X[i - 1] - X[lo])
+                    - n_loc
+                    - (1 if i < j else 0)
+                )
+                coeff = coeff_j * ctx.q_power(expo) * (1 - ctx.q_power(x[i - 1]))
+                row.append((tuple(shifted), coeff))
+        # diagonal terms
+        diag = Fraction(0)
+        for j in range(lo + 1, hi + 1):
+            a_prefix = p.span_product(lo, j - 1)
+            diag += (
+                a_prefix
+                * ctx.q_power((j - 1 - lo) + 2 * (X[j - 1] - X[lo]) - n_loc)
+                * (alphas[j - 1] * ctx.q_power(x[j - 1]) - 1)
+                * (1 - ctx.q_power(x[j - 1]))
+            )
+        diag += (p.span_product(lo, hi) * ctx.q_power(hi - lo + n_loc - 1) - 1) * (
+            1 - ctx.q_power(-n_loc)
+        )
+        row.append((x, diag))
+        rows.append(row)
+    return _stencil(rows, ranks)
+
+
+@lru_cache(maxsize=32)
+def _raising_stencil(ctx: QContext, h: int, N: int):
+    rows = []
+    for x in _domain(h, N + 1)[0]:
+        X = partial_sums(x)
+        row = []
+        for i in range(1, h + 1):
+            if x[i - 1] == 0:
+                continue
+            lowered = list(x)
+            lowered[i - 1] -= 1
+            coeff = ctx.q_power(X[i - 1] - N - 1) * (1 - ctx.q_power(x[i - 1]))
+            row.append((tuple(lowered), coeff))
+        rows.append(row)
+    return _stencil(rows, _domain(h, N)[1])
+
+
+@lru_cache(maxsize=32)
+def _lowering_stencil(p: ParamSet, N: int):
+    ctx = p.ctx
+    rows = []
+    for x in _domain(p.h, N - 1)[0]:
+        X = partial_sums(x)
+        row = []
+        for j in range(1, p.h + 1):
             raised = list(x)
             raised[j - 1] += 1
-            fv = table[tuple(raised)]
-            if fv == 0:
-                continue
-            value += (
+            coeff = (
                 p.prefix_product(j - 1)
                 * ctx.q_power(j - 1 + X[j - 1])
                 * (p.alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
-                * fv
             )
-        out.append(value)
-    return GridFunction(f.h, N - 1, tuple(out))
+            row.append((tuple(raised), coeff))
+        rows.append(row)
+    return _stencil(rows, _domain(p.h, N)[1])
 
 
 def raise_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
     """Apply R repeatedly until the function lives on [h; to_level]."""
     if to_level < f.N:
         raise ValueError(f"cannot raise from level {f.N} down to {to_level}")
-    g = f
-    while g.N < to_level:
-        g = apply_R(g, p)
-    return g
+    while f.N < to_level:
+        f = apply_R(f, p)
+    return f
 
 
 def lower_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
     """Apply L repeatedly until the function lives on [h; to_level]."""
     if to_level > f.N:
         raise ValueError(f"cannot lower from level {f.N} up to {to_level}")
-    g = f
-    while g.N > to_level:
-        g = apply_L(g, p)
-    return g
+    while f.N > to_level:
+        f = apply_L(f, p)
+    return f
 
 
 def to_matrix(
@@ -235,9 +236,8 @@ def to_matrix(
     rows that of the image domain (determined by applying op once).
     """
     domain = enumerate_compositions(h, level)
-    columns = [op(GridFunction.delta(h, level, x)) for x in domain]
-    nrows = len(columns[0].values)
-    return [[col.values[r] for col in columns] for r in range(nrows)]
+    columns = [op(GridFunction.delta(h, level, x)).values for x in domain]
+    return [list(row) for row in zip(*columns)]
 
 
 def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
@@ -248,8 +248,12 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
     """
     if n == 0:
         return [GridFunction.constant(h, 0, 1)]
-    matrix = to_matrix(lambda g: apply_L(g, p), h, n)
-    vectors = _linalg.nullspace(matrix, ncols=composition_count(h, n))
+    if h != p.h:
+        raise InvalidSlice(f"function has {h} variables, params have {p.h}")
+    ncols = composition_count(h, n)
+    rows = [dict(row) for row in _lowering_stencil(p, n)]
+    matrix = [[row.get(k, Fraction(0)) for k in range(ncols)] for row in rows]
+    vectors = _linalg.nullspace(matrix, ncols=ncols)
     return [GridFunction(h, n, tuple(vec)) for vec in vectors]
 
 

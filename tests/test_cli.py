@@ -351,8 +351,49 @@ def test_verify_worked_example_five_leaves(capsys):
     )
     assert obj["status"] == "pass"
     reports = obj["suites"][0]["reports"]
-    assert len(reports) == 10  # five identities at each of degrees 0 and 1
+    # one report per identity, its cases covering degrees 0 and 1
+    assert [r["identity"] for r in reports] == [
+        "worked-example-path",
+        "worked-example-triple-product",
+        "worked-example-oracle-agreement",
+        "worked-example-norm-display",
+        "worked-example-orthogonality",
+    ]
     assert all(r["status"] == "pass" for r in reports)
+    assert reports[0]["cases"] == reports[4]["cases"] == 2
+
+
+def test_verify_classical_bridge_reports_each_identity_once(capsys):
+    obj = run_json(
+        capsys, ["verify", "--suite", "classical-bridge", "--h", "2", "--N", "2"]
+    )
+    reports = obj["suites"][0]["reports"]
+    assert [r["identity"] for r in reports] == [
+        "classical-product-identity",
+        "classical-signed-product-identity",
+        "classical-weight-orthogonality",
+    ]
+    # at h = 2 each degree n in 0..2 has one labeling: one case per degree
+    assert [r["cases"] for r in reports] == [3, 3, 3]
+    assert all(r["status"] == "pass" for r in reports)
+
+
+def test_verify_classical_bridge_failure_names_its_degree(capsys, monkeypatch):
+    real = cli.gr_correspondence_cases
+
+    def broken(params, n):
+        cases = real(params, n)
+        if n == 1:
+            cases["classical-weight-orthogonality"] = [({"n": n}, False)]
+        return cases
+
+    monkeypatch.setattr(cli, "gr_correspondence_cases", broken)
+    assert main(["verify", "--suite", "classical-bridge", "--h", "2", "--N", "2"]) == 1
+    reports = json.loads(capsys.readouterr().out)["suites"][0]["reports"]
+    failing = [r for r in reports if r["status"] == "fail"]
+    assert [r["identity"] for r in failing] == ["classical-weight-orthogonality"]
+    assert failing[0]["counterexample"] == {"n": 1}
+    assert failing[0]["cases"] == 2
 
 
 @pytest.mark.parametrize(

@@ -239,3 +239,26 @@ def test_inner_product_shape_errors():
         inner_product(GridFunction.zero(2, 1), GridFunction.zero(2, 1), p)
     with pytest.raises(DimensionMismatch):
         inner_product(GridFunction.zero(3, 1), GridFunction.zero(3, 2), p)
+
+
+def test_returned_domains_are_fresh_lists():
+    pts = enumerate_compositions(3, 2)
+    pts.append((9, 9, 9))
+    pts[0] = (7, 7, 7)
+    f = GridFunction.zero(3, 2)
+    dom = f.domain()
+    dom.clear()
+    assert enumerate_compositions(3, 2) == sorted(enumerate_compositions(3, 2))
+    assert len(enumerate_compositions(3, 2)) == composition_count(3, 2)
+    assert f.domain() == enumerate_compositions(3, 2)
+    assert f.domain() is not f.domain()
+    assert enumerate_compositions(3, 2)[0] == (0, 0, 2)
+
+
+def test_weight_reads_the_inner_product_table():
+    p = make_params(3)
+    for N in range(4):
+        for x in enumerate_compositions(3, N):
+            assert inner_product(GridFunction.delta(3, N, x), GridFunction.delta(3, N, x), p) == weight(x, p)
+    with pytest.raises(IndexOutOfRange):
+        weight((2, -1, 1), p)

@@ -24,6 +24,7 @@ from qtreehahn import (
     spectral_decomposition_check,
     verify_operator_algebra,
 )
+from qtreehahn import lattice, qops
 from qtreehahn.qops import to_matrix
 
 from conftest import make_params
@@ -205,3 +206,118 @@ def test_spectral_decomposition_levels():
     assert all(r["status"] == "pass" for r in spectral_decomposition_check(2, 3, P2))
 
 
+
+
+# --- cached stencils ------------------------------------------------------
+
+
+def _random_grid(h, N, rng):
+    def value(x):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else 0
+
+    return GridFunction.from_callable(h, N, value)
+
+
+def _raise_pointwise(f, p):
+    """(R f)(x) = sum_i q^(X_{i-1} - N - 1) (1 - q^(x_i)) f(x - e_i), read off the docstring."""
+    ctx = p.ctx
+
+    def value(x):
+        total = Fraction(0)
+        for i in range(f.h):
+            if x[i]:
+                lowered = x[:i] + (x[i] - 1,) + x[i + 1:]
+                total += ctx.q_power(sum(x[:i]) - f.N - 1) * (1 - ctx.q_power(x[i])) * f.at(lowered)
+        return total
+
+    return GridFunction.from_callable(f.h, f.N + 1, value)
+
+
+def _lower_pointwise(f, p):
+    """(L f)(x) = sum_j A_{j-1} q^(j - 1 + X_{j-1}) (alpha_j q^(x_j + 1) - 1) f(x + e_j)."""
+    ctx = p.ctx
+
+    def value(x):
+        total = Fraction(0)
+        for j in range(f.h):
+            raised = x[:j] + (x[j] + 1,) + x[j + 1:]
+            total += (
+                p.prefix_product(j)
+                * ctx.q_power(j + sum(x[:j]))
+                * (p.alphas[j] * ctx.q_power(x[j] + 1) - 1)
+                * f.at(raised)
+            )
+        return total
+
+    return GridFunction.from_callable(f.h, f.N - 1, value)
+
+
+def test_raising_and_lowering_equal_their_pointwise_formulas():
+    rng = random.Random(11)
+    for h in range(1, 6):
+        p = make_params(h, "secondary")
+        for N in range(5):
+            for _ in range(2):
+                f = _random_grid(h, N, rng)
+                assert apply_R(f, p) == _raise_pointwise(f, p)
+                if N > 0:
+                    assert apply_L(f, p) == _lower_pointwise(f, p)
+
+
+def test_vertex_operator_is_the_restricted_operator_on_every_fiber():
+    rng = random.Random(12)
+    for h in range(1, 6):
+        p = make_params(h)
+        for N in range(5):
+            f = _random_grid(h, N, rng)
+            for lo in range(h):
+                for hi in range(lo + 1, h + 1):
+                    got = apply_D_at_vertex(f, p, lo, hi)
+                    local = p.restrict(lo, hi)
+                    fibers = {(x[:lo], x[hi:]) for x in f.domain()}
+                    for left, right in fibers:
+                        n_loc = N - sum(left) - sum(right)
+                        g = GridFunction.from_callable(
+                            hi - lo, n_loc, lambda y: f.at(left + y + right)
+                        )
+                        want = apply_D(g, local)
+                        for y, v in zip(want.domain(), want.values):
+                            assert got.at(left + y + right) == v, (h, N, lo, hi, y)
+
+
+def test_interleaved_parameter_sets_match_fresh_caches():
+    rng = random.Random(13)
+    ps = [make_params(3), make_params(3, "secondary", s=Fraction(1, 3))]
+    funcs = {N: _random_grid(3, N, rng) for N in range(1, 4)}
+
+    def results(p):
+        out = []
+        for f in funcs.values():
+            out.append(apply_R(f, p))
+            out.append(apply_L(f, p))
+            out.append(inner_product(f, f, p))
+            out.extend(apply_D_at_vertex(f, p, lo, hi) for lo, hi in ((0, 3), (0, 2), (1, 3)))
+        out.extend(kernel_basis(3, 2, p))
+        return out
+
+    caches = (lattice._weights, qops._vertex_stencil, qops._raising_stencil, qops._lowering_stencil)
+    fresh = {}
+    for k, p in enumerate(ps):
+        for cache in caches:
+            cache.cache_clear()
+        fresh[k] = results(p)
+    assert fresh[0] != fresh[1]
+    for _ in range(2):
+        for k, p in enumerate(ps):
+            assert results(p) == fresh[k]
+
+
+def test_every_cache_is_bounded():
+    caches = [
+        obj
+        for module in (lattice, qops)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info")
+    ]
+    assert len(caches) >= 5
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
