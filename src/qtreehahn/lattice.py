@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
-from typing import Callable, Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .qnum import QContext, Rational, as_fraction, pochhammer, q_factorial
 
@@ -22,7 +22,9 @@ __all__ = [
     "IndexOutOfRange",
     "ParamSet",
     "GridFunction",
+    "DomainTable",
     "composition_count",
+    "domain_table",
     "enumerate_compositions",
     "rank_of",
     "unrank",
@@ -51,20 +53,27 @@ def composition_count(h: int, N: int) -> int:
 
 def enumerate_compositions(h: int, N: int) -> list[tuple[int, ...]]:
     """All of [h; N] in lexicographic order, e.g. (0,2), (1,1), (2,0)."""
-    return list(_domain(h, N)[0])
+    return list(domain_table(h, N).points)
+
+
+class DomainTable(NamedTuple):
+    """The points of [h; N] in lexicographic order and the rank of each."""
+
+    points: tuple[tuple[int, ...], ...]
+    ranks: dict[tuple[int, ...], int]
 
 
 @lru_cache(maxsize=64)
-def _domain(h: int, N: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    """The points of [h; N] in lexicographic order (read off the bars of
-    stars and bars) and the rank of each point; shared, so never mutated."""
+def domain_table(h: int, N: int) -> DomainTable:
+    """The cached table of [h; N], its points read off the bars of stars
+    and bars.  Shared between callers, so never mutate it."""
     if h < 1 or N < 0:
         raise ValueError(f"need h >= 1 and N >= 0, got h={h}, N={N}")
     points = tuple(
         tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (N + h - 1,)))
         for bars in combinations(range(N + h - 1), h - 1)
     )
-    return points, {x: r for r, x in enumerate(points)}
+    return DomainTable(points, {x: r for r, x in enumerate(points)})
 
 
 def rank_of(x: Sequence[int]) -> int:
@@ -104,7 +113,10 @@ def unrank(h: int, N: int, rank: int) -> tuple[int, ...]:
 
 def partial_sums(x: Sequence[int]) -> tuple[int, ...]:
     """(X_0, X_1, ..., X_h) with X_k = x_1 + ... + x_k and X_0 = 0."""
-    return tuple(accumulate(x, initial=0))
+    sums = [0]
+    for v in x:
+        sums.append(sums[-1] + v)
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -153,13 +165,21 @@ class ParamSet:
 
     def prefix_product(self, k: int) -> Fraction:
         """A_k = alpha_1 * ... * alpha_k (A_0 = 1)."""
-        return self.span_product(0, k)
+        if not (0 <= k <= self.h):
+            raise IndexOutOfRange(f"prefix length {k} outside 0..{self.h}")
+        out = Fraction(1)
+        for a in self.alphas[:k]:
+            out *= a
+        return out
 
     def span_product(self, lo: int, hi: int) -> Fraction:
         """alpha_{lo+1} * ... * alpha_{hi}."""
         if not (0 <= lo <= hi <= self.h):
             raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
-        return math.prod(self.alphas[lo:hi], start=Fraction(1))
+        out = Fraction(1)
+        for a in self.alphas[lo:hi]:
+            out *= a
+        return out
 
     def span_p(self, lo: int, hi: int) -> Fraction:
         """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
@@ -193,7 +213,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, h: int, N: int, fn: Callable[[tuple[int, ...]], Rational]):
-        return cls(h, N, tuple(as_fraction(fn(x)) for x in _domain(h, N)[0]))
+        return cls(h, N, tuple(as_fraction(fn(x)) for x in enumerate_compositions(h, N)))
 
     @classmethod
     def constant(cls, h: int, N: int, value: Rational = 1):
@@ -221,7 +241,7 @@ class GridFunction:
         return self.values[rank_of(x)]
 
     def domain(self) -> list[tuple[int, ...]]:
-        return list(_domain(self.h, self.N)[0])
+        return enumerate_compositions(self.h, self.N)
 
     def _check_same_shape(self, other: "GridFunction"):
         if self.h != other.h or self.N != other.N:
@@ -254,7 +274,7 @@ class GridFunction:
             "N": self.N,
             "values": [
                 {"x": list(x), "v": str(v)}
-                for x, v in zip(_domain(self.h, self.N)[0], self.values)
+                for x, v in zip(self.domain(), self.values)
             ],
         }
 
@@ -277,24 +297,22 @@ def weight(x: Sequence[int], p: ParamSet) -> Fraction:
     x = tuple(x)
     if len(x) != p.h:
         raise DimensionMismatch(f"composition has {len(x)} parts, params have {p.h}")
-    return _weights(p, sum(x))[rank_of(x)]
+    ctx = p.ctx
+    q = ctx.q
+    N = sum(x)
+    out = ctx.q_power(N * (N + 1) // 2)
+    X = 0
+    for xi, ai in zip(x, p.alphas):
+        X += xi
+        out *= pochhammer(ctx, q * ai, xi) / q_factorial(ctx, xi)
+        out *= (ai * q) ** (N - X)
+    return out
 
 
 @lru_cache(maxsize=32)
 def _weights(p: ParamSet, N: int) -> tuple[Fraction, ...]:
-    """The weights of [h; N] in lexicographic order (see `weight`)."""
-    ctx = p.ctx
-    q = ctx.q
-    table = []
-    for x in _domain(p.h, N)[0]:
-        out = ctx.q_power(N * (N + 1) // 2)
-        X = 0
-        for xi, ai in zip(x, p.alphas):
-            X += xi
-            out *= pochhammer(ctx, q * ai, xi) / q_factorial(ctx, xi)
-            out *= (ai * q) ** (N - X)
-        table.append(out)
-    return tuple(table)
+    """The weights of [h; N] in lexicographic order."""
+    return tuple(weight(x, p) for x in domain_table(p.h, N).points)
 
 
 def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:
@@ -302,8 +320,12 @@ def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:
     f1._check_same_shape(f2)
     if f1.h != p.h:
         raise DimensionMismatch(f"function on {f1.h} variables, params have {p.h}")
-    terms = zip(_weights(p, f1.N), f1.values, f2.values)
-    return sum((w * v1 * v2 for w, v1, v2 in terms if v1 and v2), Fraction(0))
+    total = Fraction(0)
+    for w, v1, v2 in zip(_weights(p, f1.N), f1.values, f2.values):
+        if v1 == 0 or v2 == 0:
+            continue
+        total += w * v1 * v2
+    return total
 
 
 def norm_squared(f: GridFunction, p: ParamSet) -> Fraction:

@@ -24,8 +24,8 @@ from . import _linalg
 from .lattice import (
     GridFunction,
     ParamSet,
-    _domain,
     composition_count,
+    domain_table,
     enumerate_compositions,
     inner_product,
     partial_sums,
@@ -128,7 +128,7 @@ def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
 def _vertex_stencil(p: ParamSet, N: int, lo: int, hi: int):
     ctx = p.ctx
     alphas = p.alphas
-    points, ranks = _domain(p.h, N)
+    points, ranks = domain_table(p.h, N)
     rows = []
     for x in points:
         X = partial_sums(x)
@@ -175,7 +175,7 @@ def _vertex_stencil(p: ParamSet, N: int, lo: int, hi: int):
 @lru_cache(maxsize=32)
 def _raising_stencil(ctx: QContext, h: int, N: int):
     rows = []
-    for x in _domain(h, N + 1)[0]:
+    for x in domain_table(h, N + 1).points:
         X = partial_sums(x)
         row = []
         for i in range(1, h + 1):
@@ -186,14 +186,14 @@ def _raising_stencil(ctx: QContext, h: int, N: int):
             coeff = ctx.q_power(X[i - 1] - N - 1) * (1 - ctx.q_power(x[i - 1]))
             row.append((tuple(lowered), coeff))
         rows.append(row)
-    return _stencil(rows, _domain(h, N)[1])
+    return _stencil(rows, domain_table(h, N).ranks)
 
 
 @lru_cache(maxsize=32)
 def _lowering_stencil(p: ParamSet, N: int):
     ctx = p.ctx
     rows = []
-    for x in _domain(p.h, N - 1)[0]:
+    for x in domain_table(p.h, N - 1).points:
         X = partial_sums(x)
         row = []
         for j in range(1, p.h + 1):
@@ -206,25 +206,27 @@ def _lowering_stencil(p: ParamSet, N: int):
             )
             row.append((tuple(raised), coeff))
         rows.append(row)
-    return _stencil(rows, _domain(p.h, N)[1])
+    return _stencil(rows, domain_table(p.h, N).ranks)
 
 
 def raise_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
     """Apply R repeatedly until the function lives on [h; to_level]."""
     if to_level < f.N:
         raise ValueError(f"cannot raise from level {f.N} down to {to_level}")
-    while f.N < to_level:
-        f = apply_R(f, p)
-    return f
+    g = f
+    while g.N < to_level:
+        g = apply_R(g, p)
+    return g
 
 
 def lower_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
     """Apply L repeatedly until the function lives on [h; to_level]."""
     if to_level > f.N:
         raise ValueError(f"cannot lower from level {f.N} up to {to_level}")
-    while f.N > to_level:
-        f = apply_L(f, p)
-    return f
+    g = f
+    while g.N > to_level:
+        g = apply_L(g, p)
+    return g
 
 
 def to_matrix(
@@ -236,8 +238,9 @@ def to_matrix(
     rows that of the image domain (determined by applying op once).
     """
     domain = enumerate_compositions(h, level)
-    columns = [op(GridFunction.delta(h, level, x)).values for x in domain]
-    return [list(row) for row in zip(*columns)]
+    columns = [op(GridFunction.delta(h, level, x)) for x in domain]
+    nrows = len(columns[0].values)
+    return [[col.values[r] for col in columns] for r in range(nrows)]
 
 
 def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:

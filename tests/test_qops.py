@@ -300,7 +300,8 @@ def test_interleaved_parameter_sets_match_fresh_caches():
         out.extend(kernel_basis(3, 2, p))
         return out
 
-    caches = (lattice._weights, qops._vertex_stencil, qops._raising_stencil, qops._lowering_stencil)
+    caches = (lattice.domain_table, lattice._weights, qops._vertex_stencil,
+              qops._raising_stencil, qops._lowering_stencil)
     fresh = {}
     for k, p in enumerate(ps):
         for cache in caches:
