@@ -129,10 +129,12 @@ def cmd_eval(args) -> int:
         points = [point]
     else:
         raise ConfigError("eval requires --x or --all")
+    started = time.monotonic()
     values = [
         {"x": list(x), "v": str(eval_Q(tree, labels, params, x))}
         for x in points
     ]
+    elapsed = time.monotonic() - started
     _emit(
         args,
         {
@@ -144,6 +146,7 @@ def cmd_eval(args) -> int:
             "values": values,
         },
     )
+    print(f"eval: {len(points)} point(s) in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -155,6 +158,7 @@ def cmd_gram(args) -> int:
         raise ConfigError("gram requires --N")
     if N < 0:
         raise ConfigError("--N must be nonnegative")
+    started = time.monotonic()
     elements = []
     degrees = []
     for n in range(N + 1):
@@ -173,6 +177,7 @@ def cmd_gram(args) -> int:
                     diagonal = False
             if i == j and value != ei.norm_squared():
                 norms_match = False
+    elapsed = time.monotonic() - started
     _emit(
         args,
         {
@@ -185,6 +190,7 @@ def cmd_gram(args) -> int:
             "norms_match_closed_form": norms_match,
         },
     )
+    print(f"gram: dimension {len(elements)} in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -197,6 +203,7 @@ def cmd_connect(args) -> int:
     n = args.n
     if n is None or n < 0:
         raise ConfigError("connect requires a nonnegative --n")
+    started = time.monotonic()
     if args.oracle_only:
         matrix = connection_oracle(source, target, n, params)
         oracle_checked = True
@@ -208,9 +215,11 @@ def cmd_connect(args) -> int:
                 "path product disagrees with the inner-product oracle"
             )
         oracle_checked = True
+    elapsed = time.monotonic() - started
     obj = matrix.to_json_obj()
     obj["oracle_checked"] = oracle_checked
     _emit(args, obj)
+    print(f"connect: {len(matrix.rows)} row(s) in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 

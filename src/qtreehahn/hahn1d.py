@@ -96,7 +96,7 @@ def _check_x(x: int, N: int):
         raise ValueError(f"lattice point x={x} outside 0..{N}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) -> Fraction:
     """Top-level value at its own level:
 
@@ -164,7 +164,7 @@ def hahn_via_raising(spec: Hahn1DSpec, x: int) -> Fraction:
     return ctx.q_power(-n * (N - n)) * total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def hahn_eval(
     ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction, N: int
 ) -> Fraction:
@@ -345,7 +345,7 @@ def racah(spec: Racah1DSpec, x: int) -> Fraction:
     return prefactor * series
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def racah_eval(
     ctx: QContext,
     n: int,

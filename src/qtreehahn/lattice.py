@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -209,11 +209,19 @@ class GridFunction:
             raise DimensionMismatch(
                 f"[{self.h}; {self.N}] has {expected} points, got {len(self.values)} values"
             )
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        values = self.values
+        if type(values) is not tuple or not all(isinstance(v, Fraction) for v in values):
+            object.__setattr__(self, "values", tuple(as_fraction(v) for v in values))
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """The values as integer numerators over one common denominator,
+        computed on first use and kept on the instance."""
+        return _over_common_denominator(self.values)
 
     @classmethod
     def from_callable(cls, h: int, N: int, fn: Callable[[tuple[int, ...]], Rational]):
-        return cls(h, N, tuple(as_fraction(fn(x)) for x in enumerate_compositions(h, N)))
+        return cls(h, N, tuple(fn(x) for x in enumerate_compositions(h, N)))
 
     @classmethod
     def constant(cls, h: int, N: int, value: Rational = 1):
@@ -287,6 +295,12 @@ class GridFunction:
         return cls(h, N, tuple(vals))
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Numerators of the values over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def weight(x: Sequence[int], p: ParamSet) -> Fraction:
     """Weight of a composition in the inner product:
 
@@ -310,22 +324,26 @@ def weight(x: Sequence[int], p: ParamSet) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _weights(p: ParamSet, N: int) -> tuple[Fraction, ...]:
-    """The weights of [h; N] in lexicographic order."""
-    return tuple(weight(x, p) for x in domain_table(p.h, N).points)
+def _weights(p: ParamSet, N: int) -> tuple[tuple[int, ...], int]:
+    """The weights of [h; N] in lexicographic order, as integer numerators
+    over one common denominator."""
+    return _over_common_denominator([weight(x, p) for x in domain_table(p.h, N).points])
 
 
 def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:
-    """Weighted inner product on [h; N].  Exact, bilinear, symmetric."""
+    """Weighted inner product on [h; N].  Exact, bilinear, symmetric.
+
+    One integer dot product over the points where both functions are
+    nonzero, then one division by the product of the common denominators.
+    """
     f1._check_same_shape(f2)
     if f1.h != p.h:
         raise DimensionMismatch(f"function on {f1.h} variables, params have {p.h}")
-    total = Fraction(0)
-    for w, v1, v2 in zip(_weights(p, f1.N), f1.values, f2.values):
-        if v1 == 0 or v2 == 0:
-            continue
-        total += w * v1 * v2
-    return total
+    weights, den = _weights(p, f1.N)
+    nums1, den1 = f1._integer_form
+    nums2, den2 = f2._integer_form
+    total = sum(w * a * b for w, a, b in zip(weights, nums1, nums2) if a and b)
+    return Fraction(total, den * den1 * den2)
 
 
 def norm_squared(f: GridFunction, p: ParamSet) -> Fraction:

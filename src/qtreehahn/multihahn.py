@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 from typing import Iterator, Sequence
 
 from .hahn1d import hahn_eval
-from .lattice import GridFunction, ParamSet, composition_count
-from .qnum import pochhammer, pochhammer_many, q_factorial
+from .lattice import GridFunction, ParamSet, domain_table, partial_sums
+from .qnum import QContext, pochhammer, pochhammer_many, q_factorial
 from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
-from .trees import PlanarTree, attributes, coefficient_sums, enumerate_labelings
+from .trees import PlanarTree, Vertex, coefficient_sums, enumerate_labelings
 
 __all__ = [
     "TreeBasisElement",
@@ -107,6 +108,39 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
     return ctx.q_power(-cs) * (1 - ctx.q_power(cs)) * (1 - p_u * ctx.q_power(cs - 1))
 
 
+def _split_ps(tree: PlanarTree, params: ParamSet) -> list[tuple[Fraction, Fraction]]:
+    """(lp, rp) per vertex, pre-order: the p-values of its left and right spans."""
+    return [
+        (params.span_p(vert.lo, vert.split), params.span_p(vert.split, vert.hi))
+        for vert in tree.vertices
+    ]
+
+
+def _child_sums(vert: Vertex, cs: Sequence[int]) -> tuple[int, int]:
+    """(lcs, rcs): the coefficient sums of a vertex's children (0 at a leaf)."""
+    lcs = cs[vert.left] if vert.left is not None else 0
+    rcs = cs[vert.right] if vert.right is not None else 0
+    return lcs, rcs
+
+
+def _gamma(ctx: QContext, c: int, lcs: int, rcs: int, lp: Fraction, rp: Fraction) -> Fraction:
+    """The per-vertex norm factor of `gamma_vertex` from the vertex's own data."""
+    cs = c + lcs + rcs
+    lp_shift = lp * ctx.q_power(2 * lcs)
+    numerator = pochhammer_many(
+        ctx,
+        (ctx.q, lp * rp * ctx.q_power(cs + lcs + rcs - 1), rp * ctx.q_power(2 * rcs)),
+        c,
+    )
+    denominator = pochhammer(ctx, lp_shift, c)
+    return (
+        numerator
+        / denominator
+        * lp_shift ** (c + rcs)
+        * ctx.q_power(-2 * lcs * rcs - c)
+    )
+
+
 def gamma_vertex(
     tree: PlanarTree, labeling: Sequence[int], params: ParamSet, u: int
 ) -> Fraction:
@@ -117,29 +151,11 @@ def gamma_vertex(
 
     (equal to 1 at a leaf, which carries no vertex).
     """
-    ctx = params.ctx
     vert = tree.vertices[u]
-    cs_all = coefficient_sums(tree, labeling)
-    c = tuple(labeling)[u]
-    lcs = cs_all[vert.left] if vert.left is not None else 0
-    rcs = cs_all[vert.right] if vert.right is not None else 0
-    cs = cs_all[u]
-    p_u = params.span_p(vert.lo, vert.hi)
+    cs = coefficient_sums(tree, labeling)
     lp = params.span_p(vert.lo, vert.split)
     rp = params.span_p(vert.split, vert.hi)
-    lp_shift = lp * ctx.q_power(2 * lcs)
-    numerator = pochhammer_many(
-        ctx,
-        (ctx.q, p_u * ctx.q_power(cs + lcs + rcs - 1), rp * ctx.q_power(2 * rcs)),
-        c,
-    )
-    denominator = pochhammer(ctx, lp_shift, c)
-    return (
-        numerator
-        / denominator
-        * lp_shift ** (c + rcs)
-        * ctx.q_power(-2 * lcs * rcs - c)
-    )
+    return _gamma(params.ctx, tuple(labeling)[u], *_child_sums(vert, cs), lp, rp)
 
 
 def norm_Q(
@@ -153,16 +169,18 @@ def norm_Q(
     """
     ctx = params.ctx
     h = tree.h
+    labeling = tuple(labeling)
     n = sum(labeling)
     if n > N:
         raise ValueError(f"degree {n} exceeds level {N}")
+    cs = coefficient_sums(tree, labeling)
     out = (
         pochhammer(ctx, params.prefix_product(h) * ctx.q_power(h + 2 * n), N - n)
         / q_factorial(ctx, N - n)
         * ctx.q_power(norm_exponent(N, n) // 2)
     )
-    for u in range(tree.n_internal):
-        out *= gamma_vertex(tree, labeling, params, u)
+    for vert, (lp, rp) in zip(tree.vertices, _split_ps(tree, params)):
+        out *= _gamma(ctx, labeling[vert.index], *_child_sums(vert, cs), lp, rp)
     return out
 
 
@@ -184,7 +202,28 @@ class TreeBasisElement:
         return norm_Q(self.tree, self.labeling, self.params, self.N)
 
 
-@lru_cache(maxsize=None)
+class _FactorTable(dict):
+    """The factors q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at one vertex
+    with fixed (c, lcs, rcs), keyed by (lv, v) and computed on first use,
+    each held as its (numerator, denominator) pair."""
+
+    def __init__(self, ctx: QContext, c: int, lcs: int, rcs: int, lp: Fraction, rp: Fraction):
+        super().__init__()
+        self.ctx, self.c, self.lcs, self.rcs = ctx, c, lcs, rcs
+        self.alpha = lp * ctx.q_power(2 * lcs - 1)
+        self.beta = rp * ctx.q_power(2 * rcs - 1)
+
+    def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
+        lv, v = lv_v
+        ctx, lcs, rcs = self.ctx, self.lcs, self.rcs
+        value = ctx.q_power(-rcs * lv) * hahn_eval(
+            ctx, self.c, lv - lcs, self.alpha, self.beta, v - lcs - rcs
+        )
+        pair = self[lv_v] = (value.numerator, value.denominator)
+        return pair
+
+
+@lru_cache(maxsize=128)
 def basis(
     tree: PlanarTree, params: ParamSet, n: int, N: int
 ) -> tuple[TreeBasisElement, ...]:
@@ -192,14 +231,54 @@ def basis(
 
     Labelings are enumerated lexicographically over the pre-order vertex
     list; the result is cached, so treat it as read-only.
+
+    The whole level is built in one pass with the product of `eval_Q`:
+    every point's (lv, v) per vertex is read once, and every vertex factor
+    is computed once per (vertex, c, lcs, rcs, lv, v) and shared between
+    the labelings and points that need it.
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
+    ctx = params.ctx
+    vertices = tree.vertices
+    split_ps = _split_ps(tree, params)
+    # per point: (lv, v) at every vertex, and the v's alone for the support test
+    points = []
+    for x in domain_table(tree.h, N).points:
+        X = partial_sums(x)
+        vs = tuple(X[vert.hi] - X[vert.lo] for vert in vertices)
+        lvs = (X[vert.split] - X[vert.lo] for vert in vertices)
+        points.append((tuple(zip(lvs, vs)), vs))
+    factors: dict[tuple[int, int, int, int], _FactorTable] = {}
+    zero = Fraction(0)
     out = []
     for labeling in enumerate_labelings(tree, n):
-        grid = GridFunction.from_callable(
-            tree.h, N, lambda x: eval_Q(tree, labeling, params, x)
-        )
+        cs = coefficient_sums(tree, labeling)
+        tables = []
+        for vert, (lp, rp) in zip(vertices, split_ps):
+            c, (lcs, rcs) = labeling[vert.index], _child_sums(vert, cs)
+            key = (vert.index, c, lcs, rcs)
+            table = factors.get(key)
+            if table is None:
+                table = factors[key] = _FactorTable(ctx, c, lcs, rcs, lp, rp)
+            tables.append(table)
+        values = []
+        for lv_vs, vs in points:
+            # support: every subtree must carry at least its coefficient sum
+            if not all(map(ge, vs, cs)):
+                values.append(zero)
+                continue
+            num = den = 1
+            for table, lv_v in zip(tables, lv_vs):
+                factor_num, factor_den = table[lv_v]
+                if not factor_num:
+                    values.append(zero)
+                    break
+                num *= factor_num
+                den *= factor_den
+            else:
+                values.append(Fraction(num, den))
+        grid = GridFunction(tree.h, N, tuple(values))
         out.append(TreeBasisElement(tree, labeling, params, N, grid))
     return tuple(out)
 

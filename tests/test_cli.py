@@ -11,6 +11,7 @@ checkout with ``PYTHONPATH=src``.
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -513,6 +514,28 @@ def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert code == 0
     assert captured.out == ""
     assert json.loads(out_file.read_text(encoding="utf-8")) == direct
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["eval", "--tree", "((1 2) 3)", "--labels", "1,0", "--N", "2", "--all"], "6 point(s)"),
+        (["gram", "--tree", "((1 2) 3)", "--N", "2"], "dimension 6"),
+        (["connect", "--source", "(1 (2 3))", "--target", "((1 2) 3)", "--n", "2"], "3 row(s)"),
+        (["verify", "--suite", "vandermonde", "--N", "2"], "1 suite(s)"),
+    ],
+)
+def test_timing_line_on_stderr_leaves_stdout_alone(capsys, tmp_path, argv, summary):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        rf"{argv[0]}: {re.escape(summary)} in \d+\.\d\ds\n", captured.err
+    ), captured.err
+    out_file = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert captured.out == out_file.read_text(encoding="utf-8")
+    json.loads(captured.out)
 
 
 def test_stdout_bytes_are_deterministic(capsys):

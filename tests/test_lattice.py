@@ -1,6 +1,7 @@
 """Composition lattice, parameter sets, grid functions, weighted inner product."""
 
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -260,3 +261,58 @@ def test_inner_product_weights_match_pointwise_weight():
     for N in range(4):
         for x in enumerate_compositions(3, N):
             assert inner_product(GridFunction.delta(3, N, x), GridFunction.delta(3, N, x), p) == weight(x, p)
+
+
+def test_inner_product_equals_pointwise_weighted_sum():
+    """The integer dot product equals sum_x weight(x, p) f(x) g(x) on
+    functions mixing zeros, negative values, unlike denominators and ints."""
+    rng = random.Random(5)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 9, 25, 49, 121)))
+
+    params = [
+        make_params(3),
+        make_params(3, "secondary", s=Fraction(1, 3)),
+        ParamSet(make_ctx(), (Fraction(-2, 3), Fraction(5, 2), 7), unchecked=True),
+    ]
+    for p in params:
+        for N in range(5):
+            points = enumerate_compositions(3, N)
+            for _ in range(6):
+                f = GridFunction(3, N, tuple(value() for _ in points))
+                g = GridFunction(3, N, tuple(value() for _ in points))
+                want = sum(
+                    (weight(x, p) * a * b for x, a, b in zip(points, f.values, g.values)),
+                    Fraction(0),
+                )
+                assert inner_product(f, g, p) == want
+                assert inner_product(f, GridFunction.zero(3, N), p) == 0
+
+
+def test_grid_function_coerces_only_what_needs_it():
+    values = (Fraction(1, 2), Fraction(-3), Fraction(0))
+    f = GridFunction(2, 2, values)
+    assert f.values is values
+    for raw in ((1, -3, 0), ("1/2", "-3", "0"), (Fraction(1, 2), "-3", 0), [Fraction(1, 2), -3, 0]):
+        g = GridFunction(2, 2, raw)
+        assert type(g.values) is tuple
+        assert all(type(v) is Fraction for v in g.values)
+    assert GridFunction(2, 2, ("1/2", -3, Fraction(0))) == f
+    assert GridFunction(2, 2, [Fraction(1, 2), Fraction(-3), Fraction(0)]).values == values
+
+
+def test_integer_form_is_cached_and_leaves_equality_alone():
+    f = GridFunction(2, 2, (Fraction(1, 6), Fraction(-3, 4), Fraction(0)))
+    g = GridFunction(2, 2, (Fraction(1, 6), Fraction(-3, 4), Fraction(0)))
+    nums, den = f._integer_form
+    assert den == 12
+    assert nums == (2, -9, 0)
+    assert f._integer_form is f._integer_form
+    assert f == g
+    assert hash(f) == hash(g)

@@ -7,9 +7,11 @@ import pytest
 from qtreehahn import (
     GridFunction,
     Hahn1DSpec,
+    ParamSet,
     all_trees,
     basis,
     eigenvalue,
+    enumerate_compositions,
     eval_Q,
     hahn_eval,
     hahn_norm,
@@ -30,7 +32,7 @@ from qtreehahn._linalg import rank
 from qtreehahn.multihahn import norm_exponent
 from qtreehahn.trees import enumerate_labelings
 
-from conftest import make_ctx, make_params
+from conftest import PRIMARY_ALPHAS, make_ctx, make_params
 
 CTX = make_ctx()
 
@@ -102,6 +104,37 @@ def test_basis_is_linearly_independent_and_spans():
     elems = [e for n in range(N + 1) for e in basis(parse_tree("((1 2) 3)"), p, n, N)]
     matrix = [list(e.grid.values) for e in elems]
     assert rank(matrix) == len(elems) == 10
+
+
+# One parameter set per regime: alphas in (0, 1/q), alphas above q^(-n_max),
+# and a generic set with a negative alpha that only `unchecked=True` admits.
+CROSS_ROUTE_PARAMS = {
+    "unit-band": PRIMARY_ALPHAS,
+    "above-band": (65, 67, Fraction(201, 2), 71, 97),
+    "negative-unchecked": (Fraction(-2, 3), Fraction(1, 3), Fraction(5, 2), 7, Fraction(3, 5)),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CROSS_ROUTE_PARAMS))
+def test_basis_equals_eval_Q_at_every_point(regime):
+    """The one-pass level build agrees with the per-point route everywhere."""
+    alphas = CROSS_ROUTE_PARAMS[regime]
+    for h in range(2, 6):
+        p = ParamSet(
+            CTX,
+            alphas[:h],
+            n_max=3,
+            unchecked=regime == "negative-unchecked",
+        )
+        for tree in all_trees(h):
+            for N in range(4):
+                points = enumerate_compositions(h, N)
+                for n in range(N + 1):
+                    elems = basis.__wrapped__(tree, p, n, N)
+                    assert [e.labeling for e in elems] == enumerate_labelings(tree, n)
+                    for e in elems:
+                        want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
+                        assert e.grid.values == want, (regime, tree, e.labeling, N)
 
 
 def test_basis_validation_and_cache():

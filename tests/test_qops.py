@@ -24,7 +24,7 @@ from qtreehahn import (
     spectral_decomposition_check,
     verify_operator_algebra,
 )
-from qtreehahn import lattice, qops
+from qtreehahn import hahn1d, lattice, multihahn, qops
 from qtreehahn.qops import to_matrix
 
 from conftest import make_params
@@ -314,11 +314,14 @@ def test_interleaved_parameter_sets_match_fresh_caches():
 
 
 def test_every_cache_is_bounded():
-    caches = [
-        obj
-        for module in (lattice, qops)
+    caches = {
+        f"{obj.__module__}.{obj.__qualname__}": obj
+        for module in (lattice, qops, hahn1d, multihahn)
         for obj in vars(module).values()
         if hasattr(obj, "cache_info")
-    ]
-    assert len(caches) >= 5
-    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    }
+    for name in ("multihahn.basis", "hahn1d._seed_value", "hahn1d.hahn_eval", "hahn1d.racah_eval"):
+        assert f"qtreehahn.{name}" in caches
+    assert len(caches) >= 9
+    unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
+    assert unbounded == []
