@@ -73,6 +73,7 @@ from .trees import (
     RightChildIsLeaf,
     all_trees,
     canonical_path_to_left_comb,
+    child_sums,
     coefficient_sums,
     enumerate_labelings,
     find_rl_path,
@@ -97,7 +98,6 @@ from .multihahn import (
 )
 from .connect import (
     ConnectionMatrix,
-    MoveCoefficientSpec,
     NotInKernel,
     apply_move,
     comb_connection_product,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rref", "nullspace", "rank", "solve", "invert"]
+__all__ = ["rref", "nullspace", "rank", "solve"]
 
 
 def rref(matrix):
@@ -81,16 +81,3 @@ def solve(matrix, rhs):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [reduced[i][n] for i in range(n)]
-
-
-def invert(matrix):
-    """Exact inverse of a square nonsingular matrix."""
-    n = len(matrix)
-    aug = [
-        list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]

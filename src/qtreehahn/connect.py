@@ -6,7 +6,10 @@ single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
 multidimensional q-Racah polynomials.  A brute-force inner-product
 oracle computes the same matrix from the definition and works for any
-pair of trees, reachable or not.
+pair of trees, reachable or not.  The way back against the rotation order
+is the inverse matrix, which needs no elimination: both bases are
+orthogonal with closed-form norms, so it is the transpose rescaled by the
+ratios of those norms.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -23,7 +26,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from ._linalg import invert as _invert_dense
 from .hahn1d import NonSquareRadicand, Racah1DSpec, gr_racah_bridge, racah_eval
 from .lattice import (
     GridFunction,
@@ -46,13 +48,14 @@ from .trees import (
     MoveRecord,
     NotRightReachable,
     PlanarTree,
+    child_sums,
+    coefficient_sums,
     enumerate_labelings,
     find_rl_path,
 )
 
 __all__ = [
     "NotInKernel",
-    "MoveCoefficientSpec",
     "one_move_coefficients",
     "apply_move",
     "ConnectionMatrix",
@@ -76,71 +79,20 @@ class NotInKernel(ValueError):
     """The function is not annihilated by the lowering operator."""
 
 
-@dataclass(frozen=True)
-class MoveCoefficientSpec:
-    """Local data of one rotation, read off a source labeling.
-
-    With the rotating vertex U over blocks T', T'' (left and right child
-    of U's right child) and T''':
-
-        i    total label sum inside T'
-        l    total label sum inside T''
-        j    total label sum inside T'''
-        n_U  total label sum of U's subtree
-        v    n_U minus U's own label minus i (the right child's subtree sum)
-        p1, p2, p3   the p-values of the three block roots
-
-    The admissible target labels u run over i + l .. n_U - j; the source
-    satisfies l + j <= v <= n_U - i.
-    """
-
-    i: int
-    l: int
-    j: int
-    n_U: int
-    v: int
-    p1: Fraction
-    p2: Fraction
-    p3: Fraction
-
-    @classmethod
-    def from_labeling(
-        cls, move: MoveRecord, cvec: Sequence[int], params: ParamSet
-    ) -> "MoveCoefficientSpec":
-        if len(cvec) != move.source.n_internal:
-            raise ValueError(
-                f"labeling has {len(cvec)} entries, tree has "
-                f"{move.source.n_internal} internal vertices"
-            )
-        k = move.vertex
-        a, b, c = move.block_left, move.block_mid, move.block_right
-        c_U = cvec[k]
-        i = sum(cvec[k + 1 : k + 1 + a])
-        c_R = cvec[k + 1 + a]
-        l = sum(cvec[k + 2 + a : k + 2 + a + b])
-        j = sum(cvec[k + 2 + a + b : k + 2 + a + b + c])
-        v = c_R + l + j
-        base = move.base
-        return cls(
-            i=i,
-            l=l,
-            j=j,
-            n_U=c_U + i + v,
-            v=v,
-            p1=params.span_p(base, base + move.s_local),
-            p2=params.span_p(base + move.s_local, base + move.r_local),
-            p3=params.span_p(base + move.r_local, base + move.h_local),
-        )
-
-
 def one_move_coefficients(
     move: MoveRecord, cvec: Sequence[int], params: ParamSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Expand one source labeling over the rotated tree's labelings.
 
+    The rotating vertex U of the source tree has the block T' as its left
+    child and R = (T'' T''') as its right child.  The move's data are read
+    off the source tree: i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R),
+    n_U = cs(U), and the p-values p1 = lp(U), p2 = lp(R), p3 = rp(R) of
+    the three blocks.
+
     The expansion runs over the new left-child label only; every other
     vertex keeps its label.  The coefficient of the target with new
-    left-child sum u is
+    left-child sum u (i + l <= u <= n_U - j) is
 
         q^(-i(v - l - j))
         r_{u-i-l}(v - l - j; p2 q^(2l-1), p1 q^(2i-1),
@@ -149,17 +101,19 @@ def one_move_coefficients(
     and vanishing coefficients are omitted from the result.
     """
     cvec = tuple(cvec)
-    spec = MoveCoefficientSpec.from_labeling(move, cvec, params)
+    tree = move.source
+    cs = coefficient_sums(tree, cvec)
+    U = tree.vertices[move.vertex]
+    R = tree.vertices[U.right]
+    (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[U.index]
     ctx = params.ctx
-    k = move.vertex
-    a, b, c = move.block_left, move.block_mid, move.block_right
-    prefix = cvec[:k]
-    blocks = cvec[k + 1 : k + 1 + a] + cvec[k + 2 + a : k + 2 + a + b + c]
-    suffix = cvec[k + 2 + a + b + c :]
-    i, l, j, n_U, v = spec.i, spec.l, spec.j, spec.n_U, spec.v
-    alpha = spec.p2 * ctx.q_power(2 * l - 1)
-    beta = spec.p1 * ctx.q_power(2 * i - 1)
-    delta = spec.p2 * spec.p3 * ctx.q_power(n_U + l + j - i - 1)
+    p2 = params.span_p(R.lo, R.split)
+    alpha = p2 * ctx.q_power(2 * l - 1)
+    beta = params.span_p(U.lo, U.split) * ctx.q_power(2 * i - 1)
+    delta = p2 * params.span_p(R.split, R.hi) * ctx.q_power(n_U + l + j - i - 1)
+    # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
+    k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
+    prefix, blocks, suffix = cvec[:k], cvec[k + 1 : r] + cvec[r + 1 : end], cvec[end:]
     prefactor = ctx.q_power(-i * (v - l - j))
     out = []
     for u in range(i + l, n_U - j + 1):
@@ -193,7 +147,8 @@ class ConnectionMatrix:
     rows[c][d] is the coefficient of the target basis element labeled d
     in the expansion of the source element labeled c; absent entries are
     zero.  `path` records the rotation sequence used, or None when the
-    matrix came from the inner-product oracle or from inversion.
+    matrix came from the inner-product oracle or from `invert`, which
+    rescales the transpose by closed-form norms.
     """
 
     source: PlanarTree
@@ -291,20 +246,22 @@ class ConnectionMatrix:
     def invert(self) -> "ConnectionMatrix":
         """Exact inverse, read as a target-to-source expansion.
 
-        This is the only closed route back against the rotation order;
-        the reversed moves admit no product formula of their own.
+        Both bases are orthogonal, so the inverse is the transpose rescaled
+        by the closed-form squared norms of `norm_Q`:
+
+            inv[d][c] = r_d(c) |Q_d|^2 / |Q_c|^2.
         """
-        sources = self.source_labelings()
-        targets = self.target_labelings()
-        dense = self.to_dense()
-        inv = _invert_dense(dense)
-        rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for r, d in enumerate(targets):
-            row = {}
-            for s, c in enumerate(sources):
-                if inv[r][s] != 0:
-                    row[c] = inv[r][s]
-            rows[d] = row
+        n, params = self.n, self.params
+        target_norms = {
+            d: norm_Q(self.target, d, params, n) for d in self.target_labelings()
+        }
+        rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
+            d: {} for d in target_norms
+        }
+        for c, row in self.rows.items():
+            source_norm = norm_Q(self.source, c, params, n)
+            for d, value in row.items():
+                rows[d][c] = value * target_norms[d] / source_norm
         return ConnectionMatrix(
             self.target, self.source, self.n, self.params, rows, None
         )

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .qnum import QContext, Rational, as_fraction, pochhammer, q_factorial
@@ -158,6 +159,18 @@ class ParamSet:
                     "parameters outside the positivity regime; "
                     "pass unchecked=True for generic identity testing"
                 )
+        # the one place alphas are multiplied: _products[lo][hi - lo] is
+        # alpha_{lo+1} * ... * alpha_hi, and _ps[lo][hi - lo] its p-value
+        products = tuple(
+            tuple(accumulate(alphas[lo:], mul, initial=Fraction(1)))
+            for lo in range(len(alphas) + 1)
+        )
+        ps = tuple(
+            tuple(value * self.ctx.q_power(k) for k, value in enumerate(row))
+            for row in products
+        )
+        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_ps", ps)
 
     @property
     def h(self) -> int:
@@ -167,23 +180,19 @@ class ParamSet:
         """A_k = alpha_1 * ... * alpha_k (A_0 = 1)."""
         if not (0 <= k <= self.h):
             raise IndexOutOfRange(f"prefix length {k} outside 0..{self.h}")
-        out = Fraction(1)
-        for a in self.alphas[:k]:
-            out *= a
-        return out
+        return self._products[0][k]
 
     def span_product(self, lo: int, hi: int) -> Fraction:
         """alpha_{lo+1} * ... * alpha_{hi}."""
         if not (0 <= lo <= hi <= self.h):
             raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
-        out = Fraction(1)
-        for a in self.alphas[lo:hi]:
-            out *= a
-        return out
+        return self._products[lo][hi - lo]
 
     def span_p(self, lo: int, hi: int) -> Fraction:
         """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
-        return self.span_product(lo, hi) * self.ctx.q_power(hi - lo)
+        if not (0 <= lo <= hi <= self.h):
+            raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
+        return self._ps[lo][hi - lo]
 
     def restrict(self, lo: int, hi: int) -> "ParamSet":
         """Parameter set for the variables in the span (lo, hi]."""

@@ -25,10 +25,10 @@ from operator import ge
 from typing import Iterator, Sequence
 
 from .hahn1d import hahn_eval
-from .lattice import GridFunction, ParamSet, domain_table, partial_sums
-from .qnum import QContext, pochhammer, pochhammer_many, q_factorial
+from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
+from .qnum import pochhammer, pochhammer_many, q_factorial
 from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
-from .trees import PlanarTree, Vertex, coefficient_sums, enumerate_labelings
+from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
     "TreeBasisElement",
@@ -80,18 +80,15 @@ def eval_Q(
 
     value = Fraction(1)
     for vert in tree.vertices:
-        lcs = cs[vert.left] if vert.left is not None else 0
-        rcs = cs[vert.right] if vert.right is not None else 0
+        lcs, rcs = child_sums(vert, cs)
         lv = sum(x[vert.lo : vert.split])
         v = lv + sum(x[vert.split : vert.hi])
-        lp = params.span_p(vert.lo, vert.split)
-        rp = params.span_p(vert.split, vert.hi)
         value *= ctx.q_power(-rcs * lv) * hahn_eval(
             ctx,
             labeling[vert.index],
             lv - lcs,
-            lp * ctx.q_power(2 * lcs - 1),
-            rp * ctx.q_power(2 * rcs - 1),
+            params.span_p(vert.lo, vert.split) * ctx.q_power(2 * lcs - 1),
+            params.span_p(vert.split, vert.hi) * ctx.q_power(2 * rcs - 1),
             v - lcs - rcs,
         )
         if value == 0:
@@ -108,30 +105,17 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
     return ctx.q_power(-cs) * (1 - ctx.q_power(cs)) * (1 - p_u * ctx.q_power(cs - 1))
 
 
-def _split_ps(tree: PlanarTree, params: ParamSet) -> list[tuple[Fraction, Fraction]]:
-    """(lp, rp) per vertex, pre-order: the p-values of its left and right spans."""
-    return [
-        (params.span_p(vert.lo, vert.split), params.span_p(vert.split, vert.hi))
-        for vert in tree.vertices
-    ]
-
-
-def _child_sums(vert: Vertex, cs: Sequence[int]) -> tuple[int, int]:
-    """(lcs, rcs): the coefficient sums of a vertex's children (0 at a leaf)."""
-    lcs = cs[vert.left] if vert.left is not None else 0
-    rcs = cs[vert.right] if vert.right is not None else 0
-    return lcs, rcs
-
-
-def _gamma(ctx: QContext, c: int, lcs: int, rcs: int, lp: Fraction, rp: Fraction) -> Fraction:
-    """The per-vertex norm factor of `gamma_vertex` from the vertex's own data."""
-    cs = c + lcs + rcs
+def _gamma(params: ParamSet, vert: Vertex, labeling: Sequence[int], cs: Sequence[int]) -> Fraction:
+    """The norm factor of `gamma_vertex` at one vertex, from the labeling and
+    its coefficient sums."""
+    ctx = params.ctx
+    c = labeling[vert.index]
+    lcs, rcs = child_sums(vert, cs)
+    lp = params.span_p(vert.lo, vert.split)
+    rp = params.span_p(vert.split, vert.hi)
     lp_shift = lp * ctx.q_power(2 * lcs)
-    numerator = pochhammer_many(
-        ctx,
-        (ctx.q, lp * rp * ctx.q_power(cs + lcs + rcs - 1), rp * ctx.q_power(2 * rcs)),
-        c,
-    )
+    lp_rp = lp * rp * ctx.q_power(cs[vert.index] + lcs + rcs - 1)
+    numerator = pochhammer_many(ctx, (ctx.q, lp_rp, rp * ctx.q_power(2 * rcs)), c)
     denominator = pochhammer(ctx, lp_shift, c)
     return (
         numerator
@@ -151,11 +135,8 @@ def gamma_vertex(
 
     (equal to 1 at a leaf, which carries no vertex).
     """
-    vert = tree.vertices[u]
-    cs = coefficient_sums(tree, labeling)
-    lp = params.span_p(vert.lo, vert.split)
-    rp = params.span_p(vert.split, vert.hi)
-    return _gamma(params.ctx, tuple(labeling)[u], *_child_sums(vert, cs), lp, rp)
+    labeling = tuple(labeling)
+    return _gamma(params, tree.vertices[u], labeling, coefficient_sums(tree, labeling))
 
 
 def norm_Q(
@@ -179,8 +160,8 @@ def norm_Q(
         / q_factorial(ctx, N - n)
         * ctx.q_power(norm_exponent(N, n) // 2)
     )
-    for vert, (lp, rp) in zip(tree.vertices, _split_ps(tree, params)):
-        out *= _gamma(ctx, labeling[vert.index], *_child_sums(vert, cs), lp, rp)
+    for vert in tree.vertices:
+        out *= _gamma(params, vert, labeling, cs)
     return out
 
 
@@ -207,11 +188,12 @@ class _FactorTable(dict):
     with fixed (c, lcs, rcs), keyed by (lv, v) and computed on first use,
     each held as its (numerator, denominator) pair."""
 
-    def __init__(self, ctx: QContext, c: int, lcs: int, rcs: int, lp: Fraction, rp: Fraction):
+    def __init__(self, params: ParamSet, vert: Vertex, c: int, lcs: int, rcs: int):
         super().__init__()
-        self.ctx, self.c, self.lcs, self.rcs = ctx, c, lcs, rcs
-        self.alpha = lp * ctx.q_power(2 * lcs - 1)
-        self.beta = rp * ctx.q_power(2 * rcs - 1)
+        ctx = self.ctx = params.ctx
+        self.c, self.lcs, self.rcs = c, lcs, rcs
+        self.alpha = params.span_p(vert.lo, vert.split) * ctx.q_power(2 * lcs - 1)
+        self.beta = params.span_p(vert.split, vert.hi) * ctx.q_power(2 * rcs - 1)
 
     def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
         lv, v = lv_v
@@ -239,9 +221,7 @@ def basis(
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-    ctx = params.ctx
     vertices = tree.vertices
-    split_ps = _split_ps(tree, params)
     # per point: (lv, v) at every vertex, and the v's alone for the support test
     points = []
     for x in domain_table(tree.h, N).points:
@@ -255,12 +235,12 @@ def basis(
     for labeling in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, labeling)
         tables = []
-        for vert, (lp, rp) in zip(vertices, split_ps):
-            c, (lcs, rcs) = labeling[vert.index], _child_sums(vert, cs)
+        for vert in vertices:
+            c, (lcs, rcs) = labeling[vert.index], child_sums(vert, cs)
             key = (vert.index, c, lcs, rcs)
             table = factors.get(key)
             if table is None:
-                table = factors[key] = _FactorTable(ctx, c, lcs, rcs, lp, rp)
+                table = factors[key] = _FactorTable(params, vert, c, lcs, rcs)
             tables.append(table)
         values = []
         for lv_vs, vs in points:
@@ -315,9 +295,9 @@ def vertex_eigen_cases(
     for vertex "global"; each locator names the tree and the labeling.
     """
     labeling = tuple(labeling)
-    grid = GridFunction.from_callable(
-        tree.h, N, lambda x: eval_Q(tree, labeling, params, x)
-    )
+    if len(labeling) != tree.n_internal:
+        raise ValueError(f"labeling {labeling} does not fit the tree {tree}")
+    grid = basis(tree, params, sum(labeling), N)[rank_of(labeling)].grid
     where = {"tree": tree.serialize(), "labeling": list(labeling)}
     for vert in tree.vertices:
         lam = vertex_eigenvalue(tree, labeling, params, vert.index)

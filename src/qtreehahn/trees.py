@@ -17,10 +17,9 @@ coefficients in `connect`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .lattice import ParamSet, enumerate_compositions
+from .lattice import enumerate_compositions
 
 __all__ = [
     "ParseError",
@@ -30,14 +29,13 @@ __all__ = [
     "Vertex",
     "PlanarTree",
     "MoveRecord",
-    "VertexAttributes",
     "parse_tree",
     "right_comb",
     "left_comb",
     "all_trees",
     "enumerate_labelings",
     "coefficient_sums",
-    "attributes",
+    "child_sums",
     "transplant_right_to_left",
     "rl_neighbors",
     "find_rl_path",
@@ -234,10 +232,13 @@ def parse_tree(text: str) -> PlanarTree:
             return (left, right)
         raise ParseError(f"unexpected token {tok!r}")
 
-    shape = parse_node()
-    if pos[0] != len(tokens):
-        raise ParseError(f"trailing tokens after position {pos[0]}")
-    return PlanarTree(shape)
+    try:
+        shape = parse_node()
+        if pos[0] != len(tokens):
+            raise ParseError(f"trailing tokens after position {pos[0]}")
+        return PlanarTree(shape)
+    except RecursionError:
+        raise ParseError("tree is nested too deeply") from None
 
 
 def right_comb(h: int) -> PlanarTree:
@@ -303,70 +304,19 @@ def coefficient_sums(tree: PlanarTree, labeling: Sequence[int]) -> list[int]:
     return sums
 
 
-@dataclass(frozen=True)
-class VertexAttributes:
-    """Per-vertex data; fields are None when their input was not supplied."""
-
-    index: int
-    p: Optional[Fraction] = None
-    lp: Optional[Fraction] = None
-    rp: Optional[Fraction] = None
-    v: Optional[int] = None
-    lv: Optional[int] = None
-    rv: Optional[int] = None
-    c: Optional[int] = None
-    lcs: Optional[int] = None
-    rcs: Optional[int] = None
-    cs: Optional[int] = None
-
-
-def attributes(
-    tree: PlanarTree,
-    params: Optional[ParamSet] = None,
-    x: Optional[Sequence[int]] = None,
-    labeling: Optional[Sequence[int]] = None,
-) -> list[VertexAttributes]:
-    """Vertex products p, variable sums v and coefficient sums per vertex.
-
-    p(U) multiplies the parameters under U and a factor q per leaf;
-    lp/rp are the same for the children, with a single leaf contributing
-    alpha_i q.  v(U) sums the variables under U.  cs(U) sums the labeling
-    on the subtree; lcs/rcs on the child subtrees.
-    """
-    if params is not None and params.h != tree.h:
-        raise ValueError(f"params have {params.h} entries, tree has {tree.h} leaves")
-    if x is not None and len(x) != tree.h:
-        raise ValueError(f"point has {len(x)} entries, tree has {tree.h} leaves")
-    cs = coefficient_sums(tree, labeling) if labeling is not None else None
-    labeling = tuple(labeling) if labeling is not None else None
-
-    def span_v(lo, hi):
-        return sum(x[lo:hi])
-
-    out = []
-    for v in tree.vertices:
-        entry = {"index": v.index}
-        if params is not None:
-            entry["p"] = params.span_p(v.lo, v.hi)
-            entry["lp"] = params.span_p(v.lo, v.split)
-            entry["rp"] = params.span_p(v.split, v.hi)
-        if x is not None:
-            entry["v"] = span_v(v.lo, v.hi)
-            entry["lv"] = span_v(v.lo, v.split)
-            entry["rv"] = span_v(v.split, v.hi)
-        if labeling is not None:
-            entry["c"] = labeling[v.index]
-            entry["lcs"] = cs[v.left] if v.left is not None else 0
-            entry["rcs"] = cs[v.right] if v.right is not None else 0
-            entry["cs"] = cs[v.index]
-        out.append(VertexAttributes(**entry))
-    return out
+def child_sums(vert: Vertex, cs: Sequence[int]) -> tuple[int, int]:
+    """(lcs, rcs): the coefficient sums of a vertex's children (0 at a leaf),
+    read from the per-vertex sums `cs` of `coefficient_sums`."""
+    lcs = cs[vert.left] if vert.left is not None else 0
+    rcs = cs[vert.right] if vert.right is not None else 0
+    return lcs, rcs
 
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One right-to-left transplantation, with everything needed to map
-    labelings of the source tree onto labelings of the target tree.
+    """One right-to-left transplantation; the rotating vertex and its
+    children, read off `source`, carry everything needed to map labelings
+    of the source tree onto labelings of the target tree.
 
     `vertex` indexes the source tree's pre-order; spans are local to the
     moved subtree: s leaves in T', r - s in T'', h_local - r in T''',
@@ -380,9 +330,6 @@ class MoveRecord:
     s_local: int
     r_local: int
     h_local: int
-    block_left: int    # internal vertices of T'
-    block_mid: int     # internal vertices of T''
-    block_right: int   # internal vertices of T'''
 
     def to_json_obj(self) -> dict:
         return {
@@ -425,9 +372,6 @@ def transplant_right_to_left(tree: PlanarTree, u: int) -> tuple[PlanarTree, Move
         s_local=vert.split - vert.lo,
         r_local=right_vert.split - vert.lo,
         h_local=vert.hi - vert.lo,
-        block_left=(vert.split - vert.lo) - 1,
-        block_mid=(right_vert.split - vert.split) - 1,
-        block_right=(vert.hi - right_vert.split) - 1,
     )
     return new_tree, record
 

@@ -230,6 +230,16 @@ def test_gram_config_errors_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_deeply_nested_tree_is_config_error(capsys):
+    """Nesting past the recursion limit is bad input, not a failing identity."""
+    for text in ("(" * 3000, "(1 " * 3000 + "3001" + ")" * 3000):
+        assert main(["gram", "--tree", text, "--N", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+
 # ------------------------------------------------------------- connect
 
 

@@ -7,7 +7,6 @@ import pytest
 from qtreehahn import (
     ConnectionMatrix,
     GridFunction,
-    MoveCoefficientSpec,
     NotInKernel,
     NotRightReachable,
     all_trees,
@@ -62,21 +61,12 @@ def test_one_move_three_leaves_is_single_racah_row():
                 assert expansion.get((n - u, u), Fraction(0)) == want
 
 
-def test_one_move_spec_fields():
-    rc = right_comb(4)
-    _, move = transplant_right_to_left(rc, 0)
+def test_one_move_rejects_wrong_length_labeling():
+    _, move = transplant_right_to_left(right_comb(4), 0)
     p4 = make_params(4)
-    spec = MoveCoefficientSpec.from_labeling(move, (1, 2, 3), p4)
-    # blocks at the root of (1 (2 (3 4))): T' = leaf, T'' = leaf, T''' = (3 4)
-    assert (spec.i, spec.l, spec.j) == (0, 0, 3)
-    assert spec.n_U == 6
-    assert spec.v == 5
-    q = CTX.q
-    assert spec.p1 == p4.alphas[0] * q
-    assert spec.p2 == p4.alphas[1] * q
-    assert spec.p3 == p4.alphas[2] * p4.alphas[3] * q * q
-    with pytest.raises(ValueError):
-        MoveCoefficientSpec.from_labeling(move, (1, 2), p4)
+    for cvec in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            one_move_coefficients(move, cvec, p4)
 
 
 def test_one_move_degree_zero_is_trivial():
@@ -170,6 +160,19 @@ def test_connection_invert_matches_reverse_oracle():
         assert inv.rows == connection_oracle(lc, rc, n, P3).rows
     with pytest.raises(NotRightReachable):
         connection_by_path(lc, rc, 2, P3)
+    # every ordered pair of 4-leaf trees, through the path where one exists
+    p4 = make_params(4)
+    trees = all_trees(4)
+    for source in trees:
+        for target in trees:
+            for n in range(3):
+                try:
+                    conn = connection_by_path(source, target, n, p4)
+                except NotRightReachable:
+                    conn = connection_oracle(source, target, n, p4)
+                inv = conn.invert()
+                assert inv.source == target and inv.target == source
+                assert inv.rows == connection_oracle(target, source, n, p4).rows
 
 
 def test_identity_matrix_for_equal_trees():

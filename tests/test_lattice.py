@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +89,29 @@ def test_paramset_accepts_both_stock_families():
         assert sub.alphas == alphas[1:4]
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        ParamSet(ctx=CTX, alphas=PRIMARY_ALPHAS),
+        ParamSet(ctx=make_ctx(Fraction(2, 3)), alphas=SECONDARY_ALPHAS[:4]),
+        ParamSet(
+            ctx=CTX,
+            alphas=(Fraction(3, 2), Fraction(0), Fraction(-5, 7), Fraction(9)),
+            unchecked=True,
+        ),
+    ],
+    ids=["primary", "secondary", "zero-and-negative"],
+)
+def test_span_tables_equal_products(p):
+    alphas = p.alphas
+    for lo in range(p.h + 1):
+        assert p.prefix_product(lo) == prod(alphas[:lo])
+        for hi in range(lo, p.h + 1):
+            product = prod(alphas[lo:hi])
+            assert p.span_product(lo, hi) == product
+            assert p.span_p(lo, hi) == product * p.ctx.q ** (hi - lo)
+
+
 def test_paramset_rejects_poles_always():
     # alpha = q^(-m) for m <= n_max degenerates weights; even unchecked
     # construction refuses it.
@@ -118,6 +141,8 @@ def test_paramset_index_errors():
         p.prefix_product(4)
     with pytest.raises(IndexOutOfRange):
         p.span_product(2, 1)
+    with pytest.raises(IndexOutOfRange):
+        p.span_p(-1, 2)
     with pytest.raises(IndexOutOfRange):
         p.restrict(1, 1)
 

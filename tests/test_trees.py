@@ -24,7 +24,7 @@ from qtreehahn import (
     rl_neighbors,
     transplant_right_to_left,
 )
-from qtreehahn.trees import attributes
+from qtreehahn.trees import child_sums
 
 from conftest import make_params
 
@@ -95,41 +95,34 @@ def test_labelings_and_coefficient_sums():
         coefficient_sums(tree, (1, 2))
 
 
-def test_attributes_hand_example():
+def test_vertex_data_hand_example():
+    """p-values of the vertex spans and the (lcs, rcs) of each vertex."""
     tree = parse_tree("((1 2) 3)")
     p = make_params(3)
     a1, a2, a3 = p.alphas
     q = p.ctx.q
-    x = (2, 0, 1)
-    lab = (1, 2)
-    attrs = attributes(tree, params=p, x=x, labeling=lab)
-    root, inner = attrs
-    assert root.p == a1 * a2 * a3 * q**3
-    assert root.lp == a1 * a2 * q**2
-    assert root.rp == a3 * q
-    assert (root.v, root.lv, root.rv) == (3, 2, 1)
-    assert (root.c, root.lcs, root.rcs, root.cs) == (1, 2, 0, 3)
-    assert inner.p == a1 * a2 * q**2
-    assert (inner.lv, inner.rv) == (2, 0)
-    assert (inner.c, inner.lcs, inner.rcs, inner.cs) == (2, 0, 0, 2)
-    # Partial calls leave the unrequested fields as None.
-    bare = attributes(tree)[0]
-    assert bare.p is None and bare.v is None and bare.cs is None
-    with pytest.raises(ValueError):
-        attributes(tree, x=(1, 0))
+    root, inner = tree.vertices
+    assert p.span_p(root.lo, root.hi) == a1 * a2 * a3 * q**3
+    assert p.span_p(root.lo, root.split) == a1 * a2 * q**2
+    assert p.span_p(root.split, root.hi) == a3 * q
+    assert p.span_p(inner.lo, inner.hi) == a1 * a2 * q**2
+    assert p.span_p(inner.lo, inner.split) == a1 * q
+    assert p.span_p(inner.split, inner.hi) == a2 * q
+    cs = coefficient_sums(tree, (1, 2))
+    assert cs == [3, 2]
+    assert child_sums(root, cs) == (2, 0)
+    assert child_sums(inner, cs) == (0, 0)
 
 
 def test_transplant_shapes():
     t, rec = transplant_right_to_left(parse_tree("(1 (2 3))"), 0)
     assert t.serialize() == "((1 2) 3)"
     assert (rec.base, rec.s_local, rec.r_local, rec.h_local) == (0, 1, 2, 3)
-    assert (rec.block_left, rec.block_mid, rec.block_right) == (0, 0, 0)
 
     rc4 = right_comb(4)
     t0, rec0 = transplant_right_to_left(rc4, 0)
     assert t0.serialize() == "((1 2) (3 4))"
     assert (rec0.base, rec0.s_local, rec0.r_local, rec0.h_local) == (0, 1, 2, 4)
-    assert (rec0.block_left, rec0.block_mid, rec0.block_right) == (0, 0, 1)
 
     t1, rec1 = transplant_right_to_left(rc4, 1)
     assert t1.serialize() == "(1 ((2 3) 4))"
@@ -204,10 +197,7 @@ def test_move_block_bookkeeping(tree, data):
         return
     u = data.draw(st.sampled_from(movable))
     target, rec = transplant_right_to_left(tree, u)
-    # The three blocks plus the two rearranged vertices account for the
-    # whole moved subtree.
-    sub_internal = rec.h_local - 1
-    assert rec.block_left + rec.block_mid + rec.block_right + 2 == sub_internal
+    assert rec.h_local == tree.vertices[u].hi - tree.vertices[u].lo
     assert 1 <= rec.s_local < rec.r_local < rec.h_local
     assert 0 <= rec.base <= tree.h - rec.h_local
     assert target != tree
