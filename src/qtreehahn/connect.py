@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -46,7 +47,6 @@ from .qnum import (
 from .qops import apply_L, check_identity
 from .trees import (
     MoveRecord,
-    NotRightReachable,
     PlanarTree,
     child_sums,
     coefficient_sums,
@@ -79,52 +79,83 @@ class NotInKernel(ValueError):
     """The function is not annihilated by the lowering operator."""
 
 
-def one_move_coefficients(
-    move: MoveRecord, cvec: Sequence[int], params: ParamSet
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Expand one source labeling over the rotated tree's labelings.
+# Bound set on the `rotations` benchmark, whose rounds use about 70 tables
+# each: 128 slots missed no less often than 64 and added peak RSS, and 32
+# missed more often.
+@lru_cache(maxsize=64)
+def _move_table(
+    move: MoveRecord, n: int, params: ParamSet
+) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Fraction], ...]]:
+    """Every degree-n source labeling of `move`, mapped to its expansion
+    over the rotated tree's labelings.
 
     The rotating vertex U of the source tree has the block T' as its left
-    child and R = (T'' T''') as its right child.  The move's data are read
-    off the source tree: i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R),
-    n_U = cs(U), and the p-values p1 = lp(U), p2 = lp(R), p3 = rp(R) of
-    the three blocks.
-
-    The expansion runs over the new left-child label only; every other
-    vertex keeps its label.  The coefficient of the target with new
-    left-child sum u (i + l <= u <= n_U - j) is
+    child and R = (T'' T''') as its right child.  A labeling enters only
+    through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U);
+    the p-values p1 = lp(U), p2 = lp(R), p3 = rp(R) of the three blocks
+    are fixed by the move.  The expansion runs over the new left-child
+    label only; every other vertex keeps its label.  The coefficient of
+    the target with new left-child sum u (i + l <= u <= n_U - j) is
 
         q^(-i(v - l - j))
         r_{u-i-l}(v - l - j; p2 q^(2l-1), p1 q^(2i-1),
                   p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q),
 
-    and vanishing coefficients are omitted from the result.
+    and vanishing coefficients are omitted.  Each distinct local column,
+    keyed by those five integers, is computed once per table.  Tables are
+    cached per (move, n, params) and shared, so never mutate one.
     """
-    cvec = tuple(cvec)
     tree = move.source
-    cs = coefficient_sums(tree, cvec)
     U = tree.vertices[move.vertex]
     R = tree.vertices[U.right]
-    (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[U.index]
     ctx = params.ctx
+    p1 = params.span_p(U.lo, U.split)
     p2 = params.span_p(R.lo, R.split)
-    alpha = p2 * ctx.q_power(2 * l - 1)
-    beta = params.span_p(U.lo, U.split) * ctx.q_power(2 * i - 1)
-    delta = p2 * params.span_p(R.split, R.hi) * ctx.q_power(n_U + l + j - i - 1)
+    p3 = params.span_p(R.split, R.hi)
     # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
     k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
-    prefix, blocks, suffix = cvec[:k], cvec[k + 1 : r] + cvec[r + 1 : end], cvec[end:]
-    prefactor = ctx.q_power(-i * (v - l - j))
-    out = []
-    for u in range(i + l, n_U - j + 1):
-        value = prefactor * racah_eval(
-            ctx, u - i - l, v - l - j, alpha, beta, delta, n_U - i - l - j
+    columns: dict[tuple[int, ...], list[tuple[tuple[int, int], Fraction]]] = {}
+    table = {}
+    for cvec in enumerate_labelings(tree, n):
+        cs = coefficient_sums(tree, cvec)
+        (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[k]
+        key = (i, v, l, j, n_U)
+        column = columns.get(key)
+        if column is None:
+            alpha = p2 * ctx.q_power(2 * l - 1)
+            beta = p1 * ctx.q_power(2 * i - 1)
+            delta = p2 * p3 * ctx.q_power(n_U + l + j - i - 1)
+            prefactor = ctx.q_power(-i * (v - l - j))
+            column = columns[key] = []
+            for u in range(i + l, n_U - j + 1):
+                value = prefactor * racah_eval(
+                    ctx, u - i - l, v - l - j, alpha, beta, delta, n_U - i - l - j
+                )
+                if value != 0:
+                    column.append(((n_U - u - j, u - i - l), value))
+        prefix, suffix = cvec[:k], cvec[end:]
+        blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
+        table[cvec] = tuple(
+            (prefix + pair + blocks + suffix, value) for pair, value in column
         )
-        if value == 0:
-            continue
-        dvec = prefix + (n_U - u - j, u - i - l) + blocks + suffix
-        out.append((dvec, value))
-    return out
+    return table
+
+
+def _row(table: dict, move: MoveRecord, cvec: tuple[int, ...]) -> tuple:
+    row = table.get(cvec)
+    if row is None:
+        raise ValueError(f"{cvec} is not a labeling of {move.source}")
+    return row
+
+
+def one_move_coefficients(
+    move: MoveRecord, cvec: Sequence[int], params: ParamSet
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Expand one source labeling over the rotated tree's labelings: its
+    row of `_move_table`, which states the coefficient.  ValueError when
+    `cvec` is not a labeling of the move's source tree."""
+    cvec = tuple(cvec)
+    return list(_row(_move_table(move, sum(cvec), params), move, cvec))
 
 
 def apply_move(
@@ -132,10 +163,14 @@ def apply_move(
 ) -> dict[tuple[int, ...], Fraction]:
     """Push a linear combination of source labelings through one move."""
     out: dict[tuple[int, ...], Fraction] = {}
+    tables = {}  # by degree; a combination along a path has only one
     for cvec, w in weights.items():
         if w == 0:
             continue
-        for dvec, value in one_move_coefficients(move, cvec, params):
+        n = sum(cvec)
+        if n not in tables:
+            tables[n] = _move_table(move, n, params)
+        for dvec, value in _row(tables[n], move, cvec):
             out[dvec] = out.get(dvec, Fraction(0)) + w * value
     return {d: v for d, v in out.items() if v != 0}
 
@@ -166,13 +201,6 @@ class ConnectionMatrix:
 
     def value(self, cvec: Sequence[int], dvec: Sequence[int]) -> Fraction:
         return self.rows.get(tuple(cvec), {}).get(tuple(dvec), Fraction(0))
-
-    def to_dense(self) -> list[list[Fraction]]:
-        cols = self.target_labelings()
-        return [
-            [self.rows.get(c, {}).get(d, Fraction(0)) for d in cols]
-            for c in self.source_labelings()
-        ]
 
     def is_identity(self) -> bool:
         if self.source != self.target:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .qnum import QContext, Rational, as_fraction, pochhammer, q_factorial
 

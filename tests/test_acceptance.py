@@ -25,7 +25,6 @@ from qtreehahn import (
     dunkl_expansion_coeffs,
     enumerate_compositions,
     enumerate_labelings,
-    eval_Q,
     find_rl_path,
     gr_correspondence_check,
     hahn_norm,

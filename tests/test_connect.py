@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from qtreehahn import (
-    ConnectionMatrix,
     GridFunction,
     NotInKernel,
     NotRightReachable,
+    Racah1DSpec,
     all_trees,
     apply_L,
+    child_sums,
+    coefficient_sums,
     comb_connection_product,
     connection_by_path,
     connection_oracle,
@@ -28,6 +30,7 @@ from qtreehahn import (
     parse_tree,
     pochhammer,
     q_factorial,
+    racah,
     racah_eval,
     right_comb,
     theta_labeling_to_preorder,
@@ -36,6 +39,7 @@ from qtreehahn import (
     transplant_right_to_left,
     xi_polynomial,
 )
+from qtreehahn.connect import _move_table
 
 from conftest import make_params
 
@@ -106,14 +110,69 @@ def test_path_equals_oracle_three_leaves():
         assert got.defining_relation_check(N=n + 2)
 
 
-def test_path_equals_oracle_four_leaves_spot():
-    p4 = make_params(4)
-    rc, lc = right_comb(4), left_comb(4)
-    mid = parse_tree("((1 2) (3 4))")
-    for src, tgt in [(rc, lc), (rc, mid), (mid, lc)]:
-        for n in range(3):
-            got = connection_by_path(src, tgt, n, p4)
-            assert got.rows == connection_oracle(src, tgt, n, p4).rows
+def test_path_equals_oracle_every_reachable_five_leaf_pair():
+    p5 = make_params(5)
+    trees = all_trees(5)
+    pairs = []
+    for src in trees:
+        for tgt in trees:
+            if src == tgt:
+                continue
+            try:
+                pairs.append((src, tgt, find_rl_path(src, tgt)))
+            except NotRightReachable:
+                pass
+    assert len(pairs) == 54
+    for src, tgt, path in pairs:
+        for n in range(1, 4):
+            got = connection_by_path(src, tgt, n, p5, path=path)
+            assert got.rows == connection_oracle(src, tgt, n, p5).rows, (src, tgt, n)
+
+
+def test_move_tables_match_displayed_coefficient():
+    # Each row against the paper's one-move coefficient, evaluated with the
+    # unmemoized `racah` and matched to the rotated tree's labelings: the
+    # labels off the two rotated vertices are kept, and u is the coefficient
+    # sum of the new left child of the rotated vertex.
+    p5 = make_params(5)
+    for tree in all_trees(5):
+        for U in tree.vertices:
+            if U.right is None:
+                continue
+            target, move = transplant_right_to_left(tree, U.index)
+            R = tree.vertices[U.right]
+            k, r = U.index, R.index
+            p1 = p5.span_p(U.lo, U.split)
+            p2 = p5.span_p(R.lo, R.split)
+            p3 = p5.span_p(R.split, R.hi)
+            for n in range(4):
+                for c in enumerate_labelings(tree, n):
+                    cs = coefficient_sums(tree, c)
+                    (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[k]
+                    want = {}
+                    for d in enumerate_labelings(target, n):
+                        if c[:k] + c[k + 1 : r] + c[r + 1 :] != d[:k] + d[k + 2 :]:
+                            continue
+                        u = coefficient_sums(target, d)[k + 1]
+                        spec = Racah1DSpec(
+                            CTX,
+                            u - i - l,
+                            p2 * CTX.q_power(2 * l - 1),
+                            p1 * CTX.q_power(2 * i - 1),
+                            p2 * p3 * CTX.q_power(n_U + l + j - i - 1),
+                            n_U - i - l - j,
+                        )
+                        value = CTX.q_power(-i * (v - l - j)) * racah(spec, v - l - j)
+                        if value != 0:
+                            want[d] = value
+                    assert dict(one_move_coefficients(move, c, p5)) == want, (tree, k, c)
+    assert _move_table.cache_info().maxsize is not None
+    rc, lc = right_comb(5), left_comb(5)
+    connection_by_path(rc, lc, 2, make_params(5))
+    before = _move_table.cache_info()
+    connection_by_path(rc, lc, 2, make_params(5))
+    after = _move_table.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
 
 
 def test_connection_is_path_independent():
@@ -194,9 +253,6 @@ def test_connection_value_and_json():
     assert obj["n"] == 1
     assert [m["vertex"] for m in obj["path"]] == [0]
     assert all(set(e) == {"c", "d", "value"} for e in obj["matrix"])
-    dense = conn.to_dense()
-    assert len(dense) == len(conn.source_labelings())
-    assert len(dense[0]) == len(conn.target_labelings())
 
 
 def test_path_validation():

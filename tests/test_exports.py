@@ -34,3 +34,21 @@ def test_exports_and_traced_functions_resolve():
         mod_name, fn_name = qualname.split(".")
         module = importlib.import_module(f"qtreehahn.{mod_name}")
         assert callable(getattr(module, fn_name, None)), qualname
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__.py` imports names only to re-export them.  A name counts as
+    # used when it is read anywhere in the module; docstrings do not count.
+    package = Path(qtreehahn.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"

@@ -14,7 +14,6 @@ from qtreehahn import (
     GridFunction,
     IndexOutOfRange,
     ParamSet,
-    QContext,
     composition_count,
     enumerate_compositions,
     inner_product,

@@ -226,8 +226,6 @@ def test_norm_against_level_shift():
     tree = parse_tree("((1 2) 3)")
     lab = (1, 1)
     n = 2
-    from qtreehahn import pochhammer
-
     A3 = p.prefix_product(3)
     for N in range(n, 5):
         ratio = norm_Q(tree, lab, p, N + 1) / norm_Q(tree, lab, p, N)

@@ -1,6 +1,5 @@
 """Planar binary trees, labelings, and right-to-left transplantations."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,7 +10,6 @@ from qtreehahn import (
     NonConsecutiveLeaves,
     NotRightReachable,
     ParseError,
-    PlanarTree,
     RightChildIsLeaf,
     all_trees,
     canonical_path_to_left_comb,
