@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .hahn1d import NonSquareRadicand, Racah1DSpec, gr_racah_bridge, racah_eval
+from .hahn1d import NonSquareRadicand, Racah1DSpec, gr_racah_bridge, racah_column, racah_eval
 from .lattice import (
     GridFunction,
     ParamSet,
@@ -102,7 +102,8 @@ def _move_table(
                   p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q),
 
     and vanishing coefficients are omitted.  Each distinct local column,
-    keyed by those five integers, is computed once per table.  Tables are
+    keyed by those five integers, is taken once per table from
+    `racah_column`, which gives every degree u - i - l at once.  Tables are
     cached per (move, n, params) and shared, so never mutate one.
     """
     tree = move.source
@@ -127,12 +128,10 @@ def _move_table(
             delta = p2 * p3 * ctx.q_power(n_U + l + j - i - 1)
             prefactor = ctx.q_power(-i * (v - l - j))
             column = columns[key] = []
-            for u in range(i + l, n_U - j + 1):
-                value = prefactor * racah_eval(
-                    ctx, u - i - l, v - l - j, alpha, beta, delta, n_U - i - l - j
-                )
-                if value != 0:
-                    column.append(((n_U - u - j, u - i - l), value))
+            racah_values = racah_column(ctx, v - l - j, alpha, beta, delta, n_U - i - l - j)
+            for m, racah_value in enumerate(racah_values):
+                if racah_value != 0:
+                    column.append(((n_U - i - l - j - m, m), prefactor * racah_value))
         prefix, suffix = cvec[:k], cvec[end:]
         blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
         table[cvec] = tuple(

@@ -8,6 +8,14 @@ rest of the package consumes the memoized `hahn_eval`.
 The polynomials here are normalized so that the raising chain is exactly
 the level-lift: the value at level N is the chain applied to the level-n
 values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.
+
+The q-Racah family also has two routes.  `racah` (memoized as
+`racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
+classical bridges and is the cross-check.  `racah_column` returns every
+degree at one lattice point in one pass, from q-shifted factorials shared
+by all degrees, in integer arithmetic; the rotation move tables in
+`connect` take their columns from it.  Tests compare the two entry by
+entry.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .lattice import GridFunction, ParamSet
 from .qnum import (
     QContext,
     Rational,
+    ZeroDenominator,
     as_fraction,
     phi_sum,
     pochhammer,
@@ -42,6 +51,7 @@ __all__ = [
     "vandermonde_sum_check",
     "racah",
     "racah_eval",
+    "racah_column",
     "gr_hahn_bridge",
     "gr_racah_bridge",
 ]
@@ -355,8 +365,102 @@ def racah_eval(
     delta: Fraction,
     N: int,
 ) -> Fraction:
-    """Memoized q-Racah value, the connection-coefficient workhorse."""
+    """Memoized q-Racah value by the termwise route of `racah`."""
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
+
+
+def _one_minus(c: Fraction, e: int, a: int, b: int) -> tuple[int, int]:
+    """1 - c q^e for q = a/b, as an unreduced integer pair (numerator, denominator)."""
+    num, den = (a**e, b**e) if e >= 0 else (b**-e, a**-e)
+    return c.denominator * den - c.numerator * num, c.denominator * den
+
+
+# Bound set on the `rotations` benchmark: 1024 columns keep every repeat
+# within a round (as many hits as 16,384 slots); 4096 added 2.7 MB of peak
+# RSS for no more hits, and 256 lost about a third of the hits.
+@lru_cache(maxsize=1 << 10)
+def racah_column(
+    ctx: QContext, x: int, alpha: Fraction, beta: Fraction, delta: Fraction, N: int
+) -> tuple[Fraction, ...]:
+    """Every degree at one lattice point: (r_0(x), ..., r_N(x)), each equal
+    to `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.
+
+    Term k of the 4phi3 in `racah` is its term k - 1 times
+
+        rho_k (1 - q^(k-1-n)) (1 - alpha beta q^(n+k)),
+
+    where the part free of n,
+
+        rho_k = (1 - delta q^(x-N+k-1)) (1 - q^(k-1-x)) q
+                / ((1 - alpha q^k) (1 - beta delta q^k) (1 - q^(k-1-N)) (1 - q^k)),
+
+    is taken once for the column.  The prefactor of degree n is
+
+        q^(-n(N-n)) (q; q)_N / ((q; q)_n (q; q)_(N-n))
+        * (beta delta q; q)_n / (alpha beta q^(n+1); q)_n,
+
+    read from tables of (q; q)_m, (beta delta q; q)_m and the factors
+    1 - alpha beta q^j.  Everything is an unreduced integer pair, the sum
+    is taken by Horner's rule, and each value is reduced once, as a
+    Fraction.  A pole raises what `racah` raises at the lowest degree that
+    meets it: ZeroDivisionError for the prefactor, ZeroDenominator for the
+    series.
+    """
+    _check_x(x, N)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    one = Fraction(1)
+    ab, bd = alpha * beta, beta * delta
+    f = [None] + [_one_minus(ab, j, a, b) for j in range(1, 2 * N + 1)]
+    g = [None] + [_one_minus(bd, k, a, b) for k in range(1, N + 1)]
+    h = [None] + [_one_minus(one, k, a, b) for k in range(1, N + 1)]
+    rho = [None]
+    pole = x + 1  # first k whose denominator vanishes
+    for k in range(1, x + 1):
+        u1, v1 = _one_minus(delta, x - N + k - 1, a, b)
+        u2, v2 = _one_minus(one, k - 1 - x, a, b)
+        u3, v3 = _one_minus(alpha, k, a, b)
+        u4, v4 = g[k]
+        u5, v5 = _one_minus(one, k - 1 - N, a, b)
+        u6, v6 = h[k]
+        if u3 == 0 or u4 == 0:
+            pole = k
+            break
+        rho.append((u1 * u2 * a * v3 * v4 * v5 * v6, v1 * v2 * b * u3 * u4 * u5 * u6))
+    qq = [(1, 1)]  # (q; q)_m
+    for m in range(1, N + 1):
+        qq.append((qq[-1][0] * h[m][0], qq[-1][1] * h[m][1]))
+    column = []
+    bd_num, bd_den = 1, 1  # (beta delta q; q)_n
+    for n in range(N + 1):
+        if n:
+            bd_num *= g[n][0]
+            bd_den *= g[n][1]
+        den_num, den_den = 1, 1  # (alpha beta q^(n+1); q)_n
+        for j in range(n + 1, 2 * n + 1):
+            den_num *= f[j][0]
+            den_den *= f[j][1]
+        if den_num == 0:
+            raise ZeroDivisionError(
+                f"(alpha beta q^(n+1); q)_n vanished for alpha={alpha}, beta={beta}, n={n}"
+            )
+        terms = min(n, x)
+        if pole <= terms:
+            raise ZeroDenominator(
+                f"4phi3 denominator vanished at k={pole} for alpha={alpha}, "
+                f"beta={beta}, delta={delta}"
+            )
+        sum_num, sum_den = 1, 1
+        for k in range(terms, 0, -1):
+            u, v = _one_minus(one, k - 1 - n, a, b)
+            t_num = rho[k][0] * u * f[n + k][0]
+            t_den = rho[k][1] * v * f[n + k][1]
+            sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
+        e = n * (N - n)
+        column.append(Fraction(
+            b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den * sum_num,
+            a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
+        ))
+    return tuple(column)
 
 
 def gr_hahn_bridge(spec: Hahn1DSpec, x: int) -> Fraction:

