@@ -1,15 +1,30 @@
 """Small exact linear algebra over the rationals.
 
-Plain Gaussian elimination is exact with Fraction entries; these helpers
-keep the rest of the package free of any floating-point step.  Matrices
-are lists of lists of Fractions, row major.
+Matrices are lists of rows, row major, with `Fraction` or `int` entries;
+no step uses floating point.  `rref`, `nullspace` and `solve` use
+Gauss-Jordan elimination in `Fraction`s.  `rank` clears each row's
+denominators and runs fraction-free elimination in integers (Bareiss,
+Math. Comp. 22, 1968), where every division is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable
 
-__all__ = ["rref", "nullspace", "rank", "solve"]
+__all__ = ["rref", "nullspace", "rank", "solve", "over_common_denominator"]
+
+
+def over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of rationals over the lcm of their denominators,
+    and that lcm.  For entries in lowest terms the pair is reduced:
+    gcd(lcm, *numerators) == 1."""
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    if den == 1:
+        return tuple(v.numerator for v in values), 1
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def rref(matrix):
@@ -43,7 +58,34 @@ def rref(matrix):
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    """Rank by fraction-free elimination on the rows with their
+    denominators cleared.
+
+    After k pivots every remaining entry is a (k+1)-minor of the matrix,
+    so dividing by the previous pivot is exact (Sylvester's identity).
+    Rows that become zero stay zero and are dropped.
+    """
+    rows = [row for row in (over_common_denominator(r)[0] for r in matrix) if any(row)]
+    found = 0
+    prev = 1
+    while rows:
+        at = next((i for i, row in enumerate(rows) if row[0]), None)
+        if at is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot = rows.pop(at)
+        lead, rest = pivot[0], pivot[1:]
+        rows = [
+            new
+            for new in (
+                [(lead * a - row[0] * b) // prev for a, b in zip(row[1:], rest)]
+                for row in rows
+            )
+            if any(new)
+        ]
+        prev = lead
+        found += 1
+    return found
 
 
 def nullspace(matrix, ncols=None):

@@ -2,8 +2,11 @@
 
 The domain [h; N] is the set of h-tuples of nonnegative integers summing
 to N, enumerated lexicographically.  Functions on the domain are stored
-densely in that order, and the inner product below makes the raising and
-lowering operators of `qops` mutually adjoint up to sign.
+densely in that order, as integer numerators over one reduced common
+denominator, so arithmetic, equality and the inner product are integer
+work; `GridFunction.values` reads them as `Fraction`s.  The inner product
+below makes the raising and lowering operators of `qops` mutually adjoint
+up to sign.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
+from ._linalg import over_common_denominator
 from .qnum import QContext, Rational, as_fraction, pochhammer, q_factorial
 
 __all__ = [
@@ -204,29 +208,88 @@ class ParamSet:
         return self._hash
 
 
-@dataclass(frozen=True)
+def _rank_in(h: int, N: int, x: Sequence[int]) -> int:
+    """Rank of the point x of [h; N]; IndexOutOfRange if x is not one."""
+    x = tuple(x)
+    rank = domain_table(h, N).ranks.get(x)
+    if rank is None:
+        raise IndexOutOfRange(f"{x} is not in [h;N] for h={h}, N={N}")
+    return rank
+
+
 class GridFunction:
-    """Dense rational-valued function on [h; N], stored in lexicographic order."""
+    """Dense rational-valued function on [h; N], stored in lexicographic order.
 
-    h: int
-    N: int
-    values: tuple[Fraction, ...]
+    The one stored form is `_integer_form`: a tuple of integer numerators,
+    one per point, over one positive common denominator, reduced so that
+    gcd(den, *nums) == 1.  Since that form is canonical, equality and
+    hashing compare it directly, and `+`, `-` and `scale` work in integers
+    and reduce once per result.  `.values` reads the function as a tuple of
+    `Fraction`s: the caller's tuple when one was passed in, otherwise built
+    on first use.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        expected = composition_count(self.h, self.N)
-        if len(self.values) != expected:
+    __slots__ = ("h", "N", "_integer_form", "_values")
+
+    def __init__(self, h: int, N: int, values: Sequence[Rational]):
+        expected = composition_count(h, N)
+        if len(values) != expected:
             raise DimensionMismatch(
-                f"[{self.h}; {self.N}] has {expected} points, got {len(self.values)} values"
+                f"[{h}; {N}] has {expected} points, got {len(values)} values"
             )
-        values = self.values
         if type(values) is not tuple or not all(isinstance(v, Fraction) for v in values):
-            object.__setattr__(self, "values", tuple(as_fraction(v) for v in values))
+            values = tuple(as_fraction(v) for v in values)
+        self._set(h, N, over_common_denominator(values), values)
 
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """The values as integer numerators over one common denominator,
-        computed on first use and kept on the instance."""
-        return _over_common_denominator(self.values)
+    def _set(self, h: int, N: int, integer_form, values) -> None:
+        """Fill the slots of a new instance, past the __setattr__ guard."""
+        for name, value in zip(self.__slots__, (h, N, integer_form, values)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_integers(cls, h: int, N: int, nums, den: int) -> "GridFunction":
+        """The function with values nums[k] / den (den > 0), reduced once."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        elif type(nums) is not tuple:
+            nums = tuple(nums)
+        out = object.__new__(cls)
+        out._set(h, N, (nums, den), None)
+        return out
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        values = self._values
+        if values is None:
+            nums, den = self._integer_form
+            values = tuple(Fraction(n, den) for n in nums)
+            object.__setattr__(self, "_values", values)
+        return values
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The integer numerators of `_integer_form`, one per point."""
+        return self._integer_form[0]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GridFunction is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the stored form, past the guard above
+        return GridFunction._from_integers, (self.h, self.N, *self._integer_form)
+
+    def __eq__(self, other):
+        if type(other) is not GridFunction:
+            return NotImplemented
+        return (self.h, self.N, self._integer_form) == (other.h, other.N, other._integer_form)
+
+    def __hash__(self):
+        return hash((self.h, self.N, self._integer_form))
+
+    def __repr__(self):
+        return f"GridFunction(h={self.h}, N={self.N}, values={self.values!r})"
 
     @classmethod
     def from_callable(cls, h: int, N: int, fn: Callable[[tuple[int, ...]], Rational]):
@@ -244,18 +307,13 @@ class GridFunction:
     @classmethod
     def delta(cls, h: int, N: int, at: Sequence[int]):
         """Indicator of a single composition."""
-        at = tuple(at)
-        if len(at) != h or sum(at) != N or any(v < 0 for v in at):
-            raise IndexOutOfRange(f"{at} is not in [h;N] for h={h}, N={N}")
-        vals = [Fraction(0)] * composition_count(h, N)
-        vals[rank_of(at)] = Fraction(1)
-        return cls(h, N, tuple(vals))
+        nums = [0] * composition_count(h, N)
+        nums[_rank_in(h, N, at)] = 1
+        return cls._from_integers(h, N, nums, 1)
 
     def at(self, x: Sequence[int]) -> Fraction:
-        x = tuple(x)
-        if len(x) != self.h or sum(x) != self.N or any(v < 0 for v in x):
-            raise IndexOutOfRange(f"{x} is not in [h;N] for h={self.h}, N={self.N}")
-        return self.values[rank_of(x)]
+        nums, den = self._integer_form
+        return Fraction(nums[_rank_in(self.h, self.N, x)], den)
 
     def domain(self) -> list[tuple[int, ...]]:
         return enumerate_compositions(self.h, self.N)
@@ -266,24 +324,33 @@ class GridFunction:
                 f"[{self.h};{self.N}] vs [{other.h};{other.N}]"
             )
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
+    def _combine(self, other: "GridFunction", sign: int) -> "GridFunction":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_same_shape(other)
-        return GridFunction(
-            self.h, self.N, tuple(a + b for a, b in zip(self.values, other.values))
+        nums1, den1 = self._integer_form
+        nums2, den2 = other._integer_form
+        den = math.lcm(den1, den2)
+        a, b = den // den1, sign * (den // den2)
+        return GridFunction._from_integers(
+            self.h, self.N, [a * x + b * y for x, y in zip(nums1, nums2)], den
         )
 
+    def __add__(self, other: "GridFunction") -> "GridFunction":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_shape(other)
-        return GridFunction(
-            self.h, self.N, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return self._combine(other, -1)
 
     def scale(self, c: Rational) -> "GridFunction":
         c = as_fraction(c)
-        return GridFunction(self.h, self.N, tuple(c * v for v in self.values))
+        nums, den = self._integer_form
+        factor = c.numerator
+        return GridFunction._from_integers(
+            self.h, self.N, [factor * n for n in nums], den * c.denominator
+        )
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self._integer_form[0])
 
     def to_json_obj(self) -> dict:
         return {
@@ -297,17 +364,13 @@ class GridFunction:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GridFunction":
+        """Inverse of to_json_obj; points not listed are zero, and a point
+        outside [h; N] raises IndexOutOfRange."""
         h, N = obj["h"], obj["N"]
         vals = [Fraction(0)] * composition_count(h, N)
         for row in obj["values"]:
-            vals[rank_of(tuple(row["x"]))] = as_fraction(row["v"])
+            vals[_rank_in(h, N, row["x"])] = as_fraction(row["v"])
         return cls(h, N, tuple(vals))
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Numerators of the values over the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def weight(x: Sequence[int], p: ParamSet) -> Fraction:
@@ -336,7 +399,7 @@ def weight(x: Sequence[int], p: ParamSet) -> Fraction:
 def _weights(p: ParamSet, N: int) -> tuple[tuple[int, ...], int]:
     """The weights of [h; N] in lexicographic order, as integer numerators
     over one common denominator."""
-    return _over_common_denominator([weight(x, p) for x in domain_table(p.h, N).points])
+    return over_common_denominator(weight(x, p) for x in domain_table(p.h, N).points)
 
 
 def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:

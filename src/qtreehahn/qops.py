@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from operator import mul
 from typing import Callable, Iterable
 
 from . import _linalg
@@ -112,16 +114,24 @@ def apply_L(f: GridFunction, p: ParamSet) -> GridFunction:
 
 
 def _stencil(rows, ranks):
-    """Sparse operator matrix: per image point, its (column, coefficient)
-    pairs without zeros.  Stencil caches hold one request's working set."""
-    return tuple(tuple((ranks[y], c) for y, c in row if c) for row in rows)
+    """Sparse operator matrix over one denominator: per image point, the
+    columns and integer coefficients of its nonzero entries, and the
+    denominator of the whole stencil.  Stencil caches hold one request's
+    working set."""
+    rows = [[(ranks[y], c) for y, c in row if c] for row in rows]
+    nums, den = _linalg.over_common_denominator(c for row in rows for _, c in row)
+    nums = iter(nums)
+    return tuple((tuple(k for k, _ in row), tuple(islice(nums, len(row)))) for row in rows), den
 
 
 def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
-    """The image of f, a function on [h; level], under a stencil."""
-    v = f.values
-    out = (sum((c * v[k] for k, c in row if v[k]), Fraction(0)) for row in stencil)
-    return GridFunction(f.h, level, tuple(out))
+    """The image of f, a function on [h; level], under a stencil: one
+    integer dot product per image point, reduced once."""
+    rows, den = stencil
+    nums, f_den = f._integer_form
+    at = nums.__getitem__
+    out = [sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in rows]
+    return GridFunction._from_integers(f.h, level, out, den * f_den)
 
 
 @lru_cache(maxsize=32)
@@ -254,8 +264,13 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
     if h != p.h:
         raise InvalidSlice(f"function has {h} variables, params have {p.h}")
     ncols = composition_count(h, n)
-    rows = [dict(row) for row in _lowering_stencil(p, n)]
-    matrix = [[row.get(k, Fraction(0)) for k in range(ncols)] for row in rows]
+    # the stencil's integer rows: the common denominator does not move the kernel
+    matrix = []
+    for cols, coeffs in _lowering_stencil(p, n)[0]:
+        row = [0] * ncols
+        for k, c in zip(cols, coeffs):
+            row[k] = c
+        matrix.append(row)
     vectors = _linalg.nullspace(matrix, ncols=ncols)
     return [GridFunction(h, n, tuple(vec)) for vec in vectors]
 
@@ -429,8 +444,7 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
     def injectivity_cases():
         for n in range(0, n_max + 1):
             for N in range(n, n_max + 1):
-                matrix = [list(g.values) for g in raised[n][N]]
-                ok = _linalg.rank(matrix) == len(raised[n][n])
+                ok = _linalg.rank([g.nums for g in raised[n][N]]) == len(raised[n][n])
                 yield {"n": n, "N": N}, ok
 
     return [
@@ -463,7 +477,7 @@ def spectral_decomposition_check(h: int, N: int, p: ParamSet) -> list[dict]:
     ]
     total = composition_count(h, N)
     dims = [len(level) for level in raised]
-    rank = _linalg.rank([list(g.values) for level in raised for g in level])
+    rank = _linalg.rank([g.nums for level in raised for g in level])
 
     def eigen_cases():
         for n, level in enumerate(raised):

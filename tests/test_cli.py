@@ -9,6 +9,7 @@ checkout with ``PYTHONPATH=src``.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -554,6 +555,23 @@ def test_stdout_bytes_are_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+# sha256 of the stdout of `qtree verify --suite <suite> --h 3 --N 3 --seed 5`,
+# pinned from the program before grid functions were stored as integers over
+# one denominator: a change of representation must leave these bytes alone.
+GOLDEN_VERIFY_SHA256 = {
+    "operator-algebra": "de9f8bf676aea96da4411dd7e9dd38b0e460c089b2df4bbe68b5fb5905c0a648",
+    "spectral": "470672eff7fb4f331689636438c22b384e1c7b287533e20f5c4ec915caa65b98",
+    "eigen": "97e97b8bcfeebb563fe68b1e5cafe94ce0841dffc7aa4b5b5c563b7610a831c8",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_stdout_matches_golden_bytes(capsys, suite):
+    assert main(["verify", "--suite", suite, "--h", "3", "--N", "3", "--seed", "5"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_VERIFY_SHA256[suite]
 
 
 def test_missing_subcommand_is_usage_error():

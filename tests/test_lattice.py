@@ -1,6 +1,9 @@
 """Composition lattice, parameter sets, grid functions, weighted inner product."""
 
+import copy
 import json
+import math
+import pickle
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -26,6 +29,8 @@ from qtreehahn import (
     weight,
     weight_positivity_check,
 )
+
+from qtreehahn import qops
 
 from conftest import PRIMARY_ALPHAS, SECONDARY_ALPHAS, make_ctx, make_params
 
@@ -189,6 +194,87 @@ def test_grid_function_json_round_trip():
     text = json.dumps(obj, sort_keys=True)
     assert GridFunction.from_json_obj(json.loads(text)) == f
     assert json.dumps(f.to_json_obj(), sort_keys=True) == text
+
+
+def test_grid_function_is_immutable_and_copies():
+    f = GridFunction.from_callable(3, 2, lambda x: Fraction(x[0] - x[1], 5))
+    with pytest.raises(AttributeError):
+        f.N = 3
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and hash(g) == hash(f) and g.values == f.values
+
+
+def test_from_json_obj_rejects_points_outside_the_domain():
+    """A point of another level or another number of variables used to
+    land silently on some point of [h; N] (rank_of ranks it in its own
+    domain); it must raise as GridFunction.at does."""
+    for x in ([0, 1], [1, 0, 0], [3, -1], [0, 0], [2]):
+        obj = {"h": 2, "N": 2, "values": [{"x": x, "v": "5"}]}
+        with pytest.raises(IndexOutOfRange):
+            GridFunction.from_json_obj(obj)
+    obj = {"h": 2, "N": 2, "values": [{"x": [1, 1], "v": "5/3"}]}
+    assert GridFunction.from_json_obj(obj).values == (0, Fraction(5, 3), 0)
+
+
+def _assert_canonical(g: GridFunction):
+    nums, den = g._integer_form
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert type(g.values) is tuple and all(type(v) is Fraction for v in g.values)
+    assert g.values == tuple(Fraction(n, den) for n in nums)
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=90),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_grid_arithmetic_matches_elementwise_fractions(data):
+    h = data.draw(st.integers(1, 3), label="h")
+    N = data.draw(st.integers(0, 3), label="N")
+    size = composition_count(h, N)
+    vectors = st.lists(RATIONALS, min_size=size, max_size=size).map(tuple)
+    a, b = data.draw(vectors, label="a"), data.draw(vectors, label="b")
+    c = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(-7, 3)), RATIONALS), label="c")
+    f, g = GridFunction(h, N, a), GridFunction(h, N, b)
+    results = {
+        "sum": (f + g, tuple(x + y for x, y in zip(a, b))),
+        "difference": (f - g, tuple(x - y for x, y in zip(a, b))),
+        "scaled": (f.scale(c), tuple(c * x for x in a)),
+        "self-difference": (f - f, (Fraction(0),) * size),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.values == want, name
+        assert got.is_zero() == all(v == 0 for v in want), name
+        rebuilt = GridFunction(h, N, want)
+        assert got == rebuilt and hash(got) == hash(rebuilt), name
+    _assert_canonical(f)
+    assert f.values is a
+    assert f.is_zero() == all(v == 0 for v in a)
+    assert (f == g) == (a == b)
+    if a == b:
+        assert hash(f) == hash(g)
+    # a stencil image equals, and hashes as, the same values built from Fractions
+    p = ParamSet(CTX, tuple(Fraction(k + 2, 7) for k in range(h)))
+    raised = qops.apply_R(f, p)
+    _assert_canonical(raised)
+
+    def raised_at(x):
+        total = Fraction(0)
+        for i in range(h):
+            if x[i]:
+                lowered = x[:i] + (x[i] - 1,) + x[i + 1:]
+                total += CTX.q_power(sum(x[:i]) - N - 1) * (1 - CTX.q_power(x[i])) * f.at(lowered)
+        return total
+
+    want = GridFunction.from_callable(h, N + 1, raised_at)
+    assert raised == want and hash(raised) == hash(want)
+    assert raised.values == want.values
 
 
 # --- weights and inner product ------------------------------------------
