@@ -1,10 +1,11 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are lists of rows, row major, with `Fraction` or `int` entries;
-no step uses floating point.  `rref`, `nullspace` and `solve` use
-Gauss-Jordan elimination in `Fraction`s.  `rank` clears each row's
-denominators and runs fraction-free elimination in integers (Bareiss,
-Math. Comp. 22, 1968), where every division is exact.
+no step uses floating point.  `rref` is the one elimination: it clears
+each row's denominators and runs fraction-free Gauss-Jordan elimination
+in integers (Bareiss, Math. Comp. 22, 1968), where every division is
+exact.  `rank`, `nullspace` and `solve` read its result, and the null
+space comes out as integer vectors over one positive denominator.
 """
 
 from __future__ import annotations
@@ -28,98 +29,64 @@ def over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+
+    Returns (rows, pivot_columns, d): integer rows, zero rows dropped,
+    that equal d times the reduced row echelon form, with d > 0.  After k
+    pivots every entry is a minor of the matrix with its rows' denominators
+    cleared, so each division by the previous pivot is exact, above the
+    pivot as well as below it (Sylvester's identity).  Rows that become
+    zero stay zero and are dropped.
+    """
+    rows = [list(row) for row in (over_common_denominator(r)[0] for r in matrix) if any(row)]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if at is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows.pop(at)
+        lead = pivot[c]
+        rows = [[(lead * a - row[c] * b) // prev for a, b in zip(row, pivot)] for row in rows]
+        rows[r:] = [pivot, *filter(any, rows[r:])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        prev = lead
+        if len(rows) == len(pivots):
             break
-    return rows, pivots
+    if prev < 0:
+        rows = [[-a for a in row] for row in rows]
+    return rows, pivots, abs(prev)
 
 
 def rank(matrix) -> int:
-    """Rank by fraction-free elimination on the rows with their
-    denominators cleared.
-
-    After k pivots every remaining entry is a (k+1)-minor of the matrix,
-    so dividing by the previous pivot is exact (Sylvester's identity).
-    Rows that become zero stay zero and are dropped.
-    """
-    rows = [row for row in (over_common_denominator(r)[0] for r in matrix) if any(row)]
-    found = 0
-    prev = 1
-    while rows:
-        at = next((i for i, row in enumerate(rows) if row[0]), None)
-        if at is None:
-            rows = [row[1:] for row in rows]
-            continue
-        pivot = rows.pop(at)
-        lead, rest = pivot[0], pivot[1:]
-        rows = [
-            new
-            for new in (
-                [(lead * a - row[0] * b) // prev for a, b in zip(row[1:], rest)]
-                for row in rows
-            )
-            if any(new)
-        ]
-        prev = lead
-        found += 1
-    return found
+    """The number of pivots of `rref`."""
+    return len(rref(matrix)[1])
 
 
-def nullspace(matrix, ncols=None):
-    """Basis of the right null space, one vector per free column.
+def nullspace(matrix, ncols):
+    """Basis of the right null space as integer vectors over one
+    denominator d > 0; returns (vectors, d).
 
     The basis is deterministic: free columns are visited left to right and
-    each vector has entry 1 in its own free column.
+    each vector has entry d in its own free column, so vector / d has
+    entry 1 there.
     """
-    rows = [list(row) for row in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer column count from an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    rows, pivots, d = rref(matrix)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = d
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
-    return basis
+    return basis, d
 
 
 def solve(matrix, rhs):
     """Unique solution of a square nonsingular system, or raise ValueError."""
     n = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
+    rows, pivots, d = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [reduced[i][n] for i in range(n)]
+    return [Fraction(row[n], d) for row in rows]

@@ -33,7 +33,6 @@ from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_l
 __all__ = [
     "TreeBasisElement",
     "eval_Q",
-    "gamma_vertex",
     "norm_Q",
     "basis",
     "raise_basis_element",
@@ -106,8 +105,14 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
 
 
 def _gamma(params: ParamSet, vert: Vertex, labeling: Sequence[int], cs: Sequence[int]) -> Fraction:
-    """The norm factor of `gamma_vertex` at one vertex, from the labeling and
-    its coefficient sums."""
+    """Per-vertex factor of the squared norm, from the labeling and its
+    coefficient sums:
+
+        (q, p q^(cs+lcs+rcs-1), rp q^(2 rcs); q)_c / (lp q^(2 lcs); q)_c
+        * (lp q^(2 lcs))^(c + rcs) * q^(-2 lcs rcs - c)
+
+    (a leaf carries no vertex, so it contributes no factor).
+    """
     ctx = params.ctx
     c = labeling[vert.index]
     lcs, rcs = child_sums(vert, cs)
@@ -125,20 +130,6 @@ def _gamma(params: ParamSet, vert: Vertex, labeling: Sequence[int], cs: Sequence
     )
 
 
-def gamma_vertex(
-    tree: PlanarTree, labeling: Sequence[int], params: ParamSet, u: int
-) -> Fraction:
-    """Per-vertex factor of the squared norm:
-
-        (q, p q^(cs+lcs+rcs-1), rp q^(2 rcs); q)_c / (lp q^(2 lcs); q)_c
-        * (lp q^(2 lcs))^(c + rcs) * q^(-2 lcs rcs - c)
-
-    (equal to 1 at a leaf, which carries no vertex).
-    """
-    labeling = tuple(labeling)
-    return _gamma(params, tree.vertices[u], labeling, coefficient_sums(tree, labeling))
-
-
 def norm_Q(
     tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
 ) -> Fraction:
@@ -146,7 +137,7 @@ def norm_Q(
 
         (A_h q^(h+2n); q)_{N-n} / (q; q)_{N-n}
         * q^(((N-2n)^2 + N + 2n - 2n^2)/2)
-        * prod over vertices of gamma_vertex.
+        * prod over vertices of the factor `_gamma`.
     """
     ctx = params.ctx
     h = tree.h

@@ -259,10 +259,10 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
     For n = 0 the lowering map has an empty target, so the kernel is the
     whole (one-dimensional) space.
     """
-    if n == 0:
-        return [GridFunction.constant(h, 0, 1)]
     if h != p.h:
         raise InvalidSlice(f"function has {h} variables, params have {p.h}")
+    if n == 0:
+        return [GridFunction.constant(h, 0, 1)]
     ncols = composition_count(h, n)
     # the stencil's integer rows: the common denominator does not move the kernel
     matrix = []
@@ -271,8 +271,8 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
         for k, c in zip(cols, coeffs):
             row[k] = c
         matrix.append(row)
-    vectors = _linalg.nullspace(matrix, ncols=ncols)
-    return [GridFunction(h, n, tuple(vec)) for vec in vectors]
+    vectors, den = _linalg.nullspace(matrix, ncols)
+    return [GridFunction._from_integers(h, n, vec, den) for vec in vectors]
 
 
 def _random_function(h: int, N: int, rng: random.Random) -> GridFunction:

@@ -629,3 +629,36 @@ def test_installed_entry_point(capsys, qtree_env):
         ["eval", "--tree", "(1 2)", "--labels", "1", "--N", "1", "--all"],
     )
     assert json.loads(result.stdout) == expected
+
+
+def test_repeated_main_calls_share_one_parser_and_match_fresh_runs(capsys):
+    """The parser is built on the first `main` call, not at import, and
+    later calls in the same process print what fresh processes print; bad
+    argv between them still exits 2."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+
+    def fresh(*args):
+        result = subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    probe = "import qtreehahn.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert fresh("-c", probe) == "0\n"
+    runs = [
+        ["gram", "--tree", "((1 2) 3)", "--N", "2"],
+        ["connect", "--source", "(1 (2 3))", "--target", "((1 2) 3)", "--n", "2"],
+        ["gram", "--tree", "(1 (2 3))", "--N", "1"],
+    ]
+    for argv in runs:
+        want = fresh("-m", "qtreehahn.cli", *argv)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--no-such-flag"])
+        assert excinfo.value.code == 2
+    assert cli.build_parser() is cli.build_parser()

@@ -1,11 +1,11 @@
-"""Exact linear algebra: fraction-free rank against Gauss-Jordan elimination."""
+"""Exact linear algebra: fraction-free elimination checked against its definitions."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtreehahn._linalg import over_common_denominator, rank, rref
+from qtreehahn._linalg import nullspace, over_common_denominator, rank, rref, solve
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -47,13 +47,80 @@ def _cases(rng: random.Random):
     yield "empty", []
 
 
+def _times(matrix, vec):
+    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in matrix]
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_bareiss_rank_equals_rref_rank(seed):
+def test_rref_is_scaled_reduced_echelon_form_with_integer_nullspace(seed):
     rng = random.Random(seed)
     for name, matrix in _cases(rng):
         before = [list(row) for row in matrix]
-        assert rank(matrix) == len(rref(matrix)[1]), name
+        rows, pivots, d = rref(matrix)
         assert matrix == before, name
+        assert type(d) is int and d > 0, name
+        assert len(rows) == len(pivots) == rank(matrix), name
+        assert pivots == sorted(set(pivots)), name
+        for k, (row, pc) in enumerate(zip(rows, pivots)):
+            assert all(type(a) is int for a in row), name
+            assert not any(row[:pc]), name
+            assert [r[pc] for r in rows] == [d if i == k else 0 for i in range(len(rows))], name
+        # every input row is the combination of the rows that its pivot
+        # entries name, so the rows span the input's row space
+        for row in matrix:
+            combined = [
+                sum((Fraction(row[pc] * r[c], d) for r, pc in zip(rows, pivots)), Fraction(0))
+                for c in range(len(row))
+            ]
+            assert combined == list(row), name
+        ncols = len(matrix[0]) if matrix else 3
+        vectors, den = nullspace(matrix, ncols)
+        assert den == d, name
+        assert len(vectors) == ncols - len(pivots), name
+        free = [c for c in range(ncols) if c not in pivots]
+        for vec, fc in zip(vectors, free):
+            assert len(vec) == ncols and all(type(a) is int for a in vec), name
+            assert [vec[c] for c in free] == [d if c == fc else 0 for c in free], name
+            assert not any(_times(matrix, vec)), name
+
+
+def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A random integer matrix of determinant +-1: the identity under row
+    swaps and integer row additions."""
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(4 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            m[i], m[j] = m[j], m[i]
+        else:
+            f = rng.randint(-3, 3)
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _matmul(a, b):
+    return [[sum(x * b[t][c] for t, x in enumerate(row)) for c in range(len(b[0]))] for row in a]
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (3, 3), (4, 6), (6, 4), (7, 7)])
+def test_rank_of_unimodular_products_is_exact(nrows, ncols):
+    rng = random.Random(nrows * 31 + ncols)
+    for k in range(min(nrows, ncols) + 1):
+        middle = [[int(r == c < k) for c in range(ncols)] for r in range(nrows)]
+        m = _matmul(_matmul(_unimodular(rng, nrows), middle), _unimodular(rng, ncols))
+        assert rank(m) == k
+        assert rank([[Fraction(v, 6) for v in row] for row in m]) == k
+
+
+def test_negative_last_pivot_gives_positive_denominator():
+    # determinant -7: the last pivot of the elimination is -7
+    assert rref([[2, 1], [1, -3]]) == ([[7, 0], [0, 7]], [0, 1], 7)
+    assert rref([[1, 0], [0, -1]]) == ([[1, 0], [0, 1]], [0, 1], 1)
+    vectors, d = nullspace([[2, 1, 4], [1, -3, 2]], 3)
+    assert d > 0 and vectors == [[-14, 0, 7]]
+    assert solve([[2, 1], [1, -3]], [3, -2]) == [1, 1]
+    with pytest.raises(ValueError):
+        solve([[1, 2], [2, 4]], [1, 2])
 
 
 def test_rank_of_known_matrices():

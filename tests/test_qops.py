@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from qtreehahn import (
     EmptyDomain,
     GridFunction,
     InvalidSlice,
+    ParamSet,
     apply_D,
     apply_D_at_vertex,
     apply_L,
@@ -24,10 +26,10 @@ from qtreehahn import (
     spectral_decomposition_check,
     verify_operator_algebra,
 )
-from qtreehahn import hahn1d, lattice, multihahn, qops
+from qtreehahn import _linalg, hahn1d, lattice, multihahn, qops
 from qtreehahn.qops import to_matrix
 
-from conftest import make_params
+from conftest import make_ctx, make_params
 
 P2 = make_params(2)
 P3 = make_params(3)
@@ -112,6 +114,9 @@ def test_slice_validation():
         apply_R(GridFunction.zero(2, 1), P3)
     with pytest.raises(InvalidSlice):
         apply_L(GridFunction.zero(2, 1), P3)
+    for n in (0, 1):
+        with pytest.raises(InvalidSlice):
+            kernel_basis(5, n, P3)
 
 
 def test_chain_direction_errors():
@@ -148,6 +153,32 @@ def test_kernel_basis_structure():
         for f in kernel_basis(3, n, P3):
             assert apply_L(f, P3).is_zero()
             assert not f.is_zero()
+
+
+# alphas in (0, 1/q) and alphas above q^(-n_max), with n_max = 4
+KERNEL_REGIMES = {
+    "unit-band": (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5)),
+    "above-band": (257, 263, Fraction(601, 2), 271),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(KERNEL_REGIMES))
+def test_kernel_basis_is_unit_on_the_free_columns_of_L(regime):
+    for h in range(1, 5):
+        p = ParamSet(make_ctx(), KERNEL_REGIMES[regime][:h], n_max=4)
+        for n in range(5):
+            vectors = kernel_basis(h, n, p)
+            dim = comb(n + h - 1, h - 1) - (comb(n + h - 2, h - 1) if n else 0)
+            assert len(vectors) == dim, (h, n)
+            if n == 0:
+                assert vectors == [GridFunction.constant(h, 0, 1)]
+                continue
+            pivots = _linalg.rref(to_matrix(lambda g: apply_L(g, p), h, n))[1]
+            free = [c for c in range(composition_count(h, n)) if c not in pivots]
+            assert len(free) == dim, (h, n)
+            for k, f in enumerate(vectors):
+                assert apply_L(f, p).is_zero(), (h, n, k)
+                assert [f.values[c] for c in free] == [int(j == k) for j in range(dim)], (h, n, k)
 
 
 REPORT_KEYS = {"identity", "cases", "status", "counterexample"}
