@@ -56,6 +56,7 @@ from .hahn1d import (
     gr_racah_bridge,
     hahn_eval,
     hahn_norm,
+    hahn_row,
     hahn_seed,
     hahn_via_phi2,
     hahn_via_raising,

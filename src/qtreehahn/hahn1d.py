@@ -1,9 +1,11 @@
 """One-dimensional q-Hahn and q-Racah polynomials, exactly.
 
 Two genuinely independent evaluation routes are kept for the q-Hahn
-family: a terminating 3-phi-2 sum, and a raising chain applied to the
-top-level seed in closed form.  Tests compare them point by point; the
-rest of the package consumes the memoized `hahn_eval`.
+family: a terminating 3-phi-2 sum (memoized as `hahn_eval`), and a raising
+chain applied to the top-level seed in closed form.  Tests compare them
+point by point.  `hahn_row` returns every lattice point of one degree in
+one pass, in integer arithmetic; the tree bases of `multihahn` read their
+factors from it, and tests compare it with both routes entry by entry.
 
 The polynomials here are normalized so that the raising chain is exactly
 the level-lift: the value at level N is the chain applied to the level-n
@@ -29,6 +31,8 @@ from .qnum import (
     QContext,
     Rational,
     ZeroDenominator,
+    _one_minus,
+    _power_pair,
     as_fraction,
     phi_sum,
     pochhammer,
@@ -46,6 +50,7 @@ __all__ = [
     "hahn_via_phi2",
     "hahn_via_raising",
     "hahn_eval",
+    "hahn_row",
     "hahn_norm",
     "verify_hahn_recurrences",
     "vandermonde_sum_check",
@@ -106,7 +111,6 @@ def _check_x(x: int, N: int):
         raise ValueError(f"lattice point x={x} outside 0..{N}")
 
 
-@lru_cache(maxsize=1 << 14)
 def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) -> Fraction:
     """Top-level value at its own level:
 
@@ -178,8 +182,94 @@ def hahn_via_raising(spec: Hahn1DSpec, x: int) -> Fraction:
 def hahn_eval(
     ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction, N: int
 ) -> Fraction:
-    """Memoized q-Hahn value used throughout the package (phi-sum route)."""
+    """Memoized q-Hahn value by the phi-sum route of `hahn_via_phi2`."""
     return hahn_via_phi2(Hahn1DSpec(ctx, n, alpha, beta, N), x)
+
+
+class _RowPastPole(tuple):
+    """A `hahn_row` whose entries from some x on meet a vanishing
+    (alpha q; q)_k.  Those entries hold None, and reading one raises the
+    ZeroDenominator that `hahn_eval` raises there."""
+
+    def __new__(cls, values, message: str):
+        row = super().__new__(cls, values)
+        row.message = message
+        return row
+
+    def __getitem__(self, x):
+        value = tuple.__getitem__(self, x)
+        if value is None:
+            raise ZeroDenominator(self.message)
+        return value
+
+    def __iter__(self):
+        return (self[x] for x in range(len(self)))
+
+
+# Bound set on the `gram`, `connect` and `operators` benchmarks: 1024 rows
+# keep every hit on `connect`, where 256 lost a tenth of them, and about
+# 97% of the hits that 16,384 rows get on `gram` and `operators`; 4096
+# rows added 1.3 MB of peak RSS on `gram`.
+@lru_cache(maxsize=1 << 10)
+def hahn_row(
+    ctx: QContext, n: int, alpha: Fraction, beta: Fraction, N: int
+) -> tuple[Fraction, ...]:
+    """Every lattice point of one degree: (Q_n(0), ..., Q_n(N)), each equal
+    to `hahn_eval(ctx, n, x, alpha, beta, N)`.
+
+    Term k of the 3phi2 in `hahn_via_phi2` is its term k - 1 times
+
+        rho_k (1 - q^(k-1-x)),
+
+    where the part free of x,
+
+        rho_k = (1 - q^(k-1-n)) (1 - alpha beta q^(n+k)) q
+                / ((1 - alpha q^k) (1 - q^(k-1-N)) (1 - q^k)),
+
+    is taken once for the row, and the prefactor
+    s^(n^2 - 2nN) prod_{m=N-n+1}^{N} (1 - q^m) is one integer pair.
+    Everything is an unreduced integer pair, each sum is taken by Horner's
+    rule, and each value is reduced once, as a Fraction.  When
+    (alpha q; q)_k vanishes, the entries with min(n, x) >= k raise
+    ZeroDenominator when read; the rest of the row is still returned.
+    """
+    Hahn1DSpec(ctx, n, alpha, beta, N)  # raises ValueError unless 0 <= n <= N
+    a, b = ctx.q.numerator, ctx.q.denominator
+    one = Fraction(1)
+    lower = [_one_minus(one, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
+    rho = [None]
+    pole = n + 1  # first k whose denominator vanishes
+    ab = alpha * beta
+    for k in range(1, n + 1):
+        u1, v1 = lower[n + 1 - k]
+        u2, v2 = _one_minus(ab, n + k, a, b)
+        u3, v3 = _one_minus(alpha, k, a, b)
+        u4, v4 = lower[N + 1 - k]
+        u5, v5 = _one_minus(one, k, a, b)
+        if u3 == 0:
+            pole = k
+            break
+        rho.append((u1 * u2 * a * v3 * v4 * v5, v1 * v2 * b * u3 * u4 * u5))
+    pre_num, pre_den = _power_pair(ctx.s.numerator, ctx.s.denominator, n * n - 2 * n * N)
+    for m in range(N - n + 1, N + 1):
+        u, v = _one_minus(one, m, a, b)
+        pre_num *= u
+        pre_den *= v
+    row = []
+    for x in range(N + 1):
+        terms = min(n, x)
+        if pole <= terms:
+            row.append(None)
+            continue
+        sum_num, sum_den = 1, 1
+        for k in range(terms, 0, -1):
+            u, v = lower[x + 1 - k]
+            t_num, t_den = rho[k][0] * u, rho[k][1] * v
+            sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
+        row.append(Fraction(pre_num * sum_num, pre_den * sum_den))
+    if pole > n:
+        return tuple(row)
+    return _RowPastPole(row, f"(alpha q; q)_k vanished for alpha={alpha} at k={pole}")
 
 
 def hahn_norm(spec: Hahn1DSpec) -> Fraction:
@@ -367,12 +457,6 @@ def racah_eval(
 ) -> Fraction:
     """Memoized q-Racah value by the termwise route of `racah`."""
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
-
-
-def _one_minus(c: Fraction, e: int, a: int, b: int) -> tuple[int, int]:
-    """1 - c q^e for q = a/b, as an unreduced integer pair (numerator, denominator)."""
-    num, den = (a**e, b**e) if e >= 0 else (b**-e, a**-e)
-    return c.denominator * den - c.numerator * num, c.denominator * den
 
 
 # Bound set on the `rotations` benchmark: 1024 columns keep every repeat

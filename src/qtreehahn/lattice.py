@@ -148,16 +148,16 @@ class ParamSet:
         object.__setattr__(self, "alphas", alphas)
         # hashed once: parameter sets key the lattice and operator caches
         object.__setattr__(self, "_hash", hash((self.ctx, alphas)))
-        q = self.ctx.q
+        ctx = self.ctx
         for a in alphas:
             for m in range(1, self.n_max + 1):
-                if a * q**m == 1:
+                if a == ctx.q_power(-m):
                     raise ValueError(
                         f"alpha={a} equals q**(-{m}); weights degenerate below n_max"
                     )
         if not self.unchecked:
-            in_unit_band = all(0 < a < 1 / q for a in alphas)
-            above_band = all(a > q ** (-self.n_max) for a in alphas)
+            in_unit_band = all(0 < a < ctx.q_power(-1) for a in alphas)
+            above_band = all(a > ctx.q_power(-self.n_max) for a in alphas)
             if not (in_unit_band or above_band):
                 raise ValueError(
                     "parameters outside the positivity regime; "
@@ -170,7 +170,7 @@ class ParamSet:
             for lo in range(len(alphas) + 1)
         )
         ps = tuple(
-            tuple(value * self.ctx.q_power(k) for k, value in enumerate(row))
+            tuple(value * ctx.q_power(k) for k, value in enumerate(row))
             for row in products
         )
         object.__setattr__(self, "_products", products)
@@ -383,6 +383,8 @@ def weight(x: Sequence[int], p: ParamSet) -> Fraction:
     x = tuple(x)
     if len(x) != p.h:
         raise DimensionMismatch(f"composition has {len(x)} parts, params have {p.h}")
+    if any(xi < 0 for xi in x):
+        raise IndexOutOfRange(f"not a composition: {x}")
     ctx = p.ctx
     q = ctx.q
     N = sum(x)
@@ -398,8 +400,41 @@ def weight(x: Sequence[int], p: ParamSet) -> Fraction:
 @lru_cache(maxsize=32)
 def _weights(p: ParamSet, N: int) -> tuple[tuple[int, ...], int]:
     """The weights of [h; N] in lexicographic order, as integer numerators
-    over one common denominator."""
-    return over_common_denominator(weight(x, p) for x in domain_table(p.h, N).points)
+    over one common denominator, reduced once.
+
+    For q = a/b and alpha_i = u_i/w_i, the factors of `weight` come from
+    two integer rows per coordinate, each over its own denominator:
+
+        (q alpha_i; q)_k / (q; q)_k
+            = prod_{j<=k} (w_i b^j - u_i a^j) prod_{k<j<=N} w_i (b^j - a^j)
+              / prod_{j<=N} w_i (b^j - a^j),
+        (alpha_i q)^k = (u_i a)^k (w_i b)^(N-k) / (w_i b)^N,
+
+    and q^(N(N+1)/2) = a^T / b^T is taken once.
+    """
+    a, b = p.ctx.q.numerator, p.ctx.q.denominator
+    T = N * (N + 1) // 2
+    den = b**T
+    rows = []
+    for alpha in p.alphas:
+        u, w = alpha.numerator, alpha.denominator
+        rising, falling = [1], [1]  # falling[N - k] = prod_{k<j<=N} w (b^j - a^j)
+        for j in range(1, N + 1):
+            rising.append(rising[-1] * (w * b**j - u * a**j))
+            falling.append(falling[-1] * w * (b ** (N + 1 - j) - a ** (N + 1 - j)))
+        shifted = [rising[k] * falling[N - k] for k in range(N + 1)]
+        powers = [(u * a) ** k * (w * b) ** (N - k) for k in range(N + 1)]
+        rows.append((shifted, powers))
+        den *= falling[N] * (w * b) ** N
+    nums = []
+    for x in domain_table(p.h, N).points:
+        num, rest = a**T, N
+        for xi, (shifted, powers) in zip(x, rows):
+            rest -= xi
+            num *= shifted[xi] * powers[rest]
+        nums.append(num)
+    g = math.gcd(den, *nums)
+    return tuple(num // g for num in nums), den // g
 
 
 def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:

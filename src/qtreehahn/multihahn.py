@@ -24,9 +24,9 @@ from functools import lru_cache
 from operator import ge
 from typing import Iterator, Sequence
 
-from .hahn1d import hahn_eval
+from .hahn1d import hahn_eval, hahn_row
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
-from .qnum import pochhammer, pochhammer_many, q_factorial
+from .qnum import ZeroDenominator, _one_minus, _power_pair, pochhammer, pochhammer_many, q_factorial
 from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
 from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
 
@@ -104,30 +104,65 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
     return ctx.q_power(-cs) * (1 - ctx.q_power(cs)) * (1 - p_u * ctx.q_power(cs - 1))
 
 
-def _gamma(params: ParamSet, vert: Vertex, labeling: Sequence[int], cs: Sequence[int]) -> Fraction:
-    """Per-vertex factor of the squared norm, from the labeling and its
-    coefficient sums:
+# Bounds set on the `gram` benchmark, where every hit of this table and of
+# `_level_factor` falls within one request: 64 and 32 entries keep them
+# all.  256 holds the 85 entries of a 6-leaf tree up to N = 4 three times
+# over; 4096 entries (and 512 level factors) added 1.4 MB of peak RSS for
+# no more hits.
+@lru_cache(maxsize=256)
+def _gamma(
+    params: ParamSet, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
+) -> tuple[int, int]:
+    """Per-vertex factor of the squared norm, for the vertex over the
+    leaves (lo, hi] split at `split`, with label c and child coefficient
+    sums lcs and rcs (so cs = c + lcs + rcs):
 
         (q, p q^(cs+lcs+rcs-1), rp q^(2 rcs); q)_c / (lp q^(2 lcs); q)_c
         * (lp q^(2 lcs))^(c + rcs) * q^(-2 lcs rcs - c)
 
-    (a leaf carries no vertex, so it contributes no factor).
+    with lp, rp the p-values of the two children and p = lp rp, as a
+    reduced integer pair (a leaf carries no vertex, so it contributes no
+    factor).  A vanishing denominator raises ZeroDivisionError.
     """
     ctx = params.ctx
-    c = labeling[vert.index]
-    lcs, rcs = child_sums(vert, cs)
-    lp = params.span_p(vert.lo, vert.split)
-    rp = params.span_p(vert.split, vert.hi)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    lp, rp = params.span_p(lo, split), params.span_p(split, hi)
+    cs = c + lcs + rcs
+    num, den = _power_pair(a, b, -2 * lcs * rcs - c)
+    for j in range(c):
+        numerator_factors = (
+            (Fraction(1), j + 1),
+            (lp * rp, cs + lcs + rcs - 1 + j),
+            (rp, 2 * rcs + j),
+        )
+        for base, e in numerator_factors:
+            u, v = _one_minus(base, e, a, b)
+            num, den = num * u, den * v
+        u, v = _one_minus(lp, 2 * lcs + j, a, b)
+        num, den = num * v, den * u
     lp_shift = lp * ctx.q_power(2 * lcs)
-    lp_rp = lp * rp * ctx.q_power(cs[vert.index] + lcs + rcs - 1)
-    numerator = pochhammer_many(ctx, (ctx.q, lp_rp, rp * ctx.q_power(2 * rcs)), c)
-    denominator = pochhammer(ctx, lp_shift, c)
-    return (
-        numerator
-        / denominator
-        * lp_shift ** (c + rcs)
-        * ctx.q_power(-2 * lcs * rcs - c)
-    )
+    value = Fraction(num * lp_shift.numerator ** (c + rcs), den * lp_shift.denominator ** (c + rcs))
+    return value.numerator, value.denominator
+
+
+@lru_cache(maxsize=32)
+def _level_factor(params: ParamSet, h: int, n: int, N: int) -> tuple[int, int]:
+    """The factor of the squared norm shared by every labeling of degree n
+    at level N:
+
+        (A_h q^(h+2n); q)_{N-n} / (q; q)_{N-n} * q^(((N-2n)^2 + N + 2n - 2n^2)/2)
+
+    as a reduced integer pair."""
+    a, b = params.ctx.q.numerator, params.ctx.q.denominator
+    A_h, one = params.prefix_product(h), Fraction(1)
+    num, den = _power_pair(a, b, norm_exponent(N, n) // 2)
+    for j in range(N - n):
+        u, v = _one_minus(A_h, h + 2 * n + j, a, b)
+        w, z = _one_minus(one, j + 1, a, b)
+        num *= u * z
+        den *= v * w
+    value = Fraction(num, den)
+    return value.numerator, value.denominator
 
 
 def norm_Q(
@@ -137,23 +172,25 @@ def norm_Q(
 
         (A_h q^(h+2n); q)_{N-n} / (q; q)_{N-n}
         * q^(((N-2n)^2 + N + 2n - 2n^2)/2)
-        * prod over vertices of the factor `_gamma`.
+        * prod over vertices of the factor `_gamma`,
+
+    each factor read from its table as an integer pair, and the product
+    reduced once.
     """
-    ctx = params.ctx
-    h = tree.h
     labeling = tuple(labeling)
     n = sum(labeling)
     if n > N:
         raise ValueError(f"degree {n} exceeds level {N}")
     cs = coefficient_sums(tree, labeling)
-    out = (
-        pochhammer(ctx, params.prefix_product(h) * ctx.q_power(h + 2 * n), N - n)
-        / q_factorial(ctx, N - n)
-        * ctx.q_power(norm_exponent(N, n) // 2)
-    )
+    num, den = _level_factor(params, tree.h, n, N)
     for vert in tree.vertices:
-        out *= _gamma(params, vert, labeling, cs)
-    return out
+        lcs, rcs = child_sums(vert, cs)
+        g_num, g_den = _gamma(
+            params, vert.lo, vert.split, vert.hi, labeling[vert.index], lcs, rcs
+        )
+        num *= g_num
+        den *= g_den
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -176,7 +213,7 @@ class TreeBasisElement:
 
 class _FactorTable(dict):
     """The factors q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at one vertex
-    with fixed (c, lcs, rcs), keyed by (lv, v) and computed on first use,
+    with fixed (c, lcs, rcs), keyed by (lv, v) with lcs <= lv <= v - rcs,
     each held as its (numerator, denominator) pair."""
 
     def __init__(self, params: ParamSet, vert: Vertex, c: int, lcs: int, rcs: int):
@@ -187,13 +224,21 @@ class _FactorTable(dict):
         self.beta = params.span_p(vert.split, vert.hi) * ctx.q_power(2 * rcs - 1)
 
     def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
+        """Fill every lv of the missing key's v from one `hahn_row`.  An
+        entry past a pole of the row is left out, and raises
+        ZeroDenominator when it is the one asked for."""
         lv, v = lv_v
         ctx, lcs, rcs = self.ctx, self.lcs, self.rcs
-        value = ctx.q_power(-rcs * lv) * hahn_eval(
-            ctx, self.c, lv - lcs, self.alpha, self.beta, v - lcs - rcs
-        )
-        pair = self[lv_v] = (value.numerator, value.denominator)
-        return pair
+        row = hahn_row(ctx, self.c, self.alpha, self.beta, v - lcs - rcs)
+        for x in range(len(row)):
+            try:
+                value = row[x] * ctx.q_power(-rcs * (x + lcs))
+            except ZeroDenominator:
+                if x + lcs == lv:
+                    raise
+                continue
+            self[x + lcs, v] = (value.numerator, value.denominator)
+        return self[lv_v]
 
 
 @lru_cache(maxsize=128)

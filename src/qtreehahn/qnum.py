@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+# Powers q**k with |k| up to this bound, and (q; q)_n with n up to it, are
+# kept in per-context tables; the exponents and lengths of the package's
+# sums and norms stay far below it.
+TABLED_EXPONENT = 64
+
+
 class ZeroDenominator(ArithmeticError):
     """A q-shifted factorial appearing in a denominator vanished."""
 
@@ -45,7 +51,8 @@ class QContext:
 
     All q-dependent quantities in the package are functions of this context;
     passing the same context everywhere guarantees that the two sides of an
-    identity are compared at the same exact base point.
+    identity are compared at the same exact base point.  Each context keeps
+    its own bounded tables of q**k and (q; q)_n, filled on first use.
     """
 
     s: Fraction
@@ -57,17 +64,37 @@ class QContext:
             raise ValueError(f"square root of q must satisfy 0 < s < 1, got {s}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", s * s)
+        # hashed once: contexts key every lru_cache of the package
+        object.__setattr__(self, "_hash", hash(s))
+        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_q_factorials", {0: Fraction(1)})
 
     def q_power(self, k: int) -> Fraction:
         """q**k for any integer k (negative exponents allowed)."""
-        return self.q ** k
+        value = self._powers.get(k)
+        if value is None:
+            value = self.q ** k
+            if -TABLED_EXPONENT <= k <= TABLED_EXPONENT:
+                self._powers[k] = value
+        return value
 
     def q_half_power(self, half_exponent: int) -> Fraction:
         """q**(half_exponent/2), i.e. s**half_exponent, exactly."""
         return self.s ** half_exponent
 
     def __hash__(self):
-        return hash(self.s)
+        return self._hash
+
+
+def _power_pair(a: int, b: int, e: int) -> tuple[int, int]:
+    """(a/b)^e for any integer e, as an integer pair (numerator, denominator)."""
+    return (a**e, b**e) if e >= 0 else (b**-e, a**-e)
+
+
+def _one_minus(c: Fraction, e: int, a: int, b: int) -> tuple[int, int]:
+    """1 - c q^e for q = a/b, as an unreduced integer pair (numerator, denominator)."""
+    num, den = _power_pair(a, b, e)
+    return c.denominator * den - c.numerator * num, c.denominator * den
 
 
 def pochhammer(ctx: QContext, a: Rational, k: int) -> Fraction:
@@ -98,7 +125,12 @@ def pochhammer_many(ctx: QContext, bases: Iterable[Rational], k: int) -> Fractio
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """(q; q)_n."""
-    return pochhammer(ctx, ctx.q, n)
+    value = ctx._q_factorials.get(n)
+    if value is None:
+        value = pochhammer(ctx, ctx.q, n)
+        if n <= TABLED_EXPONENT:
+            ctx._q_factorials[n] = value
+    return value
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:

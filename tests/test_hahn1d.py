@@ -17,6 +17,7 @@ from qtreehahn import (
     gr_racah_bridge,
     hahn_eval,
     hahn_norm,
+    hahn_row,
     hahn_seed,
     hahn_via_phi2,
     hahn_via_raising,
@@ -95,6 +96,56 @@ def test_two_routes_agree_generic(alpha, beta, n, N, s_val):
     sp = Hahn1DSpec(ctx=ctx, n=n, alpha=alpha, beta=beta, N=N)
     for x in range(N + 1):
         assert hahn_via_phi2(sp, x) == hahn_via_raising(sp, x)
+
+
+def test_hahn_row_equals_both_routes_entry_by_entry():
+    rng = random.Random(11)
+
+    def draw():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 12))
+
+    compared = 0
+    for ctx in (CTX, make_ctx(Fraction(2, 3))):
+        q = ctx.q
+        # signed, and above 1/q
+        pairs = [(draw(), draw()) for _ in range(4)]
+        pairs += [(1 / q + draw() ** 2, 2 / q + draw() ** 2), (1 / q + draw() ** 2, -draw() ** 2)]
+        for alpha, beta in pairs:
+            for N in range(7):
+                for n in range(N + 1):
+                    row = hahn_row.__wrapped__(ctx, n, alpha, beta, N)
+                    assert len(row) == N + 1
+                    sp = Hahn1DSpec(ctx, n, alpha, beta, N)
+                    for x in range(N + 1):
+                        assert row[x] == hahn_via_phi2(sp, x) == hahn_via_raising(sp, x)
+                        compared += 1
+    assert compared == 2 * 6 * sum((N + 1) ** 2 for N in range(7))
+
+
+def test_hahn_row_raises_where_hahn_eval_raises():
+    q = CTX.q
+    with pytest.raises(ValueError):
+        hahn_row(CTX, 3, Fraction(1, 2), Fraction(1, 3), 2)
+    with pytest.raises(ValueError):
+        hahn_row(CTX, -1, Fraction(1, 2), Fraction(1, 3), 2)
+    poles = 0
+    for k in (1, 2, 3):
+        # alpha = q^-k: (alpha q; q)_j vanishes from j = k on, so the
+        # entries with min(n, x) >= k meet the pole
+        alpha, beta = q**-k, Fraction(2, 3)
+        for N in range(6):
+            for n in range(N + 1):
+                row = hahn_row(CTX, n, alpha, beta, N)
+                for x in range(N + 1):
+                    if min(n, x) >= k:
+                        with pytest.raises(ZeroDenominator):
+                            hahn_eval(CTX, n, x, alpha, beta, N)
+                        with pytest.raises(ZeroDenominator):
+                            row[x]
+                        poles += 1
+                    else:
+                        assert row[x] == hahn_eval(CTX, n, x, alpha, beta, N)
+    assert poles > 0
 
 
 def test_constant_and_top_degree():

@@ -313,6 +313,8 @@ def test_weight_pins():
 def test_weight_dimension_check():
     with pytest.raises(DimensionMismatch):
         weight((1, 0), make_params(3))
+    with pytest.raises(IndexOutOfRange, match=r"\(2, -1, 1\)"):
+        weight((2, -1, 1), make_params(3))
 
 
 def test_weight_positivity_in_band():

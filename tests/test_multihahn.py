@@ -1,5 +1,6 @@
 """Tree-indexed multivariable bases: values, norms, eigenstructure."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from qtreehahn import (
     left_comb,
     norm_Q,
     parse_tree,
+    pochhammer,
+    pochhammer_many,
     raise_basis_element,
     right_comb,
     theta_labeling_to_preorder,
@@ -27,10 +30,12 @@ from qtreehahn import (
     vertex_eigenvalue,
     xi_norm,
     xi_polynomial,
+    ZeroDenominator,
 )
+from qtreehahn import multihahn
 from qtreehahn._linalg import rank
 from qtreehahn.multihahn import norm_exponent
-from qtreehahn.trees import enumerate_labelings
+from qtreehahn.trees import child_sums, coefficient_sums, enumerate_labelings
 
 from conftest import PRIMARY_ALPHAS, make_ctx, make_params
 
@@ -135,6 +140,73 @@ def test_basis_equals_eval_Q_at_every_point(regime):
                     for e in elems:
                         want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
                         assert e.grid.values == want, (regime, tree, e.labeling, N)
+
+
+def _norm_by_product_formula(tree, labeling, params, N):
+    """The closed-form squared norm of `norm_Q` as one product of
+    `Fraction`s, with no table and no power read from the context."""
+    ctx, q = params.ctx, params.ctx.q
+    n, h = sum(labeling), tree.h
+    cs = coefficient_sums(tree, labeling)
+    out = (
+        pochhammer(ctx, params.prefix_product(h) * q ** (h + 2 * n), N - n)
+        / pochhammer(ctx, q, N - n)
+        * q ** (norm_exponent(N, n) // 2)
+    )
+    for vert in tree.vertices:
+        c = labeling[vert.index]
+        lcs, rcs = child_sums(vert, cs)
+        lp = params.span_p(vert.lo, vert.split)
+        rp = params.span_p(vert.split, vert.hi)
+        lp_shift = lp * q ** (2 * lcs)
+        bases = (q, lp * rp * q ** (cs[vert.index] + lcs + rcs - 1), rp * q ** (2 * rcs))
+        out *= (
+            pochhammer_many(ctx, bases, c)
+            / pochhammer(ctx, lp_shift, c)
+            * lp_shift ** (c + rcs)
+            * q ** (-2 * lcs * rcs - c)
+        )
+    return out
+
+
+@pytest.mark.parametrize("regime", sorted(CROSS_ROUTE_PARAMS))
+def test_tabled_norm_equals_product_formula_and_gram_diagonal(regime):
+    multihahn._gamma.cache_clear()
+    multihahn._level_factor.cache_clear()
+    alphas = CROSS_ROUTE_PARAMS[regime]
+    checked = 0
+    for h in range(2, 6):
+        p = ParamSet(CTX, alphas[:h], n_max=3, unchecked=regime == "negative-unchecked")
+        for tree in all_trees(h):
+            for N in range(4):
+                for n in range(N + 1):
+                    for e in basis(tree, p, n, N):
+                        got = norm_Q(tree, e.labeling, p, N)
+                        assert got == _norm_by_product_formula(tree, e.labeling, p, N)
+                        assert got == inner_product(e.grid, e.grid, p), (regime, tree, e.labeling, N)
+                        checked += 1
+    assert checked == sum(
+        len(all_trees(h)) * sum(math.comb(N + h - 1, h - 1) for N in range(4))
+        for h in range(2, 6)
+    )
+
+
+def test_basis_raises_where_eval_Q_meets_a_pole():
+    # alpha_1 = q^-2, allowed with n_max = 1: the degree-2 factor of the
+    # two-leaf tree meets (alpha q; q)_2 = 0 at x_1 = 2, and only there
+    p = ParamSet(CTX, (CTX.q**-2, Fraction(1, 3)), n_max=1, unchecked=True)
+    tree = parse_tree("(1 2)")
+    for x in ((0, 2), (1, 1)):
+        assert eval_Q(tree, (2,), p, x) == hahn_eval(CTX, 2, x[0], *p.alphas, 2)
+    with pytest.raises(ZeroDenominator):
+        eval_Q(tree, (2,), p, (2, 0))
+    with pytest.raises(ZeroDenominator):
+        basis.__wrapped__(tree, p, 2, 2)
+    for n in range(2):
+        for e in basis.__wrapped__(tree, p, n, 2):
+            assert e.grid.values == tuple(
+                eval_Q(tree, e.labeling, p, x) for x in enumerate_compositions(2, 2)
+            )
 
 
 def test_basis_validation_and_cache():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtreehahn import qnum
 from qtreehahn import (
     QContext,
     ZeroDenominator,
@@ -42,6 +43,19 @@ def test_context_derives_q_and_validates():
         QContext(s=Fraction(3, 2))
     with pytest.raises(ValueError):
         QContext(s=Fraction(0))
+
+
+def test_context_tables_are_bounded_and_exact():
+    ctx = QContext(s=Fraction(2, 3))
+    bound = qnum.TABLED_EXPONENT
+    for k in range(-3 * bound, 3 * bound):
+        assert ctx.q_power(k) == ctx.q**k
+    for n in range(3 * bound):
+        assert q_factorial(ctx, n) == pochhammer(ctx, ctx.q, n)
+    assert sorted(ctx._powers) == list(range(-bound, bound + 1))
+    assert sorted(ctx._q_factorials) == list(range(bound + 1))
+    with pytest.raises(ValueError):
+        q_factorial(ctx, -1)
 
 
 def test_as_fraction_accepts_strings_ints_fractions():

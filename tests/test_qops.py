@@ -26,7 +26,7 @@ from qtreehahn import (
     spectral_decomposition_check,
     verify_operator_algebra,
 )
-from qtreehahn import _linalg, hahn1d, lattice, multihahn, qops
+from qtreehahn import _linalg, connect, hahn1d, lattice, multihahn, qnum, qops, trees
 from qtreehahn.qops import to_matrix
 
 from conftest import make_ctx, make_params
@@ -347,12 +347,21 @@ def test_interleaved_parameter_sets_match_fresh_caches():
 def test_every_cache_is_bounded():
     caches = {
         f"{obj.__module__}.{obj.__qualname__}": obj
-        for module in (lattice, qops, hahn1d, multihahn)
+        for module in (qnum, lattice, qops, hahn1d, multihahn, connect, trees)
         for obj in vars(module).values()
         if hasattr(obj, "cache_info")
     }
-    for name in ("multihahn.basis", "hahn1d._seed_value", "hahn1d.hahn_eval", "hahn1d.racah_eval"):
+    for name in (
+        "multihahn.basis",
+        "multihahn._gamma",
+        "multihahn._level_factor",
+        "hahn1d.hahn_eval",
+        "hahn1d.hahn_row",
+        "hahn1d.racah_eval",
+        "connect._move_table",
+        "trees._rl_path",
+    ):
         assert f"qtreehahn.{name}" in caches
-    assert len(caches) >= 9
+    assert len(caches) >= 14
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
