@@ -9,7 +9,8 @@ oracle computes the same matrix from the definition and works for any
 pair of trees, reachable or not.  The way back against the rotation order
 is the inverse matrix, which needs no elimination: both bases are
 orthogonal with closed-form norms, so it is the transpose rescaled by the
-ratios of those norms.
+ratios of those norms, and a matrix is orthogonal exactly when its
+product with that inverse is the identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .hahn1d import NonSquareRadicand, Racah1DSpec, gr_racah_bridge, racah_column, racah_eval
+from .hahn1d import Racah1DSpec, _tilde_scale, gr_racah_bridge, racah_column, racah_eval
 from .lattice import (
     GridFunction,
     ParamSet,
@@ -42,7 +43,6 @@ from .qnum import (
     pochhammer,
     q_binomial,
     q_factorial,
-    rational_sqrt,
 )
 from .qops import apply_L, check_identity
 from .trees import (
@@ -211,30 +211,14 @@ class ConnectionMatrix:
         return True
 
     def orthogonality_check(self) -> bool:
-        """Rows are orthogonal for the reciprocal-norm pairing:
+        """The matrix times its `invert` is the identity, that is
 
-            sum_c r_{d1}(c) r_{d2}(c) / |Q_c|^2 = delta_{d1,d2} / |Q_{d1}|^2.
+            sum_d r_c(d) r_{c'}(d) |Q_d|^2 = delta_{c,c'} |Q_c|^2.
+
+        The matrix is square, so this holds exactly when its columns are
+        orthogonal for the reciprocal-norm pairing as well.
         """
-        n, params = self.n, self.params
-        source_norms = {
-            c: norm_Q(self.source, c, params, n) for c in self.source_labelings()
-        }
-        targets = self.target_labelings()
-        target_norms = {d: norm_Q(self.target, d, params, n) for d in targets}
-        for idx, d1 in enumerate(targets):
-            for d2 in targets[idx:]:
-                acc = Fraction(0)
-                for c, row in self.rows.items():
-                    v1 = row.get(d1)
-                    v2 = row.get(d2)
-                    if v1 and v2:
-                        acc += v1 * v2 / source_norms[c]
-                expected = (
-                    1 / target_norms[d1] if d1 == d2 else Fraction(0)
-                )
-                if acc != expected:
-                    return False
-        return True
+        return self.compose(self.invert()).is_identity()
 
     def defining_relation_check(self, N: Optional[int] = None) -> bool:
         """Each source basis function equals its expansion, evaluated on
@@ -251,8 +235,10 @@ class ConnectionMatrix:
         return True
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
-        """Matrix product: expand through `other`'s target basis."""
-        if self.target != other.source or self.n != other.n:
+        """Matrix product: expand through `other`'s target basis.  Both
+        matrices must share the degree, q and the alphas."""
+        mine = (self.target, self.n, self.params.ctx, self.params.alphas)
+        if mine != (other.source, other.n, other.params.ctx, other.params.alphas):
             raise ValueError("connection matrices do not chain")
         rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for c, row in self.rows.items():
@@ -632,7 +618,6 @@ def gr_conversion_factor(
     ctx = params.ctx
     A_h = params.prefix_product(h)
     value = Fraction(1)
-    sign = 1
     for k in range(2, h):
         n_k = nv[k - 2]
         i_k = sum(nv[: k - 2])
@@ -646,21 +631,8 @@ def gr_conversion_factor(
             * q_factorial(ctx, n_k)
         )
         radicand = A_h / params.prefix_product(k - 1) * ctx.q_power(n_k + h - k + 1)
-        if squared:
-            value *= poly * poly * radicand ** (-n_k)
-            continue
-        sign *= (-1) ** n_k
-        if n_k % 2 == 0:
-            value *= poly * radicand ** (-(n_k // 2))
-        else:
-            try:
-                root = rational_sqrt(radicand)
-            except ValueError as exc:
-                raise NonSquareRadicand(
-                    f"{radicand} has no rational square root"
-                ) from exc
-            value *= poly * root ** (-n_k)
-    return value if squared else sign * value
+        value *= _tilde_scale(poly, radicand, n_k, squared)
+    return value
 
 
 def gr_weight_factor(params: ParamSet, n: int) -> Fraction:

@@ -18,6 +18,10 @@ degree at one lattice point in one pass, from q-shifted factorials shared
 by all degrees, in integer arithmetic; the rotation move tables in
 `connect` take their columns from it.  Tests compare the two entry by
 entry.
+
+The standard-reference q-Racah normalization multiplies by a signed
+half-power (-1)^n poly radicand^(-n/2); `_tilde_scale` states it once for
+`gr_racah_bridge` and for the classical conversion factor in `connect`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .qnum import (
     Rational,
     ZeroDenominator,
     _one_minus,
+    _poch_pair,
     _power_pair,
     as_fraction,
     phi_sum,
@@ -52,6 +57,7 @@ __all__ = [
     "hahn_eval",
     "hahn_row",
     "hahn_norm",
+    "norm_exponent",
     "verify_hahn_recurrences",
     "vandermonde_sum_check",
     "racah",
@@ -251,10 +257,8 @@ def hahn_row(
             break
         rho.append((u1 * u2 * a * v3 * v4 * v5, v1 * v2 * b * u3 * u4 * u5))
     pre_num, pre_den = _power_pair(ctx.s.numerator, ctx.s.denominator, n * n - 2 * n * N)
-    for m in range(N - n + 1, N + 1):
-        u, v = _one_minus(one, m, a, b)
-        pre_num *= u
-        pre_den *= v
+    u, v = _poch_pair(one, N - n + 1, n, a, b)
+    pre_num, pre_den = pre_num * u, pre_den * v
     row = []
     for x in range(N + 1):
         terms = min(n, x)
@@ -272,6 +276,11 @@ def hahn_row(
     return _RowPastPole(row, f"(alpha q; q)_k vanished for alpha={alpha} at k={pole}")
 
 
+def norm_exponent(N: int, n: int) -> int:
+    """The (always even) exponent 2e with q^e = q^(((N-2n)^2 + N + 2n - 2n^2)/2)."""
+    return (N - 2 * n) ** 2 + N + 2 * n - 2 * n * n
+
+
 def hahn_norm(spec: Hahn1DSpec) -> Fraction:
     """Squared norm for the lattice inner product with parameters (alpha, beta):
 
@@ -282,7 +291,6 @@ def hahn_norm(spec: Hahn1DSpec) -> Fraction:
     ctx, n, N = spec.ctx, spec.n, spec.N
     alpha, beta = spec.alpha, spec.beta
     q = ctx.q
-    expo = (N - 2 * n) ** 2 + N + 2 * n - 2 * n * n  # always even
     return (
         pochhammer(ctx, alpha * beta * ctx.q_power(n + 1), N + 1)
         * q_factorial(ctx, n)
@@ -293,7 +301,7 @@ def hahn_norm(spec: Hahn1DSpec) -> Fraction:
             * pochhammer(ctx, alpha * q, n)
         )
         * alpha**n
-        * ctx.q_power(expo // 2)
+        * ctx.q_power(norm_exponent(N, n) // 2)
     )
 
 
@@ -564,6 +572,22 @@ def gr_hahn_bridge(spec: Hahn1DSpec, x: int) -> Fraction:
     )
 
 
+def _tilde_scale(poly: Fraction, radicand: Fraction, n: int, squared: bool) -> Fraction:
+    """The standard-reference scale (-1)^n poly radicand^(-n/2), or its
+    square (always rational) when `squared`.  Unsquared at odd n, a
+    radicand that is not a rational square raises NonSquareRadicand, and
+    the positive root is taken."""
+    if squared:
+        return poly * poly * radicand ** (-n)
+    if n % 2 == 0:
+        return poly * radicand ** (-n // 2)
+    try:
+        root = rational_sqrt(radicand)
+    except ValueError as exc:
+        raise NonSquareRadicand(f"{radicand} has no rational square root") from exc
+    return -poly * root ** (-n)
+
+
 def gr_racah_bridge(spec: Racah1DSpec, x: int, squared: bool = True) -> Fraction:
     """Standard-reference q-Racah normalization:
 
@@ -584,16 +608,5 @@ def gr_racah_bridge(spec: Racah1DSpec, x: int, squared: bool = True) -> Fraction
         * q_factorial(ctx, n)
     )
     radicand = ctx.q_power(-N + n + 1) * spec.delta
-    if squared:
-        return poly * poly * radicand ** (-n) * value * value
-    if n % 2 == 0:
-        scale = radicand ** (-n // 2)
-    else:
-        try:
-            root = rational_sqrt(radicand)
-        except ValueError as exc:
-            raise NonSquareRadicand(
-                f"(q^(-N+n+1) delta) = {radicand} has no rational square root"
-            ) from exc
-        scale = root ** (-n)
-    return (-1) ** n * poly * scale * value
+    scale = _tilde_scale(poly, radicand, n, squared)
+    return scale * value * value if squared else scale * value

@@ -24,9 +24,9 @@ from functools import lru_cache
 from operator import ge
 from typing import Iterator, Sequence
 
-from .hahn1d import hahn_eval, hahn_row
+from .hahn1d import hahn_eval, hahn_row, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
-from .qnum import ZeroDenominator, _one_minus, _power_pair, pochhammer, pochhammer_many, q_factorial
+from .qnum import ZeroDenominator, _poch_pair, _power_pair, pochhammer, pochhammer_many, q_factorial
 from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
 from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
 
@@ -45,11 +45,6 @@ __all__ = [
     "theta_labeling_to_preorder",
     "norm_exponent",
 ]
-
-
-def norm_exponent(N: int, n: int) -> int:
-    """The (always even) exponent 2e with q^e = q^(((N-2n)^2 + N + 2n - 2n^2)/2)."""
-    return (N - 2 * n) ** 2 + N + 2 * n - 2 * n * n
 
 
 def eval_Q(
@@ -126,20 +121,14 @@ def _gamma(
     """
     ctx = params.ctx
     a, b = ctx.q.numerator, ctx.q.denominator
-    lp, rp = params.span_p(lo, split), params.span_p(split, hi)
+    lp, rp, p = params.span_p(lo, split), params.span_p(split, hi), params.span_p(lo, hi)
     cs = c + lcs + rcs
     num, den = _power_pair(a, b, -2 * lcs * rcs - c)
-    for j in range(c):
-        numerator_factors = (
-            (Fraction(1), j + 1),
-            (lp * rp, cs + lcs + rcs - 1 + j),
-            (rp, 2 * rcs + j),
-        )
-        for base, e in numerator_factors:
-            u, v = _one_minus(base, e, a, b)
-            num, den = num * u, den * v
-        u, v = _one_minus(lp, 2 * lcs + j, a, b)
-        num, den = num * v, den * u
+    for base, e in ((ctx.q, 0), (p, cs + lcs + rcs - 1), (rp, 2 * rcs)):
+        u, v = _poch_pair(base, e, c, a, b)
+        num, den = num * u, den * v
+    u, v = _poch_pair(lp, 2 * lcs, c, a, b)
+    num, den = num * v, den * u
     lp_shift = lp * ctx.q_power(2 * lcs)
     value = Fraction(num * lp_shift.numerator ** (c + rcs), den * lp_shift.denominator ** (c + rcs))
     return value.numerator, value.denominator
@@ -153,15 +142,12 @@ def _level_factor(params: ParamSet, h: int, n: int, N: int) -> tuple[int, int]:
         (A_h q^(h+2n); q)_{N-n} / (q; q)_{N-n} * q^(((N-2n)^2 + N + 2n - 2n^2)/2)
 
     as a reduced integer pair."""
-    a, b = params.ctx.q.numerator, params.ctx.q.denominator
-    A_h, one = params.prefix_product(h), Fraction(1)
+    q = params.ctx.q
+    a, b = q.numerator, q.denominator
     num, den = _power_pair(a, b, norm_exponent(N, n) // 2)
-    for j in range(N - n):
-        u, v = _one_minus(A_h, h + 2 * n + j, a, b)
-        w, z = _one_minus(one, j + 1, a, b)
-        num *= u * z
-        den *= v * w
-    value = Fraction(num, den)
+    u, v = _poch_pair(params.prefix_product(h), h + 2 * n, N - n, a, b)
+    w, z = _poch_pair(q, 0, N - n, a, b)
+    value = Fraction(num * u * z, den * v * w)
     return value.numerator, value.denominator
 
 
@@ -465,9 +451,7 @@ def theta_polynomial(
     i = {2: 0}
     for k in range(2, h + 1):
         i[k + 1] = i[k] + nv[k - 2]
-    X = [0]
-    for v in x:
-        X.append(X[-1] + v)
+    X = partial_sums(x)
     value = Fraction(1)
     for k in range(2, h + 1):
         if X[k - 1] < i[k] or X[k] < i[k + 1]:

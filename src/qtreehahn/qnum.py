@@ -8,7 +8,7 @@ exact equality instead of within a floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -56,7 +56,7 @@ class QContext:
     """
 
     s: Fraction
-    q: Fraction = None  # derived; never pass explicitly
+    q: Fraction = field(init=False)  # derived from s
 
     def __post_init__(self):
         s = as_fraction(self.s)
@@ -95,6 +95,16 @@ def _one_minus(c: Fraction, e: int, a: int, b: int) -> tuple[int, int]:
     """1 - c q^e for q = a/b, as an unreduced integer pair (numerator, denominator)."""
     num, den = _power_pair(a, b, e)
     return c.denominator * den - c.numerator * num, c.denominator * den
+
+
+def _poch_pair(c: Fraction, e: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """(c q^e; q)_k for q = a/b, as an unreduced integer pair (numerator, denominator)."""
+    num = den = 1
+    for j in range(e, e + k):
+        u, v = _one_minus(c, j, a, b)
+        num *= u
+        den *= v
+    return num, den
 
 
 def pochhammer(ctx: QContext, a: Rational, k: int) -> Fraction:

@@ -557,21 +557,34 @@ def test_stdout_bytes_are_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-# sha256 of the stdout of `qtree verify --suite <suite> --h 3 --N 3 --seed 5`,
-# pinned from the program before grid functions were stored as integers over
-# one denominator: a change of representation must leave these bytes alone.
+# sha256 of the stdout of `qtree verify --suite <suite> <size>`, where the
+# size is `--h 3 --N 3 --seed 5` except for the worked example, which is a
+# five-leaf result.  Operator-algebra, spectral and eigen were pinned before
+# grid functions were stored as integers over one denominator, the others
+# before orthogonality went through `invert` and the bridges through one
+# signed half-power: a change of representation must leave these bytes alone.
+SMALL = ("--h", "3", "--N", "3", "--seed", "5")
 GOLDEN_VERIFY_SHA256 = {
-    "operator-algebra": "de9f8bf676aea96da4411dd7e9dd38b0e460c089b2df4bbe68b5fb5905c0a648",
-    "spectral": "470672eff7fb4f331689636438c22b384e1c7b287533e20f5c4ec915caa65b98",
-    "eigen": "97e97b8bcfeebb563fe68b1e5cafe94ce0841dffc7aa4b5b5c563b7610a831c8",
+    "operator-algebra": (SMALL, "de9f8bf676aea96da4411dd7e9dd38b0e460c089b2df4bbe68b5fb5905c0a648"),
+    "spectral": (SMALL, "470672eff7fb4f331689636438c22b384e1c7b287533e20f5c4ec915caa65b98"),
+    "eigen": (SMALL, "97e97b8bcfeebb563fe68b1e5cafe94ce0841dffc7aa4b5b5c563b7610a831c8"),
+    "connections": (SMALL, "e4979a615439892ba864598a5c9c3047afed466a61669078613cabe7b7a88c3a"),
+    "classical-bridge": (SMALL, "dc83a142522c9357b1efb089e9c815bd8e7d256780d0be9ec5e1b9ab92178bb1"),
+    "hahn-recurrences": (SMALL, "d138edf840cb4a0c8425b503b905c4aa2069221289d89bf358f12df952e901e9"),
+    "vandermonde": (SMALL, "341dc55a0dfd0c58de4438b0cf2a791c4b992310e9b3d4325b4216f649b705c2"),
+    "worked-example": (
+        ("--h", "5", "--N", "2"),
+        "9bac890e36186937f842a080429eebc6008215292b1160628fe3884d06b284a6",
+    ),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
 def test_verify_stdout_matches_golden_bytes(capsys, suite):
-    assert main(["verify", "--suite", suite, "--h", "3", "--N", "3", "--seed", "5"]) == 0
+    size, digest = GOLDEN_VERIFY_SHA256[suite]
+    assert main(["verify", "--suite", suite, *size]) == 0
     out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == GOLDEN_VERIFY_SHA256[suite]
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_missing_subcommand_is_usage_error():

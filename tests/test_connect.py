@@ -1,5 +1,6 @@
 """Connection coefficients: one-move expansions, paths, oracles, bridges."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from qtreehahn import (
     GridFunction,
     NotInKernel,
     NotRightReachable,
+    ParamSet,
+    QContext,
     Racah1DSpec,
     all_trees,
     apply_L,
@@ -208,6 +211,32 @@ def test_connection_composition():
         connection_by_path(rc, mid, 1, p4).compose(
             connection_by_path(rc, mid, 1, p4)
         )
+
+
+def test_compose_rejects_other_q_or_alphas():
+    rc, lc = right_comb(3), left_comb(3)
+    ctx = QContext(Fraction(1, 2))
+    params = ParamSet(ctx, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    other_alphas = ParamSet(ctx, (Fraction(2, 3), Fraction(1, 3), Fraction(1, 5)))
+    other_q = ParamSet(QContext(Fraction(1, 3)), params.alphas)
+    conn = connection_by_path(rc, lc, 2, params)
+    back = conn.invert()
+    assert conn.compose(back).is_identity()
+    for other in (other_alphas, other_q):
+        with pytest.raises(ValueError):
+            conn.compose(connection_by_path(rc, lc, 2, other).invert())
+
+
+def test_orthogonality_check_rejects_a_scaled_entry_or_a_dropped_row():
+    p4 = make_params(4)
+    conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
+    assert conn.orthogonality_check()
+    c, row = next((c, row) for c, row in conn.rows.items() if len(row) > 1)
+    d = next(iter(row))
+    scaled = {**conn.rows, c: {**row, d: 2 * row[d]}}
+    assert not dataclasses.replace(conn, rows=scaled).orthogonality_check()
+    dropped = {k: v for k, v in conn.rows.items() if k != c}
+    assert not dataclasses.replace(conn, rows=dropped).orthogonality_check()
 
 
 def test_connection_invert_matches_reverse_oracle():

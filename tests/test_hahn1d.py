@@ -347,16 +347,25 @@ def test_racah_degenerates_to_hahn_at_delta_zero():
 
 
 def test_gr_racah_bridge_squared_mode():
+    from qtreehahn import pochhammer, q_factorial
+
     # Degree zero: the bridge is exactly 1.
     s0 = racah_spec(0, 3)
     assert all(gr_racah_bridge(s0, x) == 1 for x in range(4))
     # Squared mode is always rational and equals the square of the
-    # unsquared value whenever the radicand is a perfect square.
+    # unsquared value whenever the radicand is a perfect square; the
+    # unsquared value is the displayed formula, sign included.
     n, N = 3, 4
     delta = CTX.q_power(N - n - 1) * Fraction(9, 4)  # radicand (3/2)^2
     s = racah_spec(n, N, delta=delta)
+    poly = (
+        pochhammer(CTX, s.alpha * s.beta * CTX.q_power(n + 1), n)
+        * pochhammer(CTX, s.alpha * CTX.q, n)
+        * q_factorial(CTX, n)
+    )
     for x in range(N + 1):
         u = gr_racah_bridge(s, x, squared=False)
+        assert u == -poly * Fraction(2, 3) ** 3 * racah(s, x)
         assert gr_racah_bridge(s, x, squared=True) == u * u
 
 

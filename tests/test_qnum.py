@@ -1,5 +1,6 @@
 """Scalar layer: q-shifted factorials, Gaussian binomials, terminating sums."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,19 @@ def test_context_derives_q_and_validates():
         QContext(s=Fraction(0))
 
 
+def test_context_takes_no_q():
+    with pytest.raises(TypeError):
+        QContext(Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(TypeError):
+        QContext(s=Fraction(1, 2), q=Fraction(1, 4))
+    ctx = QContext(Fraction(1, 2))
+    assert repr(ctx) == "QContext(s=Fraction(1, 2), q=Fraction(1, 4))"
+    assert ctx == QContext(Fraction(1, 2)) and hash(ctx) == hash(QContext(Fraction(1, 2)))
+    assert ctx != QContext(Fraction(1, 3))
+    moved = dataclasses.replace(ctx, s=Fraction(1, 3))
+    assert moved.q == Fraction(1, 9) and moved == QContext(Fraction(1, 3))
+
+
 def test_context_tables_are_bounded_and_exact():
     ctx = QContext(s=Fraction(2, 3))
     bound = qnum.TABLED_EXPONENT
@@ -77,11 +91,21 @@ def test_pochhammer_small_values():
 
 
 @settings(max_examples=60)
-@given(contexts, unit_fractions, st.integers(0, 8), st.integers(0, 8))
-def test_pochhammer_splits_multiplicatively(ctx, a, m, k):
+@given(
+    contexts,
+    unit_fractions,
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.fractions(-9, 9, max_denominator=9),
+    st.integers(-8, 8),
+)
+def test_pochhammer_splits_multiplicatively(ctx, a, m, k, c, e):
     lhs = pochhammer(ctx, a, m + k)
     rhs = pochhammer(ctx, a, m) * pochhammer(ctx, a * ctx.q_power(m), k)
     assert lhs == rhs
+    # the integer pair (c q^e; q)_k of the norm tables, at a signed base
+    num, den = qnum._poch_pair(c, e, k, ctx.q.numerator, ctx.q.denominator)
+    assert Fraction(num, den) == pochhammer(ctx, c * ctx.q_power(e), k)
 
 
 def test_q_binomial_values():
