@@ -4,13 +4,17 @@ A right-to-left rotation at one vertex replaces a tree basis by the
 rotated tree's basis; the change-of-basis matrix factors through a
 single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
-multidimensional q-Racah polynomials.  A brute-force inner-product
-oracle computes the same matrix from the definition and works for any
-pair of trees, reachable or not.  The way back against the rotation order
-is the inverse matrix, which needs no elimination: both bases are
-orthogonal with closed-form norms, so it is the transpose rescaled by the
-ratios of those norms, and a matrix is orthogonal exactly when its
-product with that inverse is the identity.
+multidimensional q-Racah polynomials.  Each move is a cached table of
+integer numerators over one denominator, built from the integer q-Racah
+columns of `hahn1d` without Fractions; `apply_move` pushes integer
+weights over one denominator through it, reducing once per move, and
+only the rows of the finished matrix are Fractions.  A brute-force
+inner-product oracle computes the same matrix from the definition and
+works for any pair of trees, reachable or not.  The way back against the
+rotation order is the inverse matrix, which needs no elimination: both
+bases are orthogonal with closed-form norms, so it is the transpose
+rescaled by the ratios of those norms, and a matrix is orthogonal
+exactly when its product with that inverse is the identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -26,9 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .hahn1d import Racah1DSpec, _tilde_scale, gr_racah_bridge, racah_column, racah_eval
+from ._linalg import over_common_denominator
+from .hahn1d import Racah1DSpec, _racah_pairs, _tilde_scale, gr_racah_bridge, racah_eval
 from .lattice import (
     GridFunction,
     ParamSet,
@@ -39,6 +45,8 @@ from .multihahn import basis, norm_Q, theta_polynomial, xi_norm
 from .qnum import (
     QContext,
     ZeroDenominator,
+    _power_pair,
+    _reduced,
     as_fraction,
     pochhammer,
     q_binomial,
@@ -80,14 +88,18 @@ class NotInKernel(ValueError):
 
 
 # Bound set on the `rotations` benchmark, whose rounds use about 70 tables
-# each: 128 slots missed no less often than 64 and added peak RSS, and 32
-# missed more often.
+# each.  Replaying the 572 requests of a 20 s run in one process, seeds 3
+# and 11: 64 slots miss 1459 and 1462 times, against 1456 and 1460 with no
+# bound (which holds every table, 40 MB of peak RSS); 32 miss 1584 and
+# 1581, and 128 add 1.0 and 0.9 MB of peak RSS (20.3 MB at 64) for 3 and
+# 2 fewer misses.
 @lru_cache(maxsize=64)
 def _move_table(
     move: MoveRecord, n: int, params: ParamSet
-) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], Fraction], ...]]:
+) -> tuple[dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], int]:
     """Every degree-n source labeling of `move`, mapped to its expansion
-    over the rotated tree's labelings.
+    over the rotated tree's labelings, as integer numerators over one
+    positive denominator D: the pair (table, D).
 
     The rotating vertex U of the source tree has the block T' as its left
     child and R = (T'' T''') as its right child.  A labeling enters only
@@ -102,42 +114,69 @@ def _move_table(
                   p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q),
 
     and vanishing coefficients are omitted.  Each distinct local column,
-    keyed by those five integers, is taken once per table from
-    `racah_column`, which gives every degree u - i - l at once.  Tables are
-    cached per (move, n, params) and shared, so never mutate one.
+    keyed by those five integers, is taken once per table from the integer
+    pairs of `hahn1d._racah_pairs`, which give every degree u - i - l at
+    once.  The prefactor and the three parameters are integer pairs too,
+    so no Fraction is built.  D is the lcm of the coefficients' reduced
+    denominators.  Tables are cached per (move, n, params) and shared, so
+    never mutate one.
     """
     tree = move.source
     U = tree.vertices[move.vertex]
     R = tree.vertices[U.right]
-    ctx = params.ctx
+    q = params.ctx.q
+    a, b = q.numerator, q.denominator
     p1 = params.span_p(U.lo, U.split)
     p2 = params.span_p(R.lo, R.split)
     p3 = params.span_p(R.split, R.hi)
+
+    def shifted(num: int, den: int, e: int) -> tuple[int, int]:  # num/den q^e
+        u, v = _power_pair(a, b, e)
+        return _reduced(num * u, den * v)
+
     # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
     k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
-    columns: dict[tuple[int, ...], list[tuple[tuple[int, int], Fraction]]] = {}
-    table = {}
+    columns: dict[tuple[int, ...], list[tuple[tuple[int, int], int, int]]] = {}
+    keyed = []
     for cvec in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, cvec)
         (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[k]
         key = (i, v, l, j, n_U)
-        column = columns.get(key)
-        if column is None:
-            alpha = p2 * ctx.q_power(2 * l - 1)
-            beta = p1 * ctx.q_power(2 * i - 1)
-            delta = p2 * p3 * ctx.q_power(n_U + l + j - i - 1)
-            prefactor = ctx.q_power(-i * (v - l - j))
-            column = columns[key] = []
-            racah_values = racah_column(ctx, v - l - j, alpha, beta, delta, n_U - i - l - j)
-            for m, racah_value in enumerate(racah_values):
-                if racah_value != 0:
-                    column.append(((n_U - i - l - j - m, m), prefactor * racah_value))
+        keyed.append((cvec, key))
+        if key in columns:
+            continue
+        pre_num, pre_den = _power_pair(a, b, -i * (v - l - j))
+        pairs = _racah_pairs(
+            a,
+            b,
+            v - l - j,
+            shifted(p2.numerator, p2.denominator, 2 * l - 1),
+            shifted(p1.numerator, p1.denominator, 2 * i - 1),
+            shifted(
+                p2.numerator * p3.numerator,
+                p2.denominator * p3.denominator,
+                n_U + l + j - i - 1,
+            ),
+            n_U - i - l - j,
+        )
+        columns[key] = [
+            ((n_U - i - l - j - m, m), *_reduced(pre_num * num, pre_den * den))
+            for m, (num, den) in enumerate(pairs)
+            if num
+        ]
+    D = lcm(*(den for column in columns.values() for _, _, den in column))
+    scaled = {
+        key: [(pair, num * (D // den)) for pair, num, den in column]
+        for key, column in columns.items()
+    }
+    table = {}
+    for cvec, key in keyed:
         prefix, suffix = cvec[:k], cvec[end:]
         blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
         table[cvec] = tuple(
-            (prefix + pair + blocks + suffix, value) for pair, value in column
+            (prefix + pair + blocks + suffix, num) for pair, num in scaled[key]
         )
-    return table
+    return table, D
 
 
 def _row(table: dict, move: MoveRecord, cvec: tuple[int, ...]) -> tuple:
@@ -151,27 +190,47 @@ def one_move_coefficients(
     move: MoveRecord, cvec: Sequence[int], params: ParamSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Expand one source labeling over the rotated tree's labelings: its
-    row of `_move_table`, which states the coefficient.  ValueError when
-    `cvec` is not a labeling of the move's source tree."""
+    row of `_move_table`, which states the coefficient, over the table's
+    denominator.  ValueError when `cvec` is not a labeling of the move's
+    source tree."""
     cvec = tuple(cvec)
-    return list(_row(_move_table(move, sum(cvec), params), move, cvec))
+    table, D = _move_table(move, sum(cvec), params)
+    return [(dvec, Fraction(num, D)) for dvec, num in _row(table, move, cvec)]
 
 
 def apply_move(
-    move: MoveRecord, weights: dict[tuple[int, ...], Fraction], params: ParamSet
-) -> dict[tuple[int, ...], Fraction]:
-    """Push a linear combination of source labelings through one move."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    move: MoveRecord,
+    weights: tuple[dict[tuple[int, ...], int], int],
+    params: ParamSet,
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Push a linear combination of source labelings through one move.
+
+    The combination comes and goes as (numerators, denominator): integer
+    weights by labeling over one positive denominator.  The result is put
+    over that denominator times the lcm of the tables' denominators, then
+    reduced by one gcd, so it is in lowest terms; zero weights are
+    dropped.  ValueError when a weighted labeling is not one of the move's
+    source tree.
+    """
+    nums, den = weights
     tables = {}  # by degree; a combination along a path has only one
-    for cvec, w in weights.items():
-        if w == 0:
+    for cvec, w in nums.items():
+        if w:
+            n = sum(cvec)
+            if n not in tables:
+                tables[n] = _move_table(move, n, params)
+    L = lcm(*(D for _, D in tables.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for cvec, w in nums.items():
+        if not w:
             continue
-        n = sum(cvec)
-        if n not in tables:
-            tables[n] = _move_table(move, n, params)
-        for dvec, value in _row(tables[n], move, cvec):
-            out[dvec] = out.get(dvec, Fraction(0)) + w * value
-    return {d: v for d, v in out.items() if v != 0}
+        table, D = tables[sum(cvec)]
+        w *= L // D
+        for dvec, value in _row(table, move, cvec):
+            out[dvec] = out.get(dvec, 0) + w * value
+    den *= L
+    g = gcd(den, *out.values())
+    return {d: v // g for d, v in out.items() if v}, den // g
 
 
 @dataclass(frozen=True)
@@ -236,17 +295,27 @@ class ConnectionMatrix:
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
         """Matrix product: expand through `other`'s target basis.  Both
-        matrices must share the degree, q and the alphas."""
+        matrices must share the degree, q and the alphas.
+
+        `other` is put over one integer denominator L once, and each
+        product row is summed in integers over its own row's denominator
+        times L; only the nonzero entries become Fractions."""
         mine = (self.target, self.n, self.params.ctx, self.params.alphas)
         if mine != (other.source, other.n, other.params.ctx, other.params.alphas):
             raise ValueError("connection matrices do not chain")
+        entries = [(d, e, w) for d, row in other.rows.items() for e, w in row.items()]
+        nums, L = over_common_denominator(w for _, _, w in entries)
+        scaled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for (d, e, _), w in zip(entries, nums):
+            scaled.setdefault(d, []).append((e, w))
         rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for c, row in self.rows.items():
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for d, v in row.items():
-                for e, w in other.rows.get(d, {}).items():
-                    acc[e] = acc.get(e, Fraction(0)) + v * w
-            rows[c] = {e: w for e, w in acc.items() if w != 0}
+            vs, D = over_common_denominator(row.values())
+            acc: dict[tuple[int, ...], int] = {}
+            for d, v in zip(row, vs):
+                for e, w in scaled.get(d, ()):
+                    acc[e] = acc.get(e, 0) + v * w
+            rows[c] = {e: Fraction(w, D * L) for e, w in acc.items() if w}
         path = (
             self.path + other.path
             if self.path is not None and other.path is not None
@@ -325,10 +394,11 @@ def connection_by_path(
         raise ValueError(f"path ends at {current}, expected {target}")
     rows = {}
     for cvec in enumerate_labelings(source, n):
-        weights = {cvec: Fraction(1)}
+        weights = ({cvec: 1}, 1)
         for move in path:
             weights = apply_move(move, weights, params)
-        rows[cvec] = weights
+        nums, den = weights
+        rows[cvec] = {d: Fraction(v, den) for d, v in nums.items()}
     return ConnectionMatrix(source, target, n, params, rows, path)
 
 

@@ -15,9 +15,10 @@ The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
 classical bridges and is the cross-check.  `racah_column` returns every
 degree at one lattice point in one pass, from q-shifted factorials shared
-by all degrees, in integer arithmetic; the rotation move tables in
-`connect` take their columns from it.  Tests compare the two entry by
-entry.
+by all degrees, in integer arithmetic.  Its cached body keeps the values
+as reduced integer pairs, keyed by integers, and the rotation move tables
+in `connect` read those pairs; `racah_column` is their view as
+Fractions.  Tests compare the two routes entry by entry.
 
 The standard-reference q-Racah normalization multiplies by a signed
 half-power (-1)^n poly radicand^(-n/2); `_tilde_scale` states it once for
@@ -38,6 +39,7 @@ from .qnum import (
     _one_minus,
     _poch_pair,
     _power_pair,
+    _reduced,
     as_fraction,
     phi_sum,
     pochhammer,
@@ -242,16 +244,16 @@ def hahn_row(
     Hahn1DSpec(ctx, n, alpha, beta, N)  # raises ValueError unless 0 <= n <= N
     a, b = ctx.q.numerator, ctx.q.denominator
     one = Fraction(1)
-    lower = [_one_minus(one, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
+    lower = [_one_minus(1, 1, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
     rho = [None]
     pole = n + 1  # first k whose denominator vanishes
     ab = alpha * beta
     for k in range(1, n + 1):
         u1, v1 = lower[n + 1 - k]
-        u2, v2 = _one_minus(ab, n + k, a, b)
-        u3, v3 = _one_minus(alpha, k, a, b)
+        u2, v2 = _one_minus(ab.numerator, ab.denominator, n + k, a, b)
+        u3, v3 = _one_minus(alpha.numerator, alpha.denominator, k, a, b)
         u4, v4 = lower[N + 1 - k]
-        u5, v5 = _one_minus(one, k, a, b)
+        u5, v5 = _one_minus(1, 1, k, a, b)
         if u3 == 0:
             pole = k
             break
@@ -467,10 +469,6 @@ def racah_eval(
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
 
 
-# Bound set on the `rotations` benchmark: 1024 columns keep every repeat
-# within a round (as many hits as 16,384 slots); 4096 added 2.7 MB of peak
-# RSS for no more hits, and 256 lost about a third of the hits.
-@lru_cache(maxsize=1 << 10)
 def racah_column(
     ctx: QContext, x: int, alpha: Fraction, beta: Fraction, delta: Fraction, N: int
 ) -> tuple[Fraction, ...]:
@@ -493,26 +491,56 @@ def racah_column(
 
     read from tables of (q; q)_m, (beta delta q; q)_m and the factors
     1 - alpha beta q^j.  Everything is an unreduced integer pair, the sum
-    is taken by Horner's rule, and each value is reduced once, as a
-    Fraction.  A pole raises what `racah` raises at the lowest degree that
-    meets it: ZeroDivisionError for the prefactor, ZeroDenominator for the
-    series.
+    is taken by Horner's rule, and each value is reduced once.  The body,
+    `_racah_pairs`, keeps the values as reduced integer pairs, keyed by
+    integers, and caches them; the rotation move tables in `connect` read
+    those pairs, and this view turns them into Fractions.  A pole raises
+    what `racah` raises at the lowest degree that meets it:
+    ZeroDivisionError for the prefactor, ZeroDenominator for the series.
     """
+    pairs = _racah_pairs(
+        ctx.q.numerator,
+        ctx.q.denominator,
+        x,
+        (alpha.numerator, alpha.denominator),
+        (beta.numerator, beta.denominator),
+        (delta.numerator, delta.denominator),
+        N,
+    )
+    return tuple(Fraction(num, den) for num, den in pairs)
+
+
+# Bound set on the `rotations` benchmark, replaying the 572 requests of a
+# 20 s run in one process, seeds 3 and 11: 1024 columns hit 5723 and 5287
+# times, against 5733 and 5297 with no bound; 256 hit 3891 and 3359, and
+# 4096 add 2.9 and 2.8 MB of peak RSS (20.3 MB at 1024) for 6 and 0 more
+# hits.
+@lru_cache(maxsize=1 << 10)
+def _racah_pairs(
+    a: int,
+    b: int,
+    x: int,
+    alpha: tuple[int, int],
+    beta: tuple[int, int],
+    delta: tuple[int, int],
+    N: int,
+) -> tuple[tuple[int, int], ...]:
+    """`racah_column` at q = a/b, with alpha, beta and delta given as
+    integer pairs (numerator, denominator) and every value returned as a
+    reduced pair with a positive denominator."""
     _check_x(x, N)
-    a, b = ctx.q.numerator, ctx.q.denominator
-    one = Fraction(1)
-    ab, bd = alpha * beta, beta * delta
-    f = [None] + [_one_minus(ab, j, a, b) for j in range(1, 2 * N + 1)]
-    g = [None] + [_one_minus(bd, k, a, b) for k in range(1, N + 1)]
-    h = [None] + [_one_minus(one, k, a, b) for k in range(1, N + 1)]
+    (an, ad), (bn, bd), (dn, dd) = alpha, beta, delta
+    f = [None] + [_one_minus(an * bn, ad * bd, j, a, b) for j in range(1, 2 * N + 1)]
+    g = [None] + [_one_minus(bn * dn, bd * dd, k, a, b) for k in range(1, N + 1)]
+    h = [None] + [_one_minus(1, 1, k, a, b) for k in range(1, N + 1)]
     rho = [None]
     pole = x + 1  # first k whose denominator vanishes
     for k in range(1, x + 1):
-        u1, v1 = _one_minus(delta, x - N + k - 1, a, b)
-        u2, v2 = _one_minus(one, k - 1 - x, a, b)
-        u3, v3 = _one_minus(alpha, k, a, b)
+        u1, v1 = _one_minus(dn, dd, x - N + k - 1, a, b)
+        u2, v2 = _one_minus(1, 1, k - 1 - x, a, b)
+        u3, v3 = _one_minus(an, ad, k, a, b)
         u4, v4 = g[k]
-        u5, v5 = _one_minus(one, k - 1 - N, a, b)
+        u5, v5 = _one_minus(1, 1, k - 1 - N, a, b)
         u6, v6 = h[k]
         if u3 == 0 or u4 == 0:
             pole = k
@@ -533,22 +561,23 @@ def racah_column(
             den_den *= f[j][1]
         if den_num == 0:
             raise ZeroDivisionError(
-                f"(alpha beta q^(n+1); q)_n vanished for alpha={alpha}, beta={beta}, n={n}"
+                f"(alpha beta q^(n+1); q)_n vanished for alpha={an}/{ad}, "
+                f"beta={bn}/{bd}, n={n}"
             )
         terms = min(n, x)
         if pole <= terms:
             raise ZeroDenominator(
-                f"4phi3 denominator vanished at k={pole} for alpha={alpha}, "
-                f"beta={beta}, delta={delta}"
+                f"4phi3 denominator vanished at k={pole} for alpha={an}/{ad}, "
+                f"beta={bn}/{bd}, delta={dn}/{dd}"
             )
         sum_num, sum_den = 1, 1
         for k in range(terms, 0, -1):
-            u, v = _one_minus(one, k - 1 - n, a, b)
+            u, v = _one_minus(1, 1, k - 1 - n, a, b)
             t_num = rho[k][0] * u * f[n + k][0]
             t_den = rho[k][1] * v * f[n + k][1]
             sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
         e = n * (N - n)
-        column.append(Fraction(
+        column.append(_reduced(
             b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den * sum_num,
             a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
         ))

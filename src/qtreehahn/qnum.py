@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -91,17 +92,27 @@ def _power_pair(a: int, b: int, e: int) -> tuple[int, int]:
     return (a**e, b**e) if e >= 0 else (b**-e, a**-e)
 
 
-def _one_minus(c: Fraction, e: int, a: int, b: int) -> tuple[int, int]:
-    """1 - c q^e for q = a/b, as an unreduced integer pair (numerator, denominator)."""
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator; den != 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _one_minus(cn: int, cd: int, e: int, a: int, b: int) -> tuple[int, int]:
+    """1 - c q^e for c = cn/cd and q = a/b, as an unreduced integer pair
+    (numerator, denominator)."""
     num, den = _power_pair(a, b, e)
-    return c.denominator * den - c.numerator * num, c.denominator * den
+    return cd * den - cn * num, cd * den
 
 
 def _poch_pair(c: Fraction, e: int, k: int, a: int, b: int) -> tuple[int, int]:
     """(c q^e; q)_k for q = a/b, as an unreduced integer pair (numerator, denominator)."""
     num = den = 1
+    cn, cd = c.numerator, c.denominator
     for j in range(e, e + k):
-        u, v = _one_minus(c, j, a, b)
+        u, v = _one_minus(cn, cd, j, a, b)
         num *= u
         den *= v
     return num, den

@@ -1,6 +1,8 @@
 """Connection coefficients: one-move expansions, paths, oracles, bridges."""
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from qtreehahn import (
     Racah1DSpec,
     all_trees,
     apply_L,
+    apply_move,
     child_sums,
     coefficient_sums,
     comb_connection_product,
@@ -43,6 +46,7 @@ from qtreehahn import (
     xi_polynomial,
 )
 from qtreehahn.connect import _move_table
+from qtreehahn.hahn1d import _racah_pairs
 
 from conftest import make_params
 
@@ -176,6 +180,86 @@ def test_move_tables_match_displayed_coefficient():
     connection_by_path(rc, lc, 2, make_params(5))
     after = _move_table.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
+
+
+def _moves(h):
+    for tree in all_trees(h):
+        for U in tree.vertices:
+            if U.right is not None:
+                yield transplant_right_to_left(tree, U.index)[1]
+
+
+def test_move_tables_are_integers_over_one_denominator():
+    p5 = make_params(5)
+    for move in _moves(5):
+        for n in range(4):
+            table, D = _move_table(move, n, p5)
+            assert type(D) is int and D > 0
+            entries = [Fraction(num, D) for row in table.values() for _, num in row]
+            assert D == math.lcm(*(value.denominator for value in entries))
+            assert set(table) == set(enumerate_labelings(move.source, n))
+            for cvec, row in table.items():
+                assert all(type(num) is int and num != 0 for _, num in row)
+                assert one_move_coefficients(move, cvec, p5) == [
+                    (dvec, Fraction(num, D)) for dvec, num in row
+                ]
+
+
+def test_move_tables_build_no_fraction(monkeypatch):
+    p5 = make_params(5)
+    moves = list(_moves(5))
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    _racah_pairs.cache_clear()
+    for move in moves:
+        for n in range(4):
+            _move_table.__wrapped__(move, n, p5)
+    assert built == []
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the counter does see a Fraction being built
+
+
+def _push_by_fractions(move, weights, params):
+    """Reference push of a Fraction combination through one move, from the
+    coefficients that `one_move_coefficients` displays."""
+    out = {}
+    for cvec, w in weights.items():
+        if w:
+            for dvec, value in one_move_coefficients(move, cvec, params):
+                out[dvec] = out.get(dvec, Fraction(0)) + w * value
+    return {d: v for d, v in out.items() if v}
+
+
+def test_apply_move_matches_a_fraction_push():
+    rng = random.Random(13)
+    p5 = make_params(5)
+    moves = list(_moves(5))
+    mixed = 0
+    for _ in range(60):
+        move = rng.choice(moves)
+        labelings = [c for n in range(4) for c in enumerate_labelings(move.source, n)]
+        den = rng.randint(1, 40)
+        nums = {
+            c: rng.choice((0, 0, rng.randint(-50, 50))) for c in rng.sample(labelings, 6)
+        }
+        mixed += len({sum(c) for c, w in nums.items() if w}) > 1
+        got_nums, got_den = apply_move(move, (nums, den), p5)
+        assert got_den > 0 and math.gcd(got_den, *got_nums.values()) == 1
+        assert all(type(v) is int and v != 0 for v in got_nums.values())
+        want = _push_by_fractions(move, {c: Fraction(w, den) for c, w in nums.items()}, p5)
+        assert {d: Fraction(v, got_den) for d, v in got_nums.items()} == want
+    assert mixed > 20
+    assert apply_move(moves[0], ({}, 7), p5) == ({}, 1)
+    for move in moves[:5]:
+        stranger = (0,) * (move.source.n_internal + 1)
+        with pytest.raises(ValueError):
+            apply_move(move, ({stranger: 1}, 1), p5)
 
 
 def test_connection_is_path_independent():

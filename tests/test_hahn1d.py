@@ -30,6 +30,7 @@ from qtreehahn import (
     verify_hahn_recurrences,
 )
 from qtreehahn._linalg import solve
+from qtreehahn.hahn1d import _racah_pairs
 
 from conftest import make_ctx, make_params
 
@@ -321,6 +322,50 @@ def test_racah_column_raises_what_racah_raises():
     assert racah_column(CTX, 1, alpha, beta, delta, 3) == _racah_by_degree(
         CTX, 1, alpha, beta, delta, 3
     )
+
+
+def _pairs_or_pole(ctx, x, alpha, beta, delta, N):
+    """`_racah_pairs` at the context's q and the given Fractions, or the
+    type of what it raises."""
+    try:
+        return _racah_pairs(
+            ctx.q.numerator,
+            ctx.q.denominator,
+            x,
+            *((v.numerator, v.denominator) for v in (alpha, beta, delta)),
+            N,
+        )
+    except (ZeroDivisionError, ZeroDenominator) as exc:
+        return type(exc)
+
+
+def test_racah_pairs_are_reduced_and_are_the_column():
+    rng = random.Random(21)
+
+    def draw():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 12))
+
+    compared = poles = 0
+    for ctx in (CTX, make_ctx(Fraction(2, 3))):
+        q = ctx.q
+        # random, then poles: alpha = q^-1 with alpha beta = q^-3, and beta delta = q^-2
+        triples = [(draw(), draw(), draw()) for _ in range(4)]
+        triples += [(1 / q, q**-2, Fraction(1, 5)), (Fraction(2, 3), q**-2 / 5, Fraction(5))]
+        for alpha, beta, delta in triples:
+            for N in range(6):
+                for x in range(N + 1):
+                    want = _racah_by_degree(ctx, x, alpha, beta, delta, N)
+                    pairs = _pairs_or_pole(ctx, x, alpha, beta, delta, N)
+                    if isinstance(want, type):
+                        assert pairs is want
+                        poles += 1
+                        continue
+                    # a Fraction's own pair is reduced, with a positive denominator
+                    assert pairs == tuple((v.numerator, v.denominator) for v in want)
+                    assert all(type(num) is int and type(den) is int for num, den in pairs)
+                    assert racah_column(ctx, x, alpha, beta, delta, N) == want
+                    compared += len(pairs)
+    assert compared > 200 and poles > 20
 
 
 def test_racah_degenerates_to_hahn_at_delta_zero():

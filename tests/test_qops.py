@@ -358,6 +358,7 @@ def test_every_cache_is_bounded():
         "hahn1d.hahn_eval",
         "hahn1d.hahn_row",
         "hahn1d.racah_eval",
+        "hahn1d._racah_pairs",
         "connect._move_table",
         "trees._rl_path",
     ):
