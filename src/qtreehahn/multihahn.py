@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .hahn1d import hahn_eval, hahn_row, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
 from .qnum import ZeroDenominator, _poch_pair, _power_pair, pochhammer, pochhammer_many, q_factorial
-from .qops import apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
+from .qops import _eigenvalue, apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
 from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
@@ -92,11 +92,9 @@ def eval_Q(
 
 def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSet, u: int) -> Fraction:
     """Eigenvalue q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)) of the vertex operator."""
-    ctx = params.ctx
     vert = tree.vertices[u]
     cs = coefficient_sums(tree, labeling)[u]
-    p_u = params.span_p(vert.lo, vert.hi)
-    return ctx.q_power(-cs) * (1 - ctx.q_power(cs)) * (1 - p_u * ctx.q_power(cs - 1))
+    return _eigenvalue(params.ctx, params.span_p(vert.lo, vert.hi), cs)
 
 
 # Bounds set on the `gram` benchmark, where every hit of this table and of

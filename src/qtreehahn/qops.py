@@ -11,6 +11,15 @@ The three operators implemented here close into a small algebra:
 of this numerically, with exact rational equality, for a given parameter
 set; they are used both as tests and from the command line.  Every
 verification report of the package is built by `check_identity`.
+
+Each operator is applied through a cached sparse stencil: integer
+coefficients over one denominator per (parameters, level, span).  The
+stencils are built without `Fraction`s.  With q = a/b and W the product
+of the span's alpha denominators, every coefficient is a short sum of
+monomials +-At[k] q^e, where At[k] = W * alpha_{lo+1} ... alpha_{lo+k} is
+an integer and e is bounded, so each monomial is the integer
+At[k] a^(e+L) b^(U-e) over the one denominator W a^L b^U.  The stencil is
+reduced once by the gcd of that denominator and its coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate
+from math import gcd
 from operator import mul
 from typing import Callable, Iterable
 
@@ -60,14 +70,15 @@ class InvalidSlice(ValueError):
     """A variable span (lo, hi] that is not a nonempty subrange of 1..h."""
 
 
+def _eigenvalue(ctx: QContext, P: Fraction, n: int) -> Fraction:
+    """q^(-n) (1 - q^n) (1 - P q^(n-1)): the eigenvalue on level n of the
+    operator of a variable span whose p-value is P."""
+    return ctx.q_power(-n) * (1 - ctx.q_power(n)) * (1 - P * ctx.q_power(n - 1))
+
+
 def eigenvalue(p: ParamSet, n: int) -> Fraction:
     """q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)), the eigenvalue of D on level-n vectors."""
-    ctx = p.ctx
-    return (
-        ctx.q_power(-n)
-        * (1 - ctx.q_power(n))
-        * (1 - p.prefix_product(p.h) * ctx.q_power(n + p.h - 1))
-    )
+    return _eigenvalue(p.ctx, p.span_p(0, p.h), n)
 
 
 def apply_D(f: GridFunction, p: ParamSet) -> GridFunction:
@@ -113,15 +124,16 @@ def apply_L(f: GridFunction, p: ParamSet) -> GridFunction:
     return _apply(_lowering_stencil(p, f.N), f, f.N - 1)
 
 
-def _stencil(rows, ranks):
+def _stencil(rows, ranks, den):
     """Sparse operator matrix over one denominator: per image point, the
     columns and integer coefficients of its nonzero entries, and the
-    denominator of the whole stencil.  Stencil caches hold one request's
-    working set."""
+    denominator of the whole stencil.  `rows` hold (point, numerator)
+    pairs over the positive integer `den`; the result is reduced once, so
+    gcd(den, *coefficients) == 1 and every stencil has one form.  Stencil
+    caches hold one request's working set."""
     rows = [[(ranks[y], c) for y, c in row if c] for row in rows]
-    nums, den = _linalg.over_common_denominator(c for row in rows for _, c in row)
-    nums = iter(nums)
-    return tuple((tuple(k for k, _ in row), tuple(islice(nums, len(row)))) for row in rows), den
+    g = gcd(den, *(c for row in rows for _, c in row))
+    return tuple((tuple(k for k, _ in row), tuple(c // g for _, c in row)) for row in rows), den // g
 
 
 def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
@@ -134,56 +146,75 @@ def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
     return GridFunction._from_integers(f.h, level, out, den * f_den)
 
 
+def _span_numerators(p: ParamSet, lo: int, hi: int) -> list[int]:
+    """At[k] = alpha_{lo+1} * ... * alpha_{lo+k} * W for k = 0..hi-lo, with
+    W = At[0] the product of the span's alpha denominators: integers."""
+    alphas = p.alphas[lo:hi]
+    heads = accumulate((a.numerator for a in alphas), mul, initial=1)
+    tails = list(accumulate((a.denominator for a in reversed(alphas)), mul, initial=1))
+    return [x * y for x, y in zip(heads, reversed(tails))]
+
+
+def _monomials(at: list[int], q: Fraction, L: int, U: int) -> tuple[list[list[int]], int]:
+    """For q = a/b: the rows T[k][e + L] = At[k] a^(e+L) b^(U-e), the
+    numerators of At[k] q^e over the one denominator At[0] a^L b^U, for
+    -L <= e <= U; and that denominator."""
+    a, b = q.numerator, q.denominator
+    powers = [a**i * b ** (L + U - i) for i in range(L + U + 1)]
+    return [[c * v for v in powers] for c in at], at[0] * a**L * b**U
+
+
 @lru_cache(maxsize=32)
 def _vertex_stencil(p: ParamSet, N: int, lo: int, hi: int):
-    ctx = p.ctx
-    alphas = p.alphas
+    m = hi - lo
+    at = _span_numerators(p, lo, hi)
+    # Every coefficient is a sum of terms +-At[k] q^e, At[k] / W being the
+    # span product up to lo + k, with -n <= e <= m + n for the local level
+    # n <= N (partial sums inside the span are at most n, and -[i < j]
+    # comes only with j - 1 - lo >= 1): so L = N and U = N + m.
+    L = N
+    T, den = _monomials(at, p.ctx.q, L, N + m)
+    W, top = T[0], T[m]
     points, ranks = domain_table(p.h, N)
     rows = []
     for x in points:
         X = partial_sums(x)
-        # local data for the span (lo, hi]
-        n_loc = X[hi] - X[lo]
+        base = X[lo]
+        n = X[hi] - base  # the local level
         row = []
-        # off-diagonal terms: move one unit from slot i to slot j, i != j
+        # (A_m q^(m + n - 1) - 1) (1 - q^(-n)), the last diagonal term
+        diag = top[L + m + n - 1] - top[L + m - 1] - W[L] + W[L - n]
         for j in range(lo + 1, hi + 1):
-            a_prefix = p.span_product(lo, j - 1)  # local A_{j-1}
-            coeff_j = a_prefix * (alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
+            xj = x[j - 1]
+            Aj, Ap = T[j - lo], T[j - lo - 1]  # local A_j and A_{j-1}
+            ej = L + (j - 1 - lo) + (X[j - 1] - base) - n  # indices into T carry + L
+            # off-diagonal terms: move one unit from slot i to slot j, i != j;
+            # A_{j-1} (alpha_j q^(x_j + 1) - 1) q^e (1 - q^(x_i)) with
+            # e = (j - 1 - lo) + (X_{j-1} - X_lo) + (X_{i-1} - X_lo) - n - [i < j]
             for i in range(lo + 1, hi + 1):
-                if i == j or x[i - 1] == 0:
+                xi = x[i - 1]
+                if i == j or xi == 0:
                     continue
                 shifted = list(x)
                 shifted[i - 1] -= 1
                 shifted[j - 1] += 1
-                expo = (
-                    (j - 1 - lo)
-                    + (X[j - 1] - X[lo])
-                    + (X[i - 1] - X[lo])
-                    - n_loc
-                    - (1 if i < j else 0)
+                e = ej + (X[i - 1] - base) - (i < j)
+                row.append(
+                    (tuple(shifted), Aj[e + xj + 1] - Aj[e + xj + 1 + xi] - Ap[e] + Ap[e + xi])
                 )
-                coeff = coeff_j * ctx.q_power(expo) * (1 - ctx.q_power(x[i - 1]))
-                row.append((tuple(shifted), coeff))
-        # diagonal terms
-        diag = Fraction(0)
-        for j in range(lo + 1, hi + 1):
-            a_prefix = p.span_product(lo, j - 1)
-            diag += (
-                a_prefix
-                * ctx.q_power((j - 1 - lo) + 2 * (X[j - 1] - X[lo]) - n_loc)
-                * (alphas[j - 1] * ctx.q_power(x[j - 1]) - 1)
-                * (1 - ctx.q_power(x[j - 1]))
-            )
-        diag += (p.span_product(lo, hi) * ctx.q_power(hi - lo + n_loc - 1) - 1) * (
-            1 - ctx.q_power(-n_loc)
-        )
+            # diagonal: A_{j-1} q^d (alpha_j q^(x_j) - 1) (1 - q^(x_j)) with
+            # d = (j - 1 - lo) + 2 (X_{j-1} - X_lo) - n
+            d = ej + (X[j - 1] - base)
+            diag += Aj[d + xj] - Aj[d + 2 * xj] - Ap[d] + Ap[d + xj]
         row.append((x, diag))
         rows.append(row)
-    return _stencil(rows, ranks)
+    return _stencil(rows, ranks, den)
 
 
 @lru_cache(maxsize=32)
 def _raising_stencil(ctx: QContext, h: int, N: int):
+    # terms q^(X_i - N - 1) with -(N + 1) <= X_i - N - 1 <= 0 on [h; N+1]
+    (T,), den = _monomials([1], ctx.q, N + 1, 0)
     rows = []
     for x in domain_table(h, N + 1).points:
         X = partial_sums(x)
@@ -193,30 +224,29 @@ def _raising_stencil(ctx: QContext, h: int, N: int):
                 continue
             lowered = list(x)
             lowered[i - 1] -= 1
-            coeff = ctx.q_power(X[i - 1] - N - 1) * (1 - ctx.q_power(x[i - 1]))
-            row.append((tuple(lowered), coeff))
+            # q^(X_{i-1} - N - 1) (1 - q^(x_i))
+            row.append((tuple(lowered), T[X[i - 1]] - T[X[i]]))
         rows.append(row)
-    return _stencil(rows, domain_table(h, N).ranks)
+    return _stencil(rows, domain_table(h, N).ranks, den)
 
 
 @lru_cache(maxsize=32)
 def _lowering_stencil(p: ParamSet, N: int):
-    ctx = p.ctx
+    h = p.h
+    # terms A_j q^(j + X_j) with 0 <= j + X_j <= h + N - 1 on [h; N-1]
+    T, den = _monomials(_span_numerators(p, 0, h), p.ctx.q, 0, h + N - 1)
     rows = []
-    for x in domain_table(p.h, N - 1).points:
+    for x in domain_table(h, N - 1).points:
         X = partial_sums(x)
+        t = [T[j][j + X[j]] for j in range(h + 1)]
         row = []
-        for j in range(1, p.h + 1):
+        for j in range(1, h + 1):
             raised = list(x)
             raised[j - 1] += 1
-            coeff = (
-                p.prefix_product(j - 1)
-                * ctx.q_power(j - 1 + X[j - 1])
-                * (p.alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
-            )
-            row.append((tuple(raised), coeff))
+            # A_{j-1} q^(j - 1 + X_{j-1}) (alpha_j q^(x_j + 1) - 1)
+            row.append((tuple(raised), t[j] - t[j - 1]))
         rows.append(row)
-    return _stencil(rows, domain_table(p.h, N).ranks)
+    return _stencil(rows, domain_table(h, N).ranks, den)
 
 
 def raise_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:

@@ -97,6 +97,9 @@ class PlanarTree:
         vertices = []
         _build_vertices(self.shape, None, 0, vertices)
         object.__setattr__(self, "_vertices", tuple(vertices))
+        # taken once: trees key the path and move-table caches
+        object.__setattr__(self, "_h", _leaf_span(self.shape)[1])
+        object.__setattr__(self, "_hash", hash(self.shape))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -105,7 +108,7 @@ class PlanarTree:
 
     @property
     def h(self) -> int:
-        return _leaf_span(self.shape)[1]
+        return self._h
 
     @property
     def n_internal(self) -> int:
@@ -121,7 +124,7 @@ class PlanarTree:
         return f"PlanarTree({self.serialize()!r})"
 
     def __hash__(self):
-        return hash(self.shape)
+        return self._hash
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.shape == other.shape
@@ -331,6 +334,14 @@ class MoveRecord:
     s_local: int
     r_local: int
     h_local: int
+
+    def __post_init__(self):
+        # hashed once: records key the move-table cache on every rotation step
+        key = (self.source, self.target, self.vertex, self.base, self.s_local, self.r_local, self.h_local)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     def to_json_obj(self) -> dict:
         return {

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -281,6 +281,111 @@ def _lower_pointwise(f, p):
         return total
 
     return GridFunction.from_callable(f.h, f.N - 1, value)
+
+
+def _vertex_pointwise(f, p, lo, hi):
+    """The operator of the span (lo, hi] at each point x, summed over the
+    unit moves from slot i to slot j inside the span and the diagonal, in
+    Fractions:
+
+        A_{j-1} (alpha_j q^(x_j + 1) - 1) q^e (1 - q^(x_i)) f(x - e_i + e_j),
+            e = (j-1-lo) + (X_{j-1} - X_lo) + (X_{i-1} - X_lo) - n - [i < j],
+        sum_j A_{j-1} q^((j-1-lo) + 2 (X_{j-1} - X_lo) - n)
+            (alpha_j q^(x_j) - 1) (1 - q^(x_j)) f(x)
+        + (A_{hi-lo} q^(hi - lo + n - 1) - 1) (1 - q^(-n)) f(x),
+
+    with A_k the span product of alpha_{lo+1}..alpha_{lo+k} and n the
+    level of x inside the span."""
+    ctx, alphas = p.ctx, p.alphas
+
+    def value(x):
+        X = [sum(x[:k]) for k in range(len(x) + 1)]
+        n = X[hi] - X[lo]
+        total = Fraction(0)
+        for j in range(lo + 1, hi + 1):
+            a_prefix = p.span_product(lo, j - 1)
+            coeff_j = a_prefix * (alphas[j - 1] * ctx.q_power(x[j - 1] + 1) - 1)
+            for i in range(lo + 1, hi + 1):
+                if i == j or x[i - 1] == 0:
+                    continue
+                shifted = list(x)
+                shifted[i - 1] -= 1
+                shifted[j - 1] += 1
+                e = (j - 1 - lo) + (X[j - 1] - X[lo]) + (X[i - 1] - X[lo]) - n - (i < j)
+                coeff = coeff_j * ctx.q_power(e) * (1 - ctx.q_power(x[i - 1]))
+                total += coeff * f.at(tuple(shifted))
+            total += (
+                a_prefix
+                * ctx.q_power((j - 1 - lo) + 2 * (X[j - 1] - X[lo]) - n)
+                * (alphas[j - 1] * ctx.q_power(x[j - 1]) - 1)
+                * (1 - ctx.q_power(x[j - 1]))
+                * f.at(x)
+            )
+        total += (
+            (p.span_product(lo, hi) * ctx.q_power(hi - lo + n - 1) - 1)
+            * (1 - ctx.q_power(-n))
+            * f.at(x)
+        )
+        return total
+
+    return GridFunction.from_callable(f.h, f.N, value)
+
+
+def _pointwise_params(h):
+    """Primary and secondary alphas at s = 1/2 and 1/3, and one unchecked
+    set above q^(-n_max) at s = 1/2."""
+    for s in (Fraction(1, 2), Fraction(1, 3)):
+        for which in ("primary", "secondary"):
+            yield make_params(h, which, s)
+    above = (257, 263, Fraction(601, 2), 271, Fraction(1033, 4))
+    yield ParamSet(make_ctx(), above[:h], n_max=4, unchecked=True)
+
+
+def _assert_lowest_terms(stencil):
+    rows, den = stencil
+    coeffs = [c for _, cs in rows for c in cs]
+    assert all(type(c) is int and c for c in coeffs) and type(den) is int and den > 0
+    assert gcd(den, *coeffs) == 1
+
+
+def test_vertex_operator_equals_its_pointwise_formula():
+    rng = random.Random(14)
+    for h in range(1, 6):
+        for p in _pointwise_params(h):
+            for N in range(5):
+                f = _random_grid(h, N, rng)
+                for lo in range(h):
+                    for hi in range(lo + 1, h + 1):
+                        assert apply_D_at_vertex(f, p, lo, hi) == _vertex_pointwise(f, p, lo, hi), (
+                            p, N, lo, hi,
+                        )
+                        _assert_lowest_terms(qops._vertex_stencil(p, N, lo, hi))
+                _assert_lowest_terms(qops._raising_stencil(p.ctx, h, N))
+                if N > 0:
+                    _assert_lowest_terms(qops._lowering_stencil(p, N))
+
+
+def test_stencils_build_no_fraction(monkeypatch):
+    ps = [make_params(4), make_params(4, "secondary", s=Fraction(1, 3))]
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for p in ps:
+        for N in range(5):
+            for lo in range(4):
+                for hi in range(lo + 1, 5):
+                    qops._vertex_stencil.__wrapped__(p, N, lo, hi)
+            qops._raising_stencil.__wrapped__(p.ctx, 4, N)
+            if N > 0:
+                qops._lowering_stencil.__wrapped__(p, N)
+    assert built == []
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the counter does see a Fraction being built
 
 
 def test_raising_and_lowering_equal_their_pointwise_formulas():

@@ -1,5 +1,7 @@
 """Planar binary trees, labelings, and right-to-left transplantations."""
 
+import dataclasses
+import pickle
 from math import comb
 
 import pytest
@@ -197,6 +199,27 @@ def test_paths_replay_to_target():
                     cur, rec2 = transplant_right_to_left(cur, rec.vertex)
                     assert rec2 == rec
                 assert cur == lc
+
+
+def test_tree_and_move_hashes_are_taken_once_and_agree():
+    for h in range(2, 6):
+        for tree in all_trees(h):
+            twin = parse_tree(tree.serialize())
+            assert twin is not tree and twin == tree
+            assert hash(twin) == hash(tree) == hash(tree.shape)
+            assert tree.h == twin.h == trees._leaf_span(tree.shape)[1] == h
+            swapped = dataclasses.replace(tree, shape=left_comb(h).shape)
+            assert swapped == left_comb(h) and hash(swapped) == hash(left_comb(h))
+            for (_, rec), (_, twin_rec) in zip(rl_neighbors(tree), rl_neighbors(twin)):
+                assert twin_rec is not rec and twin_rec == rec
+                fields = tuple(getattr(rec, f.name) for f in dataclasses.fields(rec))
+                assert hash(twin_rec) == hash(rec) == hash(fields)
+                assert repr(twin_rec) == repr(rec)
+                for copy in (pickle.loads(pickle.dumps(rec)), dataclasses.replace(rec)):
+                    assert copy == rec and hash(copy) == hash(rec) and repr(copy) == repr(rec)
+                moved = dataclasses.replace(rec, base=rec.base + 1)
+                assert moved != rec
+                assert hash(moved) == hash(fields[:3] + (rec.base + 1,) + fields[4:])
 
 
 def test_canonical_path_terminates_only_at_left_comb():
