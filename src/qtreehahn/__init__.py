@@ -61,7 +61,6 @@ from .hahn1d import (
     hahn_via_phi2,
     hahn_via_raising,
     racah,
-    racah_column,
     racah_eval,
     vandermonde_sum_check,
     verify_hahn_recurrences,

@@ -95,8 +95,11 @@ def _build_params(args, h: int) -> ParamSet:
 def _emit(args, obj) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -47,6 +47,7 @@ from .qnum import (
     ZeroDenominator,
     _power_pair,
     _reduced,
+    _shifted,
     as_fraction,
     pochhammer,
     q_binomial,
@@ -130,10 +131,6 @@ def _move_table(
     p2 = params.span_p(R.lo, R.split)
     p3 = params.span_p(R.split, R.hi)
 
-    def shifted(num: int, den: int, e: int) -> tuple[int, int]:  # num/den q^e
-        u, v = _power_pair(a, b, e)
-        return _reduced(num * u, den * v)
-
     # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
     k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
     columns: dict[tuple[int, ...], list[tuple[tuple[int, int], int, int]]] = {}
@@ -150,12 +147,14 @@ def _move_table(
             a,
             b,
             v - l - j,
-            shifted(p2.numerator, p2.denominator, 2 * l - 1),
-            shifted(p1.numerator, p1.denominator, 2 * i - 1),
-            shifted(
+            _shifted(p2.numerator, p2.denominator, 2 * l - 1, a, b),
+            _shifted(p1.numerator, p1.denominator, 2 * i - 1, a, b),
+            _shifted(
                 p2.numerator * p3.numerator,
                 p2.denominator * p3.denominator,
                 n_U + l + j - i - 1,
+                a,
+                b,
             ),
             n_U - i - l - j,
         )

@@ -13,12 +13,18 @@ values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.
 
 The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
-classical bridges and is the cross-check.  `racah_column` returns every
+classical bridges and is the cross-check.  `_racah_pairs` returns every
 degree at one lattice point in one pass, from q-shifted factorials shared
-by all degrees, in integer arithmetic.  Its cached body keeps the values
-as reduced integer pairs, keyed by integers, and the rotation move tables
-in `connect` read those pairs; `racah_column` is their view as
-Fractions.  Tests compare the two routes entry by entry.
+by all degrees, in integer arithmetic, keyed by integers; the rotation
+move tables in `connect` read it.  Tests compare the two routes entry by
+entry.
+
+Both one-pass bodies, `hahn_row` and `_racah_pairs`, return reduced
+integer pairs (numerator, denominator) with a positive denominator and
+build no Fraction; `multihahn.basis` and `connect._move_table` keep the
+pairs up to the finished grid or move table.  The Fraction views left are
+the termwise routes `hahn_eval` and `racah_eval`, which serve single
+values and the cross-checks.
 
 The standard-reference q-Racah normalization multiplies by a signed
 half-power (-1)^n poly radicand^(-n/2); `_tilde_scale` states it once for
@@ -64,7 +70,6 @@ __all__ = [
     "vandermonde_sum_check",
     "racah",
     "racah_eval",
-    "racah_column",
     "gr_hahn_bridge",
     "gr_racah_bridge",
 ]
@@ -194,26 +199,6 @@ def hahn_eval(
     return hahn_via_phi2(Hahn1DSpec(ctx, n, alpha, beta, N), x)
 
 
-class _RowPastPole(tuple):
-    """A `hahn_row` whose entries from some x on meet a vanishing
-    (alpha q; q)_k.  Those entries hold None, and reading one raises the
-    ZeroDenominator that `hahn_eval` raises there."""
-
-    def __new__(cls, values, message: str):
-        row = super().__new__(cls, values)
-        row.message = message
-        return row
-
-    def __getitem__(self, x):
-        value = tuple.__getitem__(self, x)
-        if value is None:
-            raise ZeroDenominator(self.message)
-        return value
-
-    def __iter__(self):
-        return (self[x] for x in range(len(self)))
-
-
 # Bound set on the `gram`, `connect` and `operators` benchmarks: 1024 rows
 # keep every hit on `connect`, where 256 lost a tenth of them, and about
 # 97% of the hits that 16,384 rows get on `gram` and `operators`; 4096
@@ -221,9 +206,10 @@ class _RowPastPole(tuple):
 @lru_cache(maxsize=1 << 10)
 def hahn_row(
     ctx: QContext, n: int, alpha: Fraction, beta: Fraction, N: int
-) -> tuple[Fraction, ...]:
-    """Every lattice point of one degree: (Q_n(0), ..., Q_n(N)), each equal
-    to `hahn_eval(ctx, n, x, alpha, beta, N)`.
+) -> tuple[tuple[int, int] | None, ...]:
+    """Every lattice point of one degree: (Q_n(0), ..., Q_n(N)), each the
+    reduced pair (numerator, denominator), with a positive denominator, of
+    `hahn_eval(ctx, n, x, alpha, beta, N)`.
 
     Term k of the 3phi2 in `hahn_via_phi2` is its term k - 1 times
 
@@ -237,21 +223,21 @@ def hahn_row(
     is taken once for the row, and the prefactor
     s^(n^2 - 2nN) prod_{m=N-n+1}^{N} (1 - q^m) is one integer pair.
     Everything is an unreduced integer pair, each sum is taken by Horner's
-    rule, and each value is reduced once, as a Fraction.  When
-    (alpha q; q)_k vanishes, the entries with min(n, x) >= k raise
-    ZeroDenominator when read; the rest of the row is still returned.
+    rule, and each value is reduced once.  When (alpha q; q)_k vanishes,
+    the entries with min(n, x) >= k, where `hahn_eval` raises
+    ZeroDenominator, are None; the rest of the row is still returned.
     """
     Hahn1DSpec(ctx, n, alpha, beta, N)  # raises ValueError unless 0 <= n <= N
     a, b = ctx.q.numerator, ctx.q.denominator
-    one = Fraction(1)
+    an, ad = alpha.numerator, alpha.denominator
+    abn, abd = an * beta.numerator, ad * beta.denominator  # alpha beta
     lower = [_one_minus(1, 1, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
     rho = [None]
     pole = n + 1  # first k whose denominator vanishes
-    ab = alpha * beta
     for k in range(1, n + 1):
         u1, v1 = lower[n + 1 - k]
-        u2, v2 = _one_minus(ab.numerator, ab.denominator, n + k, a, b)
-        u3, v3 = _one_minus(alpha.numerator, alpha.denominator, k, a, b)
+        u2, v2 = _one_minus(abn, abd, n + k, a, b)
+        u3, v3 = _one_minus(an, ad, k, a, b)
         u4, v4 = lower[N + 1 - k]
         u5, v5 = _one_minus(1, 1, k, a, b)
         if u3 == 0:
@@ -259,7 +245,7 @@ def hahn_row(
             break
         rho.append((u1 * u2 * a * v3 * v4 * v5, v1 * v2 * b * u3 * u4 * u5))
     pre_num, pre_den = _power_pair(ctx.s.numerator, ctx.s.denominator, n * n - 2 * n * N)
-    u, v = _poch_pair(one, N - n + 1, n, a, b)
+    u, v = _poch_pair(1, 1, N - n + 1, n, a, b)
     pre_num, pre_den = pre_num * u, pre_den * v
     row = []
     for x in range(N + 1):
@@ -272,10 +258,8 @@ def hahn_row(
             u, v = lower[x + 1 - k]
             t_num, t_den = rho[k][0] * u, rho[k][1] * v
             sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
-        row.append(Fraction(pre_num * sum_num, pre_den * sum_den))
-    if pole > n:
-        return tuple(row)
-    return _RowPastPole(row, f"(alpha q; q)_k vanished for alpha={alpha} at k={pole}")
+        row.append(_reduced(pre_num * sum_num, pre_den * sum_den))
+    return tuple(row)
 
 
 def norm_exponent(N: int, n: int) -> int:
@@ -469,11 +453,25 @@ def racah_eval(
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
 
 
-def racah_column(
-    ctx: QContext, x: int, alpha: Fraction, beta: Fraction, delta: Fraction, N: int
-) -> tuple[Fraction, ...]:
-    """Every degree at one lattice point: (r_0(x), ..., r_N(x)), each equal
-    to `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.
+# Bound set on the `rotations` benchmark, replaying the 572 requests of a
+# 20 s run in one process, seeds 3 and 11: 1024 columns hit 5723 and 5287
+# times, against 5733 and 5297 with no bound; 256 hit 3891 and 3359, and
+# 4096 add 2.9 and 2.8 MB of peak RSS (20.3 MB at 1024) for 6 and 0 more
+# hits.
+@lru_cache(maxsize=1 << 10)
+def _racah_pairs(
+    a: int,
+    b: int,
+    x: int,
+    alpha: tuple[int, int],
+    beta: tuple[int, int],
+    delta: tuple[int, int],
+    N: int,
+) -> tuple[tuple[int, int], ...]:
+    """Every degree at one lattice point: (r_0(x), ..., r_N(x)) at q = a/b,
+    each the reduced pair (numerator, denominator), with a positive
+    denominator, of `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.
+    alpha, beta and delta are given as integer pairs too.
 
     Term k of the 4phi3 in `racah` is its term k - 1 times
 
@@ -491,43 +489,10 @@ def racah_column(
 
     read from tables of (q; q)_m, (beta delta q; q)_m and the factors
     1 - alpha beta q^j.  Everything is an unreduced integer pair, the sum
-    is taken by Horner's rule, and each value is reduced once.  The body,
-    `_racah_pairs`, keeps the values as reduced integer pairs, keyed by
-    integers, and caches them; the rotation move tables in `connect` read
-    those pairs, and this view turns them into Fractions.  A pole raises
-    what `racah` raises at the lowest degree that meets it:
+    is taken by Horner's rule, and each value is reduced once.  A pole
+    raises what `racah` raises at the lowest degree that meets it:
     ZeroDivisionError for the prefactor, ZeroDenominator for the series.
     """
-    pairs = _racah_pairs(
-        ctx.q.numerator,
-        ctx.q.denominator,
-        x,
-        (alpha.numerator, alpha.denominator),
-        (beta.numerator, beta.denominator),
-        (delta.numerator, delta.denominator),
-        N,
-    )
-    return tuple(Fraction(num, den) for num, den in pairs)
-
-
-# Bound set on the `rotations` benchmark, replaying the 572 requests of a
-# 20 s run in one process, seeds 3 and 11: 1024 columns hit 5723 and 5287
-# times, against 5733 and 5297 with no bound; 256 hit 3891 and 3359, and
-# 4096 add 2.9 and 2.8 MB of peak RSS (20.3 MB at 1024) for 6 and 0 more
-# hits.
-@lru_cache(maxsize=1 << 10)
-def _racah_pairs(
-    a: int,
-    b: int,
-    x: int,
-    alpha: tuple[int, int],
-    beta: tuple[int, int],
-    delta: tuple[int, int],
-    N: int,
-) -> tuple[tuple[int, int], ...]:
-    """`racah_column` at q = a/b, with alpha, beta and delta given as
-    integer pairs (numerator, denominator) and every value returned as a
-    reduced pair with a positive denominator."""
     _check_x(x, N)
     (an, ad), (bn, bd), (dn, dd) = alpha, beta, delta
     f = [None] + [_one_minus(an * bn, ad * bd, j, a, b) for j in range(1, 2 * N + 1)]

@@ -21,12 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import ge
 from typing import Iterator, Sequence
 
 from .hahn1d import hahn_eval, hahn_row, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
-from .qnum import ZeroDenominator, _poch_pair, _power_pair, pochhammer, pochhammer_many, q_factorial
+from .qnum import (
+    ZeroDenominator,
+    _poch_pair,
+    _power_pair,
+    _reduced,
+    _shifted,
+    pochhammer,
+    pochhammer_many,
+    q_factorial,
+)
 from .qops import _eigenvalue, apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
 from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
 
@@ -123,13 +133,17 @@ def _gamma(
     cs = c + lcs + rcs
     num, den = _power_pair(a, b, -2 * lcs * rcs - c)
     for base, e in ((ctx.q, 0), (p, cs + lcs + rcs - 1), (rp, 2 * rcs)):
-        u, v = _poch_pair(base, e, c, a, b)
+        u, v = _poch_pair(base.numerator, base.denominator, e, c, a, b)
         num, den = num * u, den * v
-    u, v = _poch_pair(lp, 2 * lcs, c, a, b)
+    u, v = _poch_pair(lp.numerator, lp.denominator, 2 * lcs, c, a, b)
     num, den = num * v, den * u
-    lp_shift = lp * ctx.q_power(2 * lcs)
-    value = Fraction(num * lp_shift.numerator ** (c + rcs), den * lp_shift.denominator ** (c + rcs))
-    return value.numerator, value.denominator
+    if not den:
+        raise ZeroDivisionError(
+            f"(lp q^(2 lcs); q)_c vanished at the vertex over ({lo}, {hi}] split at "
+            f"{split}, c={c}, lcs={lcs}, rcs={rcs}"
+        )
+    u, v = _shifted(lp.numerator, lp.denominator, 2 * lcs, a, b)
+    return _reduced(num * u ** (c + rcs), den * v ** (c + rcs))
 
 
 @lru_cache(maxsize=32)
@@ -142,11 +156,11 @@ def _level_factor(params: ParamSet, h: int, n: int, N: int) -> tuple[int, int]:
     as a reduced integer pair."""
     q = params.ctx.q
     a, b = q.numerator, q.denominator
+    A = params.prefix_product(h)
     num, den = _power_pair(a, b, norm_exponent(N, n) // 2)
-    u, v = _poch_pair(params.prefix_product(h), h + 2 * n, N - n, a, b)
-    w, z = _poch_pair(q, 0, N - n, a, b)
-    value = Fraction(num * u * z, den * v * w)
-    return value.numerator, value.denominator
+    u, v = _poch_pair(A.numerator, A.denominator, h + 2 * n, N - n, a, b)
+    w, z = _poch_pair(a, b, 0, N - n, a, b)
+    return _reduced(num * u * z, den * v * w)
 
 
 def norm_Q(
@@ -198,7 +212,8 @@ class TreeBasisElement:
 class _FactorTable(dict):
     """The factors q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at one vertex
     with fixed (c, lcs, rcs), keyed by (lv, v) with lcs <= lv <= v - rcs,
-    each held as its (numerator, denominator) pair."""
+    each held as a reduced (numerator, denominator) pair.  The two
+    parameters alpha and beta are the table's only Fractions."""
 
     def __init__(self, params: ParamSet, vert: Vertex, c: int, lcs: int, rcs: int):
         super().__init__()
@@ -208,21 +223,23 @@ class _FactorTable(dict):
         self.beta = params.span_p(vert.split, vert.hi) * ctx.q_power(2 * rcs - 1)
 
     def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
-        """Fill every lv of the missing key's v from one `hahn_row`.  An
-        entry past a pole of the row is left out, and raises
-        ZeroDenominator when it is the one asked for."""
+        """Fill every lv of the missing key's v from one `hahn_row`, each
+        entry scaled by q^(-rcs lv).  An entry past a pole of the row is
+        left out, and raises ZeroDenominator when it is the one asked for."""
         lv, v = lv_v
         ctx, lcs, rcs = self.ctx, self.lcs, self.rcs
+        a, b = ctx.q.numerator, ctx.q.denominator
         row = hahn_row(ctx, self.c, self.alpha, self.beta, v - lcs - rcs)
-        for x in range(len(row)):
-            try:
-                value = row[x] * ctx.q_power(-rcs * (x + lcs))
-            except ZeroDenominator:
-                if x + lcs == lv:
-                    raise
-                continue
-            self[x + lcs, v] = (value.numerator, value.denominator)
-        return self[lv_v]
+        for lv_x, pair in enumerate(row, lcs):
+            if pair is not None:
+                self[lv_x, v] = _shifted(*pair, -rcs * lv_x, a, b)
+        factor = self.get(lv_v)
+        if factor is None:
+            raise ZeroDenominator(
+                f"(alpha q; q)_k vanished for alpha={self.alpha}, degree {self.c}, "
+                f"at x={lv - lcs}"
+            )
+        return factor
 
 
 @lru_cache(maxsize=128)
@@ -237,7 +254,9 @@ def basis(
     The whole level is built in one pass with the product of `eval_Q`:
     every point's (lv, v) per vertex is read once, and every vertex factor
     is computed once per (vertex, c, lcs, rcs, lv, v) and shared between
-    the labelings and points that need it.
+    the labelings and points that need it.  The factors are integer pairs:
+    each point's product is reduced once, and the grid is built from the
+    numerators over the lcm of the points' denominators, with no Fraction.
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
@@ -250,7 +269,6 @@ def basis(
         lvs = (X[vert.split] - X[vert.lo] for vert in vertices)
         points.append((tuple(zip(lvs, vs)), vs))
     factors: dict[tuple[int, int, int, int], _FactorTable] = {}
-    zero = Fraction(0)
     out = []
     for labeling in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, labeling)
@@ -266,19 +284,22 @@ def basis(
         for lv_vs, vs in points:
             # support: every subtree must carry at least its coefficient sum
             if not all(map(ge, vs, cs)):
-                values.append(zero)
+                values.append((0, 1))
                 continue
             num = den = 1
             for table, lv_v in zip(tables, lv_vs):
                 factor_num, factor_den = table[lv_v]
                 if not factor_num:
-                    values.append(zero)
+                    values.append((0, 1))
                     break
                 num *= factor_num
                 den *= factor_den
             else:
-                values.append(Fraction(num, den))
-        grid = GridFunction(tree.h, N, tuple(values))
+                values.append(_reduced(num, den))
+        D = lcm(*(den for _, den in values))
+        grid = GridFunction._from_integers(
+            tree.h, N, tuple(num * (D // den) for num, den in values), D
+        )
         out.append(TreeBasisElement(tree, labeling, params, N, grid))
     return tuple(out)
 

@@ -100,6 +100,12 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _shifted(num: int, den: int, e: int, a: int, b: int) -> tuple[int, int]:
+    """(num/den) q^e for q = a/b, as a reduced integer pair; den != 0."""
+    u, v = _power_pair(a, b, e)
+    return _reduced(num * u, den * v)
+
+
 def _one_minus(cn: int, cd: int, e: int, a: int, b: int) -> tuple[int, int]:
     """1 - c q^e for c = cn/cd and q = a/b, as an unreduced integer pair
     (numerator, denominator)."""
@@ -107,10 +113,10 @@ def _one_minus(cn: int, cd: int, e: int, a: int, b: int) -> tuple[int, int]:
     return cd * den - cn * num, cd * den
 
 
-def _poch_pair(c: Fraction, e: int, k: int, a: int, b: int) -> tuple[int, int]:
-    """(c q^e; q)_k for q = a/b, as an unreduced integer pair (numerator, denominator)."""
+def _poch_pair(cn: int, cd: int, e: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """(c q^e; q)_k for c = cn/cd and q = a/b, as an unreduced integer pair
+    (numerator, denominator)."""
     num = den = 1
-    cn, cd = c.numerator, c.denominator
     for j in range(e, e + k):
         u, v = _one_minus(cn, cd, j, a, b)
         num *= u

@@ -42,6 +42,24 @@ def make_params(h: int, which: str = "primary", s: Fraction = Fraction(1, 2)) ->
 
 
 @pytest.fixture
+def fraction_builds(monkeypatch) -> list:
+    """The argument tuples of every `Fraction` built from here to the end of
+    the test, in order; the list starts empty."""
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the counter does see a Fraction being built
+    built.clear()
+    return built
+
+
+@pytest.fixture
 def ctx() -> QContext:
     return make_ctx()
 

@@ -231,6 +231,27 @@ def test_gram_config_errors_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_out_to_a_missing_directory_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["gram", "--tree", "(1 2)", "--N", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
+def test_gram_row_pole_in_basis_exits_3(capsys):
+    # at the root the left child carries p = 8 * 8 * q^2 = 4, so the factor
+    # of left sum 0 has alpha = 4 q^-1 = 16 = q^-2: (alpha q; q)_2 vanishes
+    # in the basis build, though the pole scan of the parameters passes
+    argv = ["gram", "--tree", "((1 2) 3)", "--N", "3", "--alphas=8,8,1", "--allow-any-params"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vanished" in captured.err
+
+
 def test_deeply_nested_tree_is_config_error(capsys):
     """Nesting past the recursion limit is bad input, not a failing identity."""
     for text in ("(" * 3000, "(1 " * 3000 + "3001" + ")" * 3000):

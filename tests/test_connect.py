@@ -205,24 +205,15 @@ def test_move_tables_are_integers_over_one_denominator():
                 ]
 
 
-def test_move_tables_build_no_fraction(monkeypatch):
+def test_move_tables_build_no_fraction(fraction_builds):
     p5 = make_params(5)
     moves = list(_moves(5))
-    built = []
-    original = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    fraction_builds.clear()
     _racah_pairs.cache_clear()
     for move in moves:
         for n in range(4):
             _move_table.__wrapped__(move, n, p5)
-    assert built == []
-    Fraction(1, 3)
-    assert built == [(1, 3)]  # the counter does see a Fraction being built
+    assert fraction_builds == []
 
 
 def _push_by_fractions(move, weights, params):

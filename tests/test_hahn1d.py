@@ -24,7 +24,6 @@ from qtreehahn import (
     inner_product,
     ZeroDenominator,
     racah,
-    racah_column,
     racah_eval,
     vandermonde_sum_check,
     verify_hahn_recurrences,
@@ -118,7 +117,10 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
                     assert len(row) == N + 1
                     sp = Hahn1DSpec(ctx, n, alpha, beta, N)
                     for x in range(N + 1):
-                        assert row[x] == hahn_via_phi2(sp, x) == hahn_via_raising(sp, x)
+                        want = hahn_via_phi2(sp, x)
+                        assert Fraction(*row[x]) == want == hahn_via_raising(sp, x)
+                        # a Fraction's own pair is reduced, with a positive denominator
+                        assert row[x] == (want.numerator, want.denominator)
                         compared += 1
     assert compared == 2 * 6 * sum((N + 1) ** 2 for N in range(7))
 
@@ -141,12 +143,30 @@ def test_hahn_row_raises_where_hahn_eval_raises():
                     if min(n, x) >= k:
                         with pytest.raises(ZeroDenominator):
                             hahn_eval(CTX, n, x, alpha, beta, N)
-                        with pytest.raises(ZeroDenominator):
-                            row[x]
+                        assert row[x] is None
                         poles += 1
                     else:
-                        assert row[x] == hahn_eval(CTX, n, x, alpha, beta, N)
+                        assert Fraction(*row[x]) == hahn_eval(CTX, n, x, alpha, beta, N)
     assert poles > 0
+
+
+def test_hahn_row_builds_no_fraction(fraction_builds):
+    rng = random.Random(12)
+
+    def draw():
+        return Fraction(rng.randint(1, 60), rng.randint(1, 12))
+
+    # a random pair, a negative alpha, and alpha = q^-2, whose rows meet a pole
+    pairs = [(draw(), draw()), (Fraction(-7, 3), Fraction(5, 2)), (CTX.q**-2, Fraction(2, 3))]
+    fraction_builds.clear()
+    rows = [
+        hahn_row.__wrapped__(CTX, n, alpha, beta, N)
+        for alpha, beta in pairs
+        for N in range(6)
+        for n in range(N + 1)
+    ]
+    assert fraction_builds == []
+    assert any(None in row for row in rows)
 
 
 def test_constant_and_top_degree():
@@ -260,10 +280,11 @@ def _racah_by_degree(ctx, x, alpha, beta, delta, N):
 
 
 def _racah_column_or_pole(ctx, x, alpha, beta, delta, N):
-    try:
-        return racah_column(ctx, x, alpha, beta, delta, N)
-    except (ZeroDivisionError, ZeroDenominator) as exc:
-        return type(exc)
+    """`_pairs_or_pole` read as Fractions."""
+    pairs = _pairs_or_pole(ctx, x, alpha, beta, delta, N)
+    if isinstance(pairs, type):
+        return pairs
+    return tuple(Fraction(*pair) for pair in pairs)
 
 
 def test_racah_column_equals_racah_entry_by_entry():
@@ -295,7 +316,7 @@ def test_racah_column_equals_racah_entry_by_entry():
 
 def test_racah_column_raises_what_racah_raises():
     q = CTX.q
-    assert racah_column(CTX, 0, Fraction(2), Fraction(3), Fraction(5), 0) == (1,)
+    assert _racah_column_or_pole(CTX, 0, Fraction(2), Fraction(3), Fraction(5), 0) == (1,)
     # alpha = q^-1: (alpha q; q)_k vanishes from k = 1, so the series of
     # degree 1 has a pole once x >= 1.  alpha beta = q^-3: the prefactor
     # of degree 2 divides by 1 - alpha beta q^3.  The lower degree decides.
@@ -306,20 +327,17 @@ def test_racah_column_raises_what_racah_raises():
             with pytest.raises(want):
                 racah(Racah1DSpec(CTX, 1 if x else 2, alpha, beta, delta, N), x)
             assert _racah_by_degree(CTX, x, alpha, beta, delta, N) is want
-            with pytest.raises(want):
-                racah_column(CTX, x, alpha, beta, delta, N)
+            assert _pairs_or_pole(CTX, x, alpha, beta, delta, N) is want
     # alpha = beta = q^-1: degree 1 meets both poles once x >= 1, and
     # `racah` raises for the prefactor first
     for x in range(4):
         with pytest.raises(ZeroDivisionError):
             racah(Racah1DSpec(CTX, 1, 1 / q, 1 / q, delta, 3), x)
-        with pytest.raises(ZeroDivisionError):
-            racah_column(CTX, x, 1 / q, 1 / q, delta, 3)
+        assert _pairs_or_pole(CTX, x, 1 / q, 1 / q, delta, 3) is ZeroDivisionError
     # alpha = q^-2 reaches only degrees n >= 2 at points x >= 2
     alpha, beta = q**-2, Fraction(2, 3)
-    with pytest.raises(ZeroDenominator):
-        racah_column(CTX, 2, alpha, beta, delta, 3)
-    assert racah_column(CTX, 1, alpha, beta, delta, 3) == _racah_by_degree(
+    assert _pairs_or_pole(CTX, 2, alpha, beta, delta, 3) is ZeroDenominator
+    assert _racah_column_or_pole(CTX, 1, alpha, beta, delta, 3) == _racah_by_degree(
         CTX, 1, alpha, beta, delta, 3
     )
 
@@ -363,7 +381,6 @@ def test_racah_pairs_are_reduced_and_are_the_column():
                     # a Fraction's own pair is reduced, with a positive denominator
                     assert pairs == tuple((v.numerator, v.denominator) for v in want)
                     assert all(type(num) is int and type(den) is int for num, den in pairs)
-                    assert racah_column(ctx, x, alpha, beta, delta, N) == want
                     compared += len(pairs)
     assert compared > 200 and poles > 20
 

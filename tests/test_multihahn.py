@@ -140,6 +140,36 @@ def test_basis_equals_eval_Q_at_every_point(regime):
                     for e in elems:
                         want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
                         assert e.grid.values == want, (regime, tree, e.labeling, N)
+                        # == and hash read the canonical reduced integer form
+                        assert e.grid == GridFunction(h, N, want)
+                        assert hash(e.grid) == hash(GridFunction(h, N, want))
+
+
+def test_basis_builds_no_fraction_per_point(fraction_builds):
+    """On warm rows a level build makes each factor table's alpha and beta,
+    and no other Fraction."""
+    p = make_params(5, "secondary")
+    for tree in all_trees(5)[:6]:
+        for N in range(4):
+            for n in range(N + 1):
+                multihahn.basis.__wrapped__(tree, p, n, N)  # warms the rows
+                tables = set()
+                for labeling in enumerate_labelings(tree, n):
+                    cs = coefficient_sums(tree, labeling)
+                    for vert in tree.vertices:
+                        tables.add((vert.index, labeling[vert.index], *child_sums(vert, cs)))
+                fraction_builds.clear()
+                multihahn.basis.__wrapped__(tree, p, n, N)
+                assert len(fraction_builds) == 2 * len(tables), (tree, n, N)
+
+
+def test_norm_factor_pole_names_the_vertex():
+    # alpha_1 = q^-2 passes a pole scan of n_max = 1, but lp = alpha_1 q
+    # makes (lp; q)_2 vanish in the factor of label 2 at the root
+    q = CTX.q
+    p = ParamSet(CTX, (q**-2, Fraction(1, 3)), n_max=1, unchecked=True)
+    with pytest.raises(ZeroDivisionError, match=r"over \(0, 2\] split at 1, c=2, lcs=0, rcs=0"):
+        norm_Q(parse_tree("(1 2)"), (2,), p, 2)
 
 
 def _norm_by_product_formula(tree, labeling, params, N):

@@ -104,8 +104,14 @@ def test_pochhammer_splits_multiplicatively(ctx, a, m, k, c, e):
     rhs = pochhammer(ctx, a, m) * pochhammer(ctx, a * ctx.q_power(m), k)
     assert lhs == rhs
     # the integer pair (c q^e; q)_k of the norm tables, at a signed base
-    num, den = qnum._poch_pair(c, e, k, ctx.q.numerator, ctx.q.denominator)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    num, den = qnum._poch_pair(c.numerator, c.denominator, e, k, a, b)
     assert Fraction(num, den) == pochhammer(ctx, c * ctx.q_power(e), k)
+    # the reduced pair (c q^e) of the move tables and norm factors
+    assert qnum._shifted(c.numerator, c.denominator, e, a, b) == (
+        (c * ctx.q_power(e)).numerator,
+        (c * ctx.q_power(e)).denominator,
+    )
 
 
 def test_q_binomial_values():
