@@ -294,13 +294,12 @@ class ConnectionMatrix:
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
         """Matrix product: expand through `other`'s target basis.  Both
-        matrices must share the degree, q and the alphas.
+        matrices must share the degree and the parameter set (q and alphas).
 
         `other` is put over one integer denominator L once, and each
         product row is summed in integers over its own row's denominator
         times L; only the nonzero entries become Fractions."""
-        mine = (self.target, self.n, self.params.ctx, self.params.alphas)
-        if mine != (other.source, other.n, other.params.ctx, other.params.alphas):
+        if (self.target, self.n, self.params) != (other.source, other.n, other.params):
             raise ValueError("connection matrices do not chain")
         entries = [(d, e, w) for d, row in other.rows.items() for e, w in row.items()]
         nums, L = over_common_denominator(w for _, _, w in entries)

@@ -205,11 +205,11 @@ def hahn_eval(
 # rows added 1.3 MB of peak RSS on `gram`.
 @lru_cache(maxsize=1 << 10)
 def hahn_row(
-    ctx: QContext, n: int, alpha: Fraction, beta: Fraction, N: int
+    ctx: QContext, n: int, alpha: tuple[int, int], beta: tuple[int, int], N: int
 ) -> tuple[tuple[int, int] | None, ...]:
     """Every lattice point of one degree: (Q_n(0), ..., Q_n(N)), each the
     reduced pair (numerator, denominator), with a positive denominator, of
-    `hahn_eval(ctx, n, x, alpha, beta, N)`.
+    `hahn_eval(ctx, n, x, alpha, beta, N)` for alpha and beta as such pairs.
 
     Term k of the 3phi2 in `hahn_via_phi2` is its term k - 1 times
 
@@ -227,10 +227,11 @@ def hahn_row(
     the entries with min(n, x) >= k, where `hahn_eval` raises
     ZeroDenominator, are None; the rest of the row is still returned.
     """
-    Hahn1DSpec(ctx, n, alpha, beta, N)  # raises ValueError unless 0 <= n <= N
+    if not (0 <= n <= N):
+        raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
     a, b = ctx.q.numerator, ctx.q.denominator
-    an, ad = alpha.numerator, alpha.denominator
-    abn, abd = an * beta.numerator, ad * beta.denominator  # alpha beta
+    (an, ad), (bn, bd) = alpha, beta
+    abn, abd = an * bn, ad * bd  # alpha beta
     lower = [_one_minus(1, 1, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
     rho = [None]
     pole = n + 1  # first k whose denominator vanishes

@@ -12,7 +12,7 @@ up to sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -134,21 +134,24 @@ class ParamSet:
     for generic parameters, so `unchecked=True` waives the range condition;
     the no-pole condition alpha_i != q**(-m) (1 <= m <= n_max) is always
     enforced because those points make weights and norms degenerate.
+    Equality and the once-taken hash read only `_key`, the integers of q and the alphas.
     """
 
-    ctx: QContext
-    alphas: tuple[Fraction, ...]
-    n_max: int = 12
-    unchecked: bool = False
+    ctx: QContext = field(compare=False)
+    alphas: tuple[Fraction, ...] = field(compare=False)
+    n_max: int = field(default=12, compare=False)
+    unchecked: bool = field(default=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         alphas = tuple(as_fraction(a) for a in self.alphas)
         if not alphas:
             raise ValueError("need at least one parameter")
         object.__setattr__(self, "alphas", alphas)
-        # hashed once: parameter sets key the lattice and operator caches
-        object.__setattr__(self, "_hash", hash((self.ctx, alphas)))
         ctx = self.ctx
+        key = (ctx._key, tuple((a.numerator, a.denominator) for a in alphas))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         for a in alphas:
             for m in range(1, self.n_max + 1):
                 if a == ctx.q_power(-m):

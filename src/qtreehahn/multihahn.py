@@ -212,32 +212,31 @@ class TreeBasisElement:
 class _FactorTable(dict):
     """The factors q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at one vertex
     with fixed (c, lcs, rcs), keyed by (lv, v) with lcs <= lv <= v - rcs,
-    each held as a reduced (numerator, denominator) pair.  The two
-    parameters alpha and beta are the table's only Fractions."""
+    each held as a reduced (numerator, denominator) pair, as are its
+    parameters alpha and beta: the table builds no Fraction."""
 
     def __init__(self, params: ParamSet, vert: Vertex, c: int, lcs: int, rcs: int):
         super().__init__()
-        ctx = self.ctx = params.ctx
-        self.c, self.lcs, self.rcs = c, lcs, rcs
-        self.alpha = params.span_p(vert.lo, vert.split) * ctx.q_power(2 * lcs - 1)
-        self.beta = params.span_p(vert.split, vert.hi) * ctx.q_power(2 * rcs - 1)
+        self.ctx, self.c, self.lcs, self.rcs = params.ctx, c, lcs, rcs
+        self.q = a, b = params.ctx.q.numerator, params.ctx.q.denominator
+        lp, rp = params.span_p(vert.lo, vert.split), params.span_p(vert.split, vert.hi)
+        self.alpha = _shifted(lp.numerator, lp.denominator, 2 * lcs - 1, a, b)
+        self.beta = _shifted(rp.numerator, rp.denominator, 2 * rcs - 1, a, b)
 
     def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
         """Fill every lv of the missing key's v from one `hahn_row`, each
         entry scaled by q^(-rcs lv).  An entry past a pole of the row is
         left out, and raises ZeroDenominator when it is the one asked for."""
-        lv, v = lv_v
-        ctx, lcs, rcs = self.ctx, self.lcs, self.rcs
-        a, b = ctx.q.numerator, ctx.q.denominator
-        row = hahn_row(ctx, self.c, self.alpha, self.beta, v - lcs - rcs)
+        (lv, v), lcs, rcs = lv_v, self.lcs, self.rcs
+        row = hahn_row(self.ctx, self.c, self.alpha, self.beta, v - lcs - rcs)
         for lv_x, pair in enumerate(row, lcs):
             if pair is not None:
-                self[lv_x, v] = _shifted(*pair, -rcs * lv_x, a, b)
+                self[lv_x, v] = _shifted(*pair, -rcs * lv_x, *self.q)
         factor = self.get(lv_v)
         if factor is None:
             raise ZeroDenominator(
-                f"(alpha q; q)_k vanished for alpha={self.alpha}, degree {self.c}, "
-                f"at x={lv - lcs}"
+                f"(alpha q; q)_k vanished for alpha={'%d/%d' % self.alpha}, "
+                f"degree {self.c}, at x={lv - lcs}"
             )
         return factor
 

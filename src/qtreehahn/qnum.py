@@ -50,14 +50,15 @@ def as_fraction(value: Rational) -> Fraction:
 class QContext:
     """Evaluation point q = s**2 for a rational square root s, 0 < s < 1.
 
-    All q-dependent quantities in the package are functions of this context;
-    passing the same context everywhere guarantees that the two sides of an
-    identity are compared at the same exact base point.  Each context keeps
+    All q-dependent quantities in the package are functions of this context.
+    Two contexts are equal, and share one hash taken once, exactly when their
+    integer `_key`s (s.numerator, s.denominator) are.  Each context keeps
     its own bounded tables of q**k and (q; q)_n, filled on first use.
     """
 
-    s: Fraction
-    q: Fraction = field(init=False)  # derived from s
+    s: Fraction = field(compare=False)
+    q: Fraction = field(init=False, compare=False)  # derived from s
+    _key: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         s = as_fraction(self.s)
@@ -65,8 +66,8 @@ class QContext:
             raise ValueError(f"square root of q must satisfy 0 < s < 1, got {s}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", s * s)
-        # hashed once: contexts key every lru_cache of the package
-        object.__setattr__(self, "_hash", hash(s))
+        object.__setattr__(self, "_key", (s.numerator, s.denominator))
+        object.__setattr__(self, "_hash", hash(self._key))
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_q_factorials", {0: Fraction(1)})
 

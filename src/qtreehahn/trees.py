@@ -126,9 +126,6 @@ class PlanarTree:
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self.shape == other.shape
-
     def subtree_shape(self, u: int) -> Shape:
         """Shape of the subtree rooted at internal vertex u."""
         found = _find_shape(self.shape, u, [0])

@@ -60,6 +60,25 @@ def fraction_builds(monkeypatch) -> list:
 
 
 @pytest.fixture
+def fraction_key_reads(monkeypatch) -> list:
+    """The name, "__eq__" or "__hash__", of every `Fraction` comparison or
+    hash from here to the end of the test, in order; the list starts empty."""
+    reads = []
+    for name in ("__eq__", "__hash__"):
+        original = getattr(Fraction, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            reads.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert Fraction(1, 3) == Fraction(1, 3) and hash(Fraction(1, 3)) is not None
+    assert reads == ["__eq__", "__hash__"]  # the counter does see both
+    reads.clear()
+    return reads
+
+
+@pytest.fixture
 def ctx() -> QContext:
     return make_ctx()
 

@@ -40,6 +40,11 @@ unit_fractions = st.tuples(
 ).map(lambda t: Fraction(t[0], t[0] + t[1]))
 
 
+def _pair(x: Fraction) -> tuple[int, int]:
+    """The integer pair `hahn_row` takes for a parameter."""
+    return x.numerator, x.denominator
+
+
 def spec(n, N, which="primary", ctx=CTX):
     p = make_params(2, which)
     return Hahn1DSpec(ctx=ctx, n=n, alpha=p.alphas[0], beta=p.alphas[1], N=N)
@@ -113,7 +118,7 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
         for alpha, beta in pairs:
             for N in range(7):
                 for n in range(N + 1):
-                    row = hahn_row.__wrapped__(ctx, n, alpha, beta, N)
+                    row = hahn_row.__wrapped__(ctx, n, _pair(alpha), _pair(beta), N)
                     assert len(row) == N + 1
                     sp = Hahn1DSpec(ctx, n, alpha, beta, N)
                     for x in range(N + 1):
@@ -128,9 +133,9 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
 def test_hahn_row_raises_where_hahn_eval_raises():
     q = CTX.q
     with pytest.raises(ValueError):
-        hahn_row(CTX, 3, Fraction(1, 2), Fraction(1, 3), 2)
+        hahn_row(CTX, 3, (1, 2), (1, 3), 2)
     with pytest.raises(ValueError):
-        hahn_row(CTX, -1, Fraction(1, 2), Fraction(1, 3), 2)
+        hahn_row(CTX, -1, (1, 2), (1, 3), 2)
     poles = 0
     for k in (1, 2, 3):
         # alpha = q^-k: (alpha q; q)_j vanishes from j = k on, so the
@@ -138,7 +143,7 @@ def test_hahn_row_raises_where_hahn_eval_raises():
         alpha, beta = q**-k, Fraction(2, 3)
         for N in range(6):
             for n in range(N + 1):
-                row = hahn_row(CTX, n, alpha, beta, N)
+                row = hahn_row(CTX, n, _pair(alpha), _pair(beta), N)
                 for x in range(N + 1):
                     if min(n, x) >= k:
                         with pytest.raises(ZeroDenominator):
@@ -160,7 +165,7 @@ def test_hahn_row_builds_no_fraction(fraction_builds):
     pairs = [(draw(), draw()), (Fraction(-7, 3), Fraction(5, 2)), (CTX.q**-2, Fraction(2, 3))]
     fraction_builds.clear()
     rows = [
-        hahn_row.__wrapped__(CTX, n, alpha, beta, N)
+        hahn_row.__wrapped__(CTX, n, _pair(alpha), _pair(beta), N)
         for alpha, beta in pairs
         for N in range(6)
         for n in range(N + 1)

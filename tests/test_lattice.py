@@ -30,7 +30,21 @@ from qtreehahn import (
     weight_positivity_check,
 )
 
-from qtreehahn import qops
+from qtreehahn import (
+    QContext,
+    apply_D_at_vertex,
+    apply_L,
+    basis,
+    connect,
+    connection_by_path,
+    lattice,
+    left_comb,
+    multihahn,
+    norm_Q,
+    parse_tree,
+    qops,
+    right_comb,
+)
 
 from conftest import PRIMARY_ALPHAS, SECONDARY_ALPHAS, make_ctx, make_params
 
@@ -149,6 +163,79 @@ def test_paramset_index_errors():
         p.span_p(-1, 2)
     with pytest.raises(IndexOutOfRange):
         p.restrict(1, 1)
+
+
+# --- parameter identity --------------------------------------------------
+
+
+def test_parameter_identity_is_q_and_the_alphas():
+    alphas = (Fraction(1, 3), Fraction(2, 5))
+    p = ParamSet(CTX, alphas)
+    unchecked = ParamSet(CTX, alphas, unchecked=True)
+    low = ParamSet(CTX, alphas, n_max=3)
+    # the validation flags decide what the constructor accepts, not identity
+    assert p == unchecked == low
+    assert hash(p) == hash(unchecked) == hash(low)
+    tree = parse_tree("(1 2)")
+    assert basis(tree, unchecked, 1, 2) is basis(tree, p, 1, 2)
+    # written forms do not matter, only the values
+    assert ParamSet(QContext("2/4"), ("2/6", "2/5")) == p
+    assert QContext("2/4") == QContext(Fraction(1, 2))
+    assert hash(QContext("2/4")) == hash(QContext(Fraction(1, 2)))
+    # one different s or one different alpha does
+    assert ParamSet(make_ctx(Fraction(1, 3)), alphas) != p
+    assert ParamSet(CTX, (alphas[0], Fraction(3, 5))) != p
+    assert ParamSet(CTX, alphas[:1]) != p
+    assert p != p.ctx and p != (CTX, alphas) and p != p._key
+    assert CTX != (1, 2) and CTX != Fraction(1, 2)
+
+
+def _fresh_params() -> ParamSet:
+    """An equal but distinct parameter set: a new context, new alphas."""
+    return ParamSet(
+        QContext(Fraction(1, 2)),
+        tuple(Fraction(a.numerator, a.denominator) for a in PRIMARY_ALPHAS[:4]),
+    )
+
+
+def test_equal_parameter_sets_share_caches_without_fraction_compares(fraction_key_reads):
+    tree, source, target = parse_tree("((1 2) (3 4))"), right_comb(4), left_comb(4)
+
+    def calls(p):
+        elems = basis(tree, p, 2, 3)
+        f = elems[0].grid
+        inner_product(f, elems[-1].grid, p)
+        norm_Q(tree, elems[0].labeling, p, 3)
+        apply_D_at_vertex(f, p, 1, 3)
+        apply_L(f, p)
+        connection_by_path(source, target, 2, p)
+
+    caches = (
+        basis,
+        lattice._weights,
+        multihahn._gamma,
+        multihahn._level_factor,
+        qops._vertex_stencil,
+        qops._lowering_stencil,
+        connect._move_table,
+    )
+    first, second = _fresh_params(), _fresh_params()
+    assert first == second and first.ctx is not second.ctx
+    assert first.alphas[0] is not second.alphas[0]
+    calls(first)
+    misses = [cache.cache_info().misses for cache in caches]
+    fraction_key_reads.clear()
+    calls(second)
+    assert fraction_key_reads == []
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_warm_rows_are_read_without_fraction_compares(fraction_key_reads):
+    tree, first, second = parse_tree("((1 2) (3 4))"), _fresh_params(), _fresh_params()
+    basis.__wrapped__(tree, first, 2, 3)  # warms the rows
+    fraction_key_reads.clear()
+    basis.__wrapped__(tree, second, 2, 3)
+    assert fraction_key_reads == []
 
 
 # --- grid functions ------------------------------------------------------
