@@ -127,9 +127,9 @@ def _move_table(
     R = tree.vertices[U.right]
     q = params.ctx.q
     a, b = q.numerator, q.denominator
-    p1 = params.span_p(U.lo, U.split)
-    p2 = params.span_p(R.lo, R.split)
-    p3 = params.span_p(R.split, R.hi)
+    p1 = params.p_pair(U.lo, U.split)
+    p2 = params.p_pair(R.lo, R.split)
+    p23 = params.p_pair(R.lo, R.hi)  # p2 p3
 
     # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
     k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
@@ -147,15 +147,9 @@ def _move_table(
             a,
             b,
             v - l - j,
-            _shifted(p2.numerator, p2.denominator, 2 * l - 1, a, b),
-            _shifted(p1.numerator, p1.denominator, 2 * i - 1, a, b),
-            _shifted(
-                p2.numerator * p3.numerator,
-                p2.denominator * p3.denominator,
-                n_U + l + j - i - 1,
-                a,
-                b,
-            ),
+            _shifted(*p2, 2 * l - 1, a, b),
+            _shifted(*p1, 2 * i - 1, a, b),
+            _shifted(*p23, n_U + l + j - i - 1, a, b),
             n_U - i - l - j,
         )
         columns[key] = [

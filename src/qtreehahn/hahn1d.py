@@ -527,14 +527,14 @@ def _racah_pairs(
             den_den *= f[j][1]
         if den_num == 0:
             raise ZeroDivisionError(
-                f"(alpha beta q^(n+1); q)_n vanished for alpha={an}/{ad}, "
-                f"beta={bn}/{bd}, n={n}"
+                f"(alpha beta q^(n+1); q)_n vanished for alpha={Fraction(*alpha)}, "
+                f"beta={Fraction(*beta)}, n={n}"
             )
         terms = min(n, x)
         if pole <= terms:
             raise ZeroDenominator(
-                f"4phi3 denominator vanished at k={pole} for alpha={an}/{ad}, "
-                f"beta={bn}/{bd}, delta={dn}/{dd}"
+                f"4phi3 denominator vanished at k={pole} for alpha={Fraction(*alpha)}, "
+                f"beta={Fraction(*beta)}, delta={Fraction(*delta)}"
             )
         sum_num, sum_den = 1, 1
         for k in range(terms, 0, -1):

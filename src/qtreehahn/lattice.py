@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import over_common_denominator
-from .qnum import QContext, Rational, as_fraction, pochhammer, q_factorial
+from .qnum import QContext, Rational, _power_pair, _reduced, as_fraction, pochhammer, q_factorial
 
 __all__ = [
     "DimensionMismatch",
@@ -135,6 +134,11 @@ class ParamSet:
     the no-pole condition alpha_i != q**(-m) (1 <= m <= n_max) is always
     enforced because those points make weights and norms degenerate.
     Equality and the once-taken hash read only `_key`, the integers of q and the alphas.
+
+    Both checks work on the integer pairs of `_key`, which also fill the two
+    stored tables of reduced pairs: `_product_pairs[lo][k]`, the span product
+    alpha_{lo+1} * ... * alpha_{lo+k}, and `_p_pairs[lo][k]`, its p-value,
+    read by `p_pair`; `span_product` and `span_p` are `Fraction` views.
     """
 
     ctx: QContext = field(compare=False)
@@ -149,35 +153,32 @@ class ParamSet:
             raise ValueError("need at least one parameter")
         object.__setattr__(self, "alphas", alphas)
         ctx = self.ctx
-        key = (ctx._key, tuple((a.numerator, a.denominator) for a in alphas))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        for a in alphas:
-            for m in range(1, self.n_max + 1):
-                if a == ctx.q_power(-m):
-                    raise ValueError(
-                        f"alpha={a} equals q**(-{m}); weights degenerate below n_max"
-                    )
+        pairs = tuple((a.numerator, a.denominator) for a in alphas)
+        object.__setattr__(self, "_key", (ctx._key, pairs))
+        object.__setattr__(self, "_hash", hash(self._key))
+        a, b = ctx.q.numerator, ctx.q.denominator
+        # both sides reduced: u/w == q**(-m) == b^m / a^m iff u == b^m and w == a^m
+        poles = {(b**m, a**m): m for m in range(1, self.n_max + 1)}
+        for alpha, pair in zip(alphas, pairs):
+            if pair in poles:
+                raise ValueError(
+                    f"alpha={alpha} equals q**(-{poles[pair]}); weights degenerate below n_max"
+                )
         if not self.unchecked:
-            in_unit_band = all(0 < a < ctx.q_power(-1) for a in alphas)
-            above_band = all(a > ctx.q_power(-self.n_max) for a in alphas)
+            top, bottom = _power_pair(a, b, -self.n_max)  # q**(-n_max)
+            in_unit_band = all(0 < u and u * a < w * b for u, w in pairs)
+            above_band = all(u * bottom > w * top for u, w in pairs)
             if not (in_unit_band or above_band):
                 raise ValueError(
                     "parameters outside the positivity regime; "
                     "pass unchecked=True for generic identity testing"
                 )
-        # the one place alphas are multiplied: _products[lo][hi - lo] is
-        # alpha_{lo+1} * ... * alpha_hi, and _ps[lo][hi - lo] its p-value
-        products = tuple(
-            tuple(accumulate(alphas[lo:], mul, initial=Fraction(1)))
-            for lo in range(len(alphas) + 1)
-        )
-        ps = tuple(
-            tuple(value * ctx.q_power(k) for k, value in enumerate(row))
-            for row in products
-        )
-        object.__setattr__(self, "_products", products)
-        object.__setattr__(self, "_ps", ps)
+        shifted = tuple((u * a, w * b) for u, w in pairs)  # a p-value multiplies alpha_i q
+        for name, factors in (("_product_pairs", pairs), ("_p_pairs", shifted)):
+            object.__setattr__(self, name, tuple(
+                tuple(accumulate(factors[lo:], _times, initial=(1, 1)))
+                for lo in range(len(pairs) + 1)
+            ))
 
     @property
     def h(self) -> int:
@@ -187,19 +188,23 @@ class ParamSet:
         """A_k = alpha_1 * ... * alpha_k (A_0 = 1)."""
         if not (0 <= k <= self.h):
             raise IndexOutOfRange(f"prefix length {k} outside 0..{self.h}")
-        return self._products[0][k]
+        return Fraction(*self._product_pairs[0][k])
 
     def span_product(self, lo: int, hi: int) -> Fraction:
         """alpha_{lo+1} * ... * alpha_{hi}."""
         if not (0 <= lo <= hi <= self.h):
             raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
-        return self._products[lo][hi - lo]
+        return Fraction(*self._product_pairs[lo][hi - lo])
+
+    def p_pair(self, lo: int, hi: int) -> tuple[int, int]:
+        """p-value of the span (lo, hi] as a reduced integer pair."""
+        if not (0 <= lo <= hi <= self.h):
+            raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
+        return self._p_pairs[lo][hi - lo]
 
     def span_p(self, lo: int, hi: int) -> Fraction:
         """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
-        if not (0 <= lo <= hi <= self.h):
-            raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
-        return self._ps[lo][hi - lo]
+        return Fraction(*self.p_pair(lo, hi))
 
     def restrict(self, lo: int, hi: int) -> "ParamSet":
         """Parameter set for the variables in the span (lo, hi]."""
@@ -209,6 +214,11 @@ class ParamSet:
 
     def __hash__(self):
         return self._hash
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two integer pairs, reduced."""
+    return _reduced(x[0] * y[0], x[1] * y[1])
 
 
 def _rank_in(h: int, N: int, x: Sequence[int]) -> int:

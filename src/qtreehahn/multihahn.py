@@ -129,20 +129,20 @@ def _gamma(
     """
     ctx = params.ctx
     a, b = ctx.q.numerator, ctx.q.denominator
-    lp, rp, p = params.span_p(lo, split), params.span_p(split, hi), params.span_p(lo, hi)
+    lp, rp, p = params.p_pair(lo, split), params.p_pair(split, hi), params.p_pair(lo, hi)
     cs = c + lcs + rcs
     num, den = _power_pair(a, b, -2 * lcs * rcs - c)
-    for base, e in ((ctx.q, 0), (p, cs + lcs + rcs - 1), (rp, 2 * rcs)):
-        u, v = _poch_pair(base.numerator, base.denominator, e, c, a, b)
+    for base, e in (((a, b), 0), (p, cs + lcs + rcs - 1), (rp, 2 * rcs)):
+        u, v = _poch_pair(*base, e, c, a, b)
         num, den = num * u, den * v
-    u, v = _poch_pair(lp.numerator, lp.denominator, 2 * lcs, c, a, b)
+    u, v = _poch_pair(*lp, 2 * lcs, c, a, b)
     num, den = num * v, den * u
     if not den:
         raise ZeroDivisionError(
             f"(lp q^(2 lcs); q)_c vanished at the vertex over ({lo}, {hi}] split at "
             f"{split}, c={c}, lcs={lcs}, rcs={rcs}"
         )
-    u, v = _shifted(lp.numerator, lp.denominator, 2 * lcs, a, b)
+    u, v = _shifted(*lp, 2 * lcs, a, b)
     return _reduced(num * u ** (c + rcs), den * v ** (c + rcs))
 
 
@@ -156,9 +156,8 @@ def _level_factor(params: ParamSet, h: int, n: int, N: int) -> tuple[int, int]:
     as a reduced integer pair."""
     q = params.ctx.q
     a, b = q.numerator, q.denominator
-    A = params.prefix_product(h)
     num, den = _power_pair(a, b, norm_exponent(N, n) // 2)
-    u, v = _poch_pair(A.numerator, A.denominator, h + 2 * n, N - n, a, b)
+    u, v = _poch_pair(*params.p_pair(0, h), 2 * n, N - n, a, b)  # A_h q^h q^(2n)
     w, z = _poch_pair(a, b, 0, N - n, a, b)
     return _reduced(num * u * z, den * v * w)
 
@@ -219,9 +218,8 @@ class _FactorTable(dict):
         super().__init__()
         self.ctx, self.c, self.lcs, self.rcs = params.ctx, c, lcs, rcs
         self.q = a, b = params.ctx.q.numerator, params.ctx.q.denominator
-        lp, rp = params.span_p(vert.lo, vert.split), params.span_p(vert.split, vert.hi)
-        self.alpha = _shifted(lp.numerator, lp.denominator, 2 * lcs - 1, a, b)
-        self.beta = _shifted(rp.numerator, rp.denominator, 2 * rcs - 1, a, b)
+        self.alpha = _shifted(*params.p_pair(vert.lo, vert.split), 2 * lcs - 1, a, b)
+        self.beta = _shifted(*params.p_pair(vert.split, vert.hi), 2 * rcs - 1, a, b)
 
     def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
         """Fill every lv of the missing key's v from one `hahn_row`, each
@@ -235,7 +233,7 @@ class _FactorTable(dict):
         factor = self.get(lv_v)
         if factor is None:
             raise ZeroDenominator(
-                f"(alpha q; q)_k vanished for alpha={'%d/%d' % self.alpha}, "
+                f"(alpha q; q)_k vanished for alpha={Fraction(*self.alpha)}, "
                 f"degree {self.c}, at x={lv - lcs}"
             )
         return factor

@@ -14,8 +14,8 @@ verification report of the package is built by `check_identity`.
 
 Each operator is applied through a cached sparse stencil: integer
 coefficients over one denominator per (parameters, level, span).  The
-stencils are built without `Fraction`s.  With q = a/b and W the product
-of the span's alpha denominators, every coefficient is a short sum of
+stencils are built without `Fraction`s.  With q = a/b and W the lcm of
+the denominators of the span products, every coefficient is a short sum of
 monomials +-At[k] q^e, where At[k] = W * alpha_{lo+1} ... alpha_{lo+k} is
 an integer and e is bounded, so each monomial is the integer
 At[k] a^(e+L) b^(U-e) over the one denominator W a^L b^U.  The stencil is
@@ -27,8 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable
 
@@ -148,11 +147,10 @@ def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
 
 def _span_numerators(p: ParamSet, lo: int, hi: int) -> list[int]:
     """At[k] = alpha_{lo+1} * ... * alpha_{lo+k} * W for k = 0..hi-lo, with
-    W = At[0] the product of the span's alpha denominators: integers."""
-    alphas = p.alphas[lo:hi]
-    heads = accumulate((a.numerator for a in alphas), mul, initial=1)
-    tails = list(accumulate((a.denominator for a in reversed(alphas)), mul, initial=1))
-    return [x * y for x, y in zip(heads, reversed(tails))]
+    W = At[0] the lcm of those span products' denominators: integers."""
+    products = p._product_pairs[lo][: hi - lo + 1]
+    W = lcm(*(den for _, den in products))
+    return [num * (W // den) for num, den in products]
 
 
 def _monomials(at: list[int], q: Fraction, L: int, U: int) -> tuple[list[list[int]], int]:

@@ -252,6 +252,18 @@ def test_gram_row_pole_in_basis_exits_3(capsys):
     assert "vanished" in captured.err
 
 
+def test_basis_pole_message_prints_an_integer_alpha_as_an_integer(capsys):
+    # alpha_1 = 4^13 = q^-13 passes the scan of 12 poles, and the degree-13
+    # factor at the root meets (alpha q; q)_13 = 0 with alpha = alpha_1
+    argv = ["gram", "--tree", "(1 2)", "--N", "13", "--alphas", "67108864,1/3", "--allow-any-params"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: (alpha q; q)_k vanished for alpha=67108864, degree 13, at x=13\n"
+    )
+
+
 def test_deeply_nested_tree_is_config_error(capsys):
     """Nesting past the recursion limit is bad input, not a failing identity."""
     for text in ("(" * 3000, "(1 " * 3000 + "3001" + ")" * 3000):

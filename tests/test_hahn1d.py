@@ -347,6 +347,24 @@ def test_racah_column_raises_what_racah_raises():
     )
 
 
+@pytest.mark.parametrize(
+    "x, alpha, beta, error, message",
+    [
+        (0, (8, 1), (2, 1), ZeroDivisionError,
+         "(alpha beta q^(n+1); q)_n vanished for alpha=8, beta=2, n=1"),
+        (1, (4, 1), (1, 3), ZeroDenominator,
+         "4phi3 denominator vanished at k=1 for alpha=4, beta=1/3, delta=1/5"),
+    ],
+    ids=["prefactor", "series"],
+)
+def test_racah_pairs_pole_messages_print_parameters_as_fractions(x, alpha, beta, error, message):
+    # at q = 1/4: alpha beta = 16 = q^-2 zeroes the prefactor of degree 1,
+    # and alpha = 4 = q^-1 zeroes (alpha q; q)_1 in the series
+    with pytest.raises(error) as info:
+        _racah_pairs(1, 4, x, alpha, beta, (1, 5), 2)
+    assert str(info.value) == message
+
+
 def _pairs_or_pole(ctx, x, alpha, beta, delta, N):
     """`_racah_pairs` at the context's q and the given Fractions, or the
     type of what it raises."""

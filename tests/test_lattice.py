@@ -120,14 +120,68 @@ def test_paramset_accepts_both_stock_families():
     ],
     ids=["primary", "secondary", "zero-and-negative"],
 )
-def test_span_tables_equal_products(p):
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_span_tables_equal_products(p, data):
+    _assert_span_tables(p)
+    # drawn sets over the stock alphas, 0, negatives, integers, 1/q and
+    # q^-m at the scan bound and past it: the constructor accepts exactly
+    # what the Fraction rule accepts, and rejects the rest with its text
+    s = data.draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))))
+    n_max = data.draw(st.sampled_from((1, 3, 12)))
+    ctx = QContext(s)
+    q = ctx.q
+    special = (Fraction(0), Fraction(-2, 3), Fraction(-5), Fraction(1), Fraction(7))
+    special += (1 / q, q**-n_max, q ** -(n_max + 1)) + p.alphas
+    value = st.one_of(st.sampled_from(special), st.fractions(-3, 30, max_denominator=9))
+    alphas = tuple(data.draw(st.lists(value, min_size=1, max_size=5)))
+    unchecked = data.draw(st.booleans())
+    pole = next(((a, m) for a in alphas for m in range(1, n_max + 1) if a == q**-m), None)
+    in_band = all(0 < a < 1 / q for a in alphas) or all(a > q**-n_max for a in alphas)
+    if pole is not None:
+        want = f"alpha={pole[0]} equals q**(-{pole[1]}); weights degenerate below n_max"
+    elif not (unchecked or in_band):
+        want = (
+            "parameters outside the positivity regime; "
+            "pass unchecked=True for generic identity testing"
+        )
+    else:
+        _assert_span_tables(ParamSet(ctx, alphas, n_max, unchecked))
+        return
+    with pytest.raises(ValueError) as info:
+        ParamSet(ctx, alphas, n_max, unchecked)
+    assert str(info.value) == want
+
+
+def _assert_span_tables(p):
+    """Every span table entry equals the Fraction product it stands for."""
     alphas = p.alphas
     for lo in range(p.h + 1):
         assert p.prefix_product(lo) == prod(alphas[:lo])
         for hi in range(lo, p.h + 1):
             product = prod(alphas[lo:hi])
+            p_value = product * p.ctx.q ** (hi - lo)
             assert p.span_product(lo, hi) == product
-            assert p.span_p(lo, hi) == product * p.ctx.q ** (hi - lo)
+            assert p.span_p(lo, hi) == p_value
+            assert p.p_pair(lo, hi) == (p_value.numerator, p_value.denominator)
+
+
+def test_paramset_builds_and_compares_no_fraction(fraction_builds, fraction_key_reads):
+    # on an existing context, with Fraction alphas: the pole scan, the band
+    # check and both span tables are integer work, accepted or rejected
+    ctx = make_ctx()
+    pole, out_of_band = (Fraction(1, 2), Fraction(16)), (Fraction(1, 2), Fraction(5))
+    fraction_builds.clear()
+    fraction_key_reads.clear()
+    p = ParamSet(ctx, PRIMARY_ALPHAS)
+    ParamSet(ctx, SECONDARY_ALPHAS, n_max=3, unchecked=True)
+    with pytest.raises(ValueError, match=r"q\*\*\(-2\)"):  # 16 = q^-2
+        ParamSet(ctx, pole)
+    with pytest.raises(ValueError, match="positivity regime"):
+        ParamSet(ctx, out_of_band)
+    hash(p)
+    assert fraction_builds == []
+    assert fraction_key_reads == []
 
 
 def test_paramset_rejects_poles_always():
@@ -161,6 +215,8 @@ def test_paramset_index_errors():
         p.span_product(2, 1)
     with pytest.raises(IndexOutOfRange):
         p.span_p(-1, 2)
+    with pytest.raises(IndexOutOfRange):
+        p.p_pair(1, 4)
     with pytest.raises(IndexOutOfRange):
         p.restrict(1, 1)
 
