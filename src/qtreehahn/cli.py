@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .connect import (
     connection_by_path,
@@ -25,7 +26,7 @@ from .connect import (
     three_dim_racah_example_cases,
 )
 from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
-from .lattice import ParamSet, enumerate_compositions, inner_product
+from .lattice import ParamSet, _weighted, enumerate_compositions
 from .multihahn import basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
 from .qops import (
@@ -92,8 +93,52 @@ def _build_params(args, h: int) -> ParamSet:
         raise ConfigError(str(exc)) from exc
 
 
+def _json(obj, pad: str, int_lists: dict) -> str:
+    """The text `json.dumps(obj, indent=2)` gives for obj nested where its
+    lines start with pad ("\n" and two spaces a level).  It takes str-keyed
+    dicts, lists, tuples, str, int, bool and None, and raises TypeError on
+    anything else.  `int_lists` memoises the text of each list of plain
+    ints per pad, since labelings repeat across the rows of a matrix."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        brackets = "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json(value, inner, int_lists)}"
+            for key, value in obj.items()
+        ]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            key = (pad, tuple(obj))
+            text = int_lists.get(key)
+            if text is None:
+                text = int_lists[key] = f"[{inner}{(',' + inner).join(map(repr, obj))}{pad}]"
+            return text
+        brackets = "[]"
+        items = [_json(value, inner, int_lists) for value in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
+
+
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _json(obj, "\n", {}) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -173,8 +218,10 @@ def cmd_gram(args) -> int:
     diagonal = True
     norms_match = True
     for i, ei in enumerate(elements):
+        weighted, w_den = _weighted(ei.grid, params)
         for j in range(i, len(elements)):
-            value = inner_product(ei.grid, elements[j].grid, params)
+            nums, den = elements[j].grid._integer_form
+            value = Fraction(sum(map(mul, weighted, nums)), w_den * den)
             if value != 0:
                 entries.append({"i": i, "j": j, "value": str(value)})
                 if i != j:

@@ -9,7 +9,8 @@ integer numerators over one denominator, built from the integer q-Racah
 columns of `hahn1d` without Fractions; `apply_move` pushes integer
 weights over one denominator through it, reducing once per move, and
 only the rows of the finished matrix are Fractions.  A brute-force
-inner-product oracle computes the same matrix from the definition and
+inner-product oracle computes the same matrix from the definition, one
+integer dot product per entry against target columns weighted once, and
 works for any pair of trees, reachable or not.  The way back against the
 rotation order is the inverse matrix, which needs no elimination: both
 bases are orthogonal with closed-form norms, so it is the transpose
@@ -31,16 +32,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import over_common_denominator
 from .hahn1d import Racah1DSpec, _racah_pairs, _tilde_scale, gr_racah_bridge, racah_eval
-from .lattice import (
-    GridFunction,
-    ParamSet,
-    enumerate_compositions,
-    inner_product,
-)
+from .lattice import GridFunction, ParamSet, _weighted, enumerate_compositions
 from .multihahn import basis, norm_Q, theta_polynomial, xi_norm
 from .qnum import (
     QContext,
@@ -402,25 +399,34 @@ def connection_oracle(
     r_d(c) = <Q_c, Q_d> / <Q_d, Q_d> with the weighted inner product on
     the degree-n lattice; no rotation path is needed, so this also covers
     pairs the one-move formula cannot reach.
+
+    Each target column is weighted once by `lattice._weighted`, and its
+    norm is the integer dot product with its own numerators.  Every
+    entry is then one integer dot product of a source row with that
+    column: with the source numerators over d_s and the target's over
+    d_t, r_d(c) = dot * d_t / (d_s * norm), the common weight
+    denominator cancelling, and only the nonzero entries become Fractions.
     """
     src = basis(source, params, n, n)
     tgt = basis(target, params, n, n)
-    norms = []
+    columns = []
     for elem in tgt:
-        nrm = inner_product(elem.grid, elem.grid, params)
-        if nrm == 0:
+        nums, den = elem.grid._integer_form
+        weighted = _weighted(elem.grid, params)[0]
+        norm = sum(map(mul, weighted, nums))
+        if norm == 0:
             raise ZeroDenominator(
                 f"basis element {elem.labeling} of {target} has zero norm"
             )
-        norms.append(nrm)
+        columns.append((elem.labeling, weighted, den, norm))
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for es in src:
-        row = {}
-        for et, nrm in zip(tgt, norms):
-            value = inner_product(es.grid, et.grid, params) / nrm
-            if value != 0:
-                row[et.labeling] = value
-        rows[es.labeling] = row
+        nums, den = es.grid._integer_form
+        row = rows[es.labeling] = {}
+        for labeling, weighted, d_t, norm in columns:
+            dot = sum(map(mul, nums, weighted))
+            if dot:
+                row[labeling] = Fraction(dot * d_t, den * norm)
     return ConnectionMatrix(source, target, n, params, rows, None)
 
 
@@ -704,18 +710,27 @@ def gr_weight_factor(params: ParamSet, n: int) -> Fraction:
         (A_{h-1} q^(h-1))^n q^((n^2 - 3n)/2)
         (q, alpha_h q, alpha_{h-1} alpha_h q^(n+1); q)_n
         / (alpha_{h-1}; q)_n.
+
+    The denominator vanishes at alpha_{h-1} = q^(-m) with 0 <= m < n.
+    `ParamSet` rejects every m >= 1, which leaves alpha_{h-1} = 1 at
+    n >= 1: that raises ZeroDenominator naming alpha_{h-1} and n.
     """
     h = params.h
     ctx = params.ctx
     a_last = params.alphas[h - 1]
     a_prev = params.alphas[h - 2]
+    denominator = pochhammer(ctx, a_prev, n)
+    if denominator == 0:
+        raise ZeroDenominator(
+            f"(alpha_{h - 1}; q)_n vanished for alpha_{h - 1}={a_prev}, n={n}"
+        )
     return (
         (params.prefix_product(h - 1) * ctx.q_power(h - 1)) ** n
         * ctx.q_power((n * n - 3 * n) // 2)
         * q_factorial(ctx, n)
         * pochhammer(ctx, a_last * ctx.q, n)
         * pochhammer(ctx, a_prev * a_last * ctx.q_power(n + 1), n)
-        / pochhammer(ctx, a_prev, n)
+        / denominator
     )
 
 

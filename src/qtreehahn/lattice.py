@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import over_common_denominator
@@ -450,20 +451,28 @@ def _weights(p: ParamSet, N: int) -> tuple[tuple[int, ...], int]:
     return tuple(num // g for num in nums), den // g
 
 
+def _weighted(f: GridFunction, p: ParamSet) -> tuple[tuple[int, ...], int]:
+    """The column of f weighted once: f's numerators times the weights of
+    its level, over their full denominator (the weights' times f's).  The
+    caller checks that f lives on p's variables."""
+    weights, den = _weights(p, f.N)
+    nums, fden = f._integer_form
+    return tuple(map(mul, weights, nums)), den * fden
+
+
 def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:
     """Weighted inner product on [h; N].  Exact, bilinear, symmetric.
 
-    One integer dot product over the points where both functions are
-    nonzero, then one division by the product of the common denominators.
+    f2 is weighted by `_weighted`, the one statement of the weight
+    kernel; the result is one integer dot product with f1's numerators
+    over the product of the denominators, and one `Fraction`.
     """
     f1._check_same_shape(f2)
     if f1.h != p.h:
         raise DimensionMismatch(f"function on {f1.h} variables, params have {p.h}")
-    weights, den = _weights(p, f1.N)
+    weighted, den = _weighted(f2, p)
     nums1, den1 = f1._integer_form
-    nums2, den2 = f2._integer_form
-    total = sum(w * a * b for w, a, b in zip(weights, nums1, nums2) if a and b)
-    return Fraction(total, den * den1 * den2)
+    return Fraction(sum(map(mul, nums1, weighted)), den1 * den)
 
 
 def norm_squared(f: GridFunction, p: ParamSet) -> Fraction:

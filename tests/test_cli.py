@@ -16,9 +16,12 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params
 from qtreehahn import cli, multihahn
@@ -549,6 +552,33 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
     assert "vanished" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # alpha_2 = 1 passes the band check, but (alpha_2; q)_1 = 0 is the
+        # denominator of the classical weight factor at degree 1
+        (
+            ["verify", "--suite", "classical-bridge", "--h", "3", "--N", "2",
+             "--alphas", "1,1,1", "--allow-any-params"],
+            "(alpha_2; q)_n vanished for alpha_2=1, n=1",
+        ),
+        # with every alpha zero the weight lives on the one point (2, 0, 0),
+        # where the first target element vanishes
+        (
+            ["connect", "--oracle-only", "--alphas", "0,0,0", "--allow-any-params",
+             "--source", "((1 2) 3)", "--target", "(1 (2 3))", "--n", "2"],
+            "basis element (0, 2) of (1 (2 3)) has zero norm",
+        ),
+    ],
+    ids=["classical-weight-pole", "oracle-zero-norm"],
+)
+def test_arithmetic_errors_name_their_case(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     argv = ["gram", "--tree", "(1 2)", "--N", "1"]
     direct = run_json(capsys, argv)
@@ -618,6 +648,91 @@ def test_verify_stdout_matches_golden_bytes(capsys, suite):
     assert main(["verify", "--suite", suite, *size]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# sha256 of the stdout of the other subcommands on one 4-leaf tree or tree
+# pair at level or degree 3, pinned while stdout still went through
+# `json.dumps(indent=2)`.  The pair is joined by two right-to-left moves;
+# reversed it is not, so only the oracle serves it.
+PAIR = ("--source", "(1 (2 (3 4)))", "--target", "(((1 2) 3) 4)", "--n", "3")
+REVERSED = ("--source", "(((1 2) 3) 4)", "--target", "(1 (2 (3 4)))", "--n", "3")
+GOLDEN_STDOUT_SHA256 = {
+    "gram": (
+        ("gram", "--tree", "((1 2) (3 4))", "--N", "3"),
+        "3a43bad5b1dd6b02b12756f1a73fbe9da7e022eccc0f17faf474a59e27e915ff",
+    ),
+    "connect": (
+        ("connect", *PAIR),
+        "81577ead7ee8675af86daee6870a6ea5f74342b7dfe7f8fbf7db7db80b05491e",
+    ),
+    "connect-oracle-only": (
+        ("connect", *PAIR, "--oracle-only"),
+        "595fe801580d68a5aa7f0bada7ccfa14b52fc5900dd3f27de3f4c966b4979e57",
+    ),
+    "connect-unreachable-oracle-only": (
+        ("connect", *REVERSED, "--oracle-only"),
+        "156e903678fff4dc2c086ce3b25c7563eafe6ea447377b8642234d5b29ccaaa4",
+    ),
+    "eval-all": (
+        ("eval", "--tree", "((1 2) (3 4))", "--labels", "1,0,1", "--N", "3", "--all"),
+        "6a691e9242fdf7e4be84952bfa238c630790ea7a1e25c60fa1595c0121b9a960",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_golden_bytes(capsys, name):
+    argv, digest = GOLDEN_STDOUT_SHA256[name]
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+# Text with the characters JSON escapes or spells out as \uXXXX, and ints
+# past 64 bits, at every depth up to 4.
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'), max_size=6)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**256)
+    | st.integers(max_value=-(2**64))
+    | JSON_TEXT
+)
+
+
+def _nested(depth):
+    values = JSON_SCALARS
+    for _ in range(depth):
+        values = (
+            JSON_SCALARS
+            | st.lists(values, max_size=4)
+            | st.lists(values, max_size=4).map(tuple)
+            | st.dictionaries(JSON_TEXT, values, max_size=4)
+        )
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested(4))
+@example({"c": [1, 2], "rows": [[1, 2], {"c": (1, 2)}], "b": [[1, 1], [True, True], [1, True]], "e": [[], {}, ()]})
+def test_writer_equals_json_dumps_indent_2(obj):
+    """Byte for byte, also on a second write that reads the first's memo of
+    int lists (which must keep depths, and True and 1, apart)."""
+    memo = {}
+    want = json.dumps(obj, indent=2)
+    assert cli._json(obj, "\n", memo) == want
+    assert cli._json(obj, "\n", memo) == want
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, [1, 2.0], {"v": object()}, {1: "x"}, Fraction(1, 2), {"s": {1, 2}}],
+    ids=["float", "float-in-list", "object", "int-key", "fraction", "set"],
+)
+def test_writer_rejects_what_it_does_not_write(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj, "\n", {})
 
 
 def test_missing_subcommand_is_usage_error():

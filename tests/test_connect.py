@@ -17,6 +17,7 @@ from qtreehahn import (
     all_trees,
     apply_L,
     apply_move,
+    basis,
     child_sums,
     coefficient_sums,
     comb_connection_product,
@@ -29,6 +30,7 @@ from qtreehahn import (
     gr_correspondence_check,
     gr_substitution,
     gr_weight_factor,
+    inner_product,
     kernel_basis,
     kernel_interpolation_basis,
     left_comb,
@@ -134,6 +136,35 @@ def test_path_equals_oracle_every_reachable_five_leaf_pair():
         for n in range(1, 4):
             got = connection_by_path(src, tgt, n, p5, path=path)
             assert got.rows == connection_oracle(src, tgt, n, p5).rows, (src, tgt, n)
+
+
+@pytest.mark.parametrize("regime", ["primary", "secondary"])
+def test_oracle_is_the_definition_for_every_four_leaf_pair(regime):
+    """Every entry is <Q_c, Q_d> / <Q_d, Q_d> through the public inner
+    product, and exactly the nonzero ones are stored."""
+    p4 = make_params(4, regime)
+    trees = all_trees(4)
+    for n in range(3):
+        grids = {t: {e.labeling: e.grid for e in basis(t, p4, n, n)} for t in trees}
+        for src in trees:
+            for tgt in trees:
+                want = {}
+                for c, f in grids[src].items():
+                    ratios = {
+                        d: inner_product(f, g, p4) / inner_product(g, g, p4)
+                        for d, g in grids[tgt].items()
+                    }
+                    want[c] = {d: v for d, v in ratios.items() if v}
+                assert connection_oracle(src, tgt, n, p4).rows == want, (src, tgt, n)
+
+
+def test_warm_oracle_builds_one_fraction_per_nonzero_entry(fraction_builds):
+    p5 = make_params(5)
+    rc, lc = right_comb(5), left_comb(5)
+    connection_oracle(lc, rc, 3, p5)  # fills the basis and weight caches
+    fraction_builds.clear()
+    matrix = connection_oracle(lc, rc, 3, p5)
+    assert len(fraction_builds) <= sum(map(len, matrix.rows.values()))
 
 
 def test_move_tables_match_displayed_coefficient():
