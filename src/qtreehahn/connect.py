@@ -609,10 +609,14 @@ def gr_substitution(params: ParamSet, n: int) -> dict:
         a_1 = (alpha_2 ... alpha_h)^(-1) q^(-2n - h + 2),
         a_k = alpha_k q  for k = 2 .. h - 1,
 
-    lattice points x_k = m_1 + ... + m_k and total N = n.
+    lattice points x_k = m_1 + ... + m_k and total N = n.  A zero among
+    alpha_2 .. alpha_h raises ZeroDenominator naming the first.
     """
     h = params.h
     ctx = params.ctx
+    if 0 in params.alphas[1:]:
+        k = params.alphas.index(0, 1) + 1
+        raise ZeroDenominator(f"alpha_2 ... alpha_{h} vanished for alpha_{k}=0")
     a = [ctx.q_power(-2 * n - h + 2) / params.span_product(1, h)]
     for k in range(2, h):
         a.append(params.alphas[k - 1] * ctx.q)
@@ -631,7 +635,9 @@ def comb_connection_product(
                     n - i_k - j_k | q)
 
     with i_k = n_2 + ... + n_{k-1} and j_k = m_{k+1} + ... + m_{h-1};
-    the product vanishes when any factor leaves its finite lattice.
+    the product vanishes when any factor leaves its finite lattice.  A
+    factor read with A_{k-1} = 0 raises ZeroDenominator naming the first
+    zero alpha.
     """
     h = params.h
     nv = tuple(nv)
@@ -651,14 +657,18 @@ def comb_connection_product(
         arg = m[k - 1]
         if degree > lattice or arg > lattice:
             return Fraction(0)
+        A_prev = params.prefix_product(k - 1)
+        if not A_prev:
+            raise ZeroDenominator(
+                f"A_{k - 1} vanished for alpha_{params.alphas.index(0) + 1}=0"
+            )
         value *= ctx.q_power(-arg * i_k) * racah_eval(
             ctx,
             degree,
             arg,
             params.alphas[k - 1],
-            params.prefix_product(k - 1) * ctx.q_power(2 * i_k + k - 2),
-            A_h / params.prefix_product(k - 1)
-            * ctx.q_power(n + j_k - i_k + h - k),
+            A_prev * ctx.q_power(2 * i_k + k - 2),
+            A_h / A_prev * ctx.q_power(n + j_k - i_k + h - k),
             lattice,
         )
         if value == 0:

@@ -14,6 +14,11 @@ and whose lattice data come from the variables under it:
 and vanishes unless v(U) >= cs(U) at every vertex.  For each tree the
 labelings of total degree n give an orthogonal basis of the level-N
 lattice functions; the squared norms factor over vertices.
+
+Each factor depends on the point only through its vertex's pair (lv, v),
+so `basis` builds a whole level as pointwise products of factor columns,
+one per (vertex, c, lcs, rcs), each read off q-Hahn rows over the
+triangle 0 <= lv <= v <= N; `eval_Q` is the per-point route.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import ge
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .hahn1d import hahn_eval, hahn_row, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
@@ -38,7 +43,7 @@ from .qnum import (
     q_factorial,
 )
 from .qops import _eigenvalue, apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
-from .trees import PlanarTree, Vertex, child_sums, coefficient_sums, enumerate_labelings
+from .trees import PlanarTree, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
     "TreeBasisElement",
@@ -208,35 +213,87 @@ class TreeBasisElement:
         return norm_Q(self.tree, self.labeling, self.params, self.N)
 
 
-class _FactorTable(dict):
-    """The factors q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at one vertex
-    with fixed (c, lcs, rcs), keyed by (lv, v) with lcs <= lv <= v - rcs,
-    each held as a reduced (numerator, denominator) pair, as are its
-    parameters alpha and beta: the table builds no Fraction."""
+# Bound set on the benchmarks: `gram` makes 92 distinct keys, `connect` 60
+# and `operators` 36, and each entry is one tuple of at most 126 small
+# integers (6 leaves, N = 4).
+@lru_cache(maxsize=128)
+def _span_index(h: int, N: int, lo: int, split: int, hi: int) -> tuple[int, ...]:
+    """For every point x of [h; N], in order, the index v (v + 1) / 2 + lv
+    of its pair lv = x_{lo+1} + ... + x_{split}, v = lv + x_{split+1} + ...
+    + x_{hi} in the triangle 0 <= lv <= v <= N."""
+    out = []
+    for x in domain_table(h, N).points:
+        lv = sum(x[lo:split])
+        v = lv + sum(x[split:hi])
+        out.append(v * (v + 1) // 2 + lv)
+    return tuple(out)
 
-    def __init__(self, params: ParamSet, vert: Vertex, c: int, lcs: int, rcs: int):
-        super().__init__()
-        self.ctx, self.c, self.lcs, self.rcs = params.ctx, c, lcs, rcs
-        self.q = a, b = params.ctx.q.numerator, params.ctx.q.denominator
-        self.alpha = _shifted(*params.p_pair(vert.lo, vert.split), 2 * lcs - 1, a, b)
-        self.beta = _shifted(*params.p_pair(vert.split, vert.hi), 2 * rcs - 1, a, b)
 
-    def __missing__(self, lv_v: tuple[int, int]) -> tuple[int, int]:
-        """Fill every lv of the missing key's v from one `hahn_row`, each
-        entry scaled by q^(-rcs lv).  An entry past a pole of the row is
-        left out, and raises ZeroDenominator when it is the one asked for."""
-        (lv, v), lcs, rcs = lv_v, self.lcs, self.rcs
-        row = hahn_row(self.ctx, self.c, self.alpha, self.beta, v - lcs - rcs)
-        for lv_x, pair in enumerate(row, lcs):
-            if pair is not None:
-                self[lv_x, v] = _shifted(*pair, -rcs * lv_x, *self.q)
-        factor = self.get(lv_v)
-        if factor is None:
-            raise ZeroDenominator(
-                f"(alpha q; q)_k vanished for alpha={Fraction(*self.alpha)}, "
-                f"degree {self.c}, at x={lv - lcs}"
-            )
-        return factor
+class _Column(NamedTuple):
+    """One vertex factor q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at every
+    point of [h; N]: the numerators over one positive denominator, zero
+    where the vertex fails its own support.  `poles` maps the rank of each
+    point whose `hahn_row` entry is None (a zero placeholder in `nums`) to
+    the text of the ZeroDenominator that reading the factor there raises."""
+
+    nums: tuple[int, ...]
+    den: int
+    poles: dict[int, str]
+
+
+def _column(
+    params: ParamSet, h: int, N: int, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
+) -> _Column:
+    """The factor column on [h; N] of the vertex over the leaves (lo, hi]
+    split at `split`, with label c and child coefficient sums lcs and rcs.
+    Each v reads one `hahn_row` into the triangle of (lv, v), the triangle
+    goes over one denominator, and `_span_index` expands it to the points.
+    The column vanishes where lv < lcs, v - lv < rcs or v < c + lcs + rcs."""
+    ctx = params.ctx
+    a, b = ctx.q.numerator, ctx.q.denominator
+    alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
+    beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
+    triangle = [(0, 1)] * ((N + 1) * (N + 2) // 2)
+    poles = {}
+    # a vertex over every leaf sees only v = N
+    for v in range(max(c + lcs + rcs, N if hi - lo == h else 0), N + 1):
+        row = hahn_row(ctx, c, alpha, beta, v - lcs - rcs)
+        start = v * (v + 1) // 2 + lcs  # the index of (lcs, v)
+        if None in row:
+            row = list(row)
+            for x, pair in enumerate(row):
+                if pair is None:
+                    poles[start + x] = (
+                        f"(alpha q; q)_k vanished for alpha={Fraction(*alpha)}, "
+                        f"degree {c}, at x={x}"
+                    )
+                    row[x] = (0, 1)
+        if rcs:
+            row = [_shifted(*pair, -rcs * lv, a, b) for lv, pair in enumerate(row, lcs)]
+        triangle[start : start + len(row)] = row
+    D = lcm(*(den for _, den in triangle))
+    nums = [num * (D // den) for num, den in triangle]
+    index = _span_index(h, N, lo, split, hi)
+    if poles:
+        poles = {r: poles[t] for r, t in enumerate(index) if t in poles}
+    return _Column(tuple(map(nums.__getitem__, index)), D, poles)
+
+
+def _raise_first_pole(tree: PlanarTree, cs: Sequence[int], columns: Sequence[_Column], N: int):
+    """Raise the ZeroDenominator of the first point, in order, where the
+    product of `eval_Q` reads a pole: a point inside the support whose
+    vertices, in pre-order, meet a pole before a zero factor.  Elsewhere a
+    pole is never read and the point's value is zero."""
+    points = domain_table(tree.h, N).points
+    for r in sorted(set().union(*(col.poles for col in columns))):
+        X = partial_sums(points[r])
+        if any(X[vert.hi] - X[vert.lo] < cs[vert.index] for vert in tree.vertices):
+            continue
+        for col in columns:
+            if r in col.poles:
+                raise ZeroDenominator(col.poles[r])
+            if not col.nums[r]:
+                break
 
 
 @lru_cache(maxsize=128)
@@ -248,55 +305,38 @@ def basis(
     Labelings are enumerated lexicographically over the pre-order vertex
     list; the result is cached, so treat it as read-only.
 
-    The whole level is built in one pass with the product of `eval_Q`:
-    every point's (lv, v) per vertex is read once, and every vertex factor
-    is computed once per (vertex, c, lcs, rcs, lv, v) and shared between
-    the labelings and points that need it.  The factors are integer pairs:
-    each point's product is reduced once, and the grid is built from the
-    numerators over the lcm of the points' denominators, with no Fraction.
+    Each element is the product of `eval_Q` taken a whole column at a
+    time: one `_column` per distinct (vertex, c, lcs, rcs) of the level,
+    shared between the labelings that need it, and each element's
+    numerators the pointwise product of its columns over the product of
+    their denominators, reduced once, with no Fraction.  A pole raises
+    the ZeroDenominator of the first (labeling, point, vertex) at which
+    the pointwise product reads it.
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-    vertices = tree.vertices
-    # per point: (lv, v) at every vertex, and the v's alone for the support test
-    points = []
-    for x in domain_table(tree.h, N).points:
-        X = partial_sums(x)
-        vs = tuple(X[vert.hi] - X[vert.lo] for vert in vertices)
-        lvs = (X[vert.split] - X[vert.lo] for vert in vertices)
-        points.append((tuple(zip(lvs, vs)), vs))
-    factors: dict[tuple[int, int, int, int], _FactorTable] = {}
+    factors: dict[tuple[int, int, int, int], _Column] = {}
     out = []
     for labeling in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, labeling)
-        tables = []
-        for vert in vertices:
+        columns = []
+        for vert in tree.vertices:
             c, (lcs, rcs) = labeling[vert.index], child_sums(vert, cs)
             key = (vert.index, c, lcs, rcs)
-            table = factors.get(key)
-            if table is None:
-                table = factors[key] = _FactorTable(params, vert, c, lcs, rcs)
-            tables.append(table)
-        values = []
-        for lv_vs, vs in points:
-            # support: every subtree must carry at least its coefficient sum
-            if not all(map(ge, vs, cs)):
-                values.append((0, 1))
-                continue
-            num = den = 1
-            for table, lv_v in zip(tables, lv_vs):
-                factor_num, factor_den = table[lv_v]
-                if not factor_num:
-                    values.append((0, 1))
-                    break
-                num *= factor_num
-                den *= factor_den
-            else:
-                values.append(_reduced(num, den))
-        D = lcm(*(den for _, den in values))
-        grid = GridFunction._from_integers(
-            tree.h, N, tuple(num * (D // den) for num, den in values), D
-        )
+            col = factors.get(key)
+            if col is None:
+                col = factors[key] = _column(
+                    params, tree.h, N, vert.lo, vert.split, vert.hi, c, lcs, rcs
+                )
+            columns.append(col)
+        if any(col.poles for col in columns):
+            _raise_first_pole(tree, cs, columns, N)
+        # a tree with no vertex has one point and the empty product there
+        (nums, den, _), *rest = columns or [_Column((1,), 1, {})]
+        for col in rest:
+            nums = map(mul, nums, col.nums)
+            den *= col.den
+        grid = GridFunction._from_integers(tree.h, N, tuple(nums), den)
         out.append(TreeBasisElement(tree, labeling, params, N, grid))
     return tuple(out)
 
@@ -337,8 +377,9 @@ def vertex_eigen_cases(
         raise ValueError(f"labeling {labeling} does not fit the tree {tree}")
     grid = basis(tree, params, sum(labeling), N)[rank_of(labeling)].grid
     where = {"tree": tree.serialize(), "labeling": list(labeling)}
+    cs = coefficient_sums(tree, labeling)
     for vert in tree.vertices:
-        lam = vertex_eigenvalue(tree, labeling, params, vert.index)
+        lam = _eigenvalue(params.ctx, params.span_p(vert.lo, vert.hi), cs[vert.index])
         got = apply_D_at_vertex(grid, params, vert.lo, vert.hi)
         yield {**where, "vertex": vert.index}, got == grid.scale(lam)
     lam_global = eigenvalue(params, sum(labeling))

@@ -434,37 +434,40 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
 
     def collapse_cases():
         for n in range(0, n_max + 1):
+            scalars = {
+                (N, m): (-1) ** (N - m)
+                * ctx.q_power(-(N - m) * (N + m + 1) // 2)
+                * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
+                * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
+                for N in range(n, n_max + 1)
+                for m in range(n, N + 1)
+            }
             for k in range(len(raised[n][n])):
                 for N in range(n, n_max + 1):
                     lowered = raised[n][N][k]
                     for m in range(N, n - 1, -1):
-                        scalar = (
-                            (-1) ** (N - m)
-                            * ctx.q_power(-(N - m) * (N + m + 1) // 2)
-                            * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
-                            * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
-                        )
-                        rhs = raised[n][m][k].scale(scalar)
+                        rhs = raised[n][m][k].scale(scalars[N, m])
                         yield {"n": n, "m": m, "N": N, "f": k}, lowered == rhs
                         if m > n:
                             lowered = apply_L(lowered, p)
 
     def chain_norm_cases():
         for n in range(0, n_max + 1):
+            factors = {
+                N: ctx.q_power(-(N - n) * (N + n + 1) // 2)
+                * pochhammer(ctx, q, N - n)
+                * pochhammer(ctx, A_h * ctx.q_power(2 * n + h), N - n)
+                for N in range(n, n_max + 1)
+            }
             for m in range(0, n + 1):
                 for N in range(n, n_max + 1):
-                    factor = (
-                        ctx.q_power(-(N - n) * (N + n + 1) // 2)
-                        * pochhammer(ctx, q, N - n)
-                        * pochhammer(ctx, A_h * ctx.q_power(2 * n + h), N - n)
-                    )
                     for k2, g2 in enumerate(raised[n][N]):
                         f2 = raised[n][n][k2]
                         for k1, g1 in enumerate(raised[m][N]):
                             f1 = raised[m][m][k1]
                             got = inner_product(g1, g2, p)
                             if m == n:
-                                want = factor * inner_product(f1, f2, p)
+                                want = factors[N] * inner_product(f1, f2, p)
                             else:
                                 want = Fraction(0)
                             yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, got == want

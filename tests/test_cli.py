@@ -569,8 +569,26 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
              "--source", "((1 2) 3)", "--target", "(1 (2 3))", "--n", "2"],
             "basis element (0, 2) of (1 (2 3)) has zero norm",
         ),
+        # a_1 of the classical substitution divides by alpha_2 ... alpha_h
+        (
+            ["verify", "--suite", "classical-bridge", "--h", "3", "--N", "2",
+             "--alphas", "1/2,0,1/3", "--allow-any-params"],
+            "alpha_2 ... alpha_3 vanished for alpha_2=0",
+        ),
+        (
+            ["verify", "--suite", "classical-bridge", "--h", "3", "--N", "2",
+             "--alphas", "1/2,1/3,0", "--allow-any-params"],
+            "alpha_2 ... alpha_3 vanished for alpha_3=0",
+        ),
+        # the comb-to-comb product divides A_h by A_{k-1}
+        (
+            ["verify", "--suite", "classical-bridge", "--h", "3", "--N", "2",
+             "--alphas", "0,1/2,1/3", "--allow-any-params"],
+            "A_1 vanished for alpha_1=0",
+        ),
     ],
-    ids=["classical-weight-pole", "oracle-zero-norm"],
+    ids=["classical-weight-pole", "oracle-zero-norm", "substitution-zero-alpha-2",
+         "substitution-zero-alpha-3", "comb-product-zero-alpha-1"],
 )
 def test_arithmetic_errors_name_their_case(capsys, argv, message):
     assert main(argv) == 3

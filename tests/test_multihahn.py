@@ -147,7 +147,7 @@ def test_basis_equals_eval_Q_at_every_point(regime):
 
 def test_basis_builds_no_fraction_per_point(fraction_builds):
     """On warm rows a level build makes no Fraction at all: the factor
-    tables' alpha and beta are integer pairs too."""
+    columns' alpha and beta are integer pairs too."""
     p = make_params(5, "secondary")
     for tree in all_trees(5)[:6]:
         for N in range(4):
@@ -232,6 +232,62 @@ def test_basis_raises_where_eval_Q_meets_a_pole():
             assert e.grid.values == tuple(
                 eval_Q(tree, e.labeling, p, x) for x in enumerate_compositions(2, 2)
             )
+
+
+# Pole inputs with q = 1/4, so that 4, 16 and 64 are q^-1, q^-2 and q^-3,
+# and the text that the per-point product of `eval_Q` raised for each: the
+# first factor it reads past a pole, its alpha sometimes a product of the
+# inputs (alpha = 16 from 8 * 8 q^2 q^-1).
+BASIS_POLES = [
+    ("((1 2) (3 4))", (4, 16, 64, Fraction(1, 3)), 2, 3, "alpha=4, degree 1, at x=1"),
+    ("(1 ((2 3) 4))", (8, 4, 1, 64), 2, 3, "alpha=4, degree 2, at x=1"),
+    ("((1 2) (3 4))", (1, 16, 4, 4), 3, 3, "alpha=4, degree 3, at x=1"),
+    ("(1 (2 (3 4)))", (8, 16, Fraction(1, 3), 64), 2, 2, "alpha=16, degree 2, at x=2"),
+    ("(1 ((2 3) 4))", (64, 16, 64, 4), 3, 3, "alpha=16, degree 3, at x=2"),
+    ("((1 2) (3 4))", (64, 8, Fraction(1, 3), 4), 3, 3, "alpha=64, degree 3, at x=3"),
+    ("((1 2) (3 4))", (8, 8, 1, Fraction(1, 3)), 2, 2, "alpha=16, degree 2, at x=2"),
+    ("(((1 2) 3) 4)", (1, 64, 8, 1), 3, 3, "alpha=16, degree 3, at x=2"),
+    ("(1 ((2 3) 4))", (64, 1, 16, Fraction(1, 3)), 2, 3, "alpha=4, degree 2, at x=1"),
+]
+
+
+@pytest.mark.parametrize("tree, alphas, n, N, message", BASIS_POLES)
+def test_basis_raises_the_first_pole_of_the_pointwise_product(tree, alphas, n, N, message):
+    p = ParamSet(CTX, alphas, n_max=0, unchecked=True)
+    with pytest.raises(ZeroDenominator) as info:
+        basis.__wrapped__(parse_tree(tree), p, n, N)
+    assert str(info.value) == f"(alpha q; q)_k vanished for {message}"
+
+
+@pytest.mark.parametrize(
+    "tree, alphas, n, N",
+    [
+        ("(1 ((2 3) 4))", (16, 1, 64, 64), 1, 3),
+        ("((1 2) (3 4))", (64, 8, 8, 1), 1, 3),
+        ("(1 ((2 3) 4))", (64, Fraction(1, 3), 1, 64), 2, 3),
+    ],
+)
+def test_basis_at_pole_valued_alphas_that_no_factor_meets(tree, alphas, n, N):
+    p = ParamSet(CTX, alphas, n_max=0, unchecked=True)
+    tree = parse_tree(tree)
+    points = enumerate_compositions(tree.h, N)
+    for e in basis.__wrapped__(tree, p, n, N):
+        assert e.grid.values == tuple(eval_Q(tree, e.labeling, p, x) for x in points)
+
+
+def test_basis_equals_eval_Q_on_every_six_leaf_tree():
+    """All 42 six-leaf trees at N <= 2, in the generic regime with signs."""
+    alphas = CROSS_ROUTE_PARAMS["negative-unchecked"] + (Fraction(-5, 4),)
+    p = ParamSet(CTX, alphas, n_max=2, unchecked=True)
+    trees = all_trees(6)
+    assert len(trees) == 42
+    for tree in trees:
+        for N in range(3):
+            points = enumerate_compositions(6, N)
+            for n in range(N + 1):
+                for e in basis.__wrapped__(tree, p, n, N):
+                    want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
+                    assert e.grid.values == want, (tree, e.labeling, N)
 
 
 def test_basis_validation_and_cache():

@@ -449,6 +449,7 @@ def test_every_cache_is_bounded():
     }
     for name in (
         "multihahn.basis",
+        "multihahn._span_index",
         "multihahn._gamma",
         "multihahn._level_factor",
         "hahn1d.hahn_eval",
