@@ -261,8 +261,17 @@ def cmd_connect(args) -> int:
         matrix = connection_by_path(source, target, n, params)
         oracle = connection_oracle(source, target, n, params)
         if matrix.rows != oracle.rows:
+            # labelings are tuples of one length in lex order, so min is the first
+            mine, theirs = matrix.rows, oracle.rows
+            c, d = min(
+                (c, d)
+                for c in mine.keys() | theirs.keys()
+                for d in mine.get(c, {}).keys() | theirs.get(c, {}).keys()
+                if mine.get(c, {}).get(d) != theirs.get(c, {}).get(d)
+            )
             raise ArithmeticError(
-                "path product disagrees with the inner-product oracle"
+                f"path product disagrees with the inner-product oracle at c={c}, d={d}: "
+                f"path {matrix.value(c, d)}, oracle {oracle.value(c, d)}"
             )
     elapsed = time.monotonic() - started
     obj = matrix.to_json_obj()

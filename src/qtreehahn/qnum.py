@@ -4,6 +4,12 @@ Everything in this package is evaluated over the rationals.  The base q is
 always the square of a rational s with 0 < s < 1, so that half-integer
 powers q**(k/2) = s**k stay inside Q and identities can be checked for
 exact equality instead of within a floating-point tolerance.
+
+The q-shifted factorial has one statement, the integer product
+`_poch_pair`; `pochhammer`, `q_factorial` and the context's `q_power` are
+`Fraction` views of it or of a power of q, and a context keeps no tables.
+`phi_sum` keeps its own termwise products: it is the independent reference
+that the integer rows are checked against.
 """
 
 from __future__ import annotations
@@ -29,12 +35,6 @@ __all__ = [
 ]
 
 
-# Powers q**k with |k| up to this bound, and (q; q)_n with n up to it, are
-# kept in per-context tables; the exponents and lengths of the package's
-# sums and norms stay far below it.
-TABLED_EXPONENT = 64
-
-
 class ZeroDenominator(ArithmeticError):
     """A q-shifted factorial appearing in a denominator vanished."""
 
@@ -52,8 +52,8 @@ class QContext:
 
     All q-dependent quantities in the package are functions of this context.
     Two contexts are equal, and share one hash taken once, exactly when their
-    integer `_key`s (s.numerator, s.denominator) are.  Each context keeps
-    its own bounded tables of q**k and (q; q)_n, filled on first use.
+    integer `_key`s (s.numerator, s.denominator) are.  A context holds
+    nothing else, so the value that keys every cache is immutable.
     """
 
     s: Fraction = field(compare=False)
@@ -68,17 +68,10 @@ class QContext:
         object.__setattr__(self, "q", s * s)
         object.__setattr__(self, "_key", (s.numerator, s.denominator))
         object.__setattr__(self, "_hash", hash(self._key))
-        object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_q_factorials", {0: Fraction(1)})
 
     def q_power(self, k: int) -> Fraction:
         """q**k for any integer k (negative exponents allowed)."""
-        value = self._powers.get(k)
-        if value is None:
-            value = self.q ** k
-            if -TABLED_EXPONENT <= k <= TABLED_EXPONENT:
-                self._powers[k] = value
-        return value
+        return self.q ** k
 
     def q_half_power(self, half_exponent: int) -> Fraction:
         """q**(half_exponent/2), i.e. s**half_exponent, exactly."""
@@ -128,19 +121,14 @@ def _poch_pair(cn: int, cd: int, e: int, k: int, a: int, b: int) -> tuple[int, i
 def pochhammer(ctx: QContext, a: Rational, k: int) -> Fraction:
     """q-shifted factorial (a; q)_k = (1-a)(1-aq)...(1-aq^(k-1)).
 
-    Empty product for k = 0.  Negative k is rejected: every use in this
-    package arises from a terminating sum where lengths are >= 0.
+    The `Fraction` view of `_poch_pair`, reduced once.  Empty product for
+    k = 0.  Negative k is rejected: every use in this package arises from a
+    terminating sum where lengths are >= 0.
     """
     if k < 0:
         raise ValueError(f"pochhammer length must be >= 0, got {k}")
-    a = as_fraction(a)
-    q = ctx.q
-    out = Fraction(1)
-    power = Fraction(1)
-    for _ in range(k):
-        out *= 1 - a * power
-        power *= q
-    return out
+    a, q = as_fraction(a), ctx.q
+    return Fraction(*_poch_pair(a.numerator, a.denominator, 0, k, q.numerator, q.denominator))
 
 
 def pochhammer_many(ctx: QContext, bases: Iterable[Rational], k: int) -> Fraction:
@@ -153,12 +141,7 @@ def pochhammer_many(ctx: QContext, bases: Iterable[Rational], k: int) -> Fractio
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """(q; q)_n."""
-    value = ctx._q_factorials.get(n)
-    if value is None:
-        value = pochhammer(ctx, ctx.q, n)
-        if n <= TABLED_EXPONENT:
-            ctx._q_factorials[n] = value
-    return value
+    return pochhammer(ctx, ctx.q, n)
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:

@@ -41,7 +41,7 @@ from .lattice import (
     inner_product,
     partial_sums,
 )
-from .qnum import QContext, pochhammer
+from .qnum import QContext, _one_minus, _power_pair, pochhammer
 
 __all__ = [
     "EmptyDomain",
@@ -71,8 +71,11 @@ class InvalidSlice(ValueError):
 
 def _eigenvalue(ctx: QContext, P: Fraction, n: int) -> Fraction:
     """q^(-n) (1 - q^n) (1 - P q^(n-1)): the eigenvalue on level n of the
-    operator of a variable span whose p-value is P."""
-    return ctx.q_power(-n) * (1 - ctx.q_power(n)) * (1 - P * ctx.q_power(n - 1))
+    operator of a variable span whose p-value is P, reduced once."""
+    a, b = ctx.q.numerator, ctx.q.denominator
+    x, y = _power_pair(a, b, n)  # q^n = x/y, so q^(-n) (1 - q^n) = (y - x)/x
+    num, den = _one_minus(P.numerator, P.denominator, n - 1, a, b)
+    return Fraction((y - x) * num, x * den)
 
 
 def eigenvalue(p: ParamSet, n: int) -> Fraction:

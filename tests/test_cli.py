@@ -597,6 +597,27 @@ def test_arithmetic_errors_name_their_case(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_connect_names_the_first_entry_where_path_and_oracle_disagree(capsys, monkeypatch):
+    real = cli.connection_by_path
+
+    def two_entries_off(source, target, n, params):
+        matrix = real(source, target, n, params)
+        rows = {c: dict(row) for c, row in matrix.rows.items()}
+        rows[(1, 0)][(0, 1)] += 1  # 115/114 in the README example
+        rows[(0, 1)][(1, 0)] += 1  # 1, first in labeling order
+        return dataclasses.replace(matrix, rows=rows)
+
+    monkeypatch.setattr(cli, "connection_by_path", two_entries_off)
+    argv = ["connect", "--source", "(1 (2 3))", "--target", "((1 2) 3)", "--n", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: path product disagrees with the inner-product oracle"
+        " at c=(0, 1), d=(1, 0): path 2, oracle 1\n"
+    )
+
+
 def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     argv = ["gram", "--tree", "(1 2)", "--N", "1"]
     direct = run_json(capsys, argv)

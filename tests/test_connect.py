@@ -1,11 +1,14 @@
 """Connection coefficients: one-move expansions, paths, oracles, bridges."""
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtreehahn import (
     GridFunction,
@@ -34,6 +37,7 @@ from qtreehahn import (
     kernel_basis,
     kernel_interpolation_basis,
     left_comb,
+    norm_Q,
     one_move_coefficients,
     parse_tree,
     pochhammer,
@@ -136,6 +140,52 @@ def test_path_equals_oracle_every_reachable_five_leaf_pair():
         for n in range(1, 4):
             got = connection_by_path(src, tgt, n, p5, path=path)
             assert got.rows == connection_oracle(src, tgt, n, p5).rows, (src, tgt, n)
+
+
+@functools.cache
+def _reachable_pairs(h):
+    """Every ordered pair of distinct h-leaf trees joined by right-to-left
+    rotations."""
+    pairs = []
+    for src in all_trees(h):
+        for tgt in all_trees(h):
+            try:
+                find_rl_path(src, tgt)
+            except NotRightReachable:
+                continue
+            if src != tgt:
+                pairs.append((src, tgt))
+    return pairs
+
+
+# The two positivity regimes at q = 1/4 with n_max = 3: every alpha in
+# (0, 1/q) = (0, 4), or every alpha above q^(-3) = 64.
+_REGIMES = (
+    st.fractions(0, 4, max_denominator=12).filter(lambda a: 0 < a < 4),
+    st.fractions(64, 400, max_denominator=12).filter(lambda a: a > 64),
+)
+
+
+@st.composite
+def _reachable_cases(draw):
+    h = draw(st.integers(3, 5))
+    src, tgt = draw(st.sampled_from(_reachable_pairs(h)))
+    band = draw(st.sampled_from(_REGIMES))
+    alphas = draw(st.lists(band, min_size=h, max_size=h))
+    return src, tgt, draw(st.integers(0, 2)), ParamSet(CTX, alphas, n_max=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reachable_cases())
+def test_path_equals_oracle_at_random_alphas_in_either_regime(case):
+    """The rotation route, the oracle and orthogonality agree at drawn
+    alphas, and the closed-form norms one level up are the Gram diagonal."""
+    src, tgt, n, p = case
+    got = connection_by_path(src, tgt, n, p)
+    assert got.rows == connection_oracle(src, tgt, n, p).rows
+    assert got.orthogonality_check()
+    for e in basis(src, p, n, n + 1):
+        assert norm_Q(src, e.labeling, p, n + 1) == inner_product(e.grid, e.grid, p)
 
 
 @pytest.mark.parametrize("regime", ["primary", "secondary"])

@@ -60,16 +60,38 @@ def test_context_takes_no_q():
 
 
 def test_context_tables_are_bounded_and_exact():
+    """q_power and q_factorial are exact views, and reading them leaves the
+    context's state as a fresh context's: it keeps no tables."""
     ctx = QContext(s=Fraction(2, 3))
-    bound = qnum.TABLED_EXPONENT
-    for k in range(-3 * bound, 3 * bound):
+    for k in range(-192, 192):
         assert ctx.q_power(k) == ctx.q**k
-    for n in range(3 * bound):
+    for n in range(192):
         assert q_factorial(ctx, n) == pochhammer(ctx, ctx.q, n)
-    assert sorted(ctx._powers) == list(range(-bound, bound + 1))
-    assert sorted(ctx._q_factorials) == list(range(bound + 1))
+    assert vars(ctx).keys() == vars(QContext(s=Fraction(2, 3))).keys()
     with pytest.raises(ValueError):
         q_factorial(ctx, -1)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([Fraction(1, 2), Fraction(2, 3)]), st.integers(0, 24), st.data())
+def test_pochhammer_is_the_termwise_product(s, k, data):
+    """(a; q)_k equals the literal product of (1 - a q^j) over j < k, at
+    a = 0, at signed a, and at a = q^(-m) with m < k, where it is exactly 0."""
+    ctx = QContext(s=s)
+    q = ctx.q
+    bases = [st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=9)]
+    if k:
+        bases.append(st.integers(0, k - 1).map(lambda m: q**-m))
+    a = data.draw(st.one_of(bases))
+    want = Fraction(1)
+    for j in range(k):
+        want *= 1 - a * q**j
+    got = pochhammer(ctx, a, k)
+    assert got == want
+    assert (got == 0) == any(a * q**j == 1 for j in range(k))
+    assert pochhammer(ctx, str(a), k) == want
+    if a.denominator == 1:
+        assert pochhammer(ctx, int(a), k) == want
 
 
 def test_as_fraction_accepts_strings_ints_fractions():

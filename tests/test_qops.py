@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtreehahn import (
     EmptyDomain,
@@ -42,6 +44,20 @@ def test_eigenvalue_closed_form():
     A3 = P3.prefix_product(3)
     expect = Q**-n * (1 - Q**n) * (1 - A3 * Q ** (n + 3 - 1))
     assert eigenvalue(P3, n) == expect
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3)]),
+    st.fractions(-9, 9, max_denominator=9),
+    st.integers(-4, 8),
+)
+def test_eigenvalue_equals_its_fraction_formula(s, P, n):
+    """The integer form of the span eigenvalue, at signed p-values and
+    negative levels too."""
+    ctx = make_ctx(s)
+    q = ctx.q
+    assert qops._eigenvalue(ctx, P, n) == q**-n * (1 - q**n) * (1 - P * q ** (n - 1))
 
 
 def test_diagonal_operator_hand_pin():
