@@ -29,9 +29,7 @@ from .lattice import (
     norm_squared,
     partial_sums,
     rank_of,
-    unrank,
     weight,
-    weight_positivity_check,
 )
 from .qops import (
     EmptyDomain,
@@ -43,7 +41,6 @@ from .qops import (
     check_identity,
     eigenvalue,
     kernel_basis,
-    lower_chain,
     raise_chain,
     spectral_decomposition_check,
     verify_operator_algebra,
@@ -57,7 +54,6 @@ from .hahn1d import (
     hahn_eval,
     hahn_norm,
     hahn_row,
-    hahn_seed,
     hahn_via_phi2,
     hahn_via_raising,
     racah,
@@ -92,7 +88,6 @@ from .multihahn import (
     raise_basis_element,
     theta_labeling_to_preorder,
     theta_polynomial,
-    verify_eigen,
     vertex_eigenvalue,
     xi_norm,
     xi_polynomial,

@@ -4,17 +4,16 @@ Matrices are lists of rows, row major, with `Fraction` or `int` entries;
 no step uses floating point.  `rref` is the one elimination: it clears
 each row's denominators and runs fraction-free Gauss-Jordan elimination
 in integers (Bareiss, Math. Comp. 22, 1968), where every division is
-exact.  `rank`, `nullspace` and `solve` read its result, and the null
-space comes out as integer vectors over one positive denominator.
+exact.  `rank` and `nullspace` read its result, and the null space
+comes out as integer vectors over one positive denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["rref", "nullspace", "rank", "solve", "over_common_denominator"]
+__all__ = ["rref", "nullspace", "rank", "over_common_denominator"]
 
 
 def over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
@@ -82,11 +81,3 @@ def nullspace(matrix, ncols):
         basis.append(vec)
     return basis, d
 
-
-def solve(matrix, rhs):
-    """Unique solution of a square nonsingular system, or raise ValueError."""
-    n = len(matrix)
-    rows, pivots, d = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [Fraction(row[n], d) for row in rows]

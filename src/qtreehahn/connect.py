@@ -182,7 +182,8 @@ def one_move_coefficients(
     """Expand one source labeling over the rotated tree's labelings: its
     row of `_move_table`, which states the coefficient, over the table's
     denominator.  ValueError when `cvec` is not a labeling of the move's
-    source tree."""
+    source tree.  No route of the package calls it; it stays because the
+    perfbench tracer names it among its traced functions."""
     cvec = tuple(cvec)
     table, D = _move_table(move, sum(cvec), params)
     return [(dvec, Fraction(num, D)) for dvec, num in _row(table, move, cvec)]
@@ -271,7 +272,9 @@ class ConnectionMatrix:
 
     def defining_relation_check(self, N: Optional[int] = None) -> bool:
         """Each source basis function equals its expansion, evaluated on
-        the level-N lattice (N defaults to the degree)."""
+        the level-N lattice (N defaults to the degree).  A third route
+        beside the path product and the oracle: it reads neither, only the
+        two bases."""
         N = self.n if N is None else N
         src = {e.labeling: e for e in basis(self.source, self.params, self.n, N)}
         tgt = {e.labeling: e for e in basis(self.target, self.params, self.n, N)}
@@ -511,7 +514,8 @@ def kernel_interpolation_basis(
 
     on 0 <= k - x1 <= x2, and 0 elsewhere; the alternating sign is forced
     by the kernel equation.  Kernel membership and the edge deltas are
-    verified before returning.
+    verified before returning.  No route of the package calls it: it stays
+    as the closed-form cross-check of `qops.kernel_basis`.
     """
     if params.h != 3:
         raise ValueError("the interpolation functions are three-variable")

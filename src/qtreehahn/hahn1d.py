@@ -59,7 +59,6 @@ __all__ = [
     "NonSquareRadicand",
     "Hahn1DSpec",
     "Racah1DSpec",
-    "hahn_seed",
     "hahn_via_phi2",
     "hahn_via_raising",
     "hahn_eval",
@@ -130,6 +129,8 @@ def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) 
         q^(-n^2/2) (q; q)_n (alpha beta q^(n+1))^x (beta^-1 q^-n; q)_x / (alpha q; q)_x.
     """
     q = ctx.q
+    if beta == 0:
+        raise ZeroDivisionError(f"beta^-1 q^-n is undefined for beta=0, n={n}")
     den = pochhammer(ctx, alpha * q, x)
     if den == 0:
         raise ZeroDivisionError(f"(alpha q; q)_x vanished for alpha={alpha}, x={x}")
@@ -140,14 +141,6 @@ def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) 
         * pochhammer(ctx, ctx.q_power(-n) / beta, x)
         / den
     )
-
-
-def hahn_seed(spec: Hahn1DSpec, x: int) -> Fraction:
-    """Value at level N = n, the function whose raising chain generates all levels."""
-    if spec.N != spec.n:
-        raise ValueError(f"seed lives at its own level: N={spec.N} != n={spec.n}")
-    _check_x(x, spec.N)
-    return _seed_value(spec.ctx, spec.n, x, spec.alpha, spec.beta)
 
 
 def hahn_via_phi2(spec: Hahn1DSpec, x: int) -> Fraction:

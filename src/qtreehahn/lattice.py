@@ -32,12 +32,10 @@ __all__ = [
     "domain_table",
     "enumerate_compositions",
     "rank_of",
-    "unrank",
     "partial_sums",
     "weight",
     "inner_product",
     "norm_squared",
-    "weight_positivity_check",
 ]
 
 
@@ -94,26 +92,6 @@ def rank_of(x: Sequence[int]) -> int:
             rank += composition_count(h - 1 - i, remaining - v)
         remaining -= x[i]
     return rank
-
-
-def unrank(h: int, N: int, rank: int) -> tuple[int, ...]:
-    """Inverse of rank_of on [h; N]."""
-    if not (0 <= rank < composition_count(h, N)):
-        raise IndexOutOfRange(f"rank {rank} outside [h;N] for h={h}, N={N}")
-    out = []
-    remaining = N
-    for i in range(h - 1):
-        v = 0
-        while True:
-            block = composition_count(h - 1 - i, remaining - v)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        out.append(v)
-        remaining -= v
-    out.append(remaining)
-    return tuple(out)
 
 
 def partial_sums(x: Sequence[int]) -> tuple[int, ...]:
@@ -206,12 +184,6 @@ class ParamSet:
     def span_p(self, lo: int, hi: int) -> Fraction:
         """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
         return Fraction(*self.p_pair(lo, hi))
-
-    def restrict(self, lo: int, hi: int) -> "ParamSet":
-        """Parameter set for the variables in the span (lo, hi]."""
-        if not (0 <= lo < hi <= self.h):
-            raise IndexOutOfRange(f"span ({lo}, {hi}] outside 0..{self.h}")
-        return ParamSet(self.ctx, self.alphas[lo:hi], self.n_max, unchecked=True)
 
     def __hash__(self):
         return self._hash
@@ -478,7 +450,3 @@ def inner_product(f1: GridFunction, f2: GridFunction, p: ParamSet) -> Fraction:
 def norm_squared(f: GridFunction, p: ParamSet) -> Fraction:
     return inner_product(f, f, p)
 
-
-def weight_positivity_check(h: int, N: int, p: ParamSet) -> bool:
-    """True when every point of [h; N] has strictly positive weight."""
-    return all(weight(x, p) > 0 for x in enumerate_compositions(h, N))

@@ -42,7 +42,7 @@ from .qnum import (
     pochhammer_many,
     q_factorial,
 )
-from .qops import _eigenvalue, apply_D, apply_D_at_vertex, check_identity, eigenvalue, raise_chain
+from .qops import _eigenvalue, apply_D, apply_D_at_vertex, eigenvalue, raise_chain
 from .trees import PlanarTree, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "norm_Q",
     "basis",
     "raise_basis_element",
-    "verify_eigen",
     "vertex_eigen_cases",
     "vertex_eigenvalue",
     "xi_polynomial",
@@ -384,18 +383,6 @@ def vertex_eigen_cases(
         yield {**where, "vertex": vert.index}, got == grid.scale(lam)
     lam_global = eigenvalue(params, sum(labeling))
     yield {**where, "vertex": "global"}, apply_D(grid, params) == grid.scale(lam_global)
-
-
-def verify_eigen(
-    tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
-) -> list[dict]:
-    """Check that every vertex operator acts diagonally on the basis function
-    at level N: the `check_identity` report of `vertex_eigen_cases`."""
-    return [
-        check_identity(
-            "vertex-eigenvalues", vertex_eigen_cases(tree, labeling, params, N)
-        )
-    ]
 
 
 # --- closed forms for the two comb trees ---------------------------------

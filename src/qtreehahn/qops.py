@@ -51,7 +51,6 @@ __all__ = [
     "apply_L",
     "apply_D_at_vertex",
     "raise_chain",
-    "lower_chain",
     "to_matrix",
     "kernel_basis",
     "eigenvalue",
@@ -260,16 +259,6 @@ def raise_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
     return g
 
 
-def lower_chain(f: GridFunction, p: ParamSet, to_level: int) -> GridFunction:
-    """Apply L repeatedly until the function lives on [h; to_level]."""
-    if to_level > f.N:
-        raise ValueError(f"cannot lower from level {f.N} up to {to_level}")
-    g = f
-    while g.N > to_level:
-        g = apply_L(g, p)
-    return g
-
-
 def to_matrix(
     op: Callable[[GridFunction], GridFunction], h: int, level: int
 ) -> list[list[Fraction]]:
@@ -277,6 +266,8 @@ def to_matrix(
 
     Columns follow the lexicographic enumeration of the source domain,
     rows that of the image domain (determined by applying op once).
+    No route of the package calls it: it stays as the reference that
+    `kernel_basis`'s read of the lowering stencil is tested against.
     """
     domain = enumerate_compositions(h, level)
     columns = [op(GridFunction.delta(h, level, x)) for x in domain]

@@ -64,26 +64,16 @@ class NotRightReachable(ValueError):
 
 @dataclass(frozen=True)
 class Vertex:
-    """One internal vertex: its leaf span (lo, hi], split point and links."""
+    """One internal vertex: its leaf span (lo, hi], split point, depth and
+    the pre-order indices of its internal children."""
 
     index: int
     lo: int
     hi: int
     split: int
     level: int
-    parent: Optional[int]
-    left: Optional[int]        # pre-order index of an internal left child
-    right: Optional[int]       # pre-order index of an internal right child
-    left_leaf: Optional[int]   # leaf number when the left child is a leaf
-    right_leaf: Optional[int]  # leaf number when the right child is a leaf
-
-
-def _leaf_span(shape: Shape) -> tuple[int, int]:
-    if isinstance(shape, int):
-        return shape - 1, shape
-    lo, _ = _leaf_span(shape[0])
-    _, hi = _leaf_span(shape[1])
-    return lo, hi
+    left: Optional[int]   # None when the left child is a leaf
+    right: Optional[int]  # None when the right child is a leaf
 
 
 @dataclass(frozen=True)
@@ -93,12 +83,13 @@ class PlanarTree:
     shape: Shape
 
     def __post_init__(self):
-        _validate_shape(self.shape)
-        vertices = []
-        _build_vertices(self.shape, None, 0, vertices)
+        leaves, vertices = [], []
+        _walk(self.shape, 0, leaves, vertices)
+        if leaves != list(range(1, len(leaves) + 1)):
+            raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
         object.__setattr__(self, "_vertices", tuple(vertices))
         # taken once: trees key the path and move-table caches
-        object.__setattr__(self, "_h", _leaf_span(self.shape)[1])
+        object.__setattr__(self, "_h", len(leaves))
         object.__setattr__(self, "_hash", hash(self.shape))
 
     @property
@@ -126,65 +117,25 @@ class PlanarTree:
     def __hash__(self):
         return self._hash
 
-    def subtree_shape(self, u: int) -> Shape:
-        """Shape of the subtree rooted at internal vertex u."""
-        found = _find_shape(self.shape, u, [0])
-        assert found is not None
-        return found
 
-
-def _validate_shape(shape: Shape):
-    leaves = []
-    _collect_leaves(shape, leaves)
-    if leaves != list(range(1, len(leaves) + 1)):
-        raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
-
-
-def _collect_leaves(shape: Shape, out: list):
+def _walk(shape: Shape, level: int, leaves: list, out: list) -> Optional[int]:
+    """One pre-order walk: append the subtree's leaves to `leaves` and its
+    internal vertices to `out`; return the subtree root's index (None at a
+    leaf).  A vertex's lo, split and hi are the running leaf count before,
+    between and after its children, so the spans hold once the caller has
+    found the leaves to read 1..h."""
     if isinstance(shape, int):
-        out.append(shape)
-    else:
-        if not (isinstance(shape, tuple) and len(shape) == 2):
-            raise ParseError(f"bad shape node {shape!r}")
-        _collect_leaves(shape[0], out)
-        _collect_leaves(shape[1], out)
-
-
-def _build_vertices(shape: Shape, parent, level, out) -> Optional[int]:
-    """Append internal vertices in pre-order; return this subtree's root index."""
-    if isinstance(shape, int):
+        leaves.append(shape)
         return None
-    lo, hi = _leaf_span(shape)
-    _, split = _leaf_span(shape[0])
-    index = len(out)
+    if not (isinstance(shape, tuple) and len(shape) == 2):
+        raise ParseError(f"bad shape node {shape!r}")
+    index, lo = len(out), len(leaves)
     out.append(None)  # reserve the slot to keep pre-order numbering
-    left = _build_vertices(shape[0], index, level + 1, out)
-    right = _build_vertices(shape[1], index, level + 1, out)
-    out[index] = Vertex(
-        index=index,
-        lo=lo,
-        hi=hi,
-        split=split,
-        level=level,
-        parent=parent,
-        left=left,
-        right=right,
-        left_leaf=shape[0] if isinstance(shape[0], int) else None,
-        right_leaf=shape[1] if isinstance(shape[1], int) else None,
-    )
+    left = _walk(shape[0], level + 1, leaves, out)
+    split = len(leaves)
+    right = _walk(shape[1], level + 1, leaves, out)
+    out[index] = Vertex(index, lo, len(leaves), split, level, left, right)
     return index
-
-
-def _find_shape(shape: Shape, target: int, counter: list) -> Optional[Shape]:
-    if isinstance(shape, int):
-        return None
-    if counter[0] == target:
-        return shape
-    counter[0] += 1
-    found = _find_shape(shape[0], target, counter)
-    if found is not None:
-        return found
-    return _find_shape(shape[1], target, counter)
 
 
 def _serialize(shape: Shape) -> str:

@@ -234,6 +234,21 @@ def test_gram_config_errors_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ("(1 3)", "leaves read [1, 3], expected 1..2"),
+        ("((1 3) 2)", "leaves read [1, 3, 2], expected 1..3"),
+        ("(1 2", "expected ')'"),
+    ],
+)
+def test_tree_errors_exit_2_with_their_text(capsys, tree, message):
+    assert main(["gram", "--tree", tree, "--N", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_out_to_a_missing_directory_exits_2(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
     assert main(["gram", "--tree", "(1 2)", "--N", "2", "--out", str(out)]) == 2
@@ -586,9 +601,15 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
              "--alphas", "0,1/2,1/3", "--allow-any-params"],
             "A_1 vanished for alpha_1=0",
         ),
+        # the seed of the one-variable family reads beta^-1, and beta = alpha_2
+        (
+            ["verify", "--suite", "vandermonde", "--h", "2", "--N", "2",
+             "--alphas", "1/2,0", "--allow-any-params"],
+            "beta^-1 q^-n is undefined for beta=0, n=0",
+        ),
     ],
     ids=["classical-weight-pole", "oracle-zero-norm", "substitution-zero-alpha-2",
-         "substitution-zero-alpha-3", "comb-product-zero-alpha-1"],
+         "substitution-zero-alpha-3", "comb-product-zero-alpha-1", "vandermonde-zero-beta"],
 )
 def test_arithmetic_errors_name_their_case(capsys, argv, message):
     assert main(argv) == 3

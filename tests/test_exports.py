@@ -52,3 +52,31 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_every_private_helper_is_read_by_the_package():
+    # A top-level `_name` function or class serves only the package, so one
+    # that no package module reads outside its own definition is dead code.
+    # Reads are names and attribute names, taken per top-level statement.
+    package = Path(qtreehahn.__file__).parent
+    reads = []  # (module, statement index, names read there)
+    helpers = []  # (module, statement index, helper name)
+    for path in sorted(package.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            reads.append((path.name, i, names))
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                helpers.append((path.name, i, stmt.name))
+    assert helpers
+    dead = [
+        f"{module}:{name}"
+        for module, i, name in helpers
+        if not any(name in names for m, j, names in reads if (m, j) != (module, i))
+    ]
+    assert not dead, f"private helpers nothing reads: {dead}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtreehahn._linalg import nullspace, over_common_denominator, rank, rref, solve
+from qtreehahn._linalg import nullspace, over_common_denominator, rank, rref
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -118,9 +118,6 @@ def test_negative_last_pivot_gives_positive_denominator():
     assert rref([[1, 0], [0, -1]]) == ([[1, 0], [0, 1]], [0, 1], 1)
     vectors, d = nullspace([[2, 1, 4], [1, -3, 2]], 3)
     assert d > 0 and vectors == [[-14, 0, 7]]
-    assert solve([[2, 1], [1, -3]], [3, -2]) == [1, 1]
-    with pytest.raises(ValueError):
-        solve([[1, 2], [2, 4]], [1, 2])
 
 
 def test_rank_of_known_matrices():

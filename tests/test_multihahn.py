@@ -11,6 +11,7 @@ from qtreehahn import (
     ParamSet,
     all_trees,
     basis,
+    check_identity,
     eigenvalue,
     enumerate_compositions,
     eval_Q,
@@ -26,7 +27,6 @@ from qtreehahn import (
     right_comb,
     theta_labeling_to_preorder,
     theta_polynomial,
-    verify_eigen,
     vertex_eigenvalue,
     xi_norm,
     xi_polynomial,
@@ -34,7 +34,7 @@ from qtreehahn import (
 )
 from qtreehahn import multihahn
 from qtreehahn._linalg import rank
-from qtreehahn.multihahn import norm_exponent
+from qtreehahn.multihahn import norm_exponent, vertex_eigen_cases
 from qtreehahn.trees import child_sums, coefficient_sums, enumerate_labelings
 
 from conftest import PRIMARY_ALPHAS, make_ctx, make_params
@@ -313,7 +313,7 @@ def test_verify_eigen_reports():
     for tree in all_trees(3):
         for n in range(3):
             for lab in enumerate_labelings(tree, n):
-                [rep] = verify_eigen(tree, lab, p, 3)
+                rep = check_identity("vertex-eigenvalues", vertex_eigen_cases(tree, lab, p, 3))
                 assert rep["status"] == "pass", rep
                 assert rep["counterexample"] is None
                 assert rep["cases"] == tree.n_internal + 1  # every vertex, then global

@@ -59,7 +59,7 @@ def test_context_takes_no_q():
     assert moved.q == Fraction(1, 9) and moved == QContext(Fraction(1, 3))
 
 
-def test_context_tables_are_bounded_and_exact():
+def test_context_powers_are_exact_and_leave_no_state():
     """q_power and q_factorial are exact views, and reading them leaves the
     context's state as a fresh context's: it keeps no tables."""
     ctx = QContext(s=Fraction(2, 3))

@@ -22,7 +22,6 @@ from qtreehahn import (
     eigenvalue,
     inner_product,
     kernel_basis,
-    lower_chain,
     pochhammer,
     raise_chain,
     spectral_decomposition_check,
@@ -141,10 +140,7 @@ def test_chain_direction_errors():
         apply_L(GridFunction.constant(3, 0, 1), P3)
     with pytest.raises(ValueError):
         raise_chain(f, P3, 1)
-    with pytest.raises(ValueError):
-        lower_chain(f, P3, 3)
     assert raise_chain(f, P3, 2) == f
-    assert lower_chain(f, P3, 2) == f
 
 
 def test_collapse_scalar_on_constants():
@@ -153,7 +149,7 @@ def test_collapse_scalar_on_constants():
     ctx = P3.ctx
     A3 = P3.prefix_product(3)
     f = GridFunction.constant(3, 0, 1)
-    g = lower_chain(raise_chain(f, P3, 2), P3, 0)
+    g = apply_L(apply_L(raise_chain(f, P3, 2), P3), P3)
     scalar = (
         ctx.q_power(-3)
         * pochhammer(ctx, Q, 2)
@@ -416,7 +412,7 @@ def test_vertex_operator_is_the_restricted_operator_on_every_fiber():
             for lo in range(h):
                 for hi in range(lo + 1, h + 1):
                     got = apply_D_at_vertex(f, p, lo, hi)
-                    local = p.restrict(lo, hi)
+                    local = ParamSet(p.ctx, p.alphas[lo:hi], unchecked=True)
                     fibers = {(x[:lo], x[hi:]) for x in f.domain()}
                     for left, right in fibers:
                         n_loc = N - sum(left) - sum(right)

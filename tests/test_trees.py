@@ -12,6 +12,7 @@ from qtreehahn import (
     NonConsecutiveLeaves,
     NotRightReachable,
     ParseError,
+    PlanarTree,
     RightChildIsLeaf,
     all_trees,
     canonical_path_to_left_comb,
@@ -78,11 +79,50 @@ def test_vertices_preorder_spans():
     assert (v0.lo, v0.hi, v0.split, v0.level) == (0, 4, 2, 0)
     assert (v1.lo, v1.hi, v1.split, v1.level) == (0, 2, 1, 1)
     assert (v2.lo, v2.hi, v2.split, v2.level) == (2, 4, 3, 1)
-    assert v0.parent is None and v1.parent == 0 and v2.parent == 0
     assert (v0.left, v0.right) == (1, 2)
-    assert (v1.left_leaf, v1.right_leaf) == (1, 2)
-    assert (v2.left_leaf, v2.right_leaf) == (3, 4)
-    assert tree.subtree_shape(2) == (3, 4)
+    assert (v1.left, v1.right) == (v2.left, v2.right) == (None, None)
+    for h in range(2, 8):
+        for tree in all_trees(h):
+            got = [(v.lo, v.hi, v.split, v.level, v.left, v.right) for v in tree.vertices]
+            assert got == _reference_vertices(tree.shape), tree
+            assert [v.index for v in tree.vertices] == list(range(h - 1))
+            assert tree.h == h
+
+
+def _reference_vertices(shape) -> list[tuple]:
+    """(lo, hi, split, level, left, right) per internal vertex, pre-order,
+    each span read off the subtree's own first and last leaf."""
+    out = []
+
+    def first(s):
+        return s if isinstance(s, int) else first(s[0])
+
+    def last(s):
+        return s if isinstance(s, int) else last(s[1])
+
+    def visit(s, level):
+        if isinstance(s, int):
+            return None
+        index = len(out)
+        out.append(None)
+        left = visit(s[0], level + 1)
+        right = visit(s[1], level + 1)
+        out[index] = (first(s) - 1, last(s), last(s[0]), level, left, right)
+        return index
+
+    visit(shape, 0)
+    return out
+
+
+def test_bad_nodes_are_reported_before_leaf_order():
+    with pytest.raises(ParseError, match=r"^bad shape node \(1, 2, 3\)$"):
+        PlanarTree((1, 2, 3))
+    # the leaves read (2, 1, 3) so far are out of order, but the bad node wins
+    with pytest.raises(ParseError, match="^bad shape node None$") as info:
+        PlanarTree(((2, 1), (3, None)))
+    assert not isinstance(info.value, NonConsecutiveLeaves)
+    with pytest.raises(NonConsecutiveLeaves, match=r"^leaves read \[2, 1, 3\], expected 1..3$"):
+        PlanarTree(((2, 1), 3))
 
 
 def test_labelings_and_coefficient_sums():
@@ -207,7 +247,7 @@ def test_tree_and_move_hashes_are_taken_once_and_agree():
             twin = parse_tree(tree.serialize())
             assert twin is not tree and twin == tree
             assert hash(twin) == hash(tree) == hash(tree.shape)
-            assert tree.h == twin.h == trees._leaf_span(tree.shape)[1] == h
+            assert tree.h == twin.h == len(tree.vertices) + 1 == h
             swapped = dataclasses.replace(tree, shape=left_comb(h).shape)
             assert swapped == left_comb(h) and hash(swapped) == hash(left_comb(h))
             for (_, rec), (_, twin_rec) in zip(rl_neighbors(tree), rl_neighbors(twin)):
