@@ -69,7 +69,6 @@ from .trees import (
     PlanarTree,
     RightChildIsLeaf,
     all_trees,
-    canonical_path_to_left_comb,
     child_sums,
     coefficient_sums,
     enumerate_labelings,

@@ -317,8 +317,10 @@ def _suite_eigen(params, h, N, seed):
 
 
 def _suite_connections(params, h, N, seed):
+    """Check each reachable pair's matrices as they are built, so the suite
+    holds one pair's matrices at a time."""
     trees = all_trees(h)
-    by_path = {}
+    vs_oracle, orthogonal = [], []
     for src in trees:
         for tgt in trees:
             try:
@@ -326,25 +328,13 @@ def _suite_connections(params, h, N, seed):
             except NotRightReachable:
                 continue
             for n in range(min(N, 2) + 1):
-                by_path[src, tgt, n] = connection_by_path(
-                    src, tgt, n, params, path=path
-                )
-
-    def where(src, tgt, n):
-        return {"source": src.serialize(), "target": tgt.serialize(), "n": n}
-
+                m = connection_by_path(src, tgt, n, params, path=path)
+                where = {"source": src.serialize(), "target": tgt.serialize(), "n": n}
+                vs_oracle.append((where, m.rows == connection_oracle(src, tgt, n, params).rows))
+                orthogonal.append((where, m.orthogonality_check()))
     return [
-        check_identity(
-            "connection-path-vs-oracle",
-            (
-                (where(*key), m.rows == connection_oracle(*key, params).rows)
-                for key, m in by_path.items()
-            ),
-        ),
-        check_identity(
-            "connection-path-orthogonality",
-            ((where(*key), m.orthogonality_check()) for key, m in by_path.items()),
-        ),
+        check_identity("connection-path-vs-oracle", vs_oracle),
+        check_identity("connection-path-orthogonality", orthogonal),
     ]
 
 

@@ -436,6 +436,9 @@ def xi_norm(params: ParamSet, m: Sequence[int], N: int) -> Fraction:
         * prod_{k=1}^{h-1}
             (q, (A_h/A_{k-1}) q^(h-k+j_{k-1}+j_k), (A_h/A_k) q^(h-k+2 j_k); q)_{m_k}
             / (alpha_k q; q)_{m_k} * (alpha_k q)^(j_{k-1}) * q^(-m_k).
+
+    A zero among alpha_1 .. alpha_{h-1} raises ZeroDenominator naming the
+    first: its A_k divides A_h.
     """
     m = tuple(m)
     h = params.h
@@ -445,6 +448,9 @@ def xi_norm(params: ParamSet, m: Sequence[int], N: int) -> Fraction:
     n = sum(m)
     if n > N:
         raise ValueError(f"degree {n} exceeds level {N}")
+    if 0 in params.alphas[: h - 1]:
+        k = params.alphas.index(0) + 1
+        raise ZeroDenominator(f"A_{k} vanished for alpha_{k}=0")
     j = [sum(m[k:]) for k in range(h)]
     A_h = params.prefix_product(h)
     out = (

@@ -16,6 +16,7 @@ coefficients in `connect`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -40,7 +41,6 @@ __all__ = [
     "transplant_right_to_left",
     "rl_neighbors",
     "find_rl_path",
-    "canonical_path_to_left_comb",
 ]
 
 Shape = Union[int, tuple]
@@ -349,54 +349,40 @@ def find_rl_path(source: PlanarTree, target: PlanarTree) -> list[MoveRecord]:
     """Shortest path of right-to-left moves, BFS with pre-order tie-break.
 
     Returns [] when source == target; raises NotRightReachable when no
-    such path exists (the move is not symmetric).  Found paths are cached
-    by (source, target); each call returns a fresh list.
+    such path exists (the move is not symmetric).  The path is read back
+    from the one search over everything `source` reaches, which is cached
+    per source, so an unreachable target costs no search of its own.
+    Each call returns a fresh list.
     """
-    return list(_rl_path(source, target))
-
-
-# Bound set on the `rotations` benchmark: 6-leaf trees have 399 right-reachable
-# ordered pairs, the source == target ones included, and every one fits.
-@lru_cache(maxsize=512)
-def _rl_path(source: PlanarTree, target: PlanarTree) -> tuple[MoveRecord, ...]:
     if source.h != target.h:
         raise NotRightReachable(
             f"trees have different leaf counts {source.h} and {target.h}"
         )
-    if source == target:
-        return ()
-    seen = {source: None}  # tree -> (previous tree, MoveRecord)
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        for tree in frontier:
-            for neighbor, record in rl_neighbors(tree):
-                if neighbor in seen:
-                    continue
-                seen[neighbor] = (tree, record)
-                if neighbor == target:
-                    path = []
-                    node = neighbor
-                    while seen[node] is not None:
-                        prev, rec = seen[node]
-                        path.append(rec)
-                        node = prev
-                    return tuple(reversed(path))
-                next_frontier.append(neighbor)
-        frontier = next_frontier
-    raise NotRightReachable(f"no right-to-left path from {source} to {target}")
-
-
-def canonical_path_to_left_comb(tree: PlanarTree) -> list[MoveRecord]:
-    """Deterministic path to the left comb: always move at the highest
-    admissible vertex (smallest level, then leftmost)."""
-    path = []
-    current = tree
-    while True:
-        candidates = [v for v in current.vertices if v.right is not None]
-        if not candidates:
-            break
-        best = min(candidates, key=lambda v: (v.level, v.index))
-        current, record = transplant_right_to_left(current, best.index)
+    parents = _rl_parents(source)
+    if target not in parents:
+        raise NotRightReachable(f"no right-to-left path from {source} to {target}")
+    path, node = [], target
+    while parents[node] is not None:
+        node, record = parents[node]
         path.append(record)
+    path.reverse()
     return path
+
+
+# Bound set on the `rotations` benchmark, whose 42 six-leaf sources all fit;
+# the connections suite and perfbench's `tree_pairs` walk source by source.
+@lru_cache(maxsize=64)
+def _rl_parents(source: PlanarTree) -> dict:
+    """Every tree `source` reaches, mapped to its first-found (previous
+    tree, MoveRecord) in a breadth-first search over `rl_neighbors`;
+    `source` maps to None.  A search that stopped at one target would
+    assign the same parents up to it, so every path is the same."""
+    parents = {source: None}
+    queue = deque([source])
+    while queue:
+        tree = queue.popleft()
+        for neighbor, record in rl_neighbors(tree):
+            if neighbor not in parents:
+                parents[neighbor] = (tree, record)
+                queue.append(neighbor)
+    return parents

@@ -607,9 +607,16 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
              "--alphas", "1/2,0", "--allow-any-params"],
             "beta^-1 q^-n is undefined for beta=0, n=0",
         ),
+        # the right-comb norm divides A_h by A_k; at h = 2 it is read first
+        (
+            ["verify", "--suite", "classical-bridge", "--h", "2", "--N", "2",
+             "--alphas", "0,1/2", "--allow-any-params"],
+            "A_1 vanished for alpha_1=0",
+        ),
     ],
     ids=["classical-weight-pole", "oracle-zero-norm", "substitution-zero-alpha-2",
-         "substitution-zero-alpha-3", "comb-product-zero-alpha-1", "vandermonde-zero-beta"],
+         "substitution-zero-alpha-3", "comb-product-zero-alpha-1", "vandermonde-zero-beta",
+         "xi-norm-zero-alpha-1"],
 )
 def test_arithmetic_errors_name_their_case(capsys, argv, message):
     assert main(argv) == 3
@@ -680,12 +687,15 @@ def test_stdout_bytes_are_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-# sha256 of the stdout of `qtree verify --suite <suite> <size>`, where the
-# size is `--h 3 --N 3 --seed 5` except for the worked example, which is a
-# five-leaf result.  Operator-algebra, spectral and eigen were pinned before
-# grid functions were stored as integers over one denominator, the others
-# before orthogonality went through `invert` and the bridges through one
-# signed half-power: a change of representation must leave these bytes alone.
+# sha256 of the stdout of `qtree verify --suite <suite> <size>`, keyed by
+# the suite, where the size is `--h 3 --N 3 --seed 5` except for the worked
+# example, which is a five-leaf result, and "connections at h 5", whose 68
+# reachable pairs were pinned while the suite still held every pair's
+# matrices until both identities had run.  Operator-algebra, spectral and
+# eigen were pinned before grid functions were stored as integers over one
+# denominator, the others before orthogonality went through `invert` and the
+# bridges through one signed half-power: a change of representation must
+# leave these bytes alone.
 SMALL = ("--h", "3", "--N", "3", "--seed", "5")
 GOLDEN_VERIFY_SHA256 = {
     "operator-algebra": (SMALL, "de9f8bf676aea96da4411dd7e9dd38b0e460c089b2df4bbe68b5fb5905c0a648"),
@@ -699,12 +709,17 @@ GOLDEN_VERIFY_SHA256 = {
         ("--h", "5", "--N", "2"),
         "9bac890e36186937f842a080429eebc6008215292b1160628fe3884d06b284a6",
     ),
+    "connections at h 5": (
+        ("--h", "5", "--N", "2"),
+        "5cb1de10f34da380f992ae799e0c6d97fc1e36168afc41f23a720fb0e836cb74",
+    ),
 }
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
-def test_verify_stdout_matches_golden_bytes(capsys, suite):
-    size, digest = GOLDEN_VERIFY_SHA256[suite]
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_stdout_matches_golden_bytes(capsys, name):
+    size, digest = GOLDEN_VERIFY_SHA256[name]
+    suite = name.split()[0]
     assert main(["verify", "--suite", suite, *size]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest

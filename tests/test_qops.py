@@ -469,7 +469,7 @@ def test_every_cache_is_bounded():
         "hahn1d.racah_eval",
         "hahn1d._racah_pairs",
         "connect._move_table",
-        "trees._rl_path",
+        "trees._rl_parents",
     ):
         assert f"qtreehahn.{name}" in caches
     assert len(caches) >= 14

@@ -15,7 +15,6 @@ from qtreehahn import (
     PlanarTree,
     RightChildIsLeaf,
     all_trees,
-    canonical_path_to_left_comb,
     coefficient_sums,
     enumerate_labelings,
     find_rl_path,
@@ -213,9 +212,9 @@ def test_find_rl_path_is_cached_and_returns_fresh_lists():
     path.reverse()
     path.append(path[0])
     assert find_rl_path(rc, lc) == want
-    before = trees._rl_path.cache_info()
+    before = trees._rl_parents.cache_info()
     assert find_rl_path(parse_tree(str(rc)), parse_tree(str(lc))) == want
-    after = trees._rl_path.cache_info()
+    after = trees._rl_parents.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert after.maxsize is not None and after.currsize <= after.maxsize
     for _ in range(2):
@@ -232,13 +231,65 @@ def test_paths_replay_to_target():
     for h in (3, 4, 5):
         lc = left_comb(h)
         for tree in all_trees(h):
-            for path in (find_rl_path(tree, lc), canonical_path_to_left_comb(tree)):
-                cur = tree
-                for rec in path:
-                    assert rec.source == cur
-                    cur, rec2 = transplant_right_to_left(cur, rec.vertex)
-                    assert rec2 == rec
-                assert cur == lc
+            cur = tree
+            for rec in find_rl_path(tree, lc):
+                assert rec.source == cur
+                cur, rec2 = transplant_right_to_left(cur, rec.vertex)
+                assert rec2 == rec
+            assert cur == lc
+
+
+def _per_pair_path(source, target):
+    """Reference route: one breadth-first search per pair, stopped at the
+    target; None when the target is not reached."""
+    if source == target:
+        return []
+    seen = {source: None}
+    frontier = [source]
+    while frontier:
+        next_frontier = []
+        for tree in frontier:
+            for neighbor, record in rl_neighbors(tree):
+                if neighbor in seen:
+                    continue
+                seen[neighbor] = (tree, record)
+                if neighbor == target:
+                    path = []
+                    while seen[neighbor] is not None:
+                        neighbor, rec = seen[neighbor]
+                        path.append(rec)
+                    return path[::-1]
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+    return None
+
+
+def _bracket_vector(tree):
+    """hi - split per internal vertex, indexed by split: the leaf count of
+    each right subtree, in in-order."""
+    r = [0] * tree.n_internal
+    for v in tree.vertices:
+        r[v.split - 1] = v.hi - v.split
+    return r
+
+
+def test_one_search_per_source_matches_the_per_pair_search():
+    # Same paths and the same unreachable pairs as a search per pair; and S
+    # reaches T exactly when r(S) >= r(T) componentwise (the Tamari order).
+    for h in range(2, 7):
+        trees_h = all_trees(h)
+        for source in trees_h:
+            for target in trees_h:
+                want = _per_pair_path(source, target)
+                if want is None:
+                    with pytest.raises(NotRightReachable):
+                        find_rl_path(source, target)
+                else:
+                    assert find_rl_path(source, target) == want
+                dominates = all(
+                    a >= b for a, b in zip(_bracket_vector(source), _bracket_vector(target))
+                )
+                assert dominates == (want is not None)
 
 
 def test_tree_and_move_hashes_are_taken_once_and_agree():
@@ -260,12 +311,6 @@ def test_tree_and_move_hashes_are_taken_once_and_agree():
                 moved = dataclasses.replace(rec, base=rec.base + 1)
                 assert moved != rec
                 assert hash(moved) == hash(fields[:3] + (rec.base + 1,) + fields[4:])
-
-
-def test_canonical_path_terminates_only_at_left_comb():
-    assert canonical_path_to_left_comb(left_comb(6)) == []
-    path = canonical_path_to_left_comb(right_comb(6))
-    assert path and path[-1].target == left_comb(6)
 
 
 @settings(max_examples=30)
