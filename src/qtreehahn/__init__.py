@@ -22,6 +22,7 @@ from .lattice import (
     DimensionMismatch,
     GridFunction,
     IndexOutOfRange,
+    OutsidePositivityRegime,
     ParamSet,
     composition_count,
     enumerate_compositions,

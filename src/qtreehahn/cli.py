@@ -17,16 +17,18 @@ import time
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import mul
 
 from .connect import (
+    _ZERO_ROW,
     connection_by_path,
     connection_oracle,
     gr_correspondence_cases,
     three_dim_racah_example_cases,
 )
 from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
-from .lattice import ParamSet, _weighted, enumerate_compositions
+from .lattice import OutsidePositivityRegime, ParamSet, _weighted, enumerate_compositions
 from .multihahn import basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
 from .qops import (
@@ -89,16 +91,21 @@ def _build_params(args, h: int) -> ParamSet:
             )
     try:
         return ParamSet(ctx, alphas, unchecked=args.allow_any_params)
+    except OutsidePositivityRegime as exc:
+        raise ConfigError(
+            "parameters outside the positivity regime; "
+            "pass --allow-any-params for generic identity testing"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _json(obj, pad: str, int_lists: dict) -> str:
+def _json(obj, pad: str) -> str:
     """The text `json.dumps(obj, indent=2)` gives for obj nested where its
     lines start with pad ("\n" and two spaces a level).  It takes str-keyed
     dicts, lists, tuples, str, int, bool and None, and raises TypeError on
-    anything else.  `int_lists` memoises the text of each list of plain
-    ints per pad, since labelings repeat across the rows of a matrix."""
+    anything else but a callable, whose call with pad returns its own text
+    (as `_matrix_json` does for a connection matrix)."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -118,27 +125,56 @@ def _json(obj, pad: str, int_lists: dict) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         brackets = "{}"
         items = [
-            f"{encode_basestring_ascii(key)}: {_json(value, inner, int_lists)}"
+            f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
             for key, value in obj.items()
         ]
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is int for v in obj):
-            key = (pad, tuple(obj))
-            text = int_lists.get(key)
-            if text is None:
-                text = int_lists[key] = f"[{inner}{(',' + inner).join(map(repr, obj))}{pad}]"
-            return text
         brackets = "[]"
-        items = [_json(value, inner, int_lists) for value in obj]
+        items = [_json(value, inner) for value in obj]
+    elif callable(obj):
+        return obj(pad)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for den > 0, with one gcd and no Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
+def _matrix_json(matrix, pad: str) -> str:
+    """The text `_json` gives for `matrix.to_json_obj()["matrix"]` at pad,
+    written from the integer rows through one template: each labeling's
+    text is taken once, and each entry costs one gcd."""
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    sep = "," + i3
+
+    def text(labelings):
+        return {c: f"[{i3}{sep.join(map(str, c))}{i2}]" if c else "[]" for c in labelings}
+
+    targets = text(matrix.target_labelings()).items()
+    entries = []
+    for c, c_text in text(matrix.source_labelings()).items():
+        nums, den = matrix.integer_rows.get(c, _ZERO_ROW)
+        for d, d_text in targets:
+            v = nums.get(d)
+            if v is not None:
+                entries.append(
+                    f'{{{i2}"c": {c_text},{i2}"d": {d_text},{i2}"value": "{_ratio_text(v, den)}"{i1}}}'
+                )
+    if not entries:
+        return "[]"
+    return f"[{i1}{(',' + i1).join(entries)}{pad}]"
+
+
 def _emit(args, obj) -> None:
-    text = _json(obj, "\n", {}) + "\n"
+    text = _json(obj, "\n") + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -221,8 +257,9 @@ def cmd_gram(args) -> int:
         weighted, w_den = _weighted(ei.grid, params)
         for j in range(i, len(elements)):
             nums, den = elements[j].grid._integer_form
-            value = Fraction(sum(map(mul, weighted, nums)), w_den * den)
-            if value != 0:
+            dot = sum(map(mul, weighted, nums))
+            value = Fraction(dot, w_den * den) if dot else 0
+            if value:
                 entries.append({"i": i, "j": j, "value": str(value)})
                 if i != j:
                     diagonal = False
@@ -260,24 +297,29 @@ def cmd_connect(args) -> int:
     else:
         matrix = connection_by_path(source, target, n, params)
         oracle = connection_oracle(source, target, n, params)
-        if matrix.rows != oracle.rows:
+        mine, theirs = matrix.integer_rows, oracle.integer_rows
+        if mine != theirs:
             # labelings are tuples of one length in lex order, so min is the first
-            mine, theirs = matrix.rows, oracle.rows
             c, d = min(
                 (c, d)
                 for c in mine.keys() | theirs.keys()
-                for d in mine.get(c, {}).keys() | theirs.get(c, {}).keys()
-                if mine.get(c, {}).get(d) != theirs.get(c, {}).get(d)
+                for d in mine.get(c, _ZERO_ROW)[0].keys() | theirs.get(c, _ZERO_ROW)[0].keys()
+                if matrix.value(c, d) != oracle.value(c, d)
             )
             raise ArithmeticError(
                 f"path product disagrees with the inner-product oracle at c={c}, d={d}: "
                 f"path {matrix.value(c, d)}, oracle {oracle.value(c, d)}"
             )
     elapsed = time.monotonic() - started
-    obj = matrix.to_json_obj()
-    obj["oracle_checked"] = True
-    _emit(args, obj)
-    print(f"connect: {len(matrix.rows)} row(s) in {elapsed:.2f}s", file=sys.stderr)
+    _emit(
+        args,
+        {
+            **matrix.json_header(),
+            "matrix": functools.partial(_matrix_json, matrix),
+            "oracle_checked": True,
+        },
+    )
+    print(f"connect: {len(matrix.integer_rows)} row(s) in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -330,7 +372,9 @@ def _suite_connections(params, h, N, seed):
             for n in range(min(N, 2) + 1):
                 m = connection_by_path(src, tgt, n, params, path=path)
                 where = {"source": src.serialize(), "target": tgt.serialize(), "n": n}
-                vs_oracle.append((where, m.rows == connection_oracle(src, tgt, n, params).rows))
+                vs_oracle.append(
+                    (where, m.integer_rows == connection_oracle(src, tgt, n, params).integer_rows)
+                )
                 orthogonal.append((where, m.orthogonality_check()))
     return [
         check_identity("connection-path-vs-oracle", vs_oracle),

@@ -7,15 +7,16 @@ a rotation path yields the full connection matrix, whose entries are
 multidimensional q-Racah polynomials.  Each move is a cached table of
 integer numerators over one denominator, built from the integer q-Racah
 columns of `hahn1d` without Fractions; `apply_move` pushes integer
-weights over one denominator through it, reducing once per move, and
-only the rows of the finished matrix are Fractions.  A brute-force
-inner-product oracle computes the same matrix from the definition, one
-integer dot product per entry against target columns weighted once, and
-works for any pair of trees, reachable or not.  The way back against the
-rotation order is the inverse matrix, which needs no elimination: both
-bases are orthogonal with closed-form norms, so it is the transpose
-rescaled by the ratios of those norms, and a matrix is orthogonal
-exactly when its product with that inverse is the identity.
+weights over one denominator through it, reducing once per move, and a
+matrix keeps each finished row in that form, reading it as Fractions
+only on request.  A brute-force inner-product oracle computes the same
+matrix from the definition, one integer dot product per entry against
+target columns weighted once, and works for any pair of trees, reachable
+or not.  The way back against the rotation order is the inverse matrix,
+which needs no elimination: both bases are orthogonal with closed-form
+norms, so it is the transpose rescaled by the ratios of those norms, and
+a matrix is orthogonal exactly when its product with that inverse is the
+identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -169,6 +170,16 @@ def _move_table(
     return table, D
 
 
+_ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
+
+
+def _reduced_row(nums: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]:
+    """The canonical row of nums / den (den > 0): zeros dropped, reduced by
+    one gcd."""
+    g = gcd(den, *nums.values())
+    return {d: v // g for d, v in nums.items() if v}, den // g
+
+
 def _row(table: dict, move: MoveRecord, cvec: tuple[int, ...]) -> tuple:
     row = table.get(cvec)
     if row is None:
@@ -219,18 +230,19 @@ def apply_move(
         w *= L // D
         for dvec, value in _row(table, move, cvec):
             out[dvec] = out.get(dvec, 0) + w * value
-    den *= L
-    g = gcd(den, *out.values())
-    return {d: v // g for d, v in out.items() if v}, den // g
+    return _reduced_row(out, den * L)
 
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Expansion of one tree basis over another at fixed degree n.
 
-    rows[c][d] is the coefficient of the target basis element labeled d
-    in the expansion of the source element labeled c; absent entries are
-    zero.  `path` records the rotation sequence used, or None when the
+    `integer_rows[c]` is the row of the source element labeled c as
+    (numerators by target labeling, one positive denominator), reduced so
+    that gcd(den, *nums) == 1, with zero entries absent: the canonical form
+    of `GridFunction`, so equal rows have equal integers.  `rows[c][d]` is
+    the same coefficient as a `Fraction`, a view built on first read and
+    then kept.  `path` records the rotation sequence used, or None when the
     matrix came from the inner-product oracle or from `invert`, which
     rescales the transpose by closed-form norms.
     """
@@ -239,8 +251,15 @@ class ConnectionMatrix:
     target: PlanarTree
     n: int
     params: ParamSet
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
+    integer_rows: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]]
     path: Optional[tuple[MoveRecord, ...]] = None
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+        return {
+            c: {d: Fraction(v, den) for d, v in nums.items()}
+            for c, (nums, den) in self.integer_rows.items()
+        }
 
     def source_labelings(self) -> list[tuple[int, ...]]:
         return enumerate_labelings(self.source, self.n)
@@ -249,16 +268,14 @@ class ConnectionMatrix:
         return enumerate_labelings(self.target, self.n)
 
     def value(self, cvec: Sequence[int], dvec: Sequence[int]) -> Fraction:
-        return self.rows.get(tuple(cvec), {}).get(tuple(dvec), Fraction(0))
+        nums, den = self.integer_rows.get(tuple(cvec), _ZERO_ROW)
+        return Fraction(nums.get(tuple(dvec), 0), den)
 
     def is_identity(self) -> bool:
         if self.source != self.target:
             return False
-        for c in self.source_labelings():
-            row = self.rows.get(c, {})
-            if dict(row) != {c: Fraction(1)}:
-                return False
-        return True
+        rows = self.integer_rows
+        return all(rows.get(c) == ({c: 1}, 1) for c in self.source_labelings())
 
     def orthogonality_check(self) -> bool:
         """The matrix times its `invert` is the identity, that is
@@ -292,7 +309,7 @@ class ConnectionMatrix:
 
         `other` is put over one integer denominator L once, and each
         product row is summed in integers over its own row's denominator
-        times L; only the nonzero entries become Fractions."""
+        times L, then reduced once."""
         if (self.target, self.n, self.params) != (other.source, other.n, other.params):
             raise ValueError("connection matrices do not chain")
         entries = [(d, e, w) for d, row in other.rows.items() for e, w in row.items()]
@@ -300,14 +317,14 @@ class ConnectionMatrix:
         scaled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for (d, e, _), w in zip(entries, nums):
             scaled.setdefault(d, []).append((e, w))
-        rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        rows = {}
         for c, row in self.rows.items():
             vs, D = over_common_denominator(row.values())
             acc: dict[tuple[int, ...], int] = {}
             for d, v in zip(row, vs):
                 for e, w in scaled.get(d, ()):
                     acc[e] = acc.get(e, 0) + v * w
-            rows[c] = {e: Fraction(w, D * L) for e, w in acc.items() if w}
+            rows[c] = _reduced_row(acc, D * L)
         path = (
             self.path + other.path
             if self.path is not None and other.path is not None
@@ -324,31 +341,37 @@ class ConnectionMatrix:
         by the closed-form squared norms of `norm_Q`:
 
             inv[d][c] = r_d(c) |Q_d|^2 / |Q_c|^2.
+
+        Each new row d is summed in integers: its entries r_d(c) / |Q_c|^2
+        over the lcm of their denominators, times |Q_d|^2, reduced once.
         """
         n, params = self.n, self.params
         target_norms = {
             d: norm_Q(self.target, d, params, n) for d in self.target_labelings()
         }
-        rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-            d: {} for d in target_norms
+        columns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {
+            d: [] for d in target_norms
         }
         for c, row in self.rows.items():
-            source_norm = norm_Q(self.source, c, params, n)
+            norm = norm_Q(self.source, c, params, n)
             for d, value in row.items():
-                rows[d][c] = value * target_norms[d] / source_norm
+                columns[d].append(
+                    (c, value.numerator * norm.denominator, value.denominator * norm.numerator)
+                )
+        rows = {}
+        for d, column in columns.items():
+            L = lcm(*(den for _, _, den in column))
+            norm = target_norms[d]
+            rows[d] = _reduced_row(
+                {c: num * (L // den) * norm.numerator for c, num, den in column},
+                L * norm.denominator,
+            )
         return ConnectionMatrix(
             self.target, self.source, self.n, self.params, rows, None
         )
 
-    def to_json_obj(self) -> dict:
-        matrix = []
-        for c in self.source_labelings():
-            row = self.rows.get(c, {})
-            for d in self.target_labelings():
-                if d in row:
-                    matrix.append(
-                        {"c": list(c), "d": list(d), "value": str(row[d])}
-                    )
+    def json_header(self) -> dict:
+        """The members of `to_json_obj` before its "matrix"."""
         return {
             "source": self.source.serialize(),
             "target": self.target.serialize(),
@@ -356,8 +379,20 @@ class ConnectionMatrix:
             "path": None
             if self.path is None
             else [m.to_json_obj() for m in self.path],
-            "matrix": matrix,
         }
+
+    def to_json_obj(self) -> dict:
+        """`json_header` and "matrix": one {"c", "d", "value"} object per
+        nonzero entry of the `Fraction` view, in source then target
+        labeling order."""
+        targets = self.target_labelings()
+        matrix = []
+        for c in self.source_labelings():
+            row = self.rows.get(c, {})
+            for d in targets:
+                if d in row:
+                    matrix.append({"c": list(c), "d": list(d), "value": str(row[d])})
+        return {**self.json_header(), "matrix": matrix}
 
 
 def connection_by_path(
@@ -370,7 +405,8 @@ def connection_by_path(
     """Connection matrix as a product of one-move expansions.
 
     Without an explicit path the shortest right-to-left rotation path is
-    used; NotRightReachable propagates when none exists.
+    used; NotRightReachable propagates when none exists.  Each row is what
+    `apply_move` returns after the last move, already canonical.
     """
     if path is None:
         path = find_rl_path(source, target)
@@ -389,8 +425,7 @@ def connection_by_path(
         weights = ({cvec: 1}, 1)
         for move in path:
             weights = apply_move(move, weights, params)
-        nums, den = weights
-        rows[cvec] = {d: Fraction(v, den) for d, v in nums.items()}
+        rows[cvec] = weights
     return ConnectionMatrix(source, target, n, params, rows, path)
 
 
@@ -408,7 +443,9 @@ def connection_oracle(
     entry is then one integer dot product of a source row with that
     column: with the source numerators over d_s and the target's over
     d_t, r_d(c) = dot * d_t / (d_s * norm), the common weight
-    denominator cancelling, and only the nonzero entries become Fractions.
+    denominator cancelling.  Each row is put over d_s * M, with M the lcm
+    of the norms' absolute values taken once per call, so the entry's
+    numerator is dot * d_t * (M / norm), signed; the row is reduced once.
     """
     src = basis(source, params, n, n)
     tgt = basis(target, params, n, n)
@@ -422,14 +459,17 @@ def connection_oracle(
                 f"basis element {elem.labeling} of {target} has zero norm"
             )
         columns.append((elem.labeling, weighted, den, norm))
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    M = lcm(*(norm for *_, norm in columns))
+    columns = [(d, weighted, d_t * (M // norm)) for d, weighted, d_t, norm in columns]
+    rows = {}
     for es in src:
         nums, den = es.grid._integer_form
-        row = rows[es.labeling] = {}
-        for labeling, weighted, d_t, norm in columns:
+        row = {}
+        for labeling, weighted, factor in columns:
             dot = sum(map(mul, nums, weighted))
             if dot:
-                row[labeling] = Fraction(dot * d_t, den * norm)
+                row[labeling] = dot * factor
+        rows[es.labeling] = _reduced_row(row, den * M)
     return ConnectionMatrix(source, target, n, params, rows, None)
 
 

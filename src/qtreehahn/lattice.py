@@ -25,6 +25,7 @@ from .qnum import QContext, Rational, _power_pair, _reduced, as_fraction, pochha
 __all__ = [
     "DimensionMismatch",
     "IndexOutOfRange",
+    "OutsidePositivityRegime",
     "ParamSet",
     "GridFunction",
     "DomainTable",
@@ -45,6 +46,11 @@ class DimensionMismatch(ValueError):
 
 class IndexOutOfRange(IndexError):
     """Rank or composition outside the declared domain."""
+
+
+class OutsidePositivityRegime(ValueError):
+    """Parameters in neither band where the weight is positive, with the
+    band check on."""
 
 
 def composition_count(h: int, N: int) -> int:
@@ -148,7 +154,7 @@ class ParamSet:
             in_unit_band = all(0 < u and u * a < w * b for u, w in pairs)
             above_band = all(u * bottom > w * top for u, w in pairs)
             if not (in_unit_band or above_band):
-                raise ValueError(
+                raise OutsidePositivityRegime(
                     "parameters outside the positivity regime; "
                     "pass unchecked=True for generic identity testing"
                 )
@@ -337,26 +343,6 @@ class GridFunction:
 
     def is_zero(self) -> bool:
         return not any(self._integer_form[0])
-
-    def to_json_obj(self) -> dict:
-        return {
-            "h": self.h,
-            "N": self.N,
-            "values": [
-                {"x": list(x), "v": str(v)}
-                for x, v in zip(self.domain(), self.values)
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GridFunction":
-        """Inverse of to_json_obj; points not listed are zero, and a point
-        outside [h; N] raises IndexOutOfRange."""
-        h, N = obj["h"], obj["N"]
-        vals = [Fraction(0)] * composition_count(h, N)
-        for row in obj["values"]:
-            vals[_rank_in(h, N, row["x"])] = as_fraction(row["v"])
-        return cls(h, N, tuple(vals))
 
 
 def weight(x: Sequence[int], p: ParamSet) -> Fraction:

@@ -8,8 +8,10 @@ the script an installer would write from the ``qtree`` entry in
 checkout with ``PYTHONPATH=src``.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -27,9 +29,12 @@ from conftest import make_params
 from qtreehahn import cli, multihahn
 from qtreehahn.cli import main
 from qtreehahn import (
+    NotRightReachable,
+    all_trees,
     connection_by_path,
     connection_oracle,
     eval_Q,
+    find_rl_path,
     inner_product,
     parse_tree,
 )
@@ -168,6 +173,24 @@ def test_eval_band_check_and_override(capsys):
     capsys.readouterr()
     assert main(argv + ["--allow-any-params"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--tree", "(1 2)", "--labels", "0", "--N", "1", "--all", "--alphas", "1/2,5"],
+        ["connect", "--source", "(1 2)", "--target", "(1 2)", "--n", "1", "--alphas=1/2,5"],
+    ],
+    ids=["eval", "connect"],
+)
+def test_parameters_outside_the_band_name_the_cli_flag(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: parameters outside the positivity regime; "
+        "pass --allow-any-params for generic identity testing\n"
+    )
 
 
 def test_eval_pole_rejected_even_with_override(capsys):
@@ -316,6 +339,43 @@ def test_connect_reports_path_matrix(capsys):
     ).to_json_obj()
     expected["oracle_checked"] = True
     assert obj == jsonable(expected)
+
+
+def _reaches(source, target):
+    try:
+        find_rl_path(source, target)
+    except NotRightReachable:
+        return False
+    return True
+
+
+@st.composite
+def _connect_argv(draw):
+    """A `connect` request on 3 to 5 leaves at n <= 3: a right-to-left
+    reachable pair by path, or any pair with --oracle-only."""
+    trees = all_trees(draw(st.integers(3, 5)))
+    source = draw(st.sampled_from(trees))
+    oracle_only = draw(st.booleans())
+    if not oracle_only:
+        trees = [t for t in trees if _reaches(source, t)]
+    target = draw(st.sampled_from(trees))
+    n = draw(st.integers(0, 3))
+    return source, target, n, oracle_only
+
+
+@settings(max_examples=40, deadline=None)
+@given(_connect_argv())
+def test_connect_matrix_template_writes_what_json_dumps_writes(case):
+    source, target, n, oracle_only = case
+    argv = ["connect", "--source", source.serialize(), "--target", target.serialize(),
+            "--n", str(n)] + ["--oracle-only"] * oracle_only
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    route = connection_oracle if oracle_only else connection_by_path
+    matrix = route(source, target, n, make_params(source.h))
+    want = json.dumps({**matrix.to_json_obj(), "oracle_checked": True}, indent=2)
+    assert out.getvalue() == want + "\n"
 
 
 def test_connect_unreachable_pair_exit_4(capsys):
@@ -530,9 +590,9 @@ def test_verify_connections_failure_names_pair_and_degree(capsys, monkeypatch):
         matrix = original(src, tgt, n, params)
         if n != 1 or src == tgt:
             return matrix
-        rows = dict(matrix.rows)
+        rows = dict(matrix.integer_rows)
         rows.pop(next(iter(rows)))
-        return dataclasses.replace(matrix, rows=rows)
+        return dataclasses.replace(matrix, integer_rows=rows)
 
     monkeypatch.setattr(cli, "connection_oracle", broken)
     report = failing_report(
@@ -630,10 +690,14 @@ def test_connect_names_the_first_entry_where_path_and_oracle_disagree(capsys, mo
 
     def two_entries_off(source, target, n, params):
         matrix = real(source, target, n, params)
-        rows = {c: dict(row) for c, row in matrix.rows.items()}
-        rows[(1, 0)][(0, 1)] += 1  # 115/114 in the README example
-        rows[(0, 1)][(1, 0)] += 1  # 1, first in labeling order
-        return dataclasses.replace(matrix, rows=rows)
+        rows = {c: (dict(nums), den) for c, (nums, den) in matrix.integer_rows.items()}
+        for c, d in (
+            ((1, 0), (0, 1)),  # 115/114 in the README example
+            ((0, 1), (1, 0)),  # 1, first in labeling order
+        ):
+            nums, den = rows[c]
+            nums[d] += den  # the entry plus one, and the row still canonical
+        return dataclasses.replace(matrix, integer_rows=rows)
 
     monkeypatch.setattr(cli, "connection_by_path", two_entries_off)
     argv = ["connect", "--source", "(1 (2 3))", "--target", "((1 2) 3)", "--n", "1"]
@@ -792,12 +856,9 @@ def _nested(depth):
 @given(_nested(4))
 @example({"c": [1, 2], "rows": [[1, 2], {"c": (1, 2)}], "b": [[1, 1], [True, True], [1, True]], "e": [[], {}, ()]})
 def test_writer_equals_json_dumps_indent_2(obj):
-    """Byte for byte, also on a second write that reads the first's memo of
-    int lists (which must keep depths, and True and 1, apart)."""
-    memo = {}
-    want = json.dumps(obj, indent=2)
-    assert cli._json(obj, "\n", memo) == want
-    assert cli._json(obj, "\n", memo) == want
+    """Byte for byte, with lists of ints at several depths and True kept
+    apart from 1."""
+    assert cli._json(obj, "\n") == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -807,7 +868,7 @@ def test_writer_equals_json_dumps_indent_2(obj):
 )
 def test_writer_rejects_what_it_does_not_write(obj):
     with pytest.raises(TypeError):
-        cli._json(obj, "\n", {})
+        cli._json(obj, "\n")
 
 
 def test_missing_subcommand_is_usage_error():

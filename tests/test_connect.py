@@ -209,12 +209,57 @@ def test_oracle_is_the_definition_for_every_four_leaf_pair(regime):
 
 
 def test_warm_oracle_builds_one_fraction_per_nonzero_entry(fraction_builds):
+    """Warm, neither route builds a Fraction until `.rows` is read; the
+    first read builds one per nonzero entry, and later reads none."""
     p5 = make_params(5)
     rc, lc = right_comb(5), left_comb(5)
-    connection_oracle(lc, rc, 3, p5)  # fills the basis and weight caches
-    fraction_builds.clear()
-    matrix = connection_oracle(lc, rc, 3, p5)
-    assert len(fraction_builds) <= sum(map(len, matrix.rows.values()))
+    for route in (connection_oracle, connection_by_path):
+        route(rc, lc, 3, p5)  # fills the basis, weight and move-table caches
+        fraction_builds.clear()
+        matrix = route(rc, lc, 3, p5)
+        assert fraction_builds == [], route
+        rows = matrix.rows
+        assert len(fraction_builds) == sum(map(len, rows.values())) > 0
+        assert matrix.rows is rows and len(fraction_builds) == sum(map(len, rows.values()))
+
+
+def _assert_integer_rows(matrix):
+    """Every row is canonical, and `.rows` is its Fraction view."""
+    for c, (nums, den) in matrix.integer_rows.items():
+        assert den > 0 and math.gcd(den, *nums.values()) == 1, c
+        assert all(type(v) is int and v for v in nums.values()), c
+    assert matrix.rows == {
+        c: {d: Fraction(v, den) for d, v in nums.items()}
+        for c, (nums, den) in matrix.integer_rows.items()
+    }
+
+
+# Alphas of mixed sign, outside both positivity regimes: some squared norms
+# are negative, so the oracle must move their sign into the numerators.
+MIXED_SIGNS = ParamSet(CTX, (Fraction(-1, 2), Fraction(5, 3), Fraction(7, 2), Fraction(-3, 4)), unchecked=True)
+
+
+@pytest.mark.parametrize("p4", [make_params(4, "secondary"), MIXED_SIGNS], ids=["secondary", "mixed-signs"])
+def test_every_route_keeps_canonical_integer_rows_under_its_fraction_view(p4):
+    trees = all_trees(4)
+    negative_norms = 0
+    for src in trees:
+        for tgt in trees:
+            for n in range(3):
+                negative_norms += sum(norm_Q(tgt, d, p4, n) < 0 for d in enumerate_labelings(tgt, n))
+                oracle = connection_oracle(src, tgt, n, p4)
+                inverse = oracle.invert()
+                for matrix in (oracle, inverse, oracle.compose(inverse)):
+                    _assert_integer_rows(matrix)
+                assert inverse.integer_rows == connection_oracle(tgt, src, n, p4).integer_rows
+                assert oracle.compose(inverse).is_identity()
+                try:
+                    path = connection_by_path(src, tgt, n, p4)
+                except NotRightReachable:
+                    continue
+                _assert_integer_rows(path)
+                assert path.integer_rows == oracle.integer_rows
+    assert (negative_norms > 0) == (p4 is MIXED_SIGNS)
 
 
 def test_move_tables_match_displayed_coefficient():
@@ -387,12 +432,16 @@ def test_orthogonality_check_rejects_a_scaled_entry_or_a_dropped_row():
     p4 = make_params(4)
     conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
     assert conn.orthogonality_check()
-    c, row = next((c, row) for c, row in conn.rows.items() if len(row) > 1)
-    d = next(iter(row))
-    scaled = {**conn.rows, c: {**row, d: 2 * row[d]}}
-    assert not dataclasses.replace(conn, rows=scaled).orthogonality_check()
-    dropped = {k: v for k, v in conn.rows.items() if k != c}
-    assert not dataclasses.replace(conn, rows=dropped).orthogonality_check()
+    c, (nums, den) = next((c, row) for c, row in conn.integer_rows.items() if len(row[0]) > 1)
+    d = next(iter(nums))
+    nums = {**nums, d: 2 * nums[d]}
+    g = math.gcd(den, *nums.values())
+    scaled = {**conn.integer_rows, c: ({e: v // g for e, v in nums.items()}, den // g)}
+    bad = dataclasses.replace(conn, integer_rows=scaled)
+    assert bad.rows[c][d] == 2 * conn.rows[c][d]
+    assert not bad.orthogonality_check()
+    dropped = {k: v for k, v in conn.integer_rows.items() if k != c}
+    assert not dataclasses.replace(conn, integer_rows=dropped).orthogonality_check()
 
 
 def test_connection_invert_matches_reverse_oracle():

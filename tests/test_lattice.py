@@ -1,7 +1,6 @@
 """Composition lattice, parameter sets, grid functions, weighted inner product."""
 
 import copy
-import json
 import math
 import pickle
 import random
@@ -327,33 +326,12 @@ def test_grid_function_arithmetic():
     assert (f - f).is_zero()
 
 
-def test_grid_function_json_round_trip():
-    f = GridFunction.from_callable(3, 2, lambda x: Fraction(x[0] - x[1], 5))
-    obj = f.to_json_obj()
-    # The object is strictly JSON-serializable with string rationals.
-    text = json.dumps(obj, sort_keys=True)
-    assert GridFunction.from_json_obj(json.loads(text)) == f
-    assert json.dumps(f.to_json_obj(), sort_keys=True) == text
-
-
 def test_grid_function_is_immutable_and_copies():
     f = GridFunction.from_callable(3, 2, lambda x: Fraction(x[0] - x[1], 5))
     with pytest.raises(AttributeError):
         f.N = 3
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
         assert g == f and hash(g) == hash(f) and g.values == f.values
-
-
-def test_from_json_obj_rejects_points_outside_the_domain():
-    """A point of another level or another number of variables used to
-    land silently on some point of [h; N] (rank_of ranks it in its own
-    domain); it must raise as GridFunction.at does."""
-    for x in ([0, 1], [1, 0, 0], [3, -1], [0, 0], [2]):
-        obj = {"h": 2, "N": 2, "values": [{"x": x, "v": "5"}]}
-        with pytest.raises(IndexOutOfRange):
-            GridFunction.from_json_obj(obj)
-    obj = {"h": 2, "N": 2, "values": [{"x": [1, 1], "v": "5/3"}]}
-    assert GridFunction.from_json_obj(obj).values == (0, Fraction(5, 3), 0)
 
 
 def _assert_canonical(g: GridFunction):
