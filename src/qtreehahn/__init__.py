@@ -11,7 +11,6 @@ from .qnum import (
     ZeroDenominator,
     as_fraction,
     pochhammer,
-    norm_splitting_identity_check,
     phi_sum,
     pochhammer_many,
     q_binomial,
@@ -50,7 +49,6 @@ from .hahn1d import (
     Hahn1DSpec,
     NonSquareRadicand,
     Racah1DSpec,
-    gr_hahn_bridge,
     gr_racah_bridge,
     hahn_eval,
     hahn_norm,
@@ -86,7 +84,6 @@ from .multihahn import (
     eval_Q,
     norm_Q,
     raise_basis_element,
-    theta_labeling_to_preorder,
     theta_polynomial,
     vertex_eigenvalue,
     xi_norm,

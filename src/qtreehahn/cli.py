@@ -65,6 +65,8 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    if not text:
+        return ()  # the empty list, e.g. the labeling of a one-leaf tree
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
@@ -201,6 +203,8 @@ def cmd_eval(args) -> int:
     N = args.N
     if N is None:
         raise ConfigError("eval requires --N")
+    if N < 0:
+        raise ConfigError("--N must be nonnegative")
     if sum(labels) > N:
         raise ConfigError(f"degree {sum(labels)} exceeds level {N}")
     if args.all:

@@ -6,17 +6,18 @@ single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
 multidimensional q-Racah polynomials.  Each move is a cached table of
 integer numerators over one denominator, built from the integer q-Racah
-columns of `hahn1d` without Fractions; `apply_move` pushes integer
-weights over one denominator through it, reducing once per move, and a
-matrix keeps each finished row in that form, reading it as Fractions
-only on request.  A brute-force inner-product oracle computes the same
-matrix from the definition, one integer dot product per entry against
-target columns weighted once, and works for any pair of trees, reachable
-or not.  The way back against the rotation order is the inverse matrix,
-which needs no elimination: both bases are orthogonal with closed-form
-norms, so it is the transpose rescaled by the ratios of those norms, and
-a matrix is orthogonal exactly when its product with that inverse is the
-identity.
+columns of `hahn1d` without Fractions; `apply_move` pushes a
+combination of one degree, as integer weights over one denominator,
+through that degree's table, reducing once per move, and a matrix keeps
+each finished row in that form, reading it as Fractions only on request.
+A brute-force inner-product oracle computes the same matrix from the
+definition, one integer dot product per entry against target columns
+weighted once, and works for any pair of trees, reachable or not.  The
+way back against the rotation order is the inverse matrix, which needs
+no elimination: both bases are orthogonal with closed-form norms, so it
+is the transpose rescaled by the ratios of those norms, summed from the
+integer rows, and a matrix is orthogonal exactly when its product with
+that inverse is the identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -180,10 +181,10 @@ def _reduced_row(nums: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]
     return {d: v // g for d, v in nums.items() if v}, den // g
 
 
-def _row(table: dict, move: MoveRecord, cvec: tuple[int, ...]) -> tuple:
+def _row(table: dict, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> tuple:
     row = table.get(cvec)
     if row is None:
-        raise ValueError(f"{cvec} is not a labeling of {move.source}")
+        raise ValueError(f"{cvec} is not a degree-{n} labeling of {move.source}")
     return row
 
 
@@ -196,8 +197,9 @@ def one_move_coefficients(
     source tree.  No route of the package calls it; it stays because the
     perfbench tracer names it among its traced functions."""
     cvec = tuple(cvec)
-    table, D = _move_table(move, sum(cvec), params)
-    return [(dvec, Fraction(num, D)) for dvec, num in _row(table, move, cvec)]
+    n = sum(cvec)
+    table, D = _move_table(move, n, params)
+    return [(dvec, Fraction(num, D)) for dvec, num in _row(table, move, n, cvec)]
 
 
 def apply_move(
@@ -205,32 +207,27 @@ def apply_move(
     weights: tuple[dict[tuple[int, ...], int], int],
     params: ParamSet,
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """Push a linear combination of source labelings through one move.
+    """Push a combination of one degree's source labelings through one move.
 
     The combination comes and goes as (numerators, denominator): integer
-    weights by labeling over one positive denominator.  The result is put
-    over that denominator times the lcm of the tables' denominators, then
-    reduced by one gcd, so it is in lowest terms; zero weights are
-    dropped.  ValueError when a weighted labeling is not one of the move's
-    source tree.
+    weights by labeling over one positive denominator.  Zero weights are
+    dropped, and the degree is that of the first labeling left.  The
+    result is put over that denominator times the degree's move-table
+    denominator, then reduced by one gcd, so it is in lowest terms.
+    ValueError when a weighted labeling is not a labeling of the move's
+    source tree at that degree.
     """
     nums, den = weights
-    tables = {}  # by degree; a combination along a path has only one
-    for cvec, w in nums.items():
-        if w:
-            n = sum(cvec)
-            if n not in tables:
-                tables[n] = _move_table(move, n, params)
-    L = lcm(*(D for _, D in tables.values()))
+    n = next((sum(cvec) for cvec, w in nums.items() if w), None)
+    if n is None:
+        return {}, 1
+    table, D = _move_table(move, n, params)
     out: dict[tuple[int, ...], int] = {}
     for cvec, w in nums.items():
-        if not w:
-            continue
-        table, D = tables[sum(cvec)]
-        w *= L // D
-        for dvec, value in _row(table, move, cvec):
-            out[dvec] = out.get(dvec, 0) + w * value
-    return _reduced_row(out, den * L)
+        if w:
+            for dvec, value in _row(table, move, n, cvec):
+                out[dvec] = out.get(dvec, 0) + w * value
+    return _reduced_row(out, den * D)
 
 
 @dataclass(frozen=True)
@@ -342,8 +339,9 @@ class ConnectionMatrix:
 
             inv[d][c] = r_d(c) |Q_d|^2 / |Q_c|^2.
 
-        Each new row d is summed in integers: its entries r_d(c) / |Q_c|^2
-        over the lcm of their denominators, times |Q_d|^2, reduced once.
+        Each new row d is summed in integers read from `integer_rows`, so
+        no `rows` view is built: its entries r_d(c) / |Q_c|^2 over the lcm
+        of their denominators, times |Q_d|^2, reduced once.
         """
         n, params = self.n, self.params
         target_norms = {
@@ -352,12 +350,10 @@ class ConnectionMatrix:
         columns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {
             d: [] for d in target_norms
         }
-        for c, row in self.rows.items():
+        for c, (nums, den) in self.integer_rows.items():
             norm = norm_Q(self.source, c, params, n)
-            for d, value in row.items():
-                columns[d].append(
-                    (c, value.numerator * norm.denominator, value.denominator * norm.numerator)
-                )
+            for d, num in nums.items():
+                columns[d].append((c, num * norm.denominator, den * norm.numerator))
         rows = {}
         for d, column in columns.items():
             L = lcm(*(den for _, _, den in column))

@@ -13,10 +13,10 @@ values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.
 
 The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
-classical bridges and is the cross-check.  `_racah_pairs` returns every
-degree at one lattice point in one pass, from q-shifted factorials shared
-by all degrees, in integer arithmetic, keyed by integers; the rotation
-move tables in `connect` read it.  Tests compare the two routes entry by
+classical q-Racah bridge and is the cross-check.  `_racah_pairs` returns
+every degree at one lattice point in one pass, from q-shifted factorials
+shared by all degrees, in integer arithmetic, keyed by integers; the
+rotation move tables in `connect` read it.  Tests compare the two routes entry by
 entry.
 
 Both one-pass bodies, `hahn_row` and `_racah_pairs`, return reduced
@@ -69,7 +69,6 @@ __all__ = [
     "vandermonde_sum_check",
     "racah",
     "racah_eval",
-    "gr_hahn_bridge",
     "gr_racah_bridge",
 ]
 
@@ -541,23 +540,6 @@ def _racah_pairs(
             a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
         ))
     return tuple(column)
-
-
-def gr_hahn_bridge(spec: Hahn1DSpec, x: int) -> Fraction:
-    """Value of the standard-reference q-Hahn polynomial h_n:
-
-        h_n = (-1)^(N-n) q^(-n/2) (alpha q; q)_n * Q_n
-
-    where Q_n is this package's normalization.  Always exact: q^(n/2) is a
-    power of the context's square root.
-    """
-    ctx, n, N = spec.ctx, spec.n, spec.N
-    return (
-        (-1) ** (N - n)
-        * ctx.q_half_power(-n)
-        * pochhammer(ctx, spec.alpha * ctx.q, n)
-        * hahn_eval(ctx, n, x, spec.alpha, spec.beta, N)
-    )
 
 
 def _tilde_scale(poly: Fraction, radicand: Fraction, n: int, squared: bool) -> Fraction:

@@ -56,7 +56,6 @@ __all__ = [
     "xi_polynomial",
     "xi_norm",
     "theta_polynomial",
-    "theta_labeling_to_preorder",
     "norm_exponent",
 ]
 
@@ -483,7 +482,8 @@ def theta_polynomial(
     """Left-comb basis function from its explicit product form.
 
     nv = (n_2, ..., n_h) labels the comb bottom-up (n_k at the vertex
-    covering the first k leaves); with i_k = n_2 + ... + n_{k-1} the value
+    covering the first k leaves), so the left comb's pre-order labeling is
+    nv reversed; with i_k = n_2 + ... + n_{k-1} the value
     is
 
         prod_{k=2}^{h} Q_{n_k}(X_{k-1} - i_k;
@@ -517,11 +517,3 @@ def theta_polynomial(
         if value == 0:
             return value
     return value
-
-
-def theta_labeling_to_preorder(tree_h: int, nv: Sequence[int]) -> tuple[int, ...]:
-    """Map bottom-up comb labels (n_2..n_h) to the left comb's pre-order order."""
-    nv = tuple(nv)
-    if len(nv) != tree_h - 1:
-        raise ValueError(f"need {tree_h - 1} labels for h = {tree_h}")
-    return tuple(reversed(nv))

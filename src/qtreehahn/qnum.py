@@ -30,7 +30,6 @@ __all__ = [
     "q_binomial",
     "q_factorial",
     "phi_sum",
-    "norm_splitting_identity_check",
     "rational_sqrt",
 ]
 
@@ -202,32 +201,6 @@ def phi_sum(
         z_pow *= z
         q_pow *= q
     return total
-
-
-def norm_splitting_identity_check(
-    ctx: QContext, A: Rational, h: int, n: int, i: int, j: int, N: int
-) -> bool:
-    """Check the factorization used to split chain norms across a tree vertex:
-
-        (A q^(h+n+i+j-1); q)_{N-i-j+1} / (1 - A q^(h+2n-1))
-            = (A q^(h+n+i+j-1); q)_{n-i-j} * (A q^(h+2n); q)_{N-n}.
-
-    Preconditions: 0 <= i + j <= n <= N.  Raises ZeroDenominator when the
-    left-hand denominator vanishes.
-    """
-    if not (0 <= i + j <= n <= N):
-        raise ValueError(f"need 0 <= i+j <= n <= N, got i={i} j={j} n={n} N={N}")
-    A = as_fraction(A)
-    q = ctx.q
-    pivot = 1 - A * ctx.q_power(h + 2 * n - 1)
-    if pivot == 0:
-        raise ZeroDenominator(f"1 - A q^(h+2n-1) = 0 for A={A}, h={h}, n={n}")
-    base = A * ctx.q_power(h + n + i + j - 1)
-    lhs = pochhammer(ctx, base, N - i - j + 1) / pivot
-    rhs = pochhammer(ctx, base, n - i - j) * pochhammer(
-        ctx, A * ctx.q_power(h + 2 * n), N - n
-    )
-    return lhs == rhs
 
 
 def rational_sqrt(value: Fraction) -> Fraction:

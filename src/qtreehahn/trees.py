@@ -64,14 +64,13 @@ class NotRightReachable(ValueError):
 
 @dataclass(frozen=True)
 class Vertex:
-    """One internal vertex: its leaf span (lo, hi], split point, depth and
-    the pre-order indices of its internal children."""
+    """One internal vertex: its pre-order index, its leaf span (lo, hi],
+    its split point and the pre-order indices of its internal children."""
 
     index: int
     lo: int
     hi: int
     split: int
-    level: int
     left: Optional[int]   # None when the left child is a leaf
     right: Optional[int]  # None when the right child is a leaf
 
@@ -84,7 +83,7 @@ class PlanarTree:
 
     def __post_init__(self):
         leaves, vertices = [], []
-        _walk(self.shape, 0, leaves, vertices)
+        _walk(self.shape, leaves, vertices)
         if leaves != list(range(1, len(leaves) + 1)):
             raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
         object.__setattr__(self, "_vertices", tuple(vertices))
@@ -118,7 +117,7 @@ class PlanarTree:
         return self._hash
 
 
-def _walk(shape: Shape, level: int, leaves: list, out: list) -> Optional[int]:
+def _walk(shape: Shape, leaves: list, out: list) -> Optional[int]:
     """One pre-order walk: append the subtree's leaves to `leaves` and its
     internal vertices to `out`; return the subtree root's index (None at a
     leaf).  A vertex's lo, split and hi are the running leaf count before,
@@ -131,10 +130,10 @@ def _walk(shape: Shape, level: int, leaves: list, out: list) -> Optional[int]:
         raise ParseError(f"bad shape node {shape!r}")
     index, lo = len(out), len(leaves)
     out.append(None)  # reserve the slot to keep pre-order numbering
-    left = _walk(shape[0], level + 1, leaves, out)
+    left = _walk(shape[0], leaves, out)
     split = len(leaves)
-    right = _walk(shape[1], level + 1, leaves, out)
-    out[index] = Vertex(index, lo, len(leaves), split, level, left, right)
+    right = _walk(shape[1], leaves, out)
+    out[index] = Vertex(index, lo, len(leaves), split, left, right)
     return index
 
 

@@ -119,6 +119,28 @@ def test_eval_with_explicit_parameters(capsys):
     assert obj["values"][0]["v"] == str(eval_Q(tree, (1,), p, (0, 1)))
 
 
+def test_eval_one_leaf_tree_takes_the_empty_labeling(capsys):
+    """A one-leaf tree has no internal vertex: `--labels ""` is its only
+    labeling, and the basis function is 1 at the level's one point."""
+    assert main(["eval", "--tree", "1", "--labels", "", "--N", "2", "--all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{\n  "tree": "1",\n  "labels": [],\n  "sqrt_q": "1/2",\n'
+        '  "alphas": [\n    "1/2"\n  ],\n  "N": 2,\n  "values": [\n'
+        '    {\n      "x": [\n        2\n      ],\n      "v": "1"\n    }\n'
+        "  ]\n}\n"
+    )
+    assert re.fullmatch(r"eval: 1 point\(s\) in \d+\.\d\ds\n", captured.err), captured.err
+
+
+@pytest.mark.parametrize("tree, labels", [("1", ""), ("(1 2)", "0")])
+def test_eval_negative_level_is_named_as_gram_and_verify_name_it(capsys, tree, labels):
+    assert main(["eval", "--tree", tree, "--labels", labels, "--N", "-1", "--all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --N must be nonnegative\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

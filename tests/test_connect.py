@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,6 @@ from qtreehahn import (
     racah,
     racah_eval,
     right_comb,
-    theta_labeling_to_preorder,
     theta_polynomial,
     three_dim_racah_example_check,
     transplant_right_to_left,
@@ -186,6 +186,34 @@ def test_path_equals_oracle_at_random_alphas_in_either_regime(case):
     assert got.orthogonality_check()
     for e in basis(src, p, n, n + 1):
         assert norm_Q(src, e.labeling, p, n + 1) == inner_product(e.grid, e.grid, p)
+
+
+# The same two regimes with n_max = 4, for the Gram diagonal at level 4:
+# every alpha in (0, 4), or every alpha above q^(-4) = 256.
+_REGIMES_4 = (
+    _REGIMES[0],
+    st.fractions(256, 1600, max_denominator=12).filter(lambda a: a > 256),
+)
+
+
+@st.composite
+def _six_leaf_degree_three_cases(draw):
+    src, tgt = draw(st.sampled_from(_reachable_pairs(6)))
+    alphas = draw(st.lists(draw(st.sampled_from(_REGIMES_4)), min_size=6, max_size=6))
+    return src, tgt, ParamSet(CTX, alphas, n_max=4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_six_leaf_degree_three_cases())
+def test_path_equals_oracle_on_six_leaves_at_degree_three(case):
+    """The checks above at h = 6 and n = 3, where a pair's path is up to
+    six moves long."""
+    src, tgt, p = case
+    got = connection_by_path(src, tgt, 3, p)
+    assert got.rows == connection_oracle(src, tgt, 3, p).rows
+    assert got.orthogonality_check()
+    for e in basis(src, p, 3, 4):
+        assert norm_Q(src, e.labeling, p, 4) == inner_product(e.grid, e.grid, p)
 
 
 @pytest.mark.parametrize("regime", ["primary", "secondary"])
@@ -357,26 +385,34 @@ def test_apply_move_matches_a_fraction_push():
     rng = random.Random(13)
     p5 = make_params(5)
     moves = list(_moves(5))
-    mixed = 0
     for _ in range(60):
         move = rng.choice(moves)
-        labelings = [c for n in range(4) for c in enumerate_labelings(move.source, n)]
+        labelings = enumerate_labelings(move.source, rng.randrange(4))
         den = rng.randint(1, 40)
         nums = {
-            c: rng.choice((0, 0, rng.randint(-50, 50))) for c in rng.sample(labelings, 6)
+            c: rng.choice((0, 0, rng.randint(-50, 50)))
+            for c in rng.sample(labelings, min(6, len(labelings)))
         }
-        mixed += len({sum(c) for c, w in nums.items() if w}) > 1
         got_nums, got_den = apply_move(move, (nums, den), p5)
         assert got_den > 0 and math.gcd(got_den, *got_nums.values()) == 1
         assert all(type(v) is int and v != 0 for v in got_nums.values())
         want = _push_by_fractions(move, {c: Fraction(w, den) for c, w in nums.items()}, p5)
         assert {d: Fraction(v, got_den) for d, v in got_nums.items()} == want
-    assert mixed > 20
     assert apply_move(moves[0], ({}, 7), p5) == ({}, 1)
     for move in moves[:5]:
-        stranger = (0,) * (move.source.n_internal + 1)
+        k = move.source.n_internal
+        one, two = (1,) + (0,) * (k - 1), (2, 1) + (0,) * (k - 2)
+        stranger = (0,) * (k + 1)
         with pytest.raises(ValueError):
             apply_move(move, ({stranger: 1}, 1), p5)
+        # a combination has one degree: a zero weight of another is dropped,
+        # a nonzero one is an error that names the degree
+        assert apply_move(move, ({two: 0, one: 3}, 1), p5) == apply_move(
+            move, ({one: 3}, 1), p5
+        )
+        message = f"{two} is not a degree-1 labeling of {move.source}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_move(move, ({one: 1, two: 1}, 1), p5)
 
 
 def test_connection_is_path_independent():
@@ -466,6 +502,17 @@ def test_connection_invert_matches_reverse_oracle():
                 inv = conn.invert()
                 assert inv.source == target and inv.target == source
                 assert inv.rows == connection_oracle(target, source, n, p4).rows
+
+
+def test_invert_reads_the_integer_rows():
+    """`invert` builds no `Fraction` view of the matrix it inverts, and its
+    integer rows are the reverse oracle's."""
+    p4 = make_params(4)
+    rc, lc = right_comb(4), left_comb(4)
+    conn = connection_by_path(rc, lc, 2, p4)
+    inv = conn.invert()
+    assert "rows" not in vars(conn) and "rows" not in vars(inv)
+    assert inv.integer_rows == connection_oracle(lc, rc, 2, p4).integer_rows
 
 
 def test_identity_matrix_for_equal_trees():
@@ -586,7 +633,7 @@ def test_comb_product_matches_connection_matrix():
             for m in enumerate_labelings(rc, n):
                 for nv in enumerate_labelings(lc, n):
                     # nv here is bottom-up (n_2, ..., n_h).
-                    dvec = theta_labeling_to_preorder(h, nv)
+                    dvec = tuple(reversed(nv))
                     assert comb_connection_product(p, n, nv, m) == conn.value(
                         m, dvec
                     )

@@ -13,7 +13,6 @@ from qtreehahn import (
     NonSquareRadicand,
     QContext,
     Racah1DSpec,
-    gr_hahn_bridge,
     gr_racah_bridge,
     hahn_eval,
     hahn_norm,
@@ -461,9 +460,3 @@ def test_gr_racah_bridge_non_square_radicand():
         gr_racah_bridge(s, 1, squared=False)
     # Squared mode never needs the root.
     assert isinstance(gr_racah_bridge(s, 1, squared=True), Fraction)
-
-
-def test_gr_hahn_bridge_degree_zero():
-    for N in range(4):
-        s = spec(0, N)
-        assert all(gr_hahn_bridge(s, x) == (-1) ** N for x in range(N + 1))

@@ -25,7 +25,6 @@ from qtreehahn import (
     pochhammer_many,
     raise_basis_element,
     right_comb,
-    theta_labeling_to_preorder,
     theta_polynomial,
     vertex_eigenvalue,
     xi_norm,
@@ -354,15 +353,12 @@ def test_theta_is_left_comb_basis():
         lc = left_comb(h)
         for n in range(3):
             for nv in enumerate_labelings(lc, n):  # bottom-up tuples
-                pre = theta_labeling_to_preorder(h, nv)
+                pre = tuple(reversed(nv))
                 for x in GridFunction.zero(h, 3).domain():
                     assert theta_polynomial(p, nv, x) == eval_Q(lc, pre, p, x)
 
 
-def test_theta_label_order():
-    assert theta_labeling_to_preorder(4, (1, 2, 3)) == (3, 2, 1)
-    with pytest.raises(ValueError):
-        theta_labeling_to_preorder(3, (1, 2, 3))
+def test_comb_forms_reject_wrong_label_or_variable_counts():
     p = make_params(3)
     with pytest.raises(ValueError):
         xi_polynomial(p, (1,), (0, 0, 0))

@@ -12,7 +12,6 @@ from qtreehahn import (
     QContext,
     ZeroDenominator,
     as_fraction,
-    norm_splitting_identity_check,
     phi_sum,
     pochhammer,
     pochhammer_many,
@@ -200,31 +199,6 @@ def test_phi_sum_truncation_and_errors():
     with pytest.raises(ZeroDenominator):
         phi_sum(CTX, [Fraction(1, 2)], [CTX.q_power(-2)], Fraction(1), 4)
     assert phi_sum(CTX, [Fraction(1, 2)], [CTX.q_power(-2)], Fraction(1), 2)
-
-
-@settings(max_examples=40)
-@given(
-    unit_fractions,
-    st.integers(2, 5),
-    st.integers(0, 5),
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(0, 7),
-)
-def test_norm_splitting_identity(A, h, n, i, j, N):
-    if i + j > n:
-        i = j = 0
-    if N < n:
-        N = n
-    assert norm_splitting_identity_check(CTX, A, h, n, i, j, N)
-
-
-def test_norm_splitting_identity_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        norm_splitting_identity_check(CTX, Fraction(1, 2), 3, 2, 2, 1, 5)
-    with pytest.raises(ZeroDenominator):
-        # A q^(h+2n-1) = 1 with A = q^(-(h+2n-1))
-        norm_splitting_identity_check(CTX, CTX.q_power(-4), 3, 1, 0, 0, 2)
 
 
 def test_rational_sqrt():

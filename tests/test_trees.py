@@ -75,21 +75,21 @@ def test_combs():
 def test_vertices_preorder_spans():
     tree = parse_tree("((1 2) (3 4))")
     v0, v1, v2 = tree.vertices
-    assert (v0.lo, v0.hi, v0.split, v0.level) == (0, 4, 2, 0)
-    assert (v1.lo, v1.hi, v1.split, v1.level) == (0, 2, 1, 1)
-    assert (v2.lo, v2.hi, v2.split, v2.level) == (2, 4, 3, 1)
+    assert (v0.lo, v0.hi, v0.split) == (0, 4, 2)
+    assert (v1.lo, v1.hi, v1.split) == (0, 2, 1)
+    assert (v2.lo, v2.hi, v2.split) == (2, 4, 3)
     assert (v0.left, v0.right) == (1, 2)
     assert (v1.left, v1.right) == (v2.left, v2.right) == (None, None)
     for h in range(2, 8):
         for tree in all_trees(h):
-            got = [(v.lo, v.hi, v.split, v.level, v.left, v.right) for v in tree.vertices]
+            got = [(v.lo, v.hi, v.split, v.left, v.right) for v in tree.vertices]
             assert got == _reference_vertices(tree.shape), tree
             assert [v.index for v in tree.vertices] == list(range(h - 1))
             assert tree.h == h
 
 
 def _reference_vertices(shape) -> list[tuple]:
-    """(lo, hi, split, level, left, right) per internal vertex, pre-order,
+    """(lo, hi, split, left, right) per internal vertex, pre-order,
     each span read off the subtree's own first and last leaf."""
     out = []
 
@@ -99,17 +99,17 @@ def _reference_vertices(shape) -> list[tuple]:
     def last(s):
         return s if isinstance(s, int) else last(s[1])
 
-    def visit(s, level):
+    def visit(s):
         if isinstance(s, int):
             return None
         index = len(out)
         out.append(None)
-        left = visit(s[0], level + 1)
-        right = visit(s[1], level + 1)
-        out[index] = (first(s) - 1, last(s), last(s[0]), level, left, right)
+        left = visit(s[0])
+        right = visit(s[1])
+        out[index] = (first(s) - 1, last(s), last(s[0]), left, right)
         return index
 
-    visit(shape, 0)
+    visit(shape)
     return out
 
 
