@@ -1,11 +1,12 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are lists of rows, row major, with `Fraction` or `int` entries;
-no step uses floating point.  `rref` is the one elimination: it clears
-each row's denominators and runs fraction-free Gauss-Jordan elimination
-in integers (Bareiss, Math. Comp. 22, 1968), where every division is
-exact.  `rank` and `nullspace` read its result, and the null space
-comes out as integer vectors over one positive denominator.
+no step uses floating point.  Each row's denominators are cleared, and the
+integer rows are eliminated fraction-free (Bareiss, Math. Comp. 22, 1968):
+`_cleared` is the one pivot step, whose division by the previous pivot is
+exact.  `rref` runs it above and below each pivot (Gauss-Jordan), and
+`nullspace` reads its result as integer vectors over one positive
+denominator; `rank` runs it below each pivot only and counts the pivots.
 """
 
 from __future__ import annotations
@@ -27,17 +28,30 @@ def over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+def _integer_rows(matrix) -> list[list[int]]:
+    """The nonzero rows of the matrix with their denominators cleared."""
+    return [list(row) for row in (over_common_denominator(r)[0] for r in matrix) if any(row)]
+
+
+def _cleared(rows, pivot, c: int, prev: int) -> list[list[int]]:
+    """One pivot step: each row with column c cleared against the pivot row,
+    its entries a becoming (pivot[c] * a - row[c] * b) / prev, b the
+    pivot's entry in a's column.  When prev is the previous pivot, each
+    entry is a minor of the integer matrix (Sylvester's identity), so the
+    division is exact, above the pivot as well as below it."""
+    lead = pivot[c]
+    return [[(lead * a - row[c] * b) // prev for a, b in zip(row, pivot)] for row in rows]
+
+
 def rref(matrix):
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
     Returns (rows, pivot_columns, d): integer rows, zero rows dropped,
-    that equal d times the reduced row echelon form, with d > 0.  After k
-    pivots every entry is a minor of the matrix with its rows' denominators
-    cleared, so each division by the previous pivot is exact, above the
-    pivot as well as below it (Sylvester's identity).  Rows that become
-    zero stay zero and are dropped.
+    that equal d times the reduced row echelon form, with d > 0.  Each
+    pivot clears its column in every other row through `_cleared`.  Rows
+    that become zero stay zero and are dropped.
     """
-    rows = [list(row) for row in (over_common_denominator(r)[0] for r in matrix) if any(row)]
+    rows = _integer_rows(matrix)
     pivots = []
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
@@ -46,11 +60,10 @@ def rref(matrix):
         if at is None:
             continue
         pivot = rows.pop(at)
-        lead = pivot[c]
-        rows = [[(lead * a - row[c] * b) // prev for a, b in zip(row, pivot)] for row in rows]
+        rows = _cleared(rows, pivot, c, prev)
         rows[r:] = [pivot, *filter(any, rows[r:])]
         pivots.append(c)
-        prev = lead
+        prev = pivot[c]
         if len(rows) == len(pivots):
             break
     if prev < 0:
@@ -59,8 +72,23 @@ def rref(matrix):
 
 
 def rank(matrix) -> int:
-    """The number of pivots of `rref`."""
-    return len(rref(matrix)[1])
+    """The number of pivots, from the downward half of `rref`'s elimination:
+    each pivot clears its column only in the rows below it, which are all
+    that later pivots are read from.  Exact, like `rref`."""
+    rows = _integer_rows(matrix)
+    count = 0
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        at = next((i for i, row in enumerate(rows) if row[c]), None)
+        if at is None:
+            continue
+        pivot = rows.pop(at)
+        rows = list(filter(any, _cleared(rows, pivot, c, prev)))
+        count += 1
+        prev = pivot[c]
+        if not rows:
+            break
+    return count
 
 
 def nullspace(matrix, ncols):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from fractions import Fraction
@@ -520,9 +521,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with `--alphas V` and `--sqrt-q V` written as `--alphas=V` and
+    `--sqrt-q=V` when V starts with a minus sign and then a digit or a dot,
+    so that argparse reads a negative rational such as -5/3 as the value
+    instead of as an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--alphas", "--sqrt-q") and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NotRightReachable as exc:

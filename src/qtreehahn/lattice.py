@@ -216,9 +216,11 @@ class GridFunction:
     one per point, over one positive common denominator, reduced so that
     gcd(den, *nums) == 1.  Since that form is canonical, equality and
     hashing compare it directly, and `+`, `-` and `scale` work in integers
-    and reduce once per result.  `.values` reads the function as a tuple of
-    `Fraction`s: the caller's tuple when one was passed in, otherwise built
-    on first use.  Instances are immutable.
+    and reduce once per result; code that has integers already builds
+    through `_from_integers`, which makes no `Fraction`.  `.values` reads
+    the function as a tuple of `Fraction`s: the caller's tuple when one was
+    passed in, otherwise built on first use.  Instances are immutable: the
+    slots are written once, by `_set`, through their descriptors.
     """
 
     __slots__ = ("h", "N", "_integer_form", "_values")
@@ -234,9 +236,12 @@ class GridFunction:
         self._set(h, N, over_common_denominator(values), values)
 
     def _set(self, h: int, N: int, integer_form, values) -> None:
-        """Fill the slots of a new instance, past the __setattr__ guard."""
-        for name, value in zip(self.__slots__, (h, N, integer_form, values)):
-            object.__setattr__(self, name, value)
+        """Fill the slots of a new instance through their descriptors, past
+        the __setattr__ guard."""
+        _set_h(self, h)
+        _set_N(self, N)
+        _set_integer_form(self, integer_form)
+        _set_values(self, values)
 
     @classmethod
     def _from_integers(cls, h: int, N: int, nums, den: int) -> "GridFunction":
@@ -257,7 +262,7 @@ class GridFunction:
         if values is None:
             nums, den = self._integer_form
             values = tuple(Fraction(n, den) for n in nums)
-            object.__setattr__(self, "_values", values)
+            _set_values(self, values)
         return values
 
     @property
@@ -343,6 +348,12 @@ class GridFunction:
 
     def is_zero(self) -> bool:
         return not any(self._integer_form[0])
+
+
+# The slot descriptors' setters, which write past `GridFunction.__setattr__`.
+_set_h, _set_N, _set_integer_form, _set_values = (
+    GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__
+)
 
 
 def weight(x: Sequence[int], p: ParamSet) -> Fraction:

@@ -35,10 +35,10 @@ from . import _linalg
 from .lattice import (
     GridFunction,
     ParamSet,
+    _weighted,
     composition_count,
     domain_table,
     enumerate_compositions,
-    inner_product,
     partial_sums,
 )
 from .qnum import QContext, _one_minus, _power_pair, pochhammer
@@ -298,11 +298,11 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
 
 
 def _random_function(h: int, N: int, rng: random.Random) -> GridFunction:
-    vals = tuple(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for _ in range(composition_count(h, N))
-    )
-    return GridFunction(h, N, vals)
+    """Values n/d with n in -9..9 and d in 1..9, drawn n first point by
+    point, put over the lcm of the d's."""
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(composition_count(h, N))]
+    den = lcm(*(d for _, d in pairs))
+    return GridFunction._from_integers(h, N, [n * (den // d) for n, d in pairs], den)
 
 
 def _funcs_for_level(h: int, N: int, rng: random.Random) -> list[GridFunction]:
@@ -352,6 +352,10 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
         chains from the same level scale norms by the closed-form factor,
         and every chain is injective.
 
+    The two inner-product identities are compared in integers: each
+    right-hand function is weighted once per level by `lattice._weighted`,
+    each side is an integer dot product over its positive denominator, and
+    the sides are cross-multiplied, so no case builds a `Fraction`.
     Returns one `check_identity` report per identity.
     """
     ctx = p.ctx
@@ -383,16 +387,17 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                 yield {"N": N, "f": k}, lhs == f.scale(scalar)
 
     def adjoint_cases():
+        # <L f1, f2> == -<f1, R f2>, each side an integer dot product with a
+        # column weighted once per level, over its positive denominator
         for N in range(1, n_max + 1):
             upper = _funcs_for_level(h, N, rng)
             lower = _funcs_for_level(h, N - 1, rng)
-            raised = [apply_R(f2, p) for f2 in lower]
+            pairs = [(_weighted(f2, p), _weighted(apply_R(f2, p), p)) for f2 in lower]
             for k1, f1 in enumerate(upper):
-                lf1 = apply_L(f1, p)
-                for k2, f2 in enumerate(lower):
-                    ok = inner_product(lf1, f2, p) == -inner_product(
-                        f1, raised[k2], p
-                    )
+                lnums, lden = apply_L(f1, p)._integer_form
+                nums, den = f1._integer_form
+                for k2, ((w2, d2), (wr, dr)) in enumerate(pairs):
+                    ok = sum(map(mul, lnums, w2)) * den * dr == -sum(map(mul, nums, wr)) * lden * d2
                     yield {"N": N, "f1": k1, "f2": k2}, ok
 
     def chain_swap_cases():
@@ -453,18 +458,24 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
                 * pochhammer(ctx, A_h * ctx.q_power(2 * n + h), N - n)
                 for N in range(n, n_max + 1)
             }
+            # <g1, g2> == factors[N] <f1, f2> for m == n and 0 otherwise,
+            # in integers: each g2 = raised[n][N][k2] is weighted once
+            weighted = {N: [_weighted(g2, p) for g2 in raised[n][N]] for N in range(n, n_max + 1)}
             for m in range(0, n + 1):
                 for N in range(n, n_max + 1):
-                    for k2, g2 in enumerate(raised[n][N]):
-                        f2 = raised[n][n][k2]
+                    scale = factors[N]
+                    for k2, (w2, d2) in enumerate(weighted[N]):
+                        wf2, df2 = weighted[n][k2]
                         for k1, g1 in enumerate(raised[m][N]):
-                            f1 = raised[m][m][k1]
-                            got = inner_product(g1, g2, p)
+                            nums, den = g1._integer_form
+                            got = sum(map(mul, nums, w2))
                             if m == n:
-                                want = factors[N] * inner_product(f1, f2, p)
+                                fnums, fden = raised[m][m][k1]._integer_form
+                                want = scale.numerator * sum(map(mul, fnums, wf2))
+                                ok = got * scale.denominator * fden * df2 == want * den * d2
                             else:
-                                want = Fraction(0)
-                            yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, got == want
+                                ok = got == 0
+                            yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, ok
 
     def injectivity_cases():
         for n in range(0, n_max + 1):

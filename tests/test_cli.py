@@ -215,6 +215,40 @@ def test_parameters_outside_the_band_name_the_cli_flag(capsys, argv):
     )
 
 
+NEGATIVE_ALPHAS = ["verify", "--suite", "operator-algebra", "--h", "3", "--N", "3"]
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_negative_alphas_read_the_same_in_both_spellings(capsys):
+    spaced = _run(capsys, NEGATIVE_ALPHAS + ["--alphas", "-5/3,7/9,11/27", "--allow-any-params"])
+    joined = _run(capsys, NEGATIVE_ALPHAS + ["--alphas=-5/3,7/9,11/27", "--allow-any-params"])
+    assert spaced[0] == joined[0] == 0, spaced[2]
+    assert spaced[1] == joined[1]
+    obj = json.loads(spaced[1])
+    assert obj["alphas"] == ["-5/3", "7/9", "11/27"]
+    assert obj["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--alphas", "-5/3,7/9,11/27",
+         "error: parameters outside the positivity regime; "
+         "pass --allow-any-params for generic identity testing\n"),
+        ("--sqrt-q", "-1/2", "error: square root of q must satisfy 0 < s < 1, got -1/2\n"),
+        ("--sqrt-q", "-.5", "error: square root of q must satisfy 0 < s < 1, got -1/2\n"),
+    ],
+)
+def test_negative_values_reach_their_documented_errors(capsys, option, value, message):
+    for argv in (NEGATIVE_ALPHAS + [option, value], NEGATIVE_ALPHAS + [f"{option}={value}"]):
+        assert _run(capsys, argv) == (2, "", message), argv
+
+
 def test_eval_pole_rejected_even_with_override(capsys):
     # alpha*q = 1 is a genuine pole, not a sign-regime choice
     argv = ["eval", "--tree", "(1 2)", "--labels", "0", "--N", "1", "--all",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtreehahn._linalg import nullspace, over_common_denominator, rank, rref
 
@@ -110,6 +112,43 @@ def test_rank_of_unimodular_products_is_exact(nrows, ncols):
         m = _matmul(_matmul(_unimodular(rng, nrows), middle), _unimodular(rng, ncols))
         assert rank(m) == k
         assert rank([[Fraction(v, 6) for v in row] for row in m]) == k
+
+
+_entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+def _rows(nrows, ncols):
+    return st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def _rank_cases(draw):
+    """Matrices up to 7 x 7 of ints and `Fraction`s, some of them products
+    through k <= 7 columns, with some rows and columns zeroed."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 7))
+        left, right = draw(_rows(nrows, k)), draw(_rows(k, ncols))
+        matrix = [[sum((a * right[t][c] for t, a in enumerate(row)), 0) for c in range(ncols)] for row in left]
+    else:
+        matrix = draw(_rows(nrows, ncols))
+    zero_rows = draw(st.sets(st.integers(0, 6), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=3))
+    return [
+        [0 if r in zero_rows or c in zero_cols else v for c, v in enumerate(row)]
+        for r, row in enumerate(matrix)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rank_cases())
+@example([[2, 1], [1, -3]])  # the last pivot is -7
+@example([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, -3]])
+@example([[0, 0], [0, 0]])
+def test_rank_is_the_pivot_count_of_rref(matrix):
+    before = [list(row) for row in matrix]
+    assert rank(matrix) == len(rref(matrix)[1])
+    assert matrix == before
 
 
 def test_negative_last_pivot_gives_positive_denominator():

@@ -20,6 +20,7 @@ from qtreehahn import (
     check_identity,
     composition_count,
     eigenvalue,
+    enumerate_compositions,
     inner_product,
     kernel_basis,
     pochhammer,
@@ -475,3 +476,126 @@ def test_every_cache_is_bounded():
     assert len(caches) >= 14
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert unbounded == []
+
+
+# --- the inner-product identities, checked in integers ---------------------
+
+ADJOINT = "lowering_is_minus_adjoint_of_raising"
+CHAIN_NORM = "raising_chain_preserves_orthogonality_and_scales_norms"
+ALGEBRA_ALPHAS = (Fraction(5, 3), Fraction(7, 9), Fraction(11, 27), Fraction(13, 9))
+
+
+def _algebra_params(h):
+    return ParamSet(make_ctx(), ALGEBRA_ALPHAS[:h])
+
+
+def test_operator_algebra_passes_with_its_case_counts():
+    """Every identity's case count at h = 4, N = 3 and at h = 3, N = 4."""
+    for (h, n_max), counts in {
+        (4, 3): [40, 21, 18, 354, 33, 56, 360, 10],
+        (3, 4): [42, 28, 25, 355, 55, 70, 238, 15],
+    }.items():
+        for seed in (0, 1):
+            reports = verify_operator_algebra(h, n_max, _algebra_params(h), seed)
+            assert [r["cases"] for r in reports] == counts, (h, n_max, seed)
+            assert {r["status"] for r in reports} == {"pass"}
+            assert reports[3]["identity"] == ADJOINT and reports[6]["identity"] == CHAIN_NORM
+
+
+def _adjoint_reference(h, n_max, p, funcs, raising):
+    """The adjoint identity's cases as two `Fraction` inner products each."""
+    for N in range(1, n_max + 1):
+        upper, lower = funcs(h, N), funcs(h, N - 1)
+        for k1, f1 in enumerate(upper):
+            for k2, f2 in enumerate(lower):
+                ok = inner_product(apply_L(f1, p), f2, p) == -inner_product(f1, raising(f2, p), p)
+                yield {"N": N, "f1": k1, "f2": k2}, ok
+
+
+def _chain_norm_reference(h, n_max, p, raising, kernel):
+    """The chain-norm identity's cases as `Fraction` inner products, with
+    the closed-form norm factors."""
+    ctx, q, A_h = p.ctx, p.ctx.q, p.prefix_product(h)
+    raised = {}
+    for n in range(n_max + 1):
+        raised[n] = {n: kernel(h, n, p)}
+        for N in range(n + 1, n_max + 1):
+            raised[n][N] = [raising(g, p) for g in raised[n][N - 1]]
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            for N in range(n, n_max + 1):
+                factor = (
+                    ctx.q_power(-(N - n) * (N + n + 1) // 2)
+                    * pochhammer(ctx, q, N - n)
+                    * pochhammer(ctx, A_h * ctx.q_power(2 * n + h), N - n)
+                )
+                for k2, g2 in enumerate(raised[n][N]):
+                    for k1, g1 in enumerate(raised[m][N]):
+                        got = inner_product(g1, g2, p)
+                        want = Fraction(0)
+                        if m == n:
+                            want = factor * inner_product(raised[m][m][k1], raised[n][n][k2], p)
+                        yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, got == want
+
+
+@pytest.mark.parametrize("h, n_max", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("wrong", ["raising", "kernel"])
+def test_inner_product_identities_catch_a_wrong_operator(monkeypatch, wrong, h, n_max):
+    """Either R off by one delta at its target level, scaled by f's first
+    value, or the level-1 kernel vectors of L shifted by a constant: both
+    identities report the cases, status and locator that `Fraction` inner
+    products give."""
+    p = _algebra_params(h)
+    exact_R, exact_kernel, exact_funcs = qops.apply_R, qops.kernel_basis, qops._funcs_for_level
+
+    def wrong_R(f, p):
+        last = enumerate_compositions(f.h, f.N + 1)[-1]
+        return exact_R(f, p) + GridFunction.delta(f.h, f.N + 1, last).scale(f.values[0])
+
+    def wrong_kernel(h, n, p):
+        basis = exact_kernel(h, n, p)
+        return [g + GridFunction.constant(h, n, 1) for g in basis] if n == 1 else basis
+
+    def funcs(h, N, rng=None):
+        # a fixed draw per level, so that each identity sees the same functions
+        # however far the identities before it ran
+        return exact_funcs(h, N, random.Random(N))
+
+    raising, kernel = (wrong_R, exact_kernel) if wrong == "raising" else (exact_R, wrong_kernel)
+    monkeypatch.setattr(qops, "apply_R", raising)
+    monkeypatch.setattr(qops, "kernel_basis", kernel)
+    monkeypatch.setattr(qops, "_funcs_for_level", funcs)
+    reports = {r["identity"]: r for r in verify_operator_algebra(h, n_max, p)}
+    expected = {
+        ADJOINT: check_identity(ADJOINT, _adjoint_reference(h, n_max, p, funcs, raising)),
+        CHAIN_NORM: check_identity(CHAIN_NORM, _chain_norm_reference(h, n_max, p, raising, kernel)),
+    }
+    for name, want in expected.items():
+        assert reports[name] == want, name
+    assert expected[CHAIN_NORM]["status"] == "fail"
+    if wrong == "raising":
+        assert expected[ADJOINT]["status"] == "fail"
+    else:
+        # the shifted vectors are no longer orthogonal to the level-0 chain
+        assert expected[ADJOINT]["status"] == "pass"
+        locator = expected[CHAIN_NORM]["counterexample"]
+        assert (locator["n"], locator["m"]) == (1, 0)
+
+
+def test_inner_product_identities_build_no_fraction_per_case(monkeypatch, fraction_builds):
+    """The adjoint identity builds no `Fraction`; the chain-norm identity
+    builds only its per-level norm factors, as many at h = 3 as at h = 4."""
+    monkeypatch.setattr(qops, "check_identity", lambda name, cases: (name, cases))
+    built = {}
+    for h in (3, 4):
+        generators = dict(verify_operator_algebra(h, 3, _algebra_params(h), seed=1))
+        for name in (ADJOINT, CHAIN_NORM):
+            fraction_builds.clear()
+            cases = list(generators[name])
+            assert all(ok for _, ok in cases), (h, name)
+            built[h, name] = (len(cases), len(fraction_builds))
+    assert built[3, ADJOINT][1] == built[4, ADJOINT][1] == 0
+    assert built[4, ADJOINT][0] == 354
+    (few, at_3), (many, at_4) = built[3, CHAIN_NORM], built[4, CHAIN_NORM]
+    assert many == 360 and few < many
+    assert at_3 == at_4 < few
