@@ -304,16 +304,16 @@ class ConnectionMatrix:
         """Matrix product: expand through `other`'s target basis.  Both
         matrices must share the degree and the parameter set (q and alphas).
 
-        `other` is put over one integer denominator L once, and each
-        product row is summed in integers over its own row's denominator
-        times L, then reduced once."""
+        `other`'s `integer_rows` go over one denominator L, with no `rows`
+        view, and each product row is summed in integers over its own
+        row's denominator times L, then reduced once."""
         if (self.target, self.n, self.params) != (other.source, other.n, other.params):
             raise ValueError("connection matrices do not chain")
-        entries = [(d, e, w) for d, row in other.rows.items() for e, w in row.items()]
-        nums, L = over_common_denominator(w for _, _, w in entries)
-        scaled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for (d, e, _), w in zip(entries, nums):
-            scaled.setdefault(d, []).append((e, w))
+        L = lcm(*(den for _, den in other.integer_rows.values()))
+        scaled = {
+            d: [(e, w * (L // den)) for e, w in nums.items()]
+            for d, (nums, den) in other.integer_rows.items()
+        }
         rows = {}
         for c, row in self.rows.items():
             vs, D = over_common_denominator(row.values())

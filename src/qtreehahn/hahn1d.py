@@ -5,7 +5,8 @@ family: a terminating 3-phi-2 sum (memoized as `hahn_eval`), and a raising
 chain applied to the top-level seed in closed form.  Tests compare them
 point by point.  `hahn_row` returns every lattice point of one degree in
 one pass, in integer arithmetic; the tree bases of `multihahn` read their
-factors from it, and tests compare it with both routes entry by entry.
+factors from it and cache those, not the rows (`hahn_row` keeps no
+cache), and tests compare it with both routes entry by entry.
 
 The polynomials here are normalized so that the raising chain is exactly
 the level-lift: the value at level N is the chain applied to the level-n
@@ -191,11 +192,6 @@ def hahn_eval(
     return hahn_via_phi2(Hahn1DSpec(ctx, n, alpha, beta, N), x)
 
 
-# Bound set on the `gram`, `connect` and `operators` benchmarks: 1024 rows
-# keep every hit on `connect`, where 256 lost a tenth of them, and about
-# 97% of the hits that 16,384 rows get on `gram` and `operators`; 4096
-# rows added 1.3 MB of peak RSS on `gram`.
-@lru_cache(maxsize=1 << 10)
 def hahn_row(
     ctx: QContext, n: int, alpha: tuple[int, int], beta: tuple[int, int], N: int
 ) -> tuple[tuple[int, int] | None, ...]:

@@ -16,9 +16,10 @@ labelings of total degree n give an orthogonal basis of the level-N
 lattice functions; the squared norms factor over vertices.
 
 Each factor depends on the point only through its vertex's pair (lv, v),
-so `basis` builds a whole level as pointwise products of factor columns,
-one per (vertex, c, lcs, rcs), each read off q-Hahn rows over the
-triangle 0 <= lv <= v <= N; `eval_Q` is the per-point route.
+so `basis` builds a whole level as pointwise products of factor columns
+read off q-Hahn rows over the triangle 0 <= lv <= v <= N, each cached once
+by its vertex span, label and child sums for every tree and degree that
+shares it; `eval_Q` is the per-point route.
 """
 
 from __future__ import annotations
@@ -239,15 +240,22 @@ class _Column(NamedTuple):
     poles: dict[int, str]
 
 
+# Sized on the benchmarks (seed 11, 4 rounds) and the h = 7 connections
+# suite: 1024 entries build each distinct key once (`gram` 817, `operators`
+# 812, `connect` 1,113, the suite 608), where 256 built 1,137 on `connect`
+# and 512 built 1,722 in the suite.  Peak RSS at 1024 (seed 3): 24.9, 24.9
+# and 27.8 MB on those benchmarks, and 27.9 MB for the suite.
+@lru_cache(maxsize=1024)
 def _column(
-    params: ParamSet, h: int, N: int, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
+    params: ParamSet, N: int, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
 ) -> _Column:
     """The factor column on [h; N] of the vertex over the leaves (lo, hi]
-    split at `split`, with label c and child coefficient sums lcs and rcs.
+    split at `split`, with label c and child coefficient sums lcs and rcs;
+    shared by every tree and degree through the cache: never mutate it.
     Each v reads one `hahn_row` into the triangle of (lv, v), the triangle
     goes over one denominator, and `_span_index` expands it to the points.
     The column vanishes where lv < lcs, v - lv < rcs or v < c + lcs + rcs."""
-    ctx = params.ctx
+    h, ctx = params.h, params.ctx
     a, b = ctx.q.numerator, ctx.q.denominator
     alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
     beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
@@ -304,29 +312,23 @@ def basis(
     list; the result is cached, so treat it as read-only.
 
     Each element is the product of `eval_Q` taken a whole column at a
-    time: one `_column` per distinct (vertex, c, lcs, rcs) of the level,
-    shared between the labelings that need it, and each element's
-    numerators the pointwise product of its columns over the product of
-    their denominators, reduced once, with no Fraction.  A pole raises
-    the ZeroDenominator of the first (labeling, point, vertex) at which
-    the pointwise product reads it.
+    time: one cached `_column` per vertex, shared with every tree, degree
+    and labeling that has the same vertex span, label and child sums, and
+    each element's numerators the pointwise product of its columns over the
+    product of their denominators, reduced once, with no Fraction.  A pole
+    raises the ZeroDenominator of the first (labeling, point, vertex) at
+    which the pointwise product reads it.
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-    factors: dict[tuple[int, int, int, int], _Column] = {}
     out = []
     for labeling in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, labeling)
-        columns = []
-        for vert in tree.vertices:
-            c, (lcs, rcs) = labeling[vert.index], child_sums(vert, cs)
-            key = (vert.index, c, lcs, rcs)
-            col = factors.get(key)
-            if col is None:
-                col = factors[key] = _column(
-                    params, tree.h, N, vert.lo, vert.split, vert.hi, c, lcs, rcs
-                )
-            columns.append(col)
+        columns = [
+            _column(params, N, vert.lo, vert.split, vert.hi, labeling[vert.index],
+                    *child_sums(vert, cs))
+            for vert in tree.vertices
+        ]
         if any(col.poles for col in columns):
             _raise_first_pole(tree, cs, columns, N)
         # a tree with no vertex has one point and the empty product there

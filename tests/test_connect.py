@@ -515,6 +515,16 @@ def test_invert_reads_the_integer_rows():
     assert inv.integer_rows == connection_oracle(lc, rc, 2, p4).integer_rows
 
 
+def test_compose_reads_the_right_factor_s_integer_rows():
+    """`compose` builds no `Fraction` view of its right factor, so the
+    orthogonality check builds none of the inverse it has just summed."""
+    p4 = make_params(4)
+    conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
+    inv = conn.invert()
+    assert conn.compose(inv).is_identity()
+    assert "rows" not in vars(inv)
+
+
 def test_identity_matrix_for_equal_trees():
     rc = right_comb(3)
     conn = connection_by_path(rc, rc, 2, P3)

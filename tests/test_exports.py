@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every function the perfbench
-tracer wraps: deleting a traced function would otherwise break
-``perfbench/run.py --trace 1`` without failing any other test."""
+tracer wraps or reads the cache of: deleting a traced function, or the
+cache of one, would otherwise break ``perfbench/run.py --trace 1`` without
+failing any other test."""
 
 import ast
 import importlib
@@ -34,6 +35,13 @@ def test_exports_and_traced_functions_resolve():
         mod_name, fn_name = qualname.split(".")
         module = importlib.import_module(f"qtreehahn.{mod_name}")
         assert callable(getattr(module, fn_name, None)), qualname
+    # the tracer reads `cache_info()` of each CACHED function, through the
+    # original it keeps for a TRACED name
+    assert set(tracer.CACHED) <= set(tracer.TRACED)
+    for qualname in tracer.CACHED:
+        mod_name, fn_name = qualname.split(".")
+        module = importlib.import_module(f"qtreehahn.{mod_name}")
+        assert callable(getattr(getattr(module, fn_name), "cache_info", None)), qualname
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -114,7 +114,7 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
         for alpha, beta in pairs:
             for N in range(7):
                 for n in range(N + 1):
-                    row = hahn_row.__wrapped__(ctx, n, _pair(alpha), _pair(beta), N)
+                    row = hahn_row(ctx, n, _pair(alpha), _pair(beta), N)
                     assert len(row) == N + 1
                     sp = Hahn1DSpec(ctx, n, alpha, beta, N)
                     for x in range(N + 1):
@@ -124,6 +124,44 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
                         assert row[x] == (want.numerator, want.denominator)
                         compared += 1
     assert compared == 2 * 6 * sum((N + 1) ** 2 for N in range(7))
+
+
+# s in (0, 1), and alpha and beta signed, as integer pairs; beta is
+# nonzero, since the raising route's seed reads beta^-1
+s_pairs = st.tuples(st.integers(1, 8), st.integers(2, 9)).filter(lambda t: t[0] < t[1])
+alpha_pairs = st.tuples(st.integers(-40, 40), st.integers(1, 12))
+beta_pairs = st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s_pairs,
+    alpha_pairs,
+    beta_pairs,
+    st.one_of(st.just(0), st.integers(1, 3)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_hahn_row_equals_both_routes_at_drawn_parameters(s, alpha, beta, pole, n, N):
+    """`hahn_row` == `hahn_via_phi2` == `hahn_via_raising` entry by entry,
+    with None exactly where `hahn_eval` raises; `pole` = k > 0 puts alpha
+    at q^-k, where (alpha q; q)_j vanishes from j = k on."""
+    if n > N:
+        n, N = N, n
+    ctx = QContext(s=Fraction(*s))
+    alpha = ctx.q**-pole if pole else Fraction(*alpha)
+    beta = Fraction(*beta)
+    row = hahn_row(ctx, n, _pair(alpha), _pair(beta), N)
+    assert len(row) == N + 1
+    sp = Hahn1DSpec(ctx, n, alpha, beta, N)
+    for x in range(N + 1):
+        try:
+            want = hahn_eval(ctx, n, x, alpha, beta, N)
+        except ZeroDenominator:
+            assert row[x] is None, x
+            continue
+        assert row[x] == (want.numerator, want.denominator)
+        assert want == hahn_via_phi2(sp, x) == hahn_via_raising(sp, x)
 
 
 def test_hahn_row_raises_where_hahn_eval_raises():
@@ -161,7 +199,7 @@ def test_hahn_row_builds_no_fraction(fraction_builds):
     pairs = [(draw(), draw()), (Fraction(-7, 3), Fraction(5, 2)), (CTX.q**-2, Fraction(2, 3))]
     fraction_builds.clear()
     rows = [
-        hahn_row.__wrapped__(CTX, n, _pair(alpha), _pair(beta), N)
+        hahn_row(CTX, n, _pair(alpha), _pair(beta), N)
         for alpha, beta in pairs
         for N in range(6)
         for n in range(N + 1)

@@ -284,7 +284,7 @@ def test_equal_parameter_sets_share_caches_without_fraction_compares(fraction_ke
 
 def test_warm_rows_are_read_without_fraction_compares(fraction_key_reads):
     tree, first, second = parse_tree("((1 2) (3 4))"), _fresh_params(), _fresh_params()
-    basis.__wrapped__(tree, first, 2, 3)  # warms the rows
+    basis.__wrapped__(tree, first, 2, 3)  # warms the factor columns
     fraction_key_reads.clear()
     basis.__wrapped__(tree, second, 2, 3)
     assert fraction_key_reads == []

@@ -1,6 +1,7 @@
 """Tree-indexed multivariable bases: values, norms, eigenstructure."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,13 +146,14 @@ def test_basis_equals_eval_Q_at_every_point(regime):
 
 
 def test_basis_builds_no_fraction_per_point(fraction_builds):
-    """On warm rows a level build makes no Fraction at all: the factor
-    columns' alpha and beta are integer pairs too."""
+    """A level build makes no Fraction at all, from cold factor columns
+    too: their alpha and beta are integer pairs, and `hahn_row` builds
+    none."""
     p = make_params(5, "secondary")
     for tree in all_trees(5)[:6]:
         for N in range(4):
             for n in range(N + 1):
-                multihahn.basis.__wrapped__(tree, p, n, N)  # warms the rows
+                multihahn._column.cache_clear()
                 fraction_builds.clear()
                 multihahn.basis.__wrapped__(tree, p, n, N)
                 assert fraction_builds == [], (tree, n, N)
@@ -287,6 +289,43 @@ def test_basis_equals_eval_Q_on_every_six_leaf_tree():
                 for e in basis.__wrapped__(tree, p, n, N):
                     want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
                     assert e.grid.values == want, (tree, e.labeling, N)
+
+
+def test_shared_factor_columns_serve_every_tree_degree_and_level():
+    """Columns are cached by vertex span, label and child sums: bases built
+    in a shuffled order over regimes, trees, degrees and levels, so each
+    reads columns that others built, equal `eval_Q` at every point and a
+    build from cold columns."""
+    trees = all_trees(4) + all_trees(5)[::3]  # 5 of the 14 five-leaf trees
+    levels = [
+        (ParamSet(CTX, CROSS_ROUTE_PARAMS[regime][: tree.h], n_max=3), tree, n, N)
+        for regime in ("unit-band", "above-band")
+        for tree in trees
+        for N in range(4)
+        for n in range(N + 1)
+    ]
+    random.Random(26).shuffle(levels)
+    multihahn._column.cache_clear()
+    warm = [basis.__wrapped__(tree, p, n, N) for p, tree, n, N in levels]
+    assert multihahn._column.cache_info().hits > multihahn._column.cache_info().misses
+    for (p, tree, n, N), elems in zip(levels, warm):
+        points = enumerate_compositions(tree.h, N)
+        for e in elems:
+            want = tuple(eval_Q(tree, e.labeling, p, x) for x in points)
+            assert e.grid.values == want, (p.alphas, tree, e.labeling, N)
+        multihahn._column.cache_clear()
+        assert basis.__wrapped__(tree, p, n, N) == elems
+
+
+def test_a_cached_pole_column_raises_again():
+    tree, alphas, n, N, message = BASIS_POLES[0]
+    p = ParamSet(CTX, alphas, n_max=0, unchecked=True)
+    multihahn._column.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ZeroDenominator) as info:
+            basis(parse_tree(tree), p, n, N)
+        assert str(info.value) == f"(alpha q; q)_k vanished for {message}"
+    assert multihahn._column.cache_info().hits > 0
 
 
 def test_basis_validation_and_cache():

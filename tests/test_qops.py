@@ -466,7 +466,7 @@ def test_every_cache_is_bounded():
         "multihahn._gamma",
         "multihahn._level_factor",
         "hahn1d.hahn_eval",
-        "hahn1d.hahn_row",
+        "multihahn._column",
         "hahn1d.racah_eval",
         "hahn1d._racah_pairs",
         "connect._move_table",
