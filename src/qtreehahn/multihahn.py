@@ -43,7 +43,7 @@ from .qnum import (
     pochhammer_many,
     q_factorial,
 )
-from .qops import _eigenvalue, apply_D, apply_D_at_vertex, eigenvalue, raise_chain
+from .qops import _check_h, _eigenvalue, _push, _same, _scaled, _vertex_stencil, raise_chain
 from .trees import PlanarTree, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
@@ -108,7 +108,7 @@ def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSe
     """Eigenvalue q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)) of the vertex operator."""
     vert = tree.vertices[u]
     cs = coefficient_sums(tree, labeling)[u]
-    return _eigenvalue(params.ctx, params.span_p(vert.lo, vert.hi), cs)
+    return Fraction(*_eigenvalue(params.ctx, params.p_pair(vert.lo, vert.hi), cs))
 
 
 # Bounds set on the `gram` benchmark, where every hit of this table and of
@@ -367,23 +367,32 @@ def vertex_eigen_cases(
     """Cases of the vertex-eigenvalue identity for one labeled tree.
 
     The operator of `qops` restricted to the span of a vertex U multiplies
-    the basis function by q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)); the full
-    operator (the root case with cs = n) is checked explicitly as well.
-    Yields (locator, ok) pairs for `check_identity`, one per vertex and one
-    for vertex "global"; each locator names the tree and the labeling.
+    the basis function by q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)).  Yields
+    (locator, ok) pairs for `check_identity`, one per vertex and one for
+    vertex "global", the full operator; each locator names the tree and
+    the labeling.  The full operator is the root's, on the span (0, h] with
+    cs = n, so "global" repeats the root's verdict.  Each case compares the
+    stencil image of the basis function's numerators with its numerators
+    times the eigenvalue, cross-multiplied, so no case builds a
+    GridFunction or a Fraction.
     """
     labeling = tuple(labeling)
     if len(labeling) != tree.n_internal:
         raise ValueError(f"labeling {labeling} does not fit the tree {tree}")
-    grid = basis(tree, params, sum(labeling), N)[rank_of(labeling)].grid
+    _check_h(tree.h, params)
+    v = basis(tree, params, sum(labeling), N)[rank_of(labeling)].grid._integer_form
     where = {"tree": tree.serialize(), "labeling": list(labeling)}
     cs = coefficient_sums(tree, labeling)
-    for vert in tree.vertices:
-        lam = _eigenvalue(params.ctx, params.span_p(vert.lo, vert.hi), cs[vert.index])
-        got = apply_D_at_vertex(grid, params, vert.lo, vert.hi)
-        yield {**where, "vertex": vert.index}, got == grid.scale(lam)
-    lam_global = eigenvalue(params, sum(labeling))
-    yield {**where, "vertex": "global"}, apply_D(grid, params) == grid.scale(lam_global)
+
+    def is_eigenvector(lo: int, hi: int, c: int) -> bool:
+        lam = _eigenvalue(params.ctx, params.p_pair(lo, hi), c)
+        return _same(_push(_vertex_stencil(params, N, lo, hi), v), _scaled(v, lam))
+
+    verdicts = []
+    for vert in tree.vertices:  # in pre-order, so the root comes first
+        verdicts.append(is_eigenvector(vert.lo, vert.hi, cs[vert.index]))
+        yield {**where, "vertex": vert.index}, verdicts[-1]
+    yield {**where, "vertex": "global"}, verdicts[0]
 
 
 # --- closed forms for the two comb trees ---------------------------------

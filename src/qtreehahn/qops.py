@@ -68,18 +68,25 @@ class InvalidSlice(ValueError):
     """A variable span (lo, hi] that is not a nonempty subrange of 1..h."""
 
 
-def _eigenvalue(ctx: QContext, P: Fraction, n: int) -> Fraction:
+def _eigenvalue(ctx: QContext, P: tuple[int, int], n: int) -> tuple[int, int]:
     """q^(-n) (1 - q^n) (1 - P q^(n-1)): the eigenvalue on level n of the
-    operator of a variable span whose p-value is P, reduced once."""
+    operator of a variable span whose p-value is the reduced pair P, as an
+    unreduced integer pair over a positive denominator."""
     a, b = ctx.q.numerator, ctx.q.denominator
     x, y = _power_pair(a, b, n)  # q^n = x/y, so q^(-n) (1 - q^n) = (y - x)/x
-    num, den = _one_minus(P.numerator, P.denominator, n - 1, a, b)
-    return Fraction((y - x) * num, x * den)
+    num, den = _one_minus(*P, n - 1, a, b)
+    return (y - x) * num, x * den
 
 
 def eigenvalue(p: ParamSet, n: int) -> Fraction:
     """q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)), the eigenvalue of D on level-n vectors."""
-    return _eigenvalue(p.ctx, p.span_p(0, p.h), n)
+    return Fraction(*_eigenvalue(p.ctx, p.p_pair(0, p.h), n))
+
+
+def _check_h(h: int, p: ParamSet) -> None:
+    """Raise InvalidSlice unless h is the number of variables of p."""
+    if h != p.h:
+        raise InvalidSlice(f"function has {h} variables, params have {p.h}")
 
 
 def apply_D(f: GridFunction, p: ParamSet) -> GridFunction:
@@ -96,8 +103,7 @@ def apply_D_at_vertex(f: GridFunction, p: ParamSet, lo: int, hi: int) -> GridFun
     """
     if not (0 <= lo < hi <= p.h):
         raise InvalidSlice(f"span ({lo}, {hi}] is not inside 1..{p.h}")
-    if f.h != p.h:
-        raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
+    _check_h(f.h, p)
     return _apply(_vertex_stencil(p, f.N, lo, hi), f, f.N)
 
 
@@ -108,8 +114,7 @@ def apply_R(f: GridFunction, p: ParamSet) -> GridFunction:
 
     with N the level of f and the partial sums taken at the target point.
     """
-    if f.h != p.h:
-        raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
+    _check_h(f.h, p)
     return _apply(_raising_stencil(p.ctx, f.h, f.N), f, f.N + 1)
 
 
@@ -118,8 +123,7 @@ def apply_L(f: GridFunction, p: ParamSet) -> GridFunction:
 
         (L f)(x) = sum_j A_{j-1} q^(j - 1 + X_{j-1}) (alpha_j q^(x_j + 1) - 1) f(x + e_j).
     """
-    if f.h != p.h:
-        raise InvalidSlice(f"function has {f.h} variables, params have {p.h}")
+    _check_h(f.h, p)
     if f.N == 0:
         raise EmptyDomain("cannot lower a level-0 function")
     return _apply(_lowering_stencil(p, f.N), f, f.N - 1)
@@ -137,14 +141,48 @@ def _stencil(rows, ranks, den):
     return tuple((tuple(k for k, _ in row), tuple(c // g for _, c in row)) for row in rows), den // g
 
 
-def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
-    """The image of f, a function on [h; level], under a stencil: one
-    integer dot product per image point, reduced once."""
-    rows, den = stencil
-    nums, f_den = f._integer_form
+def _image(stencil, nums) -> list[int]:
+    """The numerators of the image of a vector of integer numerators under
+    a stencil, over the stencil's denominator times the vector's: one
+    integer dot product per image point, unreduced."""
     at = nums.__getitem__
-    out = [sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in rows]
-    return GridFunction._from_integers(f.h, level, out, den * f_den)
+    return [sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in stencil[0]]
+
+
+def _apply(stencil, f: GridFunction, level: int) -> GridFunction:
+    """The image of f, a function on [h; level], under a stencil, reduced once."""
+    nums, den = f._integer_form
+    return GridFunction._from_integers(f.h, level, _image(stencil, nums), stencil[1] * den)
+
+
+# The identity checks work on vectors (nums, den): integer numerators over a
+# positive integer denominator, left unreduced, and on scalars (num, den)
+# with den > 0; they build no GridFunction and no Fraction.
+
+
+def _push(stencil, v):
+    """The vector v under a stencil."""
+    nums, den = v
+    return _image(stencil, nums), den * stencil[1]
+
+
+def _scaled(v, c):
+    """The vector v times the scalar c."""
+    (nums, den), (s, t) = v, c
+    return [s * x for x in nums], den * t
+
+
+def _add(u, v, c):
+    """The vector u + c v."""
+    (a, da), (b, db), (s, t) = u, v, c
+    x, y = db * t, da * s
+    return [i * x + j * y for i, j in zip(a, b)], da * db * t
+
+
+def _same(u, v) -> bool:
+    """Whether two vectors agree at every point, cross-multiplied."""
+    (a, da), (b, db) = u, v
+    return [i * db for i in a] == [j * da for j in b]
 
 
 def _span_numerators(p: ParamSet, lo: int, hi: int) -> list[int]:
@@ -281,8 +319,7 @@ def kernel_basis(h: int, n: int, p: ParamSet) -> list[GridFunction]:
     For n = 0 the lowering map has an empty target, so the kernel is the
     whole (one-dimensional) space.
     """
-    if h != p.h:
-        raise InvalidSlice(f"function has {h} variables, params have {p.h}")
+    _check_h(h, p)
     if n == 0:
         return [GridFunction.constant(h, 0, 1)]
     ncols = composition_count(h, n)
@@ -352,39 +389,54 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
         chains from the same level scale norms by the closed-form factor,
         and every chain is injective.
 
-    The two inner-product identities are compared in integers: each
-    right-hand function is weighted once per level by `lattice._weighted`,
-    each side is an integer dot product over its positive denominator, and
-    the sides are cross-multiplied, so no case builds a `Fraction`.
-    Returns one `check_identity` report per identity.
+    Every identity is compared in integers, and no case builds a
+    `Fraction`: only the per-level scalars are `Fraction`s, read as integer
+    pairs.  The five operator identities build no `GridFunction` either:
+    each side is an unreduced integer vector over a positive denominator,
+    made of stencil images (`_image`) of the functions' numerators, and the
+    two sides are cross-multiplied at every point.  In the two
+    inner-product identities each right-hand function is weighted once per
+    level by `lattice._weighted`, and each side is an integer dot product
+    over its positive denominator.  Returns one `check_identity` report per
+    identity.
     """
+    _check_h(h, p)
     ctx = p.ctx
     q = ctx.q
     A_h = p.prefix_product(h)
     rng = random.Random(seed)
+    # the stencils of R and L from level N, and of D on level N
+    up = {N: _raising_stencil(ctx, h, N) for N in range(n_max)}
+    down = {N: _lowering_stencil(p, N) for N in range(1, n_max + 1)}
+    diag = {N: _vertex_stencil(p, N, 0, h) for N in range(n_max + 1)}
 
     def rl_cases():
         for N in range(1, n_max + 1):
             scalar = (1 - ctx.q_power(-N)) * (A_h * ctx.q_power(N + h - 1) - 1)
+            minus = (-scalar).as_integer_ratio()
             for k, f in enumerate(_funcs_for_level(h, N, rng)):
-                lhs = apply_R(apply_L(f, p), p)
-                rhs = apply_D(f, p) - f.scale(scalar)
-                yield {"N": N, "f": k}, lhs == rhs
+                v = f._integer_form
+                lhs = _push(up[N - 1], _push(down[N], v))
+                yield {"N": N, "f": k}, _same(lhs, _add(_push(diag[N], v), v, minus))
 
     def lr_cases():
         for N in range(0, n_max):
             scalar = (1 - ctx.q_power(-N - 1)) * (A_h * ctx.q_power(N + h) - 1)
+            minus = (-scalar).as_integer_ratio()
             for k, f in enumerate(_funcs_for_level(h, N, rng)):
-                lhs = apply_L(apply_R(f, p), p)
-                rhs = apply_D(f, p) - f.scale(scalar)
-                yield {"N": N, "f": k}, lhs == rhs
+                v = f._integer_form
+                lhs = _push(down[N + 1], _push(up[N], v))
+                yield {"N": N, "f": k}, _same(lhs, _add(_push(diag[N], v), v, minus))
 
     def commutator_cases():
         for N in range(1, n_max):
             scalar = ctx.q_power(-N - 1) * (1 - q) * (A_h * ctx.q_power(2 * N + h) - 1)
+            scalar = scalar.as_integer_ratio()
             for k, f in enumerate(_funcs_for_level(h, N, rng)):
-                lhs = apply_L(apply_R(f, p), p) - apply_R(apply_L(f, p), p)
-                yield {"N": N, "f": k}, lhs == f.scale(scalar)
+                v = f._integer_form
+                lr = _push(down[N + 1], _push(up[N], v))
+                rl = _push(up[N - 1], _push(down[N], v))
+                yield {"N": N, "f": k}, _same(_add(lr, rl, (-1, 1)), _scaled(v, scalar))
 
     def adjoint_cases():
         # <L f1, f2> == -<f1, R f2>, each side an integer dot product with a
@@ -402,26 +454,31 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
 
     def chain_swap_cases():
         for n in range(0, n_max):
+            scalars = {
+                N: (
+                    ctx.q_power(-N)
+                    * (1 - ctx.q_power(N - n))
+                    * (A_h * ctx.q_power(N + n + h - 1) - 1)
+                ).as_integer_ratio()
+                for N in range(n + 1, n_max + 1)
+            }
             for k, f in enumerate(_funcs_for_level(h, n, rng)):
-                chain = [f]
-                for _ in range(n_max - n):
-                    chain.append(apply_R(chain[-1], p))
+                # chain[j] = R^j f on level n + j, lchain[j] = R^j L f on level n - 1 + j
+                chain = [f._integer_form]
+                for M in range(n, n_max):
+                    chain.append(_push(up[M], chain[-1]))
                 lchain = []
                 if n > 0:
-                    lchain.append(apply_L(f, p))
-                    for _ in range(n_max - n):
-                        lchain.append(apply_R(lchain[-1], p))
+                    lchain.append(_push(down[n], chain[0]))
+                    for M in range(n - 1, n_max - 1):
+                        lchain.append(_push(up[M], lchain[-1]))
                 for N in range(n + 1, n_max + 1):
-                    scalar = (
-                        ctx.q_power(-N)
-                        * (1 - ctx.q_power(N - n))
-                        * (A_h * ctx.q_power(N + n + h - 1) - 1)
-                    )
-                    lhs = apply_L(chain[N - n], p)
-                    rhs = chain[N - 1 - n].scale(scalar)
+                    lhs = _push(down[N], chain[N - n])
                     if n > 0:
-                        rhs = rhs + lchain[N - n]
-                    yield {"n": n, "N": N, "f": k}, lhs == rhs
+                        rhs = _add(lchain[N - n], chain[N - 1 - n], scalars[N])
+                    else:
+                        rhs = _scaled(chain[N - 1 - n], scalars[N])
+                    yield {"n": n, "N": N, "f": k}, _same(lhs, rhs)
 
     # raised[n][N]: the kernel basis of L on level n raised to level N,
     # shared by the three kernel identities below.
@@ -434,21 +491,23 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
     def collapse_cases():
         for n in range(0, n_max + 1):
             scalars = {
-                (N, m): (-1) ** (N - m)
-                * ctx.q_power(-(N - m) * (N + m + 1) // 2)
-                * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
-                * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
+                (N, m): (
+                    (-1) ** (N - m)
+                    * ctx.q_power(-(N - m) * (N + m + 1) // 2)
+                    * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
+                    * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
+                ).as_integer_ratio()
                 for N in range(n, n_max + 1)
                 for m in range(n, N + 1)
             }
             for k in range(len(raised[n][n])):
                 for N in range(n, n_max + 1):
-                    lowered = raised[n][N][k]
+                    lowered = raised[n][N][k]._integer_form
                     for m in range(N, n - 1, -1):
-                        rhs = raised[n][m][k].scale(scalars[N, m])
-                        yield {"n": n, "m": m, "N": N, "f": k}, lowered == rhs
+                        rhs = _scaled(raised[n][m][k]._integer_form, scalars[N, m])
+                        yield {"n": n, "m": m, "N": N, "f": k}, _same(lowered, rhs)
                         if m > n:
-                            lowered = apply_L(lowered, p)
+                            lowered = _push(down[m], lowered)
 
     def chain_norm_cases():
         for n in range(0, n_max + 1):
@@ -505,9 +564,13 @@ def spectral_decomposition_check(h: int, N: int, p: ParamSet) -> list[dict]:
 
     Verifies that the kernel dimensions sum to the dimension of the level,
     that the raised kernels together span it, and that D acts on each
-    raised kernel by q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)).  Returns one
-    `check_identity` report per identity.
+    raised kernel by q^(-n) (1 - q^n) (1 - A_h q^(n+h-1)).  The eigenvalue
+    cases compare the stencil image of each raised vector's numerators with
+    its numerators times the eigenvalue, cross-multiplied, so no case
+    builds a `GridFunction` or a `Fraction`.  Returns one `check_identity`
+    report per identity.
     """
+    _check_h(h, p)
     raised = [
         [raise_chain(f, p, N) for f in kernel_basis(h, n, p)] for n in range(N + 1)
     ]
@@ -516,10 +579,12 @@ def spectral_decomposition_check(h: int, N: int, p: ParamSet) -> list[dict]:
     rank = _linalg.rank([g.nums for level in raised for g in level])
 
     def eigen_cases():
+        diag = _vertex_stencil(p, N, 0, h)
         for n, level in enumerate(raised):
-            lam = eigenvalue(p, n)
+            lam = _eigenvalue(p.ctx, p.p_pair(0, h), n)
             for k, g in enumerate(level):
-                yield {"n": n, "f": k}, apply_D(g, p) == g.scale(lam)
+                v = g._integer_form
+                yield {"n": n, "f": k}, _same(_push(diag, v), _scaled(v, lam))
 
     return [
         check_identity(

@@ -619,14 +619,17 @@ def failing_report(capsys, argv):
 
 
 def test_verify_eigen_failure_names_tree_labeling_and_vertex(capsys, monkeypatch):
-    """Break the vertex operator on span (0, 2], which only ((1 2) 3) has."""
-    original = multihahn.apply_D_at_vertex
+    """Break the vertex stencil on span (0, 2], which only ((1 2) 3) has, by
+    doubling every coefficient."""
+    original = multihahn._vertex_stencil
 
-    def broken(f, p, lo, hi):
-        out = original(f, p, lo, hi)
-        return out.scale(2) if (lo, hi) == (0, 2) else out
+    def broken(p, N, lo, hi):
+        rows, den = original(p, N, lo, hi)
+        if (lo, hi) == (0, 2):
+            rows = tuple((cols, tuple(2 * c for c in coeffs)) for cols, coeffs in rows)
+        return rows, den
 
-    monkeypatch.setattr(multihahn, "apply_D_at_vertex", broken)
+    monkeypatch.setattr(multihahn, "_vertex_stencil", broken)
     report = failing_report(
         capsys, ["verify", "--suite", "eigen", "--h", "3", "--N", "2"]
     )

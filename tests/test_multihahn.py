@@ -357,6 +357,27 @@ def test_verify_eigen_reports():
                 assert rep["cases"] == tree.n_internal + 1  # every vertex, then global
 
 
+def test_a_wrong_root_stencil_fails_the_root_and_global_cases(monkeypatch):
+    """The full operator is the root's: with the identity added to the
+    (0, h] stencil, the root and "global" cases fail and no other does."""
+    original = multihahn._vertex_stencil
+
+    def plus_identity(p, N, lo, hi):
+        rows, den = original(p, N, lo, hi)
+        if (lo, hi) == (0, p.h):
+            rows = tuple((cols + (r,), coeffs + (den,)) for r, (cols, coeffs) in enumerate(rows))
+        return rows, den
+
+    monkeypatch.setattr(multihahn, "_vertex_stencil", plus_identity)
+    for h, N in ((3, 3), (4, 2)):
+        p = make_params(h)
+        for tree in all_trees(h):
+            for n in range(N + 1):
+                for lab in enumerate_labelings(tree, n):
+                    failing = [loc["vertex"] for loc, ok in vertex_eigen_cases(tree, lab, p, N) if not ok]
+                    assert failing == [0, "global"], (tree, lab)
+
+
 def test_raise_basis_element_consistency():
     p = make_params(3)
     tree = parse_tree("(1 (2 3))")

@@ -57,7 +57,8 @@ def test_eigenvalue_equals_its_fraction_formula(s, P, n):
     negative levels too."""
     ctx = make_ctx(s)
     q = ctx.q
-    assert qops._eigenvalue(ctx, P, n) == q**-n * (1 - q**n) * (1 - P * q ** (n - 1))
+    num, den = qops._eigenvalue(ctx, (P.numerator, P.denominator), n)
+    assert den > 0 and Fraction(num, den) == q**-n * (1 - q**n) * (1 - P * q ** (n - 1))
 
 
 def test_diagonal_operator_hand_pin():
@@ -133,6 +134,14 @@ def test_slice_validation():
     for n in (0, 1):
         with pytest.raises(InvalidSlice):
             kernel_basis(5, n, P3)
+    for h in (2, 4):
+        with pytest.raises(InvalidSlice):
+            verify_operator_algebra(h, 2, P3)
+        with pytest.raises(InvalidSlice):
+            spectral_decomposition_check(h, 2, P3)
+    tree = trees.parse_tree("(1 (2 3))")
+    with pytest.raises(InvalidSlice):
+        list(multihahn.vertex_eigen_cases(tree, (0, 1), make_params(4), 2))
 
 
 def test_chain_direction_errors():
@@ -512,15 +521,21 @@ def _adjoint_reference(h, n_max, p, funcs, raising):
                 yield {"N": N, "f1": k1, "f2": k2}, ok
 
 
-def _chain_norm_reference(h, n_max, p, raising, kernel):
-    """The chain-norm identity's cases as `Fraction` inner products, with
-    the closed-form norm factors."""
-    ctx, q, A_h = p.ctx, p.ctx.q, p.prefix_product(h)
+def _raised_kernels(h, n_max, p, raising, kernel):
+    """raised[n][N]: the kernel basis of L on level n raised to level N."""
     raised = {}
     for n in range(n_max + 1):
         raised[n] = {n: kernel(h, n, p)}
         for N in range(n + 1, n_max + 1):
             raised[n][N] = [raising(g, p) for g in raised[n][N - 1]]
+    return raised
+
+
+def _chain_norm_reference(h, n_max, p, raising, kernel):
+    """The chain-norm identity's cases as `Fraction` inner products, with
+    the closed-form norm factors."""
+    ctx, q, A_h = p.ctx, p.ctx.q, p.prefix_product(h)
+    raised = _raised_kernels(h, n_max, p, raising, kernel)
     for n in range(n_max + 1):
         for m in range(n + 1):
             for N in range(n, n_max + 1):
@@ -599,3 +614,203 @@ def test_inner_product_identities_build_no_fraction_per_case(monkeypatch, fracti
     (few, at_3), (many, at_4) = built[3, CHAIN_NORM], built[4, CHAIN_NORM]
     assert many == 360 and few < many
     assert at_3 == at_4 < few
+
+
+# --- the stencil-image identities against their GridFunction route ---------
+
+RL = "raise_after_lower_equals_D_minus_scalar"
+LR = "lower_after_raise_equals_D_minus_scalar"
+COMMUTATOR = "commutator_is_scalar"
+CHAIN_SWAP = "lowering_moves_through_raising_chain"
+COLLAPSE = "lowering_chain_collapses_raising_chain_on_kernel"
+EIGEN = "raised_kernels_are_eigenvectors_of_D"
+VERTEX = "vertex-eigenvalues"
+
+
+def _algebra_references(h, n_max, p, funcs):
+    """The five stencil-image identities of `verify_operator_algebra` by
+    their `GridFunction` route, as check_identity reports by name."""
+    ctx, q, A_h = p.ctx, p.ctx.q, p.prefix_product(h)
+    R, L = (lambda f: apply_R(f, p)), (lambda f: apply_L(f, p))
+
+    def rl():
+        for N in range(1, n_max + 1):
+            s = (1 - ctx.q_power(-N)) * (A_h * ctx.q_power(N + h - 1) - 1)
+            for k, f in enumerate(funcs(h, N)):
+                yield {"N": N, "f": k}, R(L(f)) == apply_D(f, p) - f.scale(s)
+
+    def lr():
+        for N in range(n_max):
+            s = (1 - ctx.q_power(-N - 1)) * (A_h * ctx.q_power(N + h) - 1)
+            for k, f in enumerate(funcs(h, N)):
+                yield {"N": N, "f": k}, L(R(f)) == apply_D(f, p) - f.scale(s)
+
+    def commutator():
+        for N in range(1, n_max):
+            s = ctx.q_power(-N - 1) * (1 - q) * (A_h * ctx.q_power(2 * N + h) - 1)
+            for k, f in enumerate(funcs(h, N)):
+                yield {"N": N, "f": k}, L(R(f)) - R(L(f)) == f.scale(s)
+
+    def chain_swap():
+        for n in range(n_max):
+            for k, f in enumerate(funcs(h, n)):
+                chain = [f]
+                for _ in range(n_max - n):
+                    chain.append(R(chain[-1]))
+                lchain = []
+                if n > 0:
+                    lchain.append(L(f))
+                    for _ in range(n_max - n):
+                        lchain.append(R(lchain[-1]))
+                for N in range(n + 1, n_max + 1):
+                    s = ctx.q_power(-N) * (1 - ctx.q_power(N - n)) * (A_h * ctx.q_power(N + n + h - 1) - 1)
+                    rhs = chain[N - 1 - n].scale(s)
+                    if n > 0:
+                        rhs = rhs + lchain[N - n]
+                    yield {"n": n, "N": N, "f": k}, L(chain[N - n]) == rhs
+
+    def collapse():
+        raised = _raised_kernels(h, n_max, p, apply_R, kernel_basis)
+        for n in range(n_max + 1):
+            for k in range(len(raised[n][n])):
+                for N in range(n, n_max + 1):
+                    lowered = raised[n][N][k]
+                    for m in range(N, n - 1, -1):
+                        s = (
+                            (-1) ** (N - m)
+                            * ctx.q_power(-(N - m) * (N + m + 1) // 2)
+                            * pochhammer(ctx, ctx.q_power(m - n + 1), N - m)
+                            * pochhammer(ctx, A_h * ctx.q_power(n + m + h), N - m)
+                        )
+                        yield {"n": n, "m": m, "N": N, "f": k}, lowered == raised[n][m][k].scale(s)
+                        if m > n:
+                            lowered = L(lowered)
+
+    cases = {RL: rl(), LR: lr(), COMMUTATOR: commutator(), CHAIN_SWAP: chain_swap(), COLLAPSE: collapse()}
+    return {name: check_identity(name, c) for name, c in cases.items()}
+
+
+def _eigen_reference(h, N, p):
+    """The spectral eigenvalue identity by its `GridFunction` route."""
+    for n in range(N + 1):
+        lam = eigenvalue(p, n)
+        for k, f in enumerate(kernel_basis(h, n, p)):
+            g = raise_chain(f, p, N)
+            yield {"n": n, "f": k}, apply_D(g, p) == g.scale(lam)
+
+
+def _vertex_reference(tree, labeling, p, N):
+    """`multihahn.vertex_eigen_cases` by its `GridFunction` route."""
+    grid = multihahn.basis(tree, p, sum(labeling), N)[lattice.rank_of(labeling)].grid
+    where = {"tree": tree.serialize(), "labeling": list(labeling)}
+    for vert in tree.vertices:
+        lam = multihahn.vertex_eigenvalue(tree, labeling, p, vert.index)
+        got = apply_D_at_vertex(grid, p, vert.lo, vert.hi)
+        yield {**where, "vertex": vert.index}, got == grid.scale(lam)
+    yield {**where, "vertex": "global"}, apply_D(grid, p) == grid.scale(eigenvalue(p, sum(labeling)))
+
+
+def _vertex_suite(cases, h, N, p):
+    """The vertex cases of every tree and labeling that `qtree verify
+    --suite eigen` runs, from one route."""
+    return (
+        case
+        for tree in trees.all_trees(h)
+        for n in range(min(N, 2) + 1)
+        for labeling in trees.enumerate_labelings(tree, n)
+        for case in cases(tree, labeling, p, N)
+    )
+
+
+def _stencil_reports(h, n_max, p):
+    """{identity: (report, reference report)} for the seven identities."""
+    got = {r["identity"]: r for r in verify_operator_algebra(h, n_max, p)}
+    got.update((r["identity"], r) for r in spectral_decomposition_check(h, n_max, p))
+    got[VERTEX] = check_identity(VERTEX, _vertex_suite(multihahn.vertex_eigen_cases, h, n_max, p))
+    want = _algebra_references(h, n_max, p, lambda h, N: qops._funcs_for_level(h, N, None))
+    want[EIGEN] = check_identity(EIGEN, _eigen_reference(h, n_max, p))
+    want[VERTEX] = check_identity(VERTEX, _vertex_suite(_vertex_reference, h, n_max, p))
+    return {name: (got[name], report) for name, report in want.items()}
+
+
+def _one_coefficient_off(stencil):
+    """The stencil with the first coefficient of its first nonempty row
+    raised by one."""
+    rows, den = stencil
+    r = next((r for r, (cols, _) in enumerate(rows) if cols), None)
+    if r is None:
+        return stencil
+    cols, coeffs = rows[r]
+    return rows[:r] + ((cols, (coeffs[0] + 1,) + coeffs[1:]),) + rows[r + 1 :], den
+
+
+# the identities that read each stencil, and so fail when one of its
+# coefficients is off
+READERS = {
+    "_raising_stencil": {RL, LR, COMMUTATOR, CHAIN_SWAP, COLLAPSE, EIGEN},
+    "_lowering_stencil": {RL, LR, COMMUTATOR, CHAIN_SWAP, COLLAPSE, EIGEN},
+    "_vertex_stencil": {RL, LR, EIGEN, VERTEX},
+}
+
+
+@pytest.fixture
+def fixed_draws(monkeypatch):
+    """A fixed draw of functions per level, so that each identity sees the
+    same functions however far the identities before it ran."""
+    exact_funcs = qops._funcs_for_level
+    monkeypatch.setattr(qops, "_funcs_for_level", lambda h, N, rng: exact_funcs(h, N, random.Random(N)))
+
+
+@pytest.mark.parametrize("h, n_max", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("wrong", [None, *READERS])
+@pytest.mark.usefixtures("fixed_draws")
+def test_stencil_image_identities_match_their_grid_function_route(monkeypatch, wrong, h, n_max):
+    """Report for report, the seven identities equal their `GridFunction`
+    route with every stencil exact, and with one coefficient off in every
+    stencil of one kind, where each identity that reads it fails."""
+    p = _algebra_params(h)
+    if wrong:
+        original = getattr(qops, wrong)
+        off = lambda *args: _one_coefficient_off(original(*args))
+        monkeypatch.setattr(qops, wrong, off)
+        if wrong == "_vertex_stencil":
+            monkeypatch.setattr(multihahn, wrong, off)
+    reports = _stencil_reports(h, n_max, p)
+    for name, (got, want) in reports.items():
+        assert got == want, name
+    failing = {name for name, (got, _) in reports.items() if got["status"] == "fail"}
+    assert failing == (READERS[wrong] if wrong else set())
+
+
+@pytest.mark.parametrize("h, n_max", [(3, 3), (4, 2)])
+@pytest.mark.usefixtures("fixed_draws")
+def test_stencil_image_identities_match_at_mixed_signs(h, n_max):
+    """Unchecked parameters of both signs: the same reports by both routes."""
+    alphas = (Fraction(-5, 3), Fraction(7, 9), Fraction(-11, 27), Fraction(13, 9))
+    p = ParamSet(make_ctx(), alphas[:h], unchecked=True)
+    for name, (got, want) in _stencil_reports(h, n_max, p).items():
+        assert got == want, name
+        assert got["status"] == "pass", name
+
+
+def test_stencil_image_identities_build_no_fraction_per_case(monkeypatch, fraction_builds):
+    """The five identities of the operator algebra build only their
+    per-level scalars, as many at h = 3 as at h = 4; the two eigenvalue
+    identities build no `Fraction` at all."""
+    monkeypatch.setattr(qops, "check_identity", lambda name, cases: (name, cases))
+    built = {}
+    for h in (3, 4):
+        p = _algebra_params(h)
+        generators = dict(verify_operator_algebra(h, 3, p, seed=1))
+        generators.update(spectral_decomposition_check(h, 3, p))
+        generators[VERTEX] = _vertex_suite(multihahn.vertex_eigen_cases, h, 3, p)
+        for name in (RL, LR, COMMUTATOR, CHAIN_SWAP, COLLAPSE, EIGEN, VERTEX):
+            fraction_builds.clear()
+            cases = list(generators[name])
+            assert all(ok for _, ok in cases), (h, name)
+            built[h, name] = (len(cases), len(fraction_builds))
+    for name in (RL, LR, COMMUTATOR, CHAIN_SWAP, COLLAPSE):
+        (few, at_3), (many, at_4) = built[3, name], built[4, name]
+        assert few < many and at_3 == at_4, name
+    for name in (EIGEN, VERTEX):
+        assert built[3, name][1] == built[4, name][1] == 0, name
