@@ -5,11 +5,17 @@ rotated tree's basis; the change-of-basis matrix factors through a
 single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
 multidimensional q-Racah polynomials.  Each move is a cached table of
-integer numerators over one denominator, built from the integer q-Racah
-columns of `hahn1d` without Fractions; `apply_move` pushes a
-combination of one degree, as integer weights over one denominator,
-through that degree's table, reducing once per move, and a matrix keeps
-each finished row in that form, reading it as Fractions only on request.
+integer numerators over one denominator, built without Fractions: a
+labeling enters only through five coefficient sums of the rotating
+vertex's blocks, read off pre-order slices, and its row is the local
+q-Racah column of those sums, taken from the integer columns of `hahn1d`
+and held in one bounded cache that every move with the same rotating
+spans and every degree share.  `connection_by_path` pushes each source
+row through all of its path's tables in integers and reduces it once,
+over the product of the tables' denominators; `apply_move`, one move
+of a combination of one degree, runs the same push loop.  A matrix
+keeps each finished row in that form, reading it as Fractions only on
+request.
 A brute-force inner-product oracle computes the same matrix from the
 definition, one integer dot product per entry against target columns
 weighted once, and works for any pair of trees, reachable or not.  The
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -53,14 +59,7 @@ from .qnum import (
     q_factorial,
 )
 from .qops import apply_L, check_identity
-from .trees import (
-    MoveRecord,
-    PlanarTree,
-    child_sums,
-    coefficient_sums,
-    enumerate_labelings,
-    find_rl_path,
-)
+from .trees import MoveRecord, PlanarTree, enumerate_labelings, find_rl_path
 
 __all__ = [
     "NotInKernel",
@@ -90,9 +89,9 @@ class NotInKernel(ValueError):
 # Bound set on the `rotations` benchmark, whose rounds use about 70 tables
 # each.  Replaying the 572 requests of a 20 s run in one process, seeds 3
 # and 11: 64 slots miss 1459 and 1462 times, against 1456 and 1460 with no
-# bound (which holds every table, 40 MB of peak RSS); 32 miss 1584 and
-# 1581, and 128 add 1.0 and 0.9 MB of peak RSS (20.3 MB at 64) for 3 and
-# 2 fewer misses.
+# bound (which holds every table, 43 MB of peak RSS); 32 miss 1584 and
+# 1581, and 128 add 0.7 and 0.8 MB of peak RSS (25.6 and 25.5 MB at 64)
+# for 3 and 2 fewer misses.
 @lru_cache(maxsize=64)
 def _move_table(
     move: MoveRecord, n: int, params: ParamSet
@@ -103,59 +102,30 @@ def _move_table(
 
     The rotating vertex U of the source tree has the block T' as its left
     child and R = (T'' T''') as its right child.  A labeling enters only
-    through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U);
-    the p-values p1 = lp(U), p2 = lp(R), p3 = rp(R) of the three blocks
-    are fixed by the move.  The expansion runs over the new left-child
-    label only; every other vertex keeps its label.  The coefficient of
-    the target with new left-child sum u (i + l <= u <= n_U - j) is
-
-        q^(-i(v - l - j))
-        r_{u-i-l}(v - l - j; p2 q^(2l-1), p1 q^(2i-1),
-                  p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q),
-
-    and vanishing coefficients are omitted.  Each distinct local column,
-    keyed by those five integers, is taken once per table from the integer
-    pairs of `hahn1d._racah_pairs`, which give every degree u - i - l at
-    once.  The prefactor and the three parameters are integer pairs too,
-    so no Fraction is built.  D is the lcm of the coefficients' reduced
-    denominators.  Tables are cached per (move, n, params) and shared, so
-    never mutate one.
+    through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U),
+    read as sums over the pre-order slices of T', T'' and T''' and the
+    labels of U and R.  The expansion runs over the new left-child label
+    only; every other vertex keeps its label, and each row takes its
+    coefficients from the `_local_column` of its five sums.  D is the lcm
+    of the columns' reduced denominators.  Tables are cached per
+    (move, n, params) and shared, so never mutate one.
     """
     tree = move.source
     U = tree.vertices[move.vertex]
     R = tree.vertices[U.right]
-    q = params.ctx.q
-    a, b = q.numerator, q.denominator
-    p1 = params.p_pair(U.lo, U.split)
-    p2 = params.p_pair(R.lo, R.split)
-    p23 = params.p_pair(R.lo, R.hi)  # p2 p3
-
-    # pre-order: U, T', R, then T'' and T''' up to the end of U's subtree
-    k, r, end = U.index, R.index, U.index + U.hi - U.lo - 1
-    columns: dict[tuple[int, ...], list[tuple[tuple[int, int], int, int]]] = {}
+    spans = (params, U.lo, U.split, R.split, R.hi)
+    # pre-order: U, T', R, T'', then T''' up to the end of U's subtree
+    k, r = U.index, R.index
+    t3, end = r + R.split - R.lo, k + U.hi - U.lo - 1
+    columns: dict[tuple[int, ...], tuple[tuple[tuple[int, int], int, int], ...]] = {}
     keyed = []
     for cvec in enumerate_labelings(tree, n):
-        cs = coefficient_sums(tree, cvec)
-        (i, v), (l, j), n_U = child_sums(U, cs), child_sums(R, cs), cs[k]
-        key = (i, v, l, j, n_U)
+        i, l, j = sum(cvec[k + 1 : r]), sum(cvec[r + 1 : t3]), sum(cvec[t3:end])
+        v = cvec[r] + l + j
+        key = (i, v, l, j, cvec[k] + i + v)
         keyed.append((cvec, key))
-        if key in columns:
-            continue
-        pre_num, pre_den = _power_pair(a, b, -i * (v - l - j))
-        pairs = _racah_pairs(
-            a,
-            b,
-            v - l - j,
-            _shifted(*p2, 2 * l - 1, a, b),
-            _shifted(*p1, 2 * i - 1, a, b),
-            _shifted(*p23, n_U + l + j - i - 1, a, b),
-            n_U - i - l - j,
-        )
-        columns[key] = [
-            ((n_U - i - l - j - m, m), *_reduced(pre_num * num, pre_den * den))
-            for m, (num, den) in enumerate(pairs)
-            if num
-        ]
+        if key not in columns:
+            columns[key] = _local_column(*spans, *key)
     D = lcm(*(den for column in columns.values() for _, _, den in column))
     scaled = {
         key: [(pair, num * (D // den)) for pair, num, den in column]
@@ -169,6 +139,64 @@ def _move_table(
             (prefix + pair + blocks + suffix, num) for pair, num in scaled[key]
         )
     return table, D
+
+
+# Bound set on the `rotations` benchmark and the h = 7 connections suite.
+# Replaying the 572 requests of a 20 s `rotations` run in one process,
+# seeds 3 and 11: 1024 columns hit 5723 and 5287 times, as many as with no
+# bound, since each round's alphas make new keys; 512 hit 5558 and 4959,
+# 256 hit 3891 and 3359, and 4096 add 2.9 and 3.1 MB of peak RSS (25.7
+# and 25.4 MB at 1024) for no more hits.  The suite builds each of its 885
+# distinct columns once at 1024, where 512 build 2884 and 256 build 8695.
+@lru_cache(maxsize=1024)
+def _local_column(
+    params: ParamSet,
+    lo: int,
+    split: int,
+    r_split: int,
+    hi: int,
+    i: int,
+    v: int,
+    l: int,
+    j: int,
+    n_U: int,
+) -> tuple[tuple[tuple[int, int], int, int], ...]:
+    """The one-move coefficients of every labeling with the child sums
+    i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U), for a
+    rotating vertex U over (lo, hi] split at `split` whose right child R
+    splits at `r_split`.  With p1 = p(lo, split), p2 = p(split, r_split)
+    and p2 p3 = p(split, hi), the coefficient of the target whose new left
+    child has the sum u (i + l <= u <= n_U - j) is
+
+        q^(-i(v - l - j))
+        r_{u-i-l}(v - l - j; p2 q^(2l-1), p1 q^(2i-1),
+                  p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q).
+
+    Each is ((new label of U, new left-child label), num, den), reduced
+    with den > 0, and vanishing coefficients are omitted.  The integer
+    pairs of `hahn1d._racah_pairs` give every degree u - i - l at once,
+    and the prefactor and the three parameters are integer pairs too, so
+    no Fraction is built.  Shared by every move with the same spans and by
+    every degree through the cache: never mutate one.
+    """
+    q = params.ctx.q
+    a, b = q.numerator, q.denominator
+    x, N = v - l - j, n_U - i - l - j
+    pre_num, pre_den = _power_pair(a, b, -i * x)
+    pairs = _racah_pairs(
+        a,
+        b,
+        x,
+        _shifted(*params.p_pair(split, r_split), 2 * l - 1, a, b),
+        _shifted(*params.p_pair(lo, split), 2 * i - 1, a, b),
+        _shifted(*params.p_pair(split, hi), n_U + l + j - i - 1, a, b),
+        N,
+    )
+    return tuple(
+        ((N - m, m), *_reduced(pre_num * num, pre_den * den))
+        for m, (num, den) in enumerate(pairs)
+        if num
+    )
 
 
 _ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
@@ -186,6 +214,24 @@ def _row(table: dict, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> tuple:
     if row is None:
         raise ValueError(f"{cvec} is not a degree-{n} labeling of {move.source}")
     return row
+
+
+def _push(
+    nums: dict[tuple[int, ...], int], steps: Sequence[tuple[MoveRecord, tuple]], n: int
+) -> dict[tuple[int, ...], int]:
+    """Integer weights of degree-n labelings pushed through the move tables
+    of `steps`, (move, (table, D)) pairs in path order: the numerators,
+    unreduced, over the weights' denominator times every D.  Zero weights
+    are skipped; ValueError when a weighted labeling is not a row of its
+    move's table."""
+    for move, (table, _) in steps:
+        out: dict[tuple[int, ...], int] = {}
+        for cvec, w in nums.items():
+            if w:
+                for dvec, value in _row(table, move, n, cvec):
+                    out[dvec] = out.get(dvec, 0) + w * value
+        nums = out
+    return nums
 
 
 def one_move_coefficients(
@@ -213,21 +259,17 @@ def apply_move(
     weights by labeling over one positive denominator.  Zero weights are
     dropped, and the degree is that of the first labeling left.  The
     result is put over that denominator times the degree's move-table
-    denominator, then reduced by one gcd, so it is in lowest terms.
-    ValueError when a weighted labeling is not a labeling of the move's
-    source tree at that degree.
+    denominator by `_push`, the loop that `connection_by_path` runs, then
+    reduced by one gcd, so it is in lowest terms.  ValueError when a
+    weighted labeling is not a labeling of the move's source tree at that
+    degree.
     """
     nums, den = weights
     n = next((sum(cvec) for cvec, w in nums.items() if w), None)
     if n is None:
         return {}, 1
-    table, D = _move_table(move, n, params)
-    out: dict[tuple[int, ...], int] = {}
-    for cvec, w in nums.items():
-        if w:
-            for dvec, value in _row(table, move, n, cvec):
-                out[dvec] = out.get(dvec, 0) + w * value
-    return _reduced_row(out, den * D)
+    table = _move_table(move, n, params)
+    return _reduced_row(_push(nums, ((move, table),), n), den * table[1])
 
 
 @dataclass(frozen=True)
@@ -401,8 +443,11 @@ def connection_by_path(
     """Connection matrix as a product of one-move expansions.
 
     Without an explicit path the shortest right-to-left rotation path is
-    used; NotRightReachable propagates when none exists.  Each row is what
-    `apply_move` returns after the last move, already canonical.
+    used; NotRightReachable propagates when none exists.  Each move's
+    table is read once per call, and each source row is pushed through
+    every table in integers by `_push`, then reduced once over the
+    product D of the tables' denominators: the canonical row that
+    `apply_move` reaches by reducing after every move.
     """
     if path is None:
         path = find_rl_path(source, target)
@@ -416,12 +461,12 @@ def connection_by_path(
         current = move.target
     if current != target:
         raise ValueError(f"path ends at {current}, expected {target}")
-    rows = {}
-    for cvec in enumerate_labelings(source, n):
-        weights = ({cvec: 1}, 1)
-        for move in path:
-            weights = apply_move(move, weights, params)
-        rows[cvec] = weights
+    steps = [(move, _move_table(move, n, params)) for move in path]
+    D = prod(table[1] for _, table in steps)
+    rows = {
+        cvec: _reduced_row(_push({cvec: 1}, steps, n), D)
+        for cvec in enumerate_labelings(source, n)
+    }
     return ConnectionMatrix(source, target, n, params, rows, path)
 
 

@@ -16,13 +16,14 @@ The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
 classical q-Racah bridge and is the cross-check.  `_racah_pairs` returns
 every degree at one lattice point in one pass, from q-shifted factorials
-shared by all degrees, in integer arithmetic, keyed by integers; the
-rotation move tables in `connect` read it.  Tests compare the two routes entry by
-entry.
+shared by all degrees, in integer arithmetic; the local columns of the
+rotation move tables in `connect` read it and cache those, not the
+columns (`_racah_pairs` keeps no cache).  Tests compare the two routes
+entry by entry.
 
 Both one-pass bodies, `hahn_row` and `_racah_pairs`, return reduced
 integer pairs (numerator, denominator) with a positive denominator and
-build no Fraction; `multihahn.basis` and `connect._move_table` keep the
+build no Fraction; `multihahn.basis` and `connect._local_column` keep the
 pairs up to the finished grid or move table.  The Fraction views left are
 the termwise routes `hahn_eval` and `racah_eval`, which serve single
 values and the cross-checks.
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import GridFunction, ParamSet
+from ._linalg import over_common_denominator
+from .lattice import ParamSet
 from .qnum import (
     QContext,
     Rational,
@@ -54,7 +56,7 @@ from .qnum import (
     q_factorial,
     rational_sqrt,
 )
-from .qops import apply_D, check_identity
+from .qops import _eigenvalue, _push, _same, _scaled, _vertex_stencil, check_identity
 
 __all__ = [
     "NonSquareRadicand",
@@ -280,13 +282,6 @@ def hahn_norm(spec: Hahn1DSpec) -> Fraction:
     )
 
 
-def _hahn_grid(ctx: QContext, n: int, alpha: Fraction, beta: Fraction, N: int) -> GridFunction:
-    """The level-N polynomial as a two-variable grid function (x, N - x)."""
-    values = tuple(hahn_eval(ctx, n, N - x2, alpha, beta, N) for x2 in range(N + 1))
-    # enumeration of [2; N] is (0, N), (1, N-1), ..., (N, 0)
-    return GridFunction(2, N, tuple(reversed(values)))
-
-
 def verify_hahn_recurrences(
     ctx: QContext, alpha: Rational, beta: Rational, n_max: int
 ) -> list[dict]:
@@ -302,8 +297,10 @@ def verify_hahn_recurrences(
         q^(-n) (1 - q^n) (1 - alpha beta q^(n+1)).
 
     Raising and lowering are checked against their explicit two-variable
-    displays; the eigen relation goes through the operator module.
-    Returns one `check_identity` report per relation.
+    displays.  The eigen relation goes through the operator module: the
+    integer image of the values under the stencil of D is compared with
+    the values times the eigenvalue, cross-multiplied, so no case builds
+    a GridFunction.  Returns one `check_identity` report per relation.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     p = ParamSet(ctx, (alpha, beta), unchecked=True)
@@ -349,10 +346,12 @@ def verify_hahn_recurrences(
 
     def eigen_cases():
         for n in range(n_max + 1):
-            lam = ctx.q_power(-n) * (1 - ctx.q_power(n)) * (1 - alpha * beta * ctx.q_power(n + 1))
+            lam = _eigenvalue(ctx, p.p_pair(0, 2), n)  # P = alpha beta q^2
             for N in range(n, n_max + 1):
-                grid = _hahn_grid(ctx, n, alpha, beta, N)
-                yield {"n": n, "N": N}, apply_D(grid, p) == grid.scale(lam)
+                # the point (x, N - x) of [2; N] has rank x
+                v = over_common_denominator(value(n, x, N) for x in range(N + 1))
+                image = _push(_vertex_stencil(p, N, 0, 2), v)
+                yield {"n": n, "N": N}, _same(image, _scaled(v, lam))
 
     return [
         check_identity("raising_shifts_level", raise_cases()),
@@ -442,12 +441,6 @@ def racah_eval(
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
 
 
-# Bound set on the `rotations` benchmark, replaying the 572 requests of a
-# 20 s run in one process, seeds 3 and 11: 1024 columns hit 5723 and 5287
-# times, against 5733 and 5297 with no bound; 256 hit 3891 and 3359, and
-# 4096 add 2.9 and 2.8 MB of peak RSS (20.3 MB at 1024) for 6 and 0 more
-# hits.
-@lru_cache(maxsize=1 << 10)
 def _racah_pairs(
     a: int,
     b: int,

@@ -371,16 +371,19 @@ def vertex_eigen_cases(
     (locator, ok) pairs for `check_identity`, one per vertex and one for
     vertex "global", the full operator; each locator names the tree and
     the labeling.  The full operator is the root's, on the span (0, h] with
-    cs = n, so "global" repeats the root's verdict.  Each case compares the
-    stencil image of the basis function's numerators with its numerators
-    times the eigenvalue, cross-multiplied, so no case builds a
+    cs = n, so "global" repeats the root's verdict; a one-leaf tree has no
+    vertex, and its "global" case is checked on (0, h] itself.  Each case
+    compares the stencil image of the basis function's numerators with its
+    numerators times the eigenvalue, cross-multiplied, so no case builds a
     GridFunction or a Fraction.
     """
     labeling = tuple(labeling)
     if len(labeling) != tree.n_internal:
         raise ValueError(f"labeling {labeling} does not fit the tree {tree}")
     _check_h(tree.h, params)
-    v = basis(tree, params, sum(labeling), N)[rank_of(labeling)].grid._integer_form
+    n = sum(labeling)
+    # the one basis element of a tree with no vertex has the empty labeling
+    v = basis(tree, params, n, N)[rank_of(labeling) if labeling else 0].grid._integer_form
     where = {"tree": tree.serialize(), "labeling": list(labeling)}
     cs = coefficient_sums(tree, labeling)
 
@@ -392,7 +395,9 @@ def vertex_eigen_cases(
     for vert in tree.vertices:  # in pre-order, so the root comes first
         verdicts.append(is_eigenvector(vert.lo, vert.hi, cs[vert.index]))
         yield {**where, "vertex": vert.index}, verdicts[-1]
-    yield {**where, "vertex": "global"}, verdicts[0]
+    yield {**where, "vertex": "global"}, (
+        verdicts[0] if verdicts else is_eigenvector(0, tree.h, n)
+    )
 
 
 # --- closed forms for the two comb trees ---------------------------------

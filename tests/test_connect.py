@@ -49,9 +49,11 @@ from qtreehahn import (
     theta_polynomial,
     three_dim_racah_example_check,
     transplant_right_to_left,
+    vertex_eigenvalue,
     xi_polynomial,
 )
-from qtreehahn.connect import _move_table
+from qtreehahn import connect
+from qtreehahn.connect import _local_column, _move_table
 from qtreehahn.hahn1d import _racah_pairs
 
 from conftest import make_params
@@ -156,6 +158,51 @@ def _reachable_pairs(h):
             if src != tgt:
                 pairs.append((src, tgt))
     return pairs
+
+
+def test_path_push_equals_the_per_move_composition_and_the_oracle():
+    """Every reachable pair with h <= 5 at degrees 0..3: each row pushed
+    through the whole path and reduced once is the row that `apply_move`
+    returns move by move, reducing after each, and the oracle's row."""
+    for h in range(2, 6):
+        p = make_params(h)
+        for src, tgt in _reachable_pairs(h):
+            path = find_rl_path(src, tgt)
+            for n in range(4):
+                got = connection_by_path(src, tgt, n, p, path=path)
+                for c in enumerate_labelings(src, n):
+                    weights = ({c: 1}, 1)
+                    for move in path:
+                        weights = apply_move(move, weights, p)
+                    assert got.integer_rows[c] == weights, (src, tgt, c)
+                want = connection_oracle(src, tgt, n, p)
+                assert got.integer_rows == want.integer_rows, (src, tgt, n)
+
+
+def test_path_matrices_vanish_where_a_shared_span_has_unequal_eigenvalues():
+    """Q^S_c and Q^T_d are eigenfunctions of the operator of every span
+    that is a vertex of both trees, and that operator is symmetric, so
+    r_c(d) = 0 wherever the two eigenvalues there differ: every reachable
+    pair with h <= 5 at degrees 0..3."""
+    marked = 0
+    for h in range(3, 6):
+        p = make_params(h)
+        for src, tgt in _reachable_pairs(h):
+            tgt_vertices = {(w.lo, w.hi): w.index for w in tgt.vertices}
+            shared = [
+                (u.index, tgt_vertices[u.lo, u.hi]) for u in src.vertices if (u.lo, u.hi) in tgt_vertices
+            ]
+            for n in range(4):
+                conn = connection_by_path(src, tgt, n, p)
+                for c in conn.source_labelings():
+                    for d in conn.target_labelings():
+                        if any(
+                            vertex_eigenvalue(src, c, p, u) != vertex_eigenvalue(tgt, d, p, w)
+                            for u, w in shared
+                        ):
+                            assert conn.value(c, d) == 0, (src, tgt, c, d)
+                            marked += 1
+    assert marked > 0
 
 
 # The two positivity regimes at q = 1/4 with n_max = 3: every alpha in
@@ -363,11 +410,44 @@ def test_move_tables_build_no_fraction(fraction_builds):
     p5 = make_params(5)
     moves = list(_moves(5))
     fraction_builds.clear()
-    _racah_pairs.cache_clear()
+    _local_column.cache_clear()
     for move in moves:
         for n in range(4):
             _move_table.__wrapped__(move, n, p5)
     assert fraction_builds == []
+
+
+def test_each_local_column_is_built_once_across_moves_and_degrees(monkeypatch):
+    """The move tables of every five-leaf move at degrees 0..3 build one
+    local column per distinct (spans, i, v, l, j, n_U), with the sums read
+    by the `coefficient_sums` walk, and share it between moves and
+    degrees."""
+    p5 = make_params(5)
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _racah_pairs(*args)
+
+    monkeypatch.setattr(connect, "_racah_pairs", counted)
+    _local_column.cache_clear()
+    keys, looked_up = set(), 0
+    for move in _moves(5):
+        tree = move.source
+        U = tree.vertices[move.vertex]
+        R = tree.vertices[U.right]
+        for n in range(4):
+            _move_table.__wrapped__(move, n, p5)
+            table_keys = set()
+            for c in enumerate_labelings(tree, n):
+                cs = coefficient_sums(tree, c)
+                (i, v), (l, j) = child_sums(U, cs), child_sums(R, cs)
+                table_keys.add((U.lo, U.split, R.split, R.hi, i, v, l, j, cs[U.index]))
+            keys |= table_keys
+            looked_up += len(table_keys)
+    info = _local_column.cache_info()
+    assert len(builds) == info.misses == info.currsize == len(keys)
+    assert info.hits == looked_up - len(keys) > 0
 
 
 def _push_by_fractions(move, weights, params):

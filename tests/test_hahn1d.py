@@ -11,8 +11,10 @@ from qtreehahn import (
     GridFunction,
     Hahn1DSpec,
     NonSquareRadicand,
+    ParamSet,
     QContext,
     Racah1DSpec,
+    apply_D,
     gr_racah_bridge,
     hahn_eval,
     hahn_norm,
@@ -26,6 +28,7 @@ from qtreehahn import (
     vandermonde_sum_check,
     verify_hahn_recurrences,
 )
+from qtreehahn import hahn1d
 from qtreehahn._linalg import rref
 from qtreehahn.hahn1d import _racah_pairs
 
@@ -281,6 +284,34 @@ def test_recurrence_reports():
     for r in reports:
         assert r["status"] == "pass"
         assert r["counterexample"] is None
+
+
+def test_eigen_cases_match_the_grid_function_route_and_a_wrong_eigenvalue_fails(monkeypatch):
+    """The diagonal-operator identity passes exactly where `apply_D` of the
+    level-N polynomial equals its `GridFunction` scaled by the displayed
+    eigenvalue, in both sign regimes, and fails at its first case when the
+    eigenvalue is that of the next degree."""
+    for alphas in (make_params(2).alphas, (Fraction(-5, 3), Fraction(7, 9))):
+        alpha, beta = alphas
+        p = ParamSet(CTX, alphas, unchecked=True)
+        cases = 0
+        for n in range(5):
+            lam = CTX.q_power(-n) * (1 - CTX.q_power(n)) * (1 - alpha * beta * CTX.q_power(n + 1))
+            for N in range(n, 5):
+                grid = GridFunction(2, N, tuple(hahn_eval(CTX, n, x, alpha, beta, N) for x in range(N + 1)))
+                assert apply_D(grid, p) == grid.scale(lam)
+                cases += 1
+        report = verify_hahn_recurrences(CTX, alpha, beta, 4)[2]
+        assert report == {
+            "identity": "diagonal_operator_eigenvalue",
+            "cases": cases,
+            "status": "pass",
+            "counterexample": None,
+        }
+    exact = hahn1d._eigenvalue
+    monkeypatch.setattr(hahn1d, "_eigenvalue", lambda ctx, P, n: exact(ctx, P, n + 1))
+    report = verify_hahn_recurrences(CTX, alpha, beta, 4)[2]
+    assert (report["status"], report["counterexample"]) == ("fail", {"n": 0, "N": 0})
 
 
 def test_vandermonde_domain():

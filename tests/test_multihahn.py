@@ -378,6 +378,27 @@ def test_a_wrong_root_stencil_fails_the_root_and_global_cases(monkeypatch):
                     assert failing == [0, "global"], (tree, lab)
 
 
+def test_a_one_leaf_tree_checks_its_global_case_on_the_whole_span(monkeypatch):
+    """A tree with no vertex yields only the "global" case, read on the
+    span (0, h] with the empty labeling's basis element: it passes, and
+    fails once the identity is added to that span's stencil."""
+    tree = parse_tree("1")
+    p = ParamSet(CTX, (Fraction(1, 3),))
+    for N in range(4):
+        assert list(vertex_eigen_cases(tree, (), p, N)) == [
+            ({"tree": "1", "labeling": [], "vertex": "global"}, True)
+        ]
+    original = multihahn._vertex_stencil
+
+    def plus_identity(p, N, lo, hi):
+        rows, den = original(p, N, lo, hi)
+        assert (lo, hi) == (0, 1)
+        return tuple((cols + (r,), coeffs + (den,)) for r, (cols, coeffs) in enumerate(rows)), den
+
+    monkeypatch.setattr(multihahn, "_vertex_stencil", plus_identity)
+    assert [ok for _, ok in vertex_eigen_cases(tree, (), p, 2)] == [False]
+
+
 def test_raise_basis_element_consistency():
     p = make_params(3)
     tree = parse_tree("(1 (2 3))")

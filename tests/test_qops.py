@@ -462,6 +462,33 @@ def test_interleaved_parameter_sets_match_fresh_caches():
             assert results(p) == fresh[k]
 
 
+MIXED_ALPHAS = (Fraction(-5, 3), Fraction(7, 9), Fraction(-11, 27), Fraction(13, 9), Fraction(-17, 3))
+
+
+@pytest.mark.parametrize("regime", ["positivity", "mixed-signs"])
+def test_every_span_operator_is_symmetric_for_the_weight(regime):
+    """<D_U f, g> = <f, D_U g> for the operator of every span (lo, hi] at
+    h <= 5 and levels N <= 3, on random functions, at alphas in the
+    positivity regime and at unchecked alphas of both signs.  This is
+    what makes tree bases orthogonal, and connection matrices vanish
+    where a shared span carries unequal eigenvalues."""
+    rng = random.Random(5)
+    spans = 0
+    for h in range(2, 6):
+        if regime == "positivity":
+            p = make_params(h)
+        else:
+            p = ParamSet(make_ctx(), MIXED_ALPHAS[:h], unchecked=True)
+        for N in range(4):
+            f, g = _random_grid(h, N, rng), _random_grid(h, N, rng)
+            for lo in range(h):
+                for hi in range(lo + 1, h + 1):
+                    lhs = inner_product(apply_D_at_vertex(f, p, lo, hi), g, p)
+                    assert lhs == inner_product(f, apply_D_at_vertex(g, p, lo, hi), p), (h, N, lo, hi)
+                    spans += 1
+    assert spans == 4 * (3 + 6 + 10 + 15)
+
+
 def test_every_cache_is_bounded():
     caches = {
         f"{obj.__module__}.{obj.__qualname__}": obj
@@ -477,7 +504,7 @@ def test_every_cache_is_bounded():
         "hahn1d.hahn_eval",
         "multihahn._column",
         "hahn1d.racah_eval",
-        "hahn1d._racah_pairs",
+        "connect._local_column",
         "connect._move_table",
         "trees._rl_parents",
     ):
