@@ -30,7 +30,7 @@ from .connect import (
 )
 from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
 from .lattice import OutsidePositivityRegime, ParamSet, _weighted, enumerate_compositions
-from .multihahn import basis, eval_Q, vertex_eigen_cases
+from .multihahn import _norm_pair, basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
 from .qops import (
     check_identity,
@@ -263,13 +263,14 @@ def cmd_gram(args) -> int:
         for j in range(i, len(elements)):
             nums, den = elements[j].grid._integer_form
             dot = sum(map(mul, weighted, nums))
-            value = Fraction(dot, w_den * den) if dot else 0
-            if value:
-                entries.append({"i": i, "j": j, "value": str(value)})
+            if dot:
+                entries.append({"i": i, "j": j, "value": _ratio_text(dot, w_den * den)})
                 if i != j:
                     diagonal = False
-            if i == j and value != ei.norm_squared():
-                norms_match = False
+            if i == j:
+                g_num, g_den = _norm_pair(ei.tree, ei.labeling, params, N)
+                if dot * g_den != g_num * w_den * den:
+                    norms_match = False
     elapsed = time.monotonic() - started
     _emit(
         args,

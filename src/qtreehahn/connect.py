@@ -16,14 +16,16 @@ over the product of the tables' denominators; `apply_move`, one move
 of a combination of one degree, runs the same push loop.  A matrix
 keeps each finished row in that form, reading it as Fractions only on
 request.
-A brute-force inner-product oracle computes the same matrix from the
-definition, one integer dot product per entry against target columns
-weighted once, and works for any pair of trees, reachable or not.  The
-way back against the rotation order is the inverse matrix, which needs
-no elimination: both bases are orthogonal with closed-form norms, so it
-is the transpose rescaled by the ratios of those norms, summed from the
-integer rows, and a matrix is orthogonal exactly when its product with
-that inverse is the identity.
+An inner-product oracle computes the same matrix from the definition,
+reading only the two bases, for any pair of trees.  It is block-diagonal:
+labelings are keyed by their eigenvalues at the spans both trees share,
+and a source row takes integer dot products only with the target columns
+of its block, over the lcm of the block's norms.  The way back against
+the rotation order is the inverse matrix, which needs no elimination:
+both bases are orthogonal with closed-form norms, so it is the transpose
+rescaled by the ratios of those norms, summed from the integer rows, and
+a matrix is orthogonal exactly when its product with that inverse is the
+identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -58,7 +60,7 @@ from .qnum import (
     q_binomial,
     q_factorial,
 )
-from .qops import apply_L, check_identity
+from .qops import _eigenvalue, apply_L, check_identity
 from .trees import MoveRecord, PlanarTree, enumerate_labelings, find_rl_path
 
 __all__ = [
@@ -175,14 +177,14 @@ def _local_column(
     Each is ((new label of U, new left-child label), num, den), reduced
     with den > 0, and vanishing coefficients are omitted.  The integer
     pairs of `hahn1d._racah_pairs` give every degree u - i - l at once,
-    and the prefactor and the three parameters are integer pairs too, so
-    no Fraction is built.  Shared by every move with the same spans and by
+    with the q-power prefactor folded in before their one reduction, and
+    the prefactor and the three parameters are integer pairs too, so no
+    Fraction is built.  Shared by every move with the same spans and by
     every degree through the cache: never mutate one.
     """
     q = params.ctx.q
     a, b = q.numerator, q.denominator
     x, N = v - l - j, n_U - i - l - j
-    pre_num, pre_den = _power_pair(a, b, -i * x)
     pairs = _racah_pairs(
         a,
         b,
@@ -191,12 +193,9 @@ def _local_column(
         _shifted(*params.p_pair(lo, split), 2 * i - 1, a, b),
         _shifted(*params.p_pair(split, hi), n_U + l + j - i - 1, a, b),
         N,
+        _power_pair(a, b, -i * x),
     )
-    return tuple(
-        ((N - m, m), *_reduced(pre_num * num, pre_den * den))
-        for m, (num, den) in enumerate(pairs)
-        if num
-    )
+    return tuple(((N - m, m), num, den) for m, (num, den) in enumerate(pairs) if num)
 
 
 _ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
@@ -479,18 +478,43 @@ def connection_oracle(
     the degree-n lattice; no rotation path is needed, so this also covers
     pairs the one-move formula cannot reach.
 
-    Each target column is weighted once by `lattice._weighted`, and its
-    norm is the integer dot product with its own numerators.  Every
-    entry is then one integer dot product of a source row with that
-    column: with the source numerators over d_s and the target's over
-    d_t, r_d(c) = dot * d_t / (d_s * norm), the common weight
-    denominator cancelling.  Each row is put over d_s * M, with M the lcm
-    of the norms' absolute values taken once per call, so the entry's
-    numerator is dot * d_t * (M / norm), signed; the row is reduced once.
+    Q_c and Q_d are eigenfunctions of the symmetric operator of every
+    span U below the root that is a vertex of both trees, so
+    <Q_c, Q_d> = 0 unless their eigenvalues lambda_U(cs) there agree.
+    These are tabled once per call at levels 0..n as reduced integer
+    pairs, each labeling is keyed by them, and a source row is dotted only
+    with the target columns of its key, its block.  Since lambda(m) -
+    lambda(m') = (q^(-m) - q^(-m')) (1 - p(U) q^(m+m'-1)), two levels
+    share a block only where p(U) q^(m+m'-1) = 1, and their entries are
+    then computed, not skipped.
+
+    Each target column is weighted once by `lattice._weighted`; its norm,
+    the dot product with its own numerators, is taken for every target in
+    basis order.  With the source numerators over d_s and the target's
+    over d_t, r_d(c) = dot * d_t / (d_s * norm).  A row goes over
+    d_s * M, M the lcm of the absolute norms in its block, so the entry's
+    numerator is dot * d_t * (M / norm), signed; it is reduced once.
     """
     src = basis(source, params, n, n)
     tgt = basis(target, params, n, n)
-    columns = []
+    tgt_vertices = {(w.lo, w.hi): w for w in target.vertices}
+    shared = [
+        (u, tgt_vertices[u.lo, u.hi])
+        for u in source.vertices[1:]
+        if (u.lo, u.hi) in tgt_vertices
+    ]
+    eigen = [
+        [_reduced(*_eigenvalue(params.ctx, params.p_pair(u.lo, u.hi), m)) for m in range(n + 1)]
+        for u, _ in shared
+    ]
+
+    def keyer(vertices):
+        # a vertex's subtree is the slice of the pre-order from its index
+        cuts = [(v.index, v.index + v.hi - v.lo - 1) for v in vertices]
+        return lambda cvec: tuple(table[sum(cvec[i:j])] for table, (i, j) in zip(eigen, cuts))
+
+    src_key, tgt_key = keyer(u for u, _ in shared), keyer(w for _, w in shared)
+    blocks = {}
     for elem in tgt:
         nums, den = elem.grid._integer_form
         weighted = _weighted(elem.grid, params)[0]
@@ -499,12 +523,16 @@ def connection_oracle(
             raise ZeroDenominator(
                 f"basis element {elem.labeling} of {target} has zero norm"
             )
-        columns.append((elem.labeling, weighted, den, norm))
-    M = lcm(*(norm for *_, norm in columns))
-    columns = [(d, weighted, d_t * (M // norm)) for d, weighted, d_t, norm in columns]
+        blocks.setdefault(tgt_key(elem.labeling), []).append(
+            (elem.labeling, weighted, den, norm)
+        )
+    for k, block in blocks.items():
+        M = lcm(*(norm for *_, norm in block))
+        blocks[k] = M, [(d, weighted, d_t * (M // norm)) for d, weighted, d_t, norm in block]
     rows = {}
     for es in src:
         nums, den = es.grid._integer_form
+        M, columns = blocks.get(src_key(es.labeling), (1, ()))
         row = {}
         for labeling, weighted, factor in columns:
             dot = sum(map(mul, nums, weighted))

@@ -16,10 +16,11 @@ The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
 classical q-Racah bridge and is the cross-check.  `_racah_pairs` returns
 every degree at one lattice point in one pass, from q-shifted factorials
-shared by all degrees, in integer arithmetic; the local columns of the
-rotation move tables in `connect` read it and cache those, not the
-columns (`_racah_pairs` keeps no cache).  Tests compare the two routes
-entry by entry.
+shared by all degrees, in integer arithmetic, times a factor the caller
+passes so that each value is reduced once; the local columns of the
+rotation move tables in `connect` read it with their q-power prefactor
+and cache those, not the columns (`_racah_pairs` keeps no cache).  Tests
+compare the two routes entry by entry.
 
 Both one-pass bodies, `hahn_row` and `_racah_pairs`, return reduced
 integer pairs (numerator, denominator) with a positive denominator and
@@ -449,11 +450,15 @@ def _racah_pairs(
     beta: tuple[int, int],
     delta: tuple[int, int],
     N: int,
+    scale: tuple[int, int],
 ) -> tuple[tuple[int, int], ...]:
-    """Every degree at one lattice point: (r_0(x), ..., r_N(x)) at q = a/b,
-    each the reduced pair (numerator, denominator), with a positive
-    denominator, of `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.
-    alpha, beta and delta are given as integer pairs too.
+    """Every degree at one lattice point, times one factor: (s r_0(x), ...,
+    s r_N(x)) at q = a/b, each the reduced pair (numerator, denominator),
+    with a positive denominator, of s times
+    `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.  alpha, beta,
+    delta and the factor s = `scale` (nonzero denominator) are given as
+    integer pairs too, so a caller's prefactor is folded in before the one
+    reduction of each value; (1, 1) gives the column itself.
 
     Term k of the 4phi3 in `racah` is its term k - 1 times
 
@@ -476,7 +481,7 @@ def _racah_pairs(
     ZeroDivisionError for the prefactor, ZeroDenominator for the series.
     """
     _check_x(x, N)
-    (an, ad), (bn, bd), (dn, dd) = alpha, beta, delta
+    (an, ad), (bn, bd), (dn, dd), (sn, sd) = alpha, beta, delta, scale
     f = [None] + [_one_minus(an * bn, ad * bd, j, a, b) for j in range(1, 2 * N + 1)]
     g = [None] + [_one_minus(bn * dn, bd * dd, k, a, b) for k in range(1, N + 1)]
     h = [None] + [_one_minus(1, 1, k, a, b) for k in range(1, N + 1)]
@@ -525,8 +530,8 @@ def _racah_pairs(
             sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
         e = n * (N - n)
         column.append(_reduced(
-            b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den * sum_num,
-            a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
+            sn * b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den * sum_num,
+            sd * a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
         ))
     return tuple(column)
 

@@ -175,9 +175,17 @@ def norm_Q(
         * q^(((N-2n)^2 + N + 2n - 2n^2)/2)
         * prod over vertices of the factor `_gamma`,
 
-    each factor read from its table as an integer pair, and the product
-    reduced once.
+    the `Fraction` view of `_norm_pair`.
     """
+    return Fraction(*_norm_pair(tree, labeling, params, N))
+
+
+def _norm_pair(
+    tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
+) -> tuple[int, int]:
+    """The squared norm of `norm_Q` as an unreduced integer pair
+    (numerator, positive denominator): each factor read from its table as
+    a reduced pair, and their product taken without a gcd."""
     labeling = tuple(labeling)
     n = sum(labeling)
     if n > N:
@@ -191,7 +199,7 @@ def norm_Q(
         )
         num *= g_num
         den *= g_den
-    return Fraction(num, den)
+    return num, den
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ SECONDARY_ALPHAS = (
     Fraction(9, 11),
 )
 
+# Generic alphas of both signs, outside every positivity regime: used with
+# `unchecked=True` to test identities that hold for any parameters.
+MIXED_ALPHAS = (Fraction(-5, 3), Fraction(7, 9), Fraction(-11, 27), Fraction(13, 9), Fraction(-17, 3))
+
 
 def make_ctx(s: Fraction = Fraction(1, 2)) -> QContext:
     return QContext(s=s)

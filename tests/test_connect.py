@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import random
 import re
@@ -25,6 +26,7 @@ from qtreehahn import (
     child_sums,
     coefficient_sums,
     comb_connection_product,
+    composition_count,
     connection_by_path,
     connection_oracle,
     dunkl_expansion_coeffs,
@@ -51,12 +53,14 @@ from qtreehahn import (
     transplant_right_to_left,
     vertex_eigenvalue,
     xi_polynomial,
+    ZeroDenominator,
 )
 from qtreehahn import connect
 from qtreehahn.connect import _local_column, _move_table
 from qtreehahn.hahn1d import _racah_pairs
+from qtreehahn.qops import _eigenvalue
 
-from conftest import make_params
+from conftest import MIXED_ALPHAS, make_params
 
 P3 = make_params(3)
 CTX = P3.ctx
@@ -281,6 +285,126 @@ def test_oracle_is_the_definition_for_every_four_leaf_pair(regime):
                     }
                     want[c] = {d: v for d, v in ratios.items() if v}
                 assert connection_oracle(src, tgt, n, p4).rows == want, (src, tgt, n)
+
+
+# Five-leaf alphas above q^(-3) = 64: the second positivity regime at n_max = 3.
+_LARGE_ALPHAS = (Fraction(131, 2), Fraction(67), Fraction(211, 3), Fraction(80), Fraction(401, 5))
+
+
+@pytest.mark.parametrize(
+    "p5",
+    [make_params(5), ParamSet(CTX, _LARGE_ALPHAS, n_max=3), ParamSet(CTX, MIXED_ALPHAS, unchecked=True)],
+    ids=["small-alphas", "large-alphas", "mixed-signs"],
+)
+def test_block_oracle_is_the_definition_for_every_five_leaf_pair(p5):
+    """Every ordered pair of five-leaf trees at degrees 0..3: each entry is
+    <Q_c, Q_d> / <Q_d, Q_d> through the public inner product, with each
+    target norm taken once, and exactly the nonzero ones are stored, so
+    the block rule skips no nonzero entry.  The inner product is
+    symmetric, so one table of it serves both orders of a pair."""
+    trees = all_trees(5)
+    for n in range(4):
+        grids = {t: {e.labeling: e.grid for e in basis(t, p5, n, n)} for t in trees}
+        norms = {t: {d: inner_product(g, g, p5) for d, g in grids[t].items()} for t in trees}
+        for k, src in enumerate(trees):
+            for tgt in trees[k:]:
+                dots = {
+                    (c, d): inner_product(f, g, p5)
+                    for c, f in grids[src].items()
+                    for d, g in grids[tgt].items()
+                }
+                flipped = {(d, c): v for (c, d), v in dots.items()}
+                for a, b, table in ((src, tgt, dots), (tgt, src, flipped)):
+                    want = {c: {} for c in grids[a]}
+                    for (c, d), v in table.items():
+                        if v:
+                            want[c][d] = v / norms[b][d]
+                    assert connection_oracle(a, b, n, p5).rows == want, (a, b, n)
+
+
+def test_oracle_takes_one_dot_product_per_target_norm_and_per_block_entry(monkeypatch):
+    """Every ordered pair of five-leaf trees at degree 2: the oracle takes
+    one dot product per target norm and one per (c, d) whose eigenvalues
+    agree at every span below the root that is a vertex of both trees,
+    and no others.  A dot product multiplies one pair of entries per
+    point of [5; 2], so the count is read from the calls of `mul`."""
+    p5, n = make_params(5), 2
+    calls = []
+    monkeypatch.setattr(connect, "mul", lambda x, y: calls.append(None) or x * y)
+    trees = all_trees(5)
+    skipped = 0
+    for src in trees:
+        for tgt in trees:
+            tgt_vertices = {(w.lo, w.hi): w.index for w in tgt.vertices}
+            shared = [
+                (u.index, tgt_vertices[u.lo, u.hi])
+                for u in src.vertices[1:]
+                if (u.lo, u.hi) in tgt_vertices
+            ]
+            sources, targets = enumerate_labelings(src, n), enumerate_labelings(tgt, n)
+            in_blocks = sum(
+                all(vertex_eigenvalue(src, c, p5, u) == vertex_eigenvalue(tgt, d, p5, w) for u, w in shared)
+                for c in sources
+                for d in targets
+            )
+            skipped += len(sources) * len(targets) - in_blocks
+            calls.clear()
+            connection_oracle(src, tgt, n, p5)
+            assert len(calls) == (len(targets) + in_blocks) * composition_count(5, n), (src, tgt)
+    assert skipped > 0
+
+
+def test_two_levels_share_a_span_eigenvalue_only_where_p_q_power_is_one():
+    """lambda(m) - lambda(m') = (q^(-m) - q^(-m')) (1 - P q^(m+m'-1)) for
+    the eigenvalue lambda(m) = q^(-m) (1 - q^m) (1 - P q^(m-1)) of a span
+    with p-value P, so the oracle's blocks, keyed by eigenvalue, merge two
+    levels exactly where P q^(m+m'-1) = 1."""
+    q = CTX.q
+    for P in (Fraction(2, 3), Fraction(-7, 5), Fraction(1), q**-3, Fraction(16)):
+        lam = [Fraction(*_eigenvalue(CTX, (P.numerator, P.denominator), m)) for m in range(5)]
+        for m in range(5):
+            for m2 in range(5):
+                assert lam[m] - lam[m2] == (q**-m - q**-m2) * (1 - P * q ** (m + m2 - 1)), (P, m, m2)
+                assert (lam[m] == lam[m2]) == (m == m2 or P * q ** (m + m2 - 1) == 1)
+
+
+# q = 1/4 and alpha_1 alpha_2 = 256: the span (0, 2] has the p-value
+# alpha_1 alpha_2 q^2 = 16, where its levels 1 and 2 share an eigenvalue,
+# and so do its levels 0 and 3.
+COLLIDING = ParamSet(CTX, (Fraction(32), Fraction(8), Fraction(2, 3), Fraction(3, 5), Fraction(4, 7)), unchecked=True)
+
+
+def _oracle_outcome(src, tgt, n, p):
+    """The oracle's canonical integer rows as text, or the text of the
+    ZeroDenominator it raises."""
+    try:
+        rows = connection_oracle(src, tgt, n, p).integer_rows
+    except ZeroDenominator as exc:
+        return f"ZeroDenominator: {exc}"
+    return repr(sorted((c, sorted(nums.items()), den) for c, (nums, den) in rows.items()))
+
+
+def test_oracle_where_two_levels_of_a_shared_span_share_an_eigenvalue():
+    """At COLLIDING every ordered five-leaf pair at degrees 1..4 has the
+    outcome of the oracle that took every dot product, before the block
+    rule: the same integer rows or the same ZeroDenominator text, pinned
+    as one digest.  A tree with the vertex (0, 2] has a basis pole from
+    degree 2 on, where the two levels first meet, so every pair with such
+    a tree raises there."""
+    assert COLLIDING.p_pair(0, 2) == (16, 1)
+    # 16 q^(m+m'-1) = 1 wherever m + m' = 3
+    assert [Fraction(*_eigenvalue(CTX, (16, 1), m)) for m in range(5)] == [0, -45, -45, 0, Fraction(765, 4)]
+    trees = all_trees(5)
+    outcomes = []
+    for n in range(1, 5):
+        for src in trees:
+            for tgt in trees:
+                outcome = _oracle_outcome(src, tgt, n, COLLIDING)
+                with_02 = any((v.lo, v.hi) == (0, 2) for t in (src, tgt) for v in t.vertices)
+                assert outcome.startswith("ZeroDenominator") == (n >= 2 and with_02), (src, tgt, n)
+                outcomes.append(outcome)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "bb0ec1ad8933a17fc23c82d178fab465be75c1d5f3a8621058095c32fb92f460"
 
 
 def test_warm_oracle_builds_one_fraction_per_nonzero_entry(fraction_builds):

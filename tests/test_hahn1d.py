@@ -428,13 +428,13 @@ def test_racah_pairs_pole_messages_print_parameters_as_fractions(x, alpha, beta,
     # at q = 1/4: alpha beta = 16 = q^-2 zeroes the prefactor of degree 1,
     # and alpha = 4 = q^-1 zeroes (alpha q; q)_1 in the series
     with pytest.raises(error) as info:
-        _racah_pairs(1, 4, x, alpha, beta, (1, 5), 2)
+        _racah_pairs(1, 4, x, alpha, beta, (1, 5), 2, (1, 1))
     assert str(info.value) == message
 
 
-def _pairs_or_pole(ctx, x, alpha, beta, delta, N):
-    """`_racah_pairs` at the context's q and the given Fractions, or the
-    type of what it raises."""
+def _pairs_or_pole(ctx, x, alpha, beta, delta, N, scale=Fraction(1)):
+    """`_racah_pairs` at the context's q and the given Fractions, with the
+    factor `scale`, or the type of what it raises."""
     try:
         return _racah_pairs(
             ctx.q.numerator,
@@ -442,6 +442,7 @@ def _pairs_or_pole(ctx, x, alpha, beta, delta, N):
             x,
             *((v.numerator, v.denominator) for v in (alpha, beta, delta)),
             N,
+            (scale.numerator, scale.denominator),
         )
     except (ZeroDivisionError, ZeroDenominator) as exc:
         return type(exc)
@@ -471,6 +472,10 @@ def test_racah_pairs_are_reduced_and_are_the_column():
                     # a Fraction's own pair is reduced, with a positive denominator
                     assert pairs == tuple((v.numerator, v.denominator) for v in want)
                     assert all(type(num) is int and type(den) is int for num, den in pairs)
+                    # a factor is folded in before the one reduction
+                    scale = -3 * q ** (x - N)
+                    scaled = _pairs_or_pole(ctx, x, alpha, beta, delta, N, scale)
+                    assert scaled == tuple(((scale * v).numerator, (scale * v).denominator) for v in want)
                     compared += len(pairs)
     assert compared > 200 and poles > 20
 

@@ -31,7 +31,7 @@ from qtreehahn import (
 from qtreehahn import _linalg, connect, hahn1d, lattice, multihahn, qnum, qops, trees
 from qtreehahn.qops import to_matrix
 
-from conftest import make_ctx, make_params
+from conftest import MIXED_ALPHAS, make_ctx, make_params
 
 P2 = make_params(2)
 P3 = make_params(3)
@@ -460,9 +460,6 @@ def test_interleaved_parameter_sets_match_fresh_caches():
     for _ in range(2):
         for k, p in enumerate(ps):
             assert results(p) == fresh[k]
-
-
-MIXED_ALPHAS = (Fraction(-5, 3), Fraction(7, 9), Fraction(-11, 27), Fraction(13, 9), Fraction(-17, 3))
 
 
 @pytest.mark.parametrize("regime", ["positivity", "mixed-signs"])
