@@ -5,17 +5,16 @@ rotated tree's basis; the change-of-basis matrix factors through a
 single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
 multidimensional q-Racah polynomials.  Each move is a cached table of
-integer numerators over one denominator, built without Fractions: a
-labeling enters only through five coefficient sums of the rotating
-vertex's blocks, read off pre-order slices, and its row is the local
-q-Racah column of those sums, taken from the integer columns of `hahn1d`
-and held in one bounded cache that every move with the same rotating
-spans and every degree share.  `connection_by_path` pushes each source
-row through all of its path's tables in integers and reduces it once,
-over the product of the tables' denominators; `apply_move`, one move
-of a combination of one degree, runs the same push loop.  A matrix
-keeps each finished row in that form, reading it as Fractions only on
-request.
+integer numerators over one denominator, built without Fractions and
+indexed by labeling rank: a parameter-free `_move_plan` per move and
+degree places every entry, and the numbers come from `_local_block`, one
+q-Racah block of `hahn1d` per group of coefficient sums, shared by every
+move with the same rotating spans and every degree.  `connection_by_path`
+pushes each source rank through all of its path's tables in integers and
+reduces it once, over the product of the tables' denominators;
+`apply_move`, one move of a combination of one degree, runs the same push
+loop.  A matrix keeps each finished row in that form, reading it as
+Fractions only on request.
 An inner-product oracle computes the same matrix from the definition,
 reading only the two bases, for any pair of trees.  It is block-diagonal:
 labelings are keyed by their eigenvalues at the spans both trees share,
@@ -43,11 +42,11 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._linalg import over_common_denominator
-from .hahn1d import Racah1DSpec, _racah_pairs, _tilde_scale, gr_racah_bridge, racah_eval
-from .lattice import GridFunction, ParamSet, _weighted, enumerate_compositions
+from .hahn1d import Racah1DSpec, _racah_block, _tilde_scale, gr_racah_bridge, racah_eval
+from .lattice import DomainTable, GridFunction, ParamSet, _weighted, domain_table, enumerate_compositions
 from .multihahn import basis, norm_Q, theta_polynomial, xi_norm
 from .qnum import (
     QContext,
@@ -88,6 +87,99 @@ class NotInKernel(ValueError):
     """The function is not annihilated by the lowering operator."""
 
 
+class _MovePlan(NamedTuple):
+    spans: tuple[int, int, int, int]
+    groups: tuple[tuple[int, int, int, int], ...]
+    cells: tuple[int, ...]
+    targets: tuple[tuple[int, ...], ...]
+    domain: DomainTable
+
+
+# Bound set on the `rotations` benchmark and the h = 7 connections suite.
+# Replaying the 572 requests of a 20 s `rotations` run in one process,
+# seeds 3 and 11: 1024 plans build each of the 317 and 308 distinct plans
+# once, as with no bound; 256 build 381 and 350, 128 build 737 and 759.
+# The suite builds each of its 990 plans once at 1024, 2612 at 512.
+@lru_cache(maxsize=1024)
+def _move_plan(move: MoveRecord, n: int) -> _MovePlan:
+    """All of the degree-n table of `move` but its numbers: the spans
+    (lo, split, r_split, hi) of the rotating vertex U and its right child
+    R, the block groups (i, l, j, n_U) in order of first use, and for each
+    source rank (in `domain`, whose ranks label both trees) its cell, row
+    x of its group's block with rows numbered across the blocks in group
+    order, and the target rank of each entry m = 0..N.  A labeling enters
+    only through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and
+    n_U = cs(U), read off pre-order slices; x = v - l - j,
+    N = n_U - i - l - j, and entry m gives the new left child the label m
+    and U the label N - m."""
+    tree = move.source
+    U = tree.vertices[move.vertex]
+    R = tree.vertices[U.right]
+    # pre-order: U, T', R, T'', then T''' up to the end of U's subtree
+    k, r = U.index, R.index
+    t3, end = r + R.split - R.lo, k + U.hi - U.lo - 1
+    domain = domain_table(tree.n_internal, n)
+    ranks = domain.ranks
+    groups: dict[tuple[int, int, int, int], int] = {}  # to the group's first cell
+    cells, targets, size = [], [], 0
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # sources that differ only in x
+    for cvec in domain.points:
+        i, l, j = sum(cvec[k + 1 : r]), sum(cvec[r + 1 : t3]), sum(cvec[t3:end])
+        x, N = cvec[r], cvec[k] + cvec[r]
+        group = (i, l, j, N + i + l + j)
+        if group not in groups:
+            groups[group], size = size, size + N + 1
+        cells.append(groups[group] + x)
+        prefix, suffix = cvec[:k], cvec[end:]
+        blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
+        places = tuple(ranks[prefix + (N - m, m) + blocks + suffix] for m in range(N + 1))
+        targets.append(shared.setdefault(places, places))
+    return _MovePlan(
+        (U.lo, U.split, R.split, R.hi), tuple(groups), tuple(cells), tuple(targets), domain
+    )
+
+
+# Bound set on the same replays: 512 blocks build each of the 6335 and
+# 6864 distinct blocks once, as with no bound (33.0 and 33.8 MB of peak
+# RSS); 256 build 6418 and 7027, and 1024 add 0.5 MB of peak RSS (25.7 MB
+# at 512) for no fewer builds.  The suite builds 746 of its 570 at 512.
+@lru_cache(maxsize=512)
+def _local_block(
+    params: ParamSet,
+    lo: int,
+    split: int,
+    r_split: int,
+    hi: int,
+    i: int,
+    l: int,
+    j: int,
+    n_U: int,
+) -> tuple[tuple[tuple[tuple[int, int], ...] | ArithmeticError, ...], int]:
+    """(rows, L) for the group (i, l, j, n_U) of `_move_plan`, U over
+    (lo, hi] split at `split`, R at `r_split`.  With p1 = p(lo, split),
+    p2 = p(split, r_split) and p2 p3 = p(split, hi), entry m of row
+    x = 0..N is the reduced pair of
+
+        q^(-i x) r_m(x; p2 q^(2l-1), p1 q^(2i-1), p2 p3 q^(n_U + l + j - i - 1), N | q),
+
+    from `hahn1d._racah_block`, whose rows at a pole hold the error.  L is
+    the lcm of the denominators.  Shared: never mutate one.
+    """
+    q = params.ctx.q
+    a, b = q.numerator, q.denominator
+    N = n_U - i - l - j
+    rows = _racah_block(
+        a,
+        b,
+        _shifted(*params.p_pair(split, r_split), 2 * l - 1, a, b),
+        _shifted(*params.p_pair(lo, split), 2 * i - 1, a, b),
+        _shifted(*params.p_pair(split, hi), n_U + l + j - i - 1, a, b),
+        N,
+        [_power_pair(a, b, -i * x) for x in range(N + 1)],
+    )
+    return rows, lcm(*(den for row in rows if not isinstance(row, ArithmeticError) for _, den in row))
+
+
 # Bound set on the `rotations` benchmark, whose rounds use about 70 tables
 # each.  Replaying the 572 requests of a 20 s run in one process, seeds 3
 # and 11: 64 slots miss 1459 and 1462 times, against 1456 and 1460 with no
@@ -97,105 +189,28 @@ class NotInKernel(ValueError):
 @lru_cache(maxsize=64)
 def _move_table(
     move: MoveRecord, n: int, params: ParamSet
-) -> tuple[dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], int]:
-    """Every degree-n source labeling of `move`, mapped to its expansion
-    over the rotated tree's labelings, as integer numerators over one
-    positive denominator D: the pair (table, D).
-
-    The rotating vertex U of the source tree has the block T' as its left
-    child and R = (T'' T''') as its right child.  A labeling enters only
-    through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U),
-    read as sums over the pre-order slices of T', T'' and T''' and the
-    labels of U and R.  The expansion runs over the new left-child label
-    only; every other vertex keeps its label, and each row takes its
-    coefficients from the `_local_column` of its five sums.  D is the lcm
-    of the columns' reduced denominators.  Tables are cached per
-    (move, n, params) and shared, so never mutate one.
-    """
-    tree = move.source
-    U = tree.vertices[move.vertex]
-    R = tree.vertices[U.right]
-    spans = (params, U.lo, U.split, R.split, R.hi)
-    # pre-order: U, T', R, T'', then T''' up to the end of U's subtree
-    k, r = U.index, R.index
-    t3, end = r + R.split - R.lo, k + U.hi - U.lo - 1
-    columns: dict[tuple[int, ...], tuple[tuple[tuple[int, int], int, int], ...]] = {}
-    keyed = []
-    for cvec in enumerate_labelings(tree, n):
-        i, l, j = sum(cvec[k + 1 : r]), sum(cvec[r + 1 : t3]), sum(cvec[t3:end])
-        v = cvec[r] + l + j
-        key = (i, v, l, j, cvec[k] + i + v)
-        keyed.append((cvec, key))
-        if key not in columns:
-            columns[key] = _local_column(*spans, *key)
-    D = lcm(*(den for column in columns.values() for _, _, den in column))
-    scaled = {
-        key: [(pair, num * (D // den)) for pair, num, den in column]
-        for key, column in columns.items()
-    }
-    table = {}
-    for cvec, key in keyed:
-        prefix, suffix = cvec[:k], cvec[end:]
-        blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
-        table[cvec] = tuple(
-            (prefix + pair + blocks + suffix, num) for pair, num in scaled[key]
-        )
-    return table, D
-
-
-# Bound set on the `rotations` benchmark and the h = 7 connections suite.
-# Replaying the 572 requests of a 20 s `rotations` run in one process,
-# seeds 3 and 11: 1024 columns hit 5723 and 5287 times, as many as with no
-# bound, since each round's alphas make new keys; 512 hit 5558 and 4959,
-# 256 hit 3891 and 3359, and 4096 add 2.9 and 3.1 MB of peak RSS (25.7
-# and 25.4 MB at 1024) for no more hits.  The suite builds each of its 885
-# distinct columns once at 1024, where 512 build 2884 and 256 build 8695.
-@lru_cache(maxsize=1024)
-def _local_column(
-    params: ParamSet,
-    lo: int,
-    split: int,
-    r_split: int,
-    hi: int,
-    i: int,
-    v: int,
-    l: int,
-    j: int,
-    n_U: int,
-) -> tuple[tuple[tuple[int, int], int, int], ...]:
-    """The one-move coefficients of every labeling with the child sums
-    i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U), for a
-    rotating vertex U over (lo, hi] split at `split` whose right child R
-    splits at `r_split`.  With p1 = p(lo, split), p2 = p(split, r_split)
-    and p2 p3 = p(split, hi), the coefficient of the target whose new left
-    child has the sum u (i + l <= u <= n_U - j) is
-
-        q^(-i(v - l - j))
-        r_{u-i-l}(v - l - j; p2 q^(2l-1), p1 q^(2i-1),
-                  p2 p3 q^(n_U + l + j - i - 1), n_U - i - l - j | q).
-
-    Each is ((new label of U, new left-child label), num, den), reduced
-    with den > 0, and vanishing coefficients are omitted.  The integer
-    pairs of `hahn1d._racah_pairs` give every degree u - i - l at once,
-    with the q-power prefactor folded in before their one reduction, and
-    the prefactor and the three parameters are integer pairs too, so no
-    Fraction is built.  Shared by every move with the same spans and by
-    every degree through the cache: never mutate one.
-    """
-    q = params.ctx.q
-    a, b = q.numerator, q.denominator
-    x, N = v - l - j, n_U - i - l - j
-    pairs = _racah_pairs(
-        a,
-        b,
-        x,
-        _shifted(*params.p_pair(split, r_split), 2 * l - 1, a, b),
-        _shifted(*params.p_pair(lo, split), 2 * i - 1, a, b),
-        _shifted(*params.p_pair(split, hi), n_U + l + j - i - 1, a, b),
-        N,
-        _power_pair(a, b, -i * x),
-    )
-    return tuple(((N - m, m), num, den) for m, (num, den) in enumerate(pairs) if num)
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """(rows, D): rows[s] expands the degree-n source labeling of rank s
+    over the rotated tree's as (target rank, numerator) pairs over D > 0,
+    the lcm of the entries' reduced denominators, filled into the places
+    of `_move_plan`.  A pole raises at the first source labeling, in
+    enumeration order, whose row reads it.  Shared: never mutate one."""
+    spans, groups, cells, targets, _ = _move_plan(move, n)
+    blocks = [_local_block(params, *spans, *group) for group in groups]
+    D = lcm(*(L for _, L in blocks))
+    scaled = [
+        row if isinstance(row, ArithmeticError)
+        else [(m, num * (D // den)) for m, (num, den) in enumerate(row) if num]
+        for rows, _ in blocks
+        for row in rows
+    ]
+    table = []
+    for cell, places in zip(cells, targets):
+        row = scaled[cell]
+        if isinstance(row, ArithmeticError):
+            raise type(row)(*row.args)
+        table.append(tuple([(places[m], num) for m, num in row]))
+    return tuple(table), D
 
 
 _ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
@@ -208,27 +223,29 @@ def _reduced_row(nums: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]
     return {d: v // g for d, v in nums.items() if v}, den // g
 
 
-def _row(table: dict, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> tuple:
-    row = table.get(cvec)
-    if row is None:
+def _labeled_row(nums: dict[int, int], den: int, points: Sequence[tuple[int, ...]]) -> tuple[dict, int]:
+    """`_reduced_row`, each rank t read as the labeling points[t]."""
+    g = gcd(den, *nums.values())
+    return {points[t]: v // g for t, v in nums.items() if v}, den // g
+
+
+def _rank(plan: _MovePlan, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> int:
+    rank = plan.domain.ranks.get(cvec)
+    if rank is None:
         raise ValueError(f"{cvec} is not a degree-{n} labeling of {move.source}")
-    return row
+    return rank
 
 
-def _push(
-    nums: dict[tuple[int, ...], int], steps: Sequence[tuple[MoveRecord, tuple]], n: int
-) -> dict[tuple[int, ...], int]:
-    """Integer weights of degree-n labelings pushed through the move tables
-    of `steps`, (move, (table, D)) pairs in path order: the numerators,
-    unreduced, over the weights' denominator times every D.  Zero weights
-    are skipped; ValueError when a weighted labeling is not a row of its
-    move's table."""
-    for move, (table, _) in steps:
-        out: dict[tuple[int, ...], int] = {}
-        for cvec, w in nums.items():
+def _push(nums: dict[int, int], tables: Sequence[tuple]) -> dict[int, int]:
+    """Integer weights of source ranks pushed through the rows of each of
+    `tables` in path order: the numerators, unreduced, over the weights'
+    denominator times every D.  Zero weights are skipped."""
+    for rows in tables:
+        out: dict[int, int] = {}
+        for s, w in nums.items():
             if w:
-                for dvec, value in _row(table, move, n, cvec):
-                    out[dvec] = out.get(dvec, 0) + w * value
+                for t, value in rows[s]:
+                    out[t] = out.get(t, 0) + w * value
         nums = out
     return nums
 
@@ -237,14 +254,16 @@ def one_move_coefficients(
     move: MoveRecord, cvec: Sequence[int], params: ParamSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Expand one source labeling over the rotated tree's labelings: its
-    row of `_move_table`, which states the coefficient, over the table's
-    denominator.  ValueError when `cvec` is not a labeling of the move's
-    source tree.  No route of the package calls it; it stays because the
-    perfbench tracer names it among its traced functions."""
+    row of `_move_table`, whose coefficient `_local_block` states, over the
+    table's denominator.  ValueError when `cvec` is not a labeling of the
+    move's source tree.  No route of the package calls it; it stays because
+    the perfbench tracer names it among its traced functions."""
     cvec = tuple(cvec)
     n = sum(cvec)
-    table, D = _move_table(move, n, params)
-    return [(dvec, Fraction(num, D)) for dvec, num in _row(table, move, n, cvec)]
+    rows, D = _move_table(move, n, params)
+    plan = _move_plan(move, n)
+    points = plan.domain.points
+    return [(points[t], Fraction(num, D)) for t, num in rows[_rank(plan, move, n, cvec)]]
 
 
 def apply_move(
@@ -267,8 +286,10 @@ def apply_move(
     n = next((sum(cvec) for cvec, w in nums.items() if w), None)
     if n is None:
         return {}, 1
-    table = _move_table(move, n, params)
-    return _reduced_row(_push(nums, ((move, table),), n), den * table[1])
+    rows, D = _move_table(move, n, params)
+    plan = _move_plan(move, n)
+    ranked = {_rank(plan, move, n, cvec): w for cvec, w in nums.items() if w}
+    return _labeled_row(_push(ranked, (rows,)), den * D, plan.domain.points)
 
 
 @dataclass(frozen=True)
@@ -460,12 +481,11 @@ def connection_by_path(
         current = move.target
     if current != target:
         raise ValueError(f"path ends at {current}, expected {target}")
-    steps = [(move, _move_table(move, n, params)) for move in path]
-    D = prod(table[1] for _, table in steps)
-    rows = {
-        cvec: _reduced_row(_push({cvec: 1}, steps, n), D)
-        for cvec in enumerate_labelings(source, n)
-    }
+    tables = [_move_table(move, n, params) for move in path]
+    D = prod(den for _, den in tables)
+    steps = [rows for rows, _ in tables]
+    points = enumerate_labelings(source, n)
+    rows = {cvec: _labeled_row(_push({s: 1}, steps), D, points) for s, cvec in enumerate(points)}
     return ConnectionMatrix(source, target, n, params, rows, path)
 
 

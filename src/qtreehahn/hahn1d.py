@@ -14,17 +14,17 @@ values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.
 
 The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
-classical q-Racah bridge and is the cross-check.  `_racah_pairs` returns
-every degree at one lattice point in one pass, from q-shifted factorials
-shared by all degrees, in integer arithmetic, times a factor the caller
-passes so that each value is reduced once; the local columns of the
-rotation move tables in `connect` read it with their q-power prefactor
-and cache those, not the columns (`_racah_pairs` keeps no cache).  Tests
+classical q-Racah bridge and is the cross-check.  `_racah_block` returns
+every degree at every lattice point in one pass, from the x-free factors
+shared by the whole block, in integer arithmetic, each point times a
+factor the caller passes so that each value is reduced once; the local
+blocks of the rotation move tables in `connect` read it with their
+q-power prefactor and cache those (`_racah_block` keeps no cache).  Tests
 compare the two routes entry by entry.
 
-Both one-pass bodies, `hahn_row` and `_racah_pairs`, return reduced
+Both one-pass bodies, `hahn_row` and `_racah_block`, return reduced
 integer pairs (numerator, denominator) with a positive denominator and
-build no Fraction; `multihahn.basis` and `connect._local_column` keep the
+build no Fraction; `multihahn.basis` and `connect._local_block` keep the
 pairs up to the finished grid or move table.  The Fraction views left are
 the termwise routes `hahn_eval` and `racah_eval`, which serve single
 values and the cross-checks.
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from ._linalg import over_common_denominator
 from .lattice import ParamSet
@@ -442,66 +443,61 @@ def racah_eval(
     return racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)
 
 
-def _racah_pairs(
+def _racah_block(
     a: int,
     b: int,
-    x: int,
     alpha: tuple[int, int],
     beta: tuple[int, int],
     delta: tuple[int, int],
     N: int,
-    scale: tuple[int, int],
-) -> tuple[tuple[int, int], ...]:
-    """Every degree at one lattice point, times one factor: (s r_0(x), ...,
-    s r_N(x)) at q = a/b, each the reduced pair (numerator, denominator),
-    with a positive denominator, of s times
+    scales: Sequence[tuple[int, int]],
+) -> tuple[tuple[tuple[int, int], ...] | ArithmeticError, ...]:
+    """Every degree at every lattice point: row x is (s_x r_0(x), ...,
+    s_x r_N(x)) at q = a/b, each the reduced pair (numerator, denominator),
+    with a positive denominator, of s_x times
     `racah(Racah1DSpec(ctx, n, alpha, beta, delta, N), x)`.  alpha, beta,
-    delta and the factor s = `scale` (nonzero denominator) are given as
-    integer pairs too, so a caller's prefactor is folded in before the one
-    reduction of each value; (1, 1) gives the column itself.
+    delta and s_x = `scales[x]` (nonzero denominator) are integer pairs
+    too, so a caller's factor is folded in before the one reduction.
 
     Term k of the 4phi3 in `racah` is its term k - 1 times
 
-        rho_k (1 - q^(k-1-n)) (1 - alpha beta q^(n+k)),
+        rho_k (1 - delta q^(x-N+k-1)) (1 - q^(k-1-x))
+              (1 - q^(k-1-n)) (1 - alpha beta q^(n+k)),
 
-    where the part free of n,
-
-        rho_k = (1 - delta q^(x-N+k-1)) (1 - q^(k-1-x)) q
-                / ((1 - alpha q^k) (1 - beta delta q^k) (1 - q^(k-1-N)) (1 - q^k)),
-
-    is taken once for the column.  The prefactor of degree n is
+    where rho_k = q / ((1 - alpha q^k) (1 - beta delta q^k) (1 - q^(k-1-N))
+    (1 - q^k)) is free of x and n.  It is taken once for the block, as is
+    the prefactor of degree n,
 
         q^(-n(N-n)) (q; q)_N / ((q; q)_n (q; q)_(N-n))
-        * (beta delta q; q)_n / (alpha beta q^(n+1); q)_n,
+        * (beta delta q; q)_n / (alpha beta q^(n+1); q)_n.
 
-    read from tables of (q; q)_m, (beta delta q; q)_m and the factors
-    1 - alpha beta q^j.  Everything is an unreduced integer pair, the sum
-    is taken by Horner's rule, and each value is reduced once.  A pole
-    raises what `racah` raises at the lowest degree that meets it:
-    ZeroDivisionError for the prefactor, ZeroDenominator for the series.
+    Everything is an unreduced integer pair, each sum is taken by Horner's
+    rule, and each value is reduced once.  Where some degree at x meets a
+    pole, row x is the error, unraised, of the lowest such degree, of the
+    type `racah` raises: ZeroDivisionError for the prefactor,
+    ZeroDenominator for the series.
     """
-    _check_x(x, N)
-    (an, ad), (bn, bd), (dn, dd), (sn, sd) = alpha, beta, delta, scale
+    (an, ad), (bn, bd), (dn, dd) = alpha, beta, delta
     f = [None] + [_one_minus(an * bn, ad * bd, j, a, b) for j in range(1, 2 * N + 1)]
     g = [None] + [_one_minus(bn * dn, bd * dd, k, a, b) for k in range(1, N + 1)]
     h = [None] + [_one_minus(1, 1, k, a, b) for k in range(1, N + 1)]
+    lower = [_one_minus(1, 1, -m, a, b) for m in range(N + 1)]  # 1 - q^(-m)
+    shifted = [_one_minus(dn, dd, e - N, a, b) for e in range(2 * N)]  # 1 - delta q^(e-N)
     rho = [None]
-    pole = x + 1  # first k whose denominator vanishes
-    for k in range(1, x + 1):
-        u1, v1 = _one_minus(dn, dd, x - N + k - 1, a, b)
-        u2, v2 = _one_minus(1, 1, k - 1 - x, a, b)
+    pole = N + 1  # first k whose series denominator vanishes
+    for k in range(1, N + 1):
         u3, v3 = _one_minus(an, ad, k, a, b)
         u4, v4 = g[k]
-        u5, v5 = _one_minus(1, 1, k - 1 - N, a, b)
-        u6, v6 = h[k]
         if u3 == 0 or u4 == 0:
             pole = k
             break
-        rho.append((u1 * u2 * a * v3 * v4 * v5 * v6, v1 * v2 * b * u3 * u4 * u5 * u6))
+        u5, v5 = lower[N + 1 - k]
+        u6, v6 = h[k]
+        rho.append((a * v3 * v4 * v5 * v6, b * u3 * u4 * u5 * u6))
     qq = [(1, 1)]  # (q; q)_m
     for m in range(1, N + 1):
         qq.append((qq[-1][0] * h[m][0], qq[-1][1] * h[m][1]))
-    column = []
+    prefactors = []  # of degrees 0, 1, ... up to the first that vanishes
     bd_num, bd_den = 1, 1  # (beta delta q; q)_n
     for n in range(N + 1):
         if n:
@@ -512,28 +508,47 @@ def _racah_pairs(
             den_num *= f[j][0]
             den_den *= f[j][1]
         if den_num == 0:
-            raise ZeroDivisionError(
-                f"(alpha beta q^(n+1); q)_n vanished for alpha={Fraction(*alpha)}, "
-                f"beta={Fraction(*beta)}, n={n}"
-            )
-        terms = min(n, x)
-        if pole <= terms:
-            raise ZeroDenominator(
-                f"4phi3 denominator vanished at k={pole} for alpha={Fraction(*alpha)}, "
-                f"beta={Fraction(*beta)}, delta={Fraction(*delta)}"
-            )
-        sum_num, sum_den = 1, 1
-        for k in range(terms, 0, -1):
-            u, v = _one_minus(1, 1, k - 1 - n, a, b)
-            t_num = rho[k][0] * u * f[n + k][0]
-            t_den = rho[k][1] * v * f[n + k][1]
-            sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
+            break
         e = n * (N - n)
-        column.append(_reduced(
-            sn * b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den * sum_num,
-            sd * a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num * sum_den,
+        prefactors.append((
+            b**e * qq[N][0] * qq[n][1] * qq[N - n][1] * bd_num * den_den,
+            a**e * qq[N][1] * qq[n][0] * qq[N - n][0] * bd_den * den_num,
         ))
-    return tuple(column)
+    zero_at = len(prefactors)  # the first degree whose prefactor vanishes, or N + 1
+    series = prefactor = None
+    if pole < zero_at or zero_at <= N:
+        named = f"alpha={Fraction(*alpha)}, beta={Fraction(*beta)}"
+        if pole < zero_at:
+            series = ZeroDenominator(
+                f"4phi3 denominator vanished at k={pole} for {named}, delta={Fraction(*delta)}"
+            )
+        if zero_at <= N:
+            prefactor = ZeroDivisionError(
+                f"(alpha beta q^(n+1); q)_n vanished for {named}, n={zero_at}"
+            )
+    block = []
+    for x in range(N + 1):
+        error = series if series is not None and pole <= x else prefactor
+        if error is not None:
+            block.append(error)
+            continue
+        s_num, s_den = scales[x]
+        steps = [None] + [
+            (rho[k][0] * shifted[x + k - 1][0] * lower[x + 1 - k][0],
+             rho[k][1] * shifted[x + k - 1][1] * lower[x + 1 - k][1])
+            for k in range(1, x + 1)
+        ]
+        row = []
+        for n, (p_num, p_den) in enumerate(prefactors):
+            sum_num, sum_den = 1, 1
+            for k in range(min(n, x), 0, -1):
+                u, v = lower[n + 1 - k]
+                t_num = steps[k][0] * u * f[n + k][0]
+                t_den = steps[k][1] * v * f[n + k][1]
+                sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
+            row.append(_reduced(s_num * p_num * sum_num, s_den * p_den * sum_den))
+        block.append(tuple(row))
+    return tuple(block)
 
 
 def _tilde_scale(poly: Fraction, radicand: Fraction, n: int, squared: bool) -> Fraction:

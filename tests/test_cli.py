@@ -445,6 +445,30 @@ def test_connect_unreachable_pair_exit_4(capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "source, target, n, alphas, message",
+    [
+        ("(1 (2 3))", "((1 2) 3)", 1, "2,8,2",
+         "(alpha beta q^(n+1); q)_n vanished for alpha=8, beta=2, n=1"),
+        ("(1 (2 3))", "((1 2) 3)", 2, "8,8,2",
+         "(alpha beta q^(n+1); q)_n vanished for alpha=8, beta=8, n=2"),
+        ("(1 (2 (3 4)))", "((1 2) (3 4))", 1, "2,2,2,32",
+         "4phi3 denominator vanished at k=1 for alpha=2, beta=2, delta=2"),
+    ],
+    ids=["prefactor-n1", "prefactor-n2", "series"],
+)
+def test_connect_at_a_move_coefficient_pole_exits_3_naming_it(capsys, source, target, n, alphas, message):
+    # at q = 1/4: alpha beta = 16 = q^-2 zeroes the degree-1 prefactor of
+    # the first move's q-Racah family, alpha beta = 64 = q^-3 the degree-2
+    # one, and beta delta = 4 = q^-1 zeroes (beta delta q; q)_1 in a series
+    code = main(["connect", "--source", source, "--target", target, "--n", str(n),
+                 "--alphas", alphas, "--allow-any-params"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_connect_oracle_only_serves_unreachable_pair(capsys):
     obj = run_json(
         capsys,

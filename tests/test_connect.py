@@ -56,14 +56,17 @@ from qtreehahn import (
     ZeroDenominator,
 )
 from qtreehahn import connect
-from qtreehahn.connect import _local_column, _move_table
-from qtreehahn.hahn1d import _racah_pairs
+from qtreehahn.connect import _local_block, _move_plan, _move_table
+from qtreehahn.hahn1d import _racah_block
 from qtreehahn.qops import _eigenvalue
 
 from conftest import MIXED_ALPHAS, make_params
 
 P3 = make_params(3)
 CTX = P3.ctx
+# Alphas of mixed sign, outside both positivity regimes: some squared norms
+# are negative, so the oracle must move their sign into the numerators.
+MIXED_SIGNS = ParamSet(CTX, (Fraction(-1, 2), Fraction(5, 3), Fraction(7, 2), Fraction(-3, 4)), unchecked=True)
 
 
 # --- single moves --------------------------------------------------------
@@ -164,12 +167,9 @@ def _reachable_pairs(h):
     return pairs
 
 
-def test_path_push_equals_the_per_move_composition_and_the_oracle():
-    """Every reachable pair with h <= 5 at degrees 0..3: each row pushed
-    through the whole path and reduced once is the row that `apply_move`
-    returns move by move, reducing after each, and the oracle's row."""
+def _assert_push_is_the_per_move_composition_and_the_oracle(params_of):
     for h in range(2, 6):
-        p = make_params(h)
+        p = params_of(h)
         for src, tgt in _reachable_pairs(h):
             path = find_rl_path(src, tgt)
             for n in range(4):
@@ -181,6 +181,22 @@ def test_path_push_equals_the_per_move_composition_and_the_oracle():
                     assert got.integer_rows[c] == weights, (src, tgt, c)
                 want = connection_oracle(src, tgt, n, p)
                 assert got.integer_rows == want.integer_rows, (src, tgt, n)
+
+
+def test_path_push_equals_the_per_move_composition_and_the_oracle():
+    """Every reachable pair with h <= 5 at degrees 0..3: each row pushed
+    through the whole path and reduced once is the row that `apply_move`
+    returns move by move, reducing after each, and the oracle's row."""
+    _assert_push_is_the_per_move_composition_and_the_oracle(make_params)
+
+
+def test_path_push_equals_the_oracle_at_unchecked_mixed_sign_alphas():
+    """The same at alphas of both signs outside every positivity regime:
+    `MIXED_SIGNS` at h = 4, and the leading entries of `MIXED_ALPHAS` at
+    every other h."""
+    _assert_push_is_the_per_move_composition_and_the_oracle(
+        lambda h: MIXED_SIGNS if h == 4 else ParamSet(CTX, MIXED_ALPHAS[:h], unchecked=True)
+    )
 
 
 def test_path_matrices_vanish_where_a_shared_span_has_unequal_eigenvalues():
@@ -433,11 +449,6 @@ def _assert_integer_rows(matrix):
     }
 
 
-# Alphas of mixed sign, outside both positivity regimes: some squared norms
-# are negative, so the oracle must move their sign into the numerators.
-MIXED_SIGNS = ParamSet(CTX, (Fraction(-1, 2), Fraction(5, 3), Fraction(7, 2), Fraction(-3, 4)), unchecked=True)
-
-
 @pytest.mark.parametrize("p4", [make_params(4, "secondary"), MIXED_SIGNS], ids=["secondary", "mixed-signs"])
 def test_every_route_keeps_canonical_integer_rows_under_its_fraction_view(p4):
     trees = all_trees(4)
@@ -518,15 +529,18 @@ def test_move_tables_are_integers_over_one_denominator():
     p5 = make_params(5)
     for move in _moves(5):
         for n in range(4):
-            table, D = _move_table(move, n, p5)
+            rows, D = _move_table(move, n, p5)
             assert type(D) is int and D > 0
-            entries = [Fraction(num, D) for row in table.values() for _, num in row]
+            entries = [Fraction(num, D) for row in rows for _, num in row]
             assert D == math.lcm(*(value.denominator for value in entries))
-            assert set(table) == set(enumerate_labelings(move.source, n))
-            for cvec, row in table.items():
+            sources = enumerate_labelings(move.source, n)
+            targets = enumerate_labelings(move.target, n)
+            assert type(rows) is tuple and len(rows) == len(sources)
+            for cvec, row in zip(sources, rows):
+                assert all(type(t) is int and 0 <= t < len(targets) for t, _ in row)
                 assert all(type(num) is int and num != 0 for _, num in row)
                 assert one_move_coefficients(move, cvec, p5) == [
-                    (dvec, Fraction(num, D)) for dvec, num in row
+                    (targets[t], Fraction(num, D)) for t, num in row
                 ]
 
 
@@ -534,27 +548,28 @@ def test_move_tables_build_no_fraction(fraction_builds):
     p5 = make_params(5)
     moves = list(_moves(5))
     fraction_builds.clear()
-    _local_column.cache_clear()
+    _move_plan.cache_clear()
+    _local_block.cache_clear()
     for move in moves:
         for n in range(4):
             _move_table.__wrapped__(move, n, p5)
     assert fraction_builds == []
 
 
-def test_each_local_column_is_built_once_across_moves_and_degrees(monkeypatch):
+def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
     """The move tables of every five-leaf move at degrees 0..3 build one
-    local column per distinct (spans, i, v, l, j, n_U), with the sums read
+    local block per distinct (spans, i, l, j, n_U), with the sums read
     by the `coefficient_sums` walk, and share it between moves and
-    degrees."""
+    degrees; each block has a row for every x = 0..N."""
     p5 = make_params(5)
     builds = []
 
     def counted(*args):
         builds.append(args)
-        return _racah_pairs(*args)
+        return _racah_block(*args)
 
-    monkeypatch.setattr(connect, "_racah_pairs", counted)
-    _local_column.cache_clear()
+    monkeypatch.setattr(connect, "_racah_block", counted)
+    _local_block.cache_clear()
     keys, looked_up = set(), 0
     for move in _moves(5):
         tree = move.source
@@ -565,13 +580,31 @@ def test_each_local_column_is_built_once_across_moves_and_degrees(monkeypatch):
             table_keys = set()
             for c in enumerate_labelings(tree, n):
                 cs = coefficient_sums(tree, c)
-                (i, v), (l, j) = child_sums(U, cs), child_sums(R, cs)
-                table_keys.add((U.lo, U.split, R.split, R.hi, i, v, l, j, cs[U.index]))
+                (i, _), (l, j) = child_sums(U, cs), child_sums(R, cs)
+                table_keys.add((U.lo, U.split, R.split, R.hi, i, l, j, cs[U.index]))
             keys |= table_keys
             looked_up += len(table_keys)
-    info = _local_column.cache_info()
+    info = _local_block.cache_info()
     assert len(builds) == info.misses == info.currsize == len(keys)
     assert info.hits == looked_up - len(keys) > 0
+    assert all(len(scales) == N + 1 for *_, N, scales in builds)  # a factor per x
+
+
+def test_move_plans_carry_no_parameters():
+    """Tables of one move and degree at two alpha vectors, and at two
+    values of q, share one plan: one miss, then hits."""
+    move = next(m for m in _moves(5) if m.source == right_comb(5))
+    others = [make_params(5, "secondary"), make_params(5, s=Fraction(2, 3))]
+    _move_plan.cache_clear()
+    for p in [make_params(5)] + others:
+        _move_table.__wrapped__(move, 3, p)
+    info = _move_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    plan = _move_plan(move, 3)
+    assert all(type(v) is int for v in plan.spans) and plan.domain.points == tuple(
+        enumerate_labelings(move.source, 3)
+    )
+    assert len(plan.cells) == len(plan.targets) == len(plan.domain.points)
 
 
 def _push_by_fractions(move, weights, params):

@@ -30,7 +30,7 @@ from qtreehahn import (
 )
 from qtreehahn import hahn1d
 from qtreehahn._linalg import rref
-from qtreehahn.hahn1d import _racah_pairs
+from qtreehahn.hahn1d import _racah_block
 
 from conftest import make_ctx, make_params
 
@@ -424,31 +424,42 @@ def test_racah_column_raises_what_racah_raises():
     ],
     ids=["prefactor", "series"],
 )
-def test_racah_pairs_pole_messages_print_parameters_as_fractions(x, alpha, beta, error, message):
+def test_racah_block_pole_messages_print_parameters_as_fractions(x, alpha, beta, error, message):
     # at q = 1/4: alpha beta = 16 = q^-2 zeroes the prefactor of degree 1,
-    # and alpha = 4 = q^-1 zeroes (alpha q; q)_1 in the series
-    with pytest.raises(error) as info:
-        _racah_pairs(1, 4, x, alpha, beta, (1, 5), 2, (1, 1))
-    assert str(info.value) == message
+    # and alpha = 4 = q^-1 zeroes (alpha q; q)_1 in the series; the block
+    # holds the error at its row, unraised
+    row = _racah_block(1, 4, alpha, beta, (1, 5), 2, [(1, 1)] * 3)[x]
+    assert type(row) is error
+    assert str(row) == message
 
 
-def _pairs_or_pole(ctx, x, alpha, beta, delta, N, scale=Fraction(1)):
-    """`_racah_pairs` at the context's q and the given Fractions, with the
-    factor `scale`, or the type of what it raises."""
-    try:
-        return _racah_pairs(
-            ctx.q.numerator,
-            ctx.q.denominator,
-            x,
-            *((v.numerator, v.denominator) for v in (alpha, beta, delta)),
-            N,
-            (scale.numerator, scale.denominator),
-        )
-    except (ZeroDivisionError, ZeroDenominator) as exc:
-        return type(exc)
+def _pair_of(v: Fraction) -> tuple[int, int]:
+    return v.numerator, v.denominator
 
 
-def test_racah_pairs_are_reduced_and_are_the_column():
+def _block(ctx, alpha, beta, delta, N, scales=None):
+    """`_racah_block` at the context's q and the given Fractions, with the
+    Fraction factors `scales` (all 1 by default)."""
+    scales = [Fraction(1)] * (N + 1) if scales is None else scales
+    return _racah_block(
+        ctx.q.numerator,
+        ctx.q.denominator,
+        *map(_pair_of, (alpha, beta, delta)),
+        N,
+        [_pair_of(s) for s in scales],
+    )
+
+
+def _pairs_or_pole(ctx, x, alpha, beta, delta, N):
+    """Row x of the block, or the type of the error it holds there."""
+    row = _block(ctx, alpha, beta, delta, N)[x]
+    return type(row) if isinstance(row, ArithmeticError) else row
+
+
+def test_racah_block_rows_are_reduced_and_are_racah():
+    """Every row of a block, each point times its own factor, is racah at
+    that x times the factor, as the reduced pair of the product; a row at
+    a pole holds the error racah raises at its lowest such degree."""
     rng = random.Random(21)
 
     def draw():
@@ -462,21 +473,19 @@ def test_racah_pairs_are_reduced_and_are_the_column():
         triples += [(1 / q, q**-2, Fraction(1, 5)), (Fraction(2, 3), q**-2 / 5, Fraction(5))]
         for alpha, beta, delta in triples:
             for N in range(6):
-                for x in range(N + 1):
+                scales = [-3 * q ** (x - N) * draw() for x in range(N + 1)]
+                block = _block(ctx, alpha, beta, delta, N, scales)
+                assert len(block) == N + 1
+                for x, (row, scale) in enumerate(zip(block, scales)):
                     want = _racah_by_degree(ctx, x, alpha, beta, delta, N)
-                    pairs = _pairs_or_pole(ctx, x, alpha, beta, delta, N)
                     if isinstance(want, type):
-                        assert pairs is want
+                        assert type(row) is want
                         poles += 1
                         continue
                     # a Fraction's own pair is reduced, with a positive denominator
-                    assert pairs == tuple((v.numerator, v.denominator) for v in want)
-                    assert all(type(num) is int and type(den) is int for num, den in pairs)
-                    # a factor is folded in before the one reduction
-                    scale = -3 * q ** (x - N)
-                    scaled = _pairs_or_pole(ctx, x, alpha, beta, delta, N, scale)
-                    assert scaled == tuple(((scale * v).numerator, (scale * v).denominator) for v in want)
-                    compared += len(pairs)
+                    assert row == tuple(_pair_of(scale * v) for v in want)
+                    assert all(type(num) is int and type(den) is int for num, den in row)
+                    compared += len(row)
     assert compared > 200 and poles > 20
 
 

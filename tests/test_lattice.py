@@ -269,6 +269,7 @@ def test_equal_parameter_sets_share_caches_without_fraction_compares(fraction_ke
         multihahn._level_factor,
         qops._vertex_stencil,
         qops._lowering_stencil,
+        connect._move_plan,
         connect._move_table,
     )
     first, second = _fresh_params(), _fresh_params()

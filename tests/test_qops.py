@@ -501,7 +501,8 @@ def test_every_cache_is_bounded():
         "hahn1d.hahn_eval",
         "multihahn._column",
         "hahn1d.racah_eval",
-        "connect._local_column",
+        "connect._move_plan",
+        "connect._local_block",
         "connect._move_table",
         "trees._rl_parents",
     ):
