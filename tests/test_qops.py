@@ -578,15 +578,32 @@ def _chain_norm_reference(h, n_max, p, raising, kernel):
                         yield {"n": n, "m": m, "N": N, "f1": k1, "f2": k2}, got == want
 
 
+def _level_functions(h, N):
+    """The deltas of [h; N], then the two random functions that
+    `verify_operator_algebra` draws there under `fixed_draws`."""
+    deltas = [GridFunction.delta(h, N, x) for x in enumerate_compositions(h, N)]
+    draws = qops._random_functions(h, N, random.Random(N))
+    return deltas + [GridFunction._from_integers(h, N, *v) for v in draws]
+
+
+def _raising_off_by_a_delta(stencil):
+    """The raising stencil plus f's first value at the last point of its
+    target level: its last row gains column 0 at the stencil's denominator."""
+    rows, den = stencil
+    cols, coeffs = rows[-1]
+    return (*rows[:-1], ((*cols, 0), (*coeffs, den))), den
+
+
 @pytest.mark.parametrize("h, n_max", [(3, 3), (4, 2)])
 @pytest.mark.parametrize("wrong", ["raising", "kernel"])
+@pytest.mark.usefixtures("fixed_draws")
 def test_inner_product_identities_catch_a_wrong_operator(monkeypatch, wrong, h, n_max):
     """Either R off by one delta at its target level, scaled by f's first
     value, or the level-1 kernel vectors of L shifted by a constant: both
     identities report the cases, status and locator that `Fraction` inner
     products give."""
     p = _algebra_params(h)
-    exact_R, exact_kernel, exact_funcs = qops.apply_R, qops.kernel_basis, qops._funcs_for_level
+    exact_R, exact_kernel = qops.apply_R, qops.kernel_basis
 
     def wrong_R(f, p):
         last = enumerate_compositions(f.h, f.N + 1)[-1]
@@ -596,20 +613,21 @@ def test_inner_product_identities_catch_a_wrong_operator(monkeypatch, wrong, h, 
         basis = exact_kernel(h, n, p)
         return [g + GridFunction.constant(h, n, 1) for g in basis] if n == 1 else basis
 
-    def funcs(h, N, rng=None):
-        # a fixed draw per level, so that each identity sees the same functions
-        # however far the identities before it ran
-        return exact_funcs(h, N, random.Random(N))
-
     raising, kernel = (wrong_R, exact_kernel) if wrong == "raising" else (exact_R, wrong_kernel)
-    monkeypatch.setattr(qops, "apply_R", raising)
-    monkeypatch.setattr(qops, "kernel_basis", kernel)
-    monkeypatch.setattr(qops, "_funcs_for_level", funcs)
-    reports = {r["identity"]: r for r in verify_operator_algebra(h, n_max, p)}
+    # the reference reads the exact stencils, so it runs before any is patched
     expected = {
-        ADJOINT: check_identity(ADJOINT, _adjoint_reference(h, n_max, p, funcs, raising)),
+        ADJOINT: check_identity(ADJOINT, _adjoint_reference(h, n_max, p, _level_functions, raising)),
         CHAIN_NORM: check_identity(CHAIN_NORM, _chain_norm_reference(h, n_max, p, raising, kernel)),
     }
+    if wrong == "raising":
+        f = _level_functions(h, 1)[-1]
+        want = wrong_R(f, p)
+        exact_stencil = qops._raising_stencil
+        off = lambda *args: _raising_off_by_a_delta(exact_stencil(*args))
+        monkeypatch.setattr(qops, "_raising_stencil", off)
+        assert qops.apply_R(f, p) == want
+    monkeypatch.setattr(qops, "kernel_basis", kernel)
+    reports = {r["identity"]: r for r in verify_operator_algebra(h, n_max, p)}
     for name, want in expected.items():
         assert reports[name] == want, name
     assert expected[CHAIN_NORM]["status"] == "fail"
@@ -752,7 +770,7 @@ def _stencil_reports(h, n_max, p):
     got = {r["identity"]: r for r in verify_operator_algebra(h, n_max, p)}
     got.update((r["identity"], r) for r in spectral_decomposition_check(h, n_max, p))
     got[VERTEX] = check_identity(VERTEX, _vertex_suite(multihahn.vertex_eigen_cases, h, n_max, p))
-    want = _algebra_references(h, n_max, p, lambda h, N: qops._funcs_for_level(h, N, None))
+    want = _algebra_references(h, n_max, p, _level_functions)
     want[EIGEN] = check_identity(EIGEN, _eigen_reference(h, n_max, p))
     want[VERTEX] = check_identity(VERTEX, _vertex_suite(_vertex_reference, h, n_max, p))
     return {name: (got[name], report) for name, report in want.items()}
@@ -780,10 +798,10 @@ READERS = {
 
 @pytest.fixture
 def fixed_draws(monkeypatch):
-    """A fixed draw of functions per level, so that each identity sees the
-    same functions however far the identities before it ran."""
-    exact_funcs = qops._funcs_for_level
-    monkeypatch.setattr(qops, "_funcs_for_level", lambda h, N, rng: exact_funcs(h, N, random.Random(N)))
+    """A fixed draw of random functions per level, so that each identity
+    sees the same functions however far the identities before it ran."""
+    exact = qops._random_functions
+    monkeypatch.setattr(qops, "_random_functions", lambda h, N, rng: exact(h, N, random.Random(N)))
 
 
 @pytest.mark.parametrize("h, n_max", [(3, 3), (4, 2)])
@@ -839,3 +857,83 @@ def test_stencil_image_identities_build_no_fraction_per_case(monkeypatch, fracti
         assert few < many and at_3 == at_4, name
     for name in (EIGEN, VERTEX):
         assert built[3, name][1] == built[4, name][1] == 0, name
+
+
+# --- the operator identities as stencil products ---------------------------
+
+# The two positivity regimes at q = 1/4 with n_max = 4: every alpha in
+# (0, 1/q) = (0, 4), or every alpha above q^(-4) = 256.
+_REGIMES = (
+    st.fractions(0, 4, max_denominator=12).filter(lambda a: 0 < a < 4),
+    st.fractions(256, 1600, max_denominator=12).filter(lambda a: a > 256),
+)
+
+
+@st.composite
+def _stencil_pairs(draw):
+    """Drawn alphas on h <= 4 variables in either regime, a source level N,
+    and the pairs (A, B) of stencils composed from level N that stay at
+    levels <= 4: R.L, L.R, D.R, R.R and L.(R.R)."""
+    h, N = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    alphas = draw(st.lists(draw(st.sampled_from(_REGIMES)), min_size=h, max_size=h))
+    p = ParamSet(make_ctx(), alphas, n_max=4)
+    R = lambda M: qops._raising_stencil(p.ctx, h, M)
+    L = lambda M: qops._lowering_stencil(p, M)
+    n = composition_count(h, N)
+    pairs = [(R(N - 1), L(N))] if N else []
+    if N < 4:
+        pairs += [(L(N + 1), R(N)), (qops._vertex_stencil(p, N + 1, 0, h), R(N))]
+    if N < 3:
+        pairs += [(R(N + 1), R(N)), (L(N + 2), qops._compose(R(N + 1), R(N), n))]
+    return n, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stencil_pairs())
+def test_composed_stencil_columns_are_pushed_deltas(case):
+    """Column k of A.B is the image of the k-th delta under B, then A."""
+    n, pairs = case
+    for a, b in pairs:
+        rows, den = qops._compose(a, b, n)
+        dense = qops._dense((rows, den), n)
+        for k in range(n):
+            delta = [int(j == k) for j in range(n)], 1
+            assert ([row[k] for row in dense], den) == qops._push(a, qops._push(b, delta)), k
+
+
+FIVE = (RL, LR, COMMUTATOR, ADJOINT, CHAIN_SWAP)
+
+
+def test_operator_identities_push_only_random_and_kernel_vectors(monkeypatch):
+    """`verify_operator_algebra(4, 3, ...)` builds no delta function, and
+    the five operator identities call `_image` on their two random vectors
+    per level only: as often at h = 4, with 20 deltas on level 3, as at
+    h = 3, with 10.  The rest of its calls raise and lower kernel vectors."""
+
+    def no_delta(*args):
+        raise AssertionError("a delta function was built")
+
+    calls = []
+    image = qops._image
+    monkeypatch.setattr(GridFunction, "delta", no_delta)
+    monkeypatch.setattr(qops, "_image", lambda stencil, nums: calls.append(nums) or image(stencil, nums))
+    monkeypatch.setattr(qops, "check_identity", lambda name, cases: (name, cases))
+    counts = {}
+    for h in (3, 4):
+        p = _algebra_params(h)
+        calls.clear()
+        generators = dict(verify_operator_algebra(h, 3, p, seed=1))
+        kernels = [len(kernel_basis(h, n, p)) for n in range(4)]
+        # the raised kernels, built once for the three kernel identities
+        assert len(calls) == sum(k * (3 - n) for n, k in enumerate(kernels))
+        for name, cases in generators.items():
+            calls.clear()
+            assert all(ok for _, ok in cases), (h, name)
+            counts[h, name] = len(calls)
+        # the collapse identity lowers each raised kernel vector to its own level
+        assert counts[h, COLLAPSE] == sum(k * (3 - n) * (4 - n) // 2 for n, k in enumerate(kernels))
+        assert counts[h, CHAIN_NORM] == counts[h, "raising_chain_is_injective_on_kernel"] == 0
+    assert {name: counts[4, name] for name in FIVE} == {name: counts[3, name] for name in FIVE}
+    assert {name: counts[4, name] for name in FIVE} == {
+        RL: 18, LR: 18, COMMUTATOR: 16, ADJOINT: 12, CHAIN_SWAP: 34,
+    }
