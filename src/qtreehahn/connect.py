@@ -350,16 +350,26 @@ class ConnectionMatrix:
         """Each source basis function equals its expansion, evaluated on
         the level-N lattice (N defaults to the degree).  A third route
         beside the path product and the oracle: it reads neither, only the
-        two bases."""
+        two bases.
+
+        Each row (nums, den) is checked in integers, from the integer forms
+        (t_d, T_d) of the target elements and (s, S) of the source one:
+        with L the lcm of the T_d, at every point
+
+            S sum_d nums[d] (L / T_d) t_d == den L s."""
         N = self.n if N is None else N
-        src = {e.labeling: e for e in basis(self.source, self.params, self.n, N)}
-        tgt = {e.labeling: e for e in basis(self.target, self.params, self.n, N)}
-        for c, row in self.rows.items():
-            combo = GridFunction.zero(self.source.h, N)
-            for d, value in row.items():
-                combo = combo + tgt[d].grid.scale(value)
-            if not (combo - src[c].grid).is_zero():
-                return False
+        src, tgt = (
+            {e.labeling: e.grid._integer_form for e in basis(tree, self.params, self.n, N)}
+            for tree in (self.source, self.target)
+        )
+        for c, (nums, den) in self.integer_rows.items():
+            s_nums, s_den = src[c]
+            L = lcm(*(tgt[d][1] for d in nums))
+            terms = [(w * (L // tgt[d][1]), tgt[d][0]) for d, w in nums.items()]
+            scale = den * L
+            for k, v in enumerate(s_nums):
+                if s_den * sum(w * t[k] for w, t in terms) != scale * v:
+                    return False
         return True
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":

@@ -3,14 +3,16 @@
 Two genuinely independent evaluation routes are kept for the q-Hahn
 family: a terminating 3-phi-2 sum (memoized as `hahn_eval`), and a raising
 chain applied to the top-level seed in closed form.  Tests compare them
-point by point.  `hahn_row` returns every lattice point of one degree in
-one pass, in integer arithmetic; the tree bases of `multihahn` read their
-factors from it and cache those, not the rows (`hahn_row` keeps no
-cache), and tests compare it with both routes entry by entry.
+point by point.
 
 The polynomials here are normalized so that the raising chain is exactly
 the level-lift: the value at level N is the chain applied to the level-n
-values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.
+values, scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}.  `_hahn_levels`
+lifts the seed row level by level in integers, by a recurrence whose
+coefficients (`_lift_step`) depend only on q, the degree and the level;
+the tree bases of `multihahn` are built from it.  `hahn_row`, every
+lattice point of one level from the 3phi2 in one pass, is its phi-sum
+reference, and tests compare it with the lift and with both routes.
 
 The q-Racah family also has two routes.  `racah` (memoized as
 `racah_eval`) sums the 4phi3 term by term with `phi_sum`; it serves the
@@ -22,12 +24,11 @@ blocks of the rotation move tables in `connect` read it with their
 q-power prefactor and cache those (`_racah_block` keeps no cache).  Tests
 compare the two routes entry by entry.
 
-Both one-pass bodies, `hahn_row` and `_racah_block`, return reduced
-integer pairs (numerator, denominator) with a positive denominator and
-build no Fraction; `multihahn.basis` and `connect._local_block` keep the
-pairs up to the finished grid or move table.  The Fraction views left are
-the termwise routes `hahn_eval` and `racah_eval`, which serve single
-values and the cross-checks.
+`hahn_row` and `_racah_block` return reduced integer pairs (numerator,
+denominator) with a positive denominator, `_hahn_levels` numerators over
+one denominator; none builds a Fraction.  The Fraction views left are the
+termwise routes `hahn_eval` and `racah_eval`, which serve single values
+and the cross-checks.
 
 The standard-reference q-Racah normalization multiplies by a signed
 half-power (-1)^n poly radicand^(-n/2); `_tilde_scale` states it once for
@@ -201,7 +202,8 @@ def hahn_row(
 ) -> tuple[tuple[int, int] | None, ...]:
     """Every lattice point of one degree: (Q_n(0), ..., Q_n(N)), each the
     reduced pair (numerator, denominator), with a positive denominator, of
-    `hahn_eval(ctx, n, x, alpha, beta, N)` for alpha and beta as such pairs.
+    `hahn_eval(ctx, n, x, alpha, beta, N)` for alpha and beta as such pairs:
+    the phi-sum reference for the rows of `_hahn_levels`.
 
     Term k of the 3phi2 in `hahn_via_phi2` is its term k - 1 times
 
@@ -253,6 +255,71 @@ def hahn_row(
             sum_num, sum_den = t_den * sum_den + t_num * sum_num, t_den * sum_den
         row.append(_reduced(pre_num * sum_num, pre_den * sum_den))
     return tuple(row)
+
+
+# Keyed by q and (c, M) alone, 1 <= c <= M < N: the benchmarks, at one q
+# and N <= 4, make at most 6 keys and the h = 7 connections suite 1, and 64
+# hold every key of one q up to level 11.
+@lru_cache(maxsize=64)
+def _lift_step(a: int, b: int, c: int, M: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The lift of degree c from level M to M + 1 at q = a/b, free of the
+    parameters: the raising relation of `verify_hahn_recurrences` over its
+    factor q^(c-M-1) - 1, cleared of powers of q.  For x = 0..M+1,
+
+        Q_c(x; M+1) = (left[x] Q_c(x-1; M) + right[x] Q_c(x; M)) / den,
+        left[x] = (b^x - a^x) b^(M+1-x),
+        right[x] = a^x (b^(M+1-x) - a^(M+1-x)),
+        den = a^c (b^(M+1-c) - a^(M+1-c))."""
+    e = M + 1
+    left = tuple((b**x - a**x) * b ** (e - x) for x in range(e + 1))
+    right = tuple(a**x * (b ** (e - x) - a ** (e - x)) for x in range(e + 1))
+    return left, right, a**c * (b ** (e - c) - a ** (e - c))
+
+
+def _hahn_levels(
+    ctx: QContext, c: int, alpha: tuple[int, int], beta: tuple[int, int], low: int, top: int
+) -> tuple[list[list[int]], int]:
+    """The rows of degree c at the levels low..top (c <= low): (rows, den)
+    with rows[M - low][x] / den the value of `hahn_row(ctx, c, alpha, beta,
+    M)[x]`, over one unreduced nonzero denominator of either sign.  A row
+    stops where `hahn_row` has None, at the first k <= c where
+    (alpha q; q)_k vanishes.
+
+    Only the seed, the level-c row, reads alpha = an/ad and beta = bn/bd:
+
+        Q_c(x; c) = q^(-c^2/2) (q; q)_c (alpha q^(c+1))^x
+                    prod_{j<x} (beta - q^(j-c)) / (alpha q; q)_x,
+
+    term x being term x - 1 times, at q = a/b,
+
+        an a^x (bn a^(c+1-x) - bd b^(c+1-x)) / (bd b^(c+1-x) (ad b^x - an a^x)),
+
+    with no beta^-1.  Each lift of `_lift_step` multiplies the denominator
+    by the step's, so each row goes over the top one by multiplications.
+    """
+    a, b = ctx.q.numerator, ctx.q.denominator
+    s_num, s_den = ctx.s.numerator, ctx.s.denominator
+    (an, ad), (bn, bd) = alpha, beta
+    num, den = _poch_pair(a, b, 0, c, a, b)  # (q; q)_c
+    row, den = [num * s_den ** (c * c)], den * s_num ** (c * c)
+    for x in range(1, c + 1):
+        down = ad * b**x - an * a**x
+        if not down:  # (alpha q; q)_x vanishes from here on
+            break
+        e = c + 1 - x
+        down *= bd * b**e
+        row = [v * down for v in row] + [row[-1] * an * a**x * (bn * a**e - bd * b**e)]
+        den *= down
+    kept = []
+    for M in range(c, top + 1):
+        if M >= low:
+            kept.append((row, den))
+        if M < top:
+            left, right, step = _lift_step(a, b, c, M)
+            pad = [0] if len(row) > M else []  # a row cut short by a pole stays so
+            row = [u * w + v * z for u, v, w, z in zip(left, right, [0, *row], row + pad)]
+            den *= step
+    return [[v * (den // d) for v in row] if d != den else row for row, d in kept], den
 
 
 def norm_exponent(N: int, n: int) -> int:

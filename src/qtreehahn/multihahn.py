@@ -17,9 +17,12 @@ lattice functions; the squared norms factor over vertices.
 
 Each factor depends on the point only through its vertex's pair (lv, v),
 so `basis` builds a whole level as pointwise products of factor columns
-read off q-Hahn rows over the triangle 0 <= lv <= v <= N, each cached once
-by its vertex span, label and child sums for every tree and degree that
-shares it; `eval_Q` is the per-point route.
+over the triangle 0 <= lv <= v <= N, each cached once by its vertex span,
+label and child sums for every tree and degree that shares it.  A column's
+rows are the raising chain of `hahn1d._hahn_levels`: one seed row at the
+level of its label, lifted level by level by a recurrence free of the
+parameters, with no 3phi2 sum.  `eval_Q` is the per-point route, through
+the phi-sum values of `hahn_eval`.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .hahn1d import hahn_eval, hahn_row, norm_exponent
+from .hahn1d import _hahn_levels, hahn_eval, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
 from .qnum import (
     ZeroDenominator,
@@ -238,10 +241,11 @@ def _span_index(h: int, N: int, lo: int, split: int, hi: int) -> tuple[int, ...]
 
 class _Column(NamedTuple):
     """One vertex factor q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at every
-    point of [h; N]: the numerators over one positive denominator, zero
-    where the vertex fails its own support.  `poles` maps the rank of each
-    point whose `hahn_row` entry is None (a zero placeholder in `nums`) to
-    the text of the ZeroDenominator that reading the factor there raises."""
+    point of [h; N]: the numerators over one positive denominator, with
+    gcd(den, *nums) == 1, zero where the vertex fails its own support.
+    `poles` maps the rank of each point where the factor's (alpha q; q)_k
+    vanishes, the points where `hahn_row` has None (a zero placeholder in
+    `nums`), to the text of the ZeroDenominator that reading it raises."""
 
     nums: tuple[int, ...]
     den: int
@@ -260,37 +264,46 @@ def _column(
     """The factor column on [h; N] of the vertex over the leaves (lo, hi]
     split at `split`, with label c and child coefficient sums lcs and rcs;
     shared by every tree and degree through the cache: never mutate it.
-    Each v reads one `hahn_row` into the triangle of (lv, v), the triangle
-    goes over one denominator, and `_span_index` expands it to the points.
-    The column vanishes where lv < lcs, v - lv < rcs or v < c + lcs + rcs."""
+    The level M = v - lcs - rcs row of each v comes from `_hahn_levels`,
+    one seed row lifted level by level over one denominator; the rows fill
+    the triangle of (lv, v), times q^(-rcs lv), one gcd reduces it, and
+    `_span_index` expands it to the points.  The column vanishes where
+    lv < lcs, v - lv < rcs or v < c + lcs + rcs."""
     h, ctx = params.h, params.ctx
     a, b = ctx.q.numerator, ctx.q.denominator
-    alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
-    beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
-    triangle = [(0, 1)] * ((N + 1) * (N + 2) // 2)
+    top = N - lcs - rcs
+    low = top if hi - lo == h else c  # a vertex over every leaf sees only v = N
+    if c:
+        alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
+        beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
+        rows, den = _hahn_levels(ctx, c, alpha, beta, low, top)
+    else:  # Q_0 = 1
+        rows, den = [[1] * (M + 1) for M in range(low, top + 1)], 1
+    if rcs:  # q^(-rcs lv) = b^(rcs lv) a^(rcs (N - rcs - lv)) / a^(rcs (N - rcs))
+        shift = [b ** (rcs * lv) * a ** (rcs * (N - rcs - lv)) for lv in range(lcs, N - rcs + 1)]
+        den *= a ** (rcs * (N - rcs))
+    triangle = [0] * ((N + 1) * (N + 2) // 2)
     poles = {}
-    # a vertex over every leaf sees only v = N
-    for v in range(max(c + lcs + rcs, N if hi - lo == h else 0), N + 1):
-        row = hahn_row(ctx, c, alpha, beta, v - lcs - rcs)
+    for M, row in enumerate(rows, top + 1 - len(rows)):
+        v = M + lcs + rcs
         start = v * (v + 1) // 2 + lcs  # the index of (lcs, v)
-        if None in row:
-            row = list(row)
-            for x, pair in enumerate(row):
-                if pair is None:
-                    poles[start + x] = (
-                        f"(alpha q; q)_k vanished for alpha={Fraction(*alpha)}, "
-                        f"degree {c}, at x={x}"
-                    )
-                    row[x] = (0, 1)
         if rcs:
-            row = [_shifted(*pair, -rcs * lv, a, b) for lv, pair in enumerate(row, lcs)]
+            row = list(map(mul, row, shift))
         triangle[start : start + len(row)] = row
-    D = lcm(*(den for _, den in triangle))
-    nums = [num * (D // den) for num, den in triangle]
+        for x in range(len(row), M + 1):
+            poles[start + x] = (
+                f"(alpha q; q)_k vanished for alpha={Fraction(*alpha)}, degree {c}, at x={x}"
+            )
+    g = gcd(den, *triangle)
+    if den < 0:
+        g = -g
+    if g != 1:
+        triangle = [t // g for t in triangle]
+        den //= g
     index = _span_index(h, N, lo, split, hi)
     if poles:
         poles = {r: poles[t] for r, t in enumerate(index) if t in poles}
-    return _Column(tuple(map(nums.__getitem__, index)), D, poles)
+    return _Column(tuple(map(triangle.__getitem__, index)), den, poles)
 
 
 def _raise_first_pole(tree: PlanarTree, cs: Sequence[int], columns: Sequence[_Column], N: int):

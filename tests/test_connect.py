@@ -717,6 +717,46 @@ def test_orthogonality_check_rejects_a_scaled_entry_or_a_dropped_row():
     assert not dataclasses.replace(conn, integer_rows=dropped).orthogonality_check()
 
 
+def _defining_relation_by_grids(matrix, N):
+    """The defining relation summed as `GridFunction`s from the `rows` view."""
+    src = {e.labeling: e for e in basis(matrix.source, matrix.params, matrix.n, N)}
+    tgt = {e.labeling: e for e in basis(matrix.target, matrix.params, matrix.n, N)}
+    for c, row in matrix.rows.items():
+        combo = GridFunction.zero(matrix.source.h, N)
+        for d, value in row.items():
+            combo = combo + tgt[d].grid.scale(value)
+        if not (combo - src[c].grid).is_zero():
+            return False
+    return True
+
+
+def test_defining_relation_check_rejects_every_changed_entry():
+    """The integer check gives the verdict of the `GridFunction` sum on the
+    matrix, and fails, as that sum does, when any one entry is changed,
+    dropped or added."""
+    p4 = make_params(4)
+    conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
+    bad = []
+    for c, (nums, den) in conn.integer_rows.items():
+        for d in conn.target_labelings():
+            changed = {**nums, d: nums.get(d, 0) + 1}
+            if not changed[d]:
+                del changed[d]
+            g = math.gcd(den, *changed.values())
+            row = ({e: v // g for e, v in changed.items()}, den // g)
+            bad.append(dataclasses.replace(conn, integer_rows={**conn.integer_rows, c: row}))
+        if len(nums) > 1:
+            d = next(iter(nums))
+            row = ({e: v for e, v in nums.items() if e != d}, den)
+            bad.append(dataclasses.replace(conn, integer_rows={**conn.integer_rows, c: row}))
+    assert len(bad) > len(conn.integer_rows) * len(conn.target_labelings())
+    for N in (2, 3):
+        assert conn.defining_relation_check(N) and _defining_relation_by_grids(conn, N)
+        for matrix in bad:
+            assert not matrix.defining_relation_check(N)
+            assert not _defining_relation_by_grids(matrix, N)
+
+
 def test_connection_invert_matches_reverse_oracle():
     rc, lc = right_comb(3), left_comb(3)
     for n in range(4):

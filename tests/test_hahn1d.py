@@ -211,6 +211,33 @@ def test_hahn_row_builds_no_fraction(fraction_builds):
     assert any(None in row for row in rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    s_pairs,
+    alpha_pairs,
+    alpha_pairs,  # beta, zero included
+    st.one_of(st.just(0), st.integers(1, 3)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_raising_chain_rows_equal_the_phi_sum_rows(s, alpha, beta, pole, c, low, top):
+    """Every row `_hahn_levels` lifts from the seed equals `hahn_row` entry
+    by entry, and stops where `hahn_row` meets its first None; beta = 0 is
+    drawn too, and `pole` = k > 0 puts alpha at q^-k."""
+    c, low, top = sorted((c, low, top))
+    ctx = QContext(s=Fraction(*s))
+    alpha = _pair(ctx.q**-pole) if pole else _pair(Fraction(*alpha))
+    beta = _pair(Fraction(*beta))
+    rows, den = hahn1d._hahn_levels(ctx, c, alpha, beta, low, top)
+    assert den != 0 and len(rows) == top + 1 - low
+    for M, row in enumerate(rows, low):
+        want = hahn_row(ctx, c, alpha, beta, M)
+        width = want.index(None) if None in want else M + 1
+        assert [Fraction(v, den) for v in row] == [Fraction(*pair) for pair in want[:width]]
+        assert all(pair is None for pair in want[width:])
+
+
 def test_constant_and_top_degree():
     # Degree 0 at any level is the constant 1.
     for N in range(4):

@@ -1,10 +1,13 @@
 """Tree-indexed multivariable bases: values, norms, eigenstructure."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtreehahn import (
     GridFunction,
@@ -32,9 +35,11 @@ from qtreehahn import (
     xi_polynomial,
     ZeroDenominator,
 )
-from qtreehahn import multihahn
+from qtreehahn import hahn1d, multihahn
+from qtreehahn.hahn1d import hahn_row
 from qtreehahn._linalg import rank
 from qtreehahn.multihahn import norm_exponent, vertex_eigen_cases
+from qtreehahn.qnum import _shifted
 from qtreehahn.trees import child_sums, coefficient_sums, enumerate_labelings
 
 from conftest import PRIMARY_ALPHAS, make_ctx, make_params
@@ -147,13 +152,14 @@ def test_basis_equals_eval_Q_at_every_point(regime):
 
 def test_basis_builds_no_fraction_per_point(fraction_builds):
     """A level build makes no Fraction at all, from cold factor columns
-    too: their alpha and beta are integer pairs, and `hahn_row` builds
-    none."""
+    and lift steps too: their alpha and beta are integer pairs, and the
+    raising chain of `hahn1d._hahn_levels` builds none."""
     p = make_params(5, "secondary")
     for tree in all_trees(5)[:6]:
         for N in range(4):
             for n in range(N + 1):
                 multihahn._column.cache_clear()
+                hahn1d._lift_step.cache_clear()
                 fraction_builds.clear()
                 multihahn.basis.__wrapped__(tree, p, n, N)
                 assert fraction_builds == [], (tree, n, N)
@@ -326,6 +332,181 @@ def test_a_cached_pole_column_raises_again():
             basis(parse_tree(tree), p, n, N)
         assert str(info.value) == f"(alpha q; q)_k vanished for {message}"
     assert multihahn._column.cache_info().hits > 0
+
+
+def _column_by_phi_rows(params, N, lo, split, hi, c, lcs, rcs):
+    """`multihahn._column` as it was built from the one-pass phi-sum rows
+    of `hahn_row`: one row per v, each value a reduced pair, the triangle
+    over the lcm of their denominators."""
+    h, ctx = params.h, params.ctx
+    a, b = ctx.q.numerator, ctx.q.denominator
+    alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
+    beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
+    triangle = [(0, 1)] * ((N + 1) * (N + 2) // 2)
+    poles = {}
+    for v in range(max(c + lcs + rcs, N if hi - lo == h else 0), N + 1):
+        row = list(hahn_row(ctx, c, alpha, beta, v - lcs - rcs))
+        start = v * (v + 1) // 2 + lcs
+        for x, pair in enumerate(row):
+            if pair is None:
+                poles[start + x] = (
+                    f"(alpha q; q)_k vanished for alpha={Fraction(*alpha)}, degree {c}, at x={x}"
+                )
+                row[x] = (0, 1)
+        if rcs:
+            row = [_shifted(*pair, -rcs * lv, a, b) for lv, pair in enumerate(row, lcs)]
+        triangle[start : start + len(row)] = row
+    D = math.lcm(*(den for _, den in triangle))
+    nums = [num * (D // den) for num, den in triangle]
+    index = multihahn._span_index(h, N, lo, split, hi)
+    poles = {r: poles[t] for r, t in enumerate(index) if t in poles}
+    return multihahn._Column(tuple(nums[t] for t in index), D, poles)
+
+
+def _factor_by_eval(params, lo, split, hi, c, lcs, rcs, x):
+    """The factor of `eval_Q` at the point x for the vertex over (lo, hi]
+    split at `split`, with label c and child sums lcs and rcs, read from
+    `hahn_eval`, or None where it meets a pole."""
+    ctx = params.ctx
+    lv = sum(x[lo:split])
+    v = lv + sum(x[split:hi])
+    if lv < lcs or v - lv < rcs or v < c + lcs + rcs:
+        return Fraction(0)
+    try:
+        return ctx.q_power(-rcs * lv) * hahn_eval(
+            ctx,
+            c,
+            lv - lcs,
+            params.span_p(lo, split) * ctx.q_power(2 * lcs - 1),
+            params.span_p(split, hi) * ctx.q_power(2 * rcs - 1),
+            v - lcs - rcs,
+        )
+    except ZeroDenominator:
+        return None
+
+
+def _is_canonical(nums, den):
+    return den > 0 and math.gcd(den, *nums) == 1
+
+
+def _column_keys(h, N):
+    """Every vertex span and split of [h; N] with every label and child sums
+    that fit the level."""
+    for lo, split, hi in itertools.combinations(range(h + 1), 3):
+        for c in range(N + 1):
+            for lcs in range(N + 1 - c):
+                for rcs in range(N + 1 - c - lcs):
+                    yield lo, split, hi, c, lcs, rcs
+
+
+@st.composite
+def _positive_params(draw):
+    """Alphas of one positivity regime at q = 1/4 or 4/9, checked with
+    n_max = 4: all in (0, 1/q), or all above q^-4."""
+    ctx = make_ctx(draw(st.sampled_from((Fraction(1, 2), Fraction(2, 3)))))
+    h = draw(st.integers(2, 4))
+    steps = st.lists(st.integers(1, 99), min_size=h, max_size=h)
+    if draw(st.booleans()):
+        alphas = [Fraction(u, 100) / ctx.q for u in draw(steps)]
+    else:
+        alphas = [(1 + Fraction(u, 10)) / ctx.q**4 for u in draw(steps)]
+    return ParamSet(ctx, alphas, n_max=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_positive_params(), st.integers(0, 4))
+def test_factor_columns_equal_the_phi_sum_columns_and_eval_Q(p, N):
+    """Every column that the raising chain builds equals the column built
+    from `hahn_row`, integer for integer, and the factor of `eval_Q` at
+    every point."""
+    points = enumerate_compositions(p.h, N)
+    for key in _column_keys(p.h, N):
+        got = multihahn._column.__wrapped__(p, N, *key)
+        assert got == _column_by_phi_rows(p, N, *key), key
+        assert _is_canonical(got.nums, got.den) and not got.poles
+        for r, x in enumerate(points):
+            assert Fraction(got.nums[r], got.den) == _factor_by_eval(p, *key, x), (key, x)
+
+
+POLE_SCAN_ALPHAS = (2, 8, 32, Fraction(1, 2), Fraction(1, 8), 3, 16, Fraction(4, 3))
+
+
+def test_pole_scan_matches_the_phi_sum_columns(monkeypatch):
+    """At every alpha tuple from POLE_SCAN_ALPHAS, 2 <= h <= 3 and N <= 3, where
+    products of alphas meet powers of 1/q = 4: `basis` gives the integer
+    grids of the `hahn_row` columns or raises the same error, and every
+    column and grid is canonical."""
+    cases = [
+        (tree, ParamSet(CTX, alphas, n_max=0, unchecked=True), n, N)
+        for h in (2, 3)
+        for alphas in itertools.product(POLE_SCAN_ALPHAS, repeat=h)
+        for tree in all_trees(h)
+        for N in range(4)
+        for n in range(N + 1)
+    ]
+    columns = []
+    column = multihahn._column.__wrapped__
+
+    def keeping(*key):
+        columns.append(column(*key))
+        return columns[-1]
+
+    def outcomes():
+        for tree, p, n, N in cases:
+            try:
+                yield [e.grid._integer_form for e in basis.__wrapped__(tree, p, n, N)]
+            except ArithmeticError as exc:
+                yield type(exc), str(exc)
+
+    monkeypatch.setattr(multihahn, "_column", keeping)
+    got = list(outcomes())
+    monkeypatch.setattr(multihahn, "_column", _column_by_phi_rows)
+    want = list(outcomes())
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
+    assert all(_is_canonical(col.nums, col.den) for col in columns)
+    grids = [grid for out in got if type(out) is list for grid in out]
+    assert all(_is_canonical(*grid) for grid in grids)
+    poles = sum(type(out) is tuple for out in got)
+    assert len(got) == 10_880 and 0 < poles < len(got) // 4
+    assert {out[0] for out in got if type(out) is tuple} == {ZeroDenominator}
+
+
+def test_negative_seed_denominators_still_give_canonical_columns():
+    """At alphas (8, 2), 1 - alpha q^x is negative in the seed of label 1,
+    so the column's denominator comes out negative before its one gcd."""
+    p = ParamSet(CTX, (8, 2), n_max=0, unchecked=True)
+    col = multihahn._column.__wrapped__(p, 1, 0, 1, 2, 1, 0, 0)
+    assert col == ((3, 3), 2, {})
+    (e,) = basis.__wrapped__(parse_tree("(1 2)"), p, 1, 1)
+    assert e.grid._integer_form == ((3, 3), 2)
+    assert e.grid.values == tuple(
+        eval_Q(e.tree, e.labeling, p, x) for x in enumerate_compositions(2, 1)
+    )
+
+
+def test_lift_steps_carry_no_parameters():
+    """Bases at two alpha vectors read one lift per label c and level M,
+    1 <= c <= M < N; a second q builds its own."""
+    tree, N = right_comb(4), 4
+    steps = {(c, M) for c in range(1, N) for M in range(c, N)}
+    hahn1d._lift_step.cache_clear()
+    for which in ("primary", "secondary", "secondary"):
+        multihahn._column.cache_clear()
+        for n in range(N + 1):
+            basis.__wrapped__(tree, make_params(4, which), n, N)
+    info = hahn1d._lift_step.cache_info()
+    assert (info.misses, info.currsize) == (len(steps), len(steps)) and info.hits > 0
+    q = CTX.q
+    for c, M in steps:
+        left, right, den = hahn1d._lift_step(q.numerator, q.denominator, c, M)
+        assert len(left) == len(right) == M + 2 and left[0] == right[-1] == 0
+        assert all(type(v) is int for v in (*left, *right, den))
+    assert hahn1d._lift_step.cache_info().misses == len(steps)
+    multihahn._column.cache_clear()
+    for n in range(N + 1):
+        basis.__wrapped__(tree, make_params(4, s=Fraction(2, 3)), n, N)
+    assert hahn1d._lift_step.cache_info().misses == 2 * len(steps)
 
 
 def test_basis_validation_and_cache():

@@ -499,6 +499,7 @@ def test_every_cache_is_bounded():
         "multihahn._gamma",
         "multihahn._level_factor",
         "hahn1d.hahn_eval",
+        "hahn1d._lift_step",
         "multihahn._column",
         "hahn1d.racah_eval",
         "connect._move_plan",
