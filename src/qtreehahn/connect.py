@@ -4,17 +4,17 @@ A right-to-left rotation at one vertex replaces a tree basis by the
 rotated tree's basis; the change-of-basis matrix factors through a
 single one-dimensional q-Racah family per move.  Composing moves along
 a rotation path yields the full connection matrix, whose entries are
-multidimensional q-Racah polynomials.  Each move is a cached table of
-integer numerators over one denominator, built without Fractions and
-indexed by labeling rank: a parameter-free `_move_plan` per move and
-degree places every entry, and the numbers come from `_local_block`, one
-q-Racah block of `hahn1d` per group of coefficient sums, shared by every
-move with the same rotating spans and every degree.  `connection_by_path`
-pushes each source rank through all of its path's tables in integers and
-reduces it once, over the product of the tables' denominators;
-`apply_move`, one move of a combination of one degree, runs the same push
-loop.  A matrix keeps each finished row in that form, reading it as
-Fractions only on request.
+multidimensional q-Racah polynomials.  A move at one degree is a `_step`
+of two cached parts, indexed by labeling rank and built without
+Fractions: a parameter-free `_move_plan` per move and degree places every
+entry, and `_local_block`, one q-Racah block of `hahn1d` per group of
+coefficient sums over its own denominator, shared by every move with the
+same rotating spans and every degree, gives the numbers.  `_push` carries
+integer weights through steps: `connection_by_path` pushes each source
+rank through its whole path and reduces it once, over the product of the
+steps' denominators, and `apply_move` and `one_move_coefficients` push
+through one move.  A matrix keeps each finished row in that form,
+reading it as Fractions only on request.
 An inner-product oracle computes the same matrix from the definition,
 reading only the two bases, for any pair of trees.  It is block-diagonal:
 labelings are keyed by their eigenvalues at the spans both trees share,
@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from ._linalg import over_common_denominator
 from .hahn1d import Racah1DSpec, _racah_block, _tilde_scale, gr_racah_bridge, racah_eval
 from .lattice import DomainTable, GridFunction, ParamSet, _weighted, domain_table, enumerate_compositions
-from .multihahn import basis, norm_Q, theta_polynomial, xi_norm
+from .multihahn import _norm_pair, basis, norm_Q, theta_polynomial, xi_norm
 from .qnum import (
     QContext,
     ZeroDenominator,
@@ -102,7 +102,7 @@ class _MovePlan(NamedTuple):
 # The suite builds each of its 990 plans once at 1024, 2612 at 512.
 @lru_cache(maxsize=1024)
 def _move_plan(move: MoveRecord, n: int) -> _MovePlan:
-    """All of the degree-n table of `move` but its numbers: the spans
+    """All of the degree-n `_step` of `move` but its numbers: the spans
     (lo, split, r_split, hi) of the rotating vertex U and its right child
     R, the block groups (i, l, j, n_U) in order of first use, and for each
     source rank (in `domain`, whose ranks label both trees) its cell, row
@@ -157,13 +157,14 @@ def _local_block(
 ) -> tuple[tuple[tuple[tuple[int, int], ...] | ArithmeticError, ...], int]:
     """(rows, L) for the group (i, l, j, n_U) of `_move_plan`, U over
     (lo, hi] split at `split`, R at `r_split`.  With p1 = p(lo, split),
-    p2 = p(split, r_split) and p2 p3 = p(split, hi), entry m of row
-    x = 0..N is the reduced pair of
+    p2 = p(split, r_split) and p2 p3 = p(split, hi), row x = 0..N holds
+    each nonzero entry m as (m, numerator) over L, the lcm of the reduced
+    denominators of
 
         q^(-i x) r_m(x; p2 q^(2l-1), p1 q^(2i-1), p2 p3 q^(n_U + l + j - i - 1), N | q),
 
-    from `hahn1d._racah_block`, whose rows at a pole hold the error.  L is
-    the lcm of the denominators.  Shared: never mutate one.
+    from `hahn1d._racah_block`, whose rows at a pole hold the error.
+    Shared: never mutate one.
     """
     q = params.ctx.q
     a, b = q.numerator, q.denominator
@@ -177,40 +178,29 @@ def _local_block(
         N,
         [_power_pair(a, b, -i * x) for x in range(N + 1)],
     )
-    return rows, lcm(*(den for row in rows if not isinstance(row, ArithmeticError) for _, den in row))
-
-
-# Bound set on the `rotations` benchmark, whose rounds use about 70 tables
-# each.  Replaying the 572 requests of a 20 s run in one process, seeds 3
-# and 11: 64 slots miss 1459 and 1462 times, against 1456 and 1460 with no
-# bound (which holds every table, 43 MB of peak RSS); 32 miss 1584 and
-# 1581, and 128 add 0.7 and 0.8 MB of peak RSS (25.6 and 25.5 MB at 64)
-# for 3 and 2 fewer misses.
-@lru_cache(maxsize=64)
-def _move_table(
-    move: MoveRecord, n: int, params: ParamSet
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-    """(rows, D): rows[s] expands the degree-n source labeling of rank s
-    over the rotated tree's as (target rank, numerator) pairs over D > 0,
-    the lcm of the entries' reduced denominators, filled into the places
-    of `_move_plan`.  A pole raises at the first source labeling, in
-    enumeration order, whose row reads it.  Shared: never mutate one."""
-    spans, groups, cells, targets, _ = _move_plan(move, n)
-    blocks = [_local_block(params, *spans, *group) for group in groups]
-    D = lcm(*(L for _, L in blocks))
-    scaled = [
+    L = lcm(*(den for row in rows if not isinstance(row, ArithmeticError) for _, den in row))
+    return tuple(
         row if isinstance(row, ArithmeticError)
-        else [(m, num * (D // den)) for m, (num, den) in enumerate(row) if num]
-        for rows, _ in blocks
+        else tuple([(m, num * (L // den)) for m, (num, den) in enumerate(row) if num])
         for row in rows
-    ]
-    table = []
-    for cell, places in zip(cells, targets):
-        row = scaled[cell]
-        if isinstance(row, ArithmeticError):
-            raise type(row)(*row.args)
-        table.append(tuple([(places[m], num) for m, num in row]))
-    return tuple(table), D
+    ), L
+
+
+def _step(move: MoveRecord, n: int, params: ParamSet) -> tuple[_MovePlan, list, int]:
+    """(plan, rows, D): one move at degree n, over D > 0, the lcm of its
+    blocks' L.  rows[cell] is the block row of each cell of `_move_plan`
+    with the factor D // L that puts it over D.  A pole raises, before any
+    push, at the first source labeling, in enumeration order, whose cell
+    reads it."""
+    plan = _move_plan(move, n)
+    blocks = [_local_block(params, *plan.spans, *group) for group in plan.groups]
+    D = lcm(*(L for _, L in blocks))
+    rows = [(row, D // L) for block, L in blocks for row in block]
+    poles = {cell for cell, (row, _) in enumerate(rows) if isinstance(row, ArithmeticError)}
+    if poles:
+        row = rows[next(cell for cell in plan.cells if cell in poles)][0]
+        raise type(row)(*row.args)
+    return plan, rows, D
 
 
 _ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
@@ -236,15 +226,21 @@ def _rank(plan: _MovePlan, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> i
     return rank
 
 
-def _push(nums: dict[int, int], tables: Sequence[tuple]) -> dict[int, int]:
-    """Integer weights of source ranks pushed through the rows of each of
-    `tables` in path order: the numerators, unreduced, over the weights'
-    denominator times every D.  Zero weights are skipped."""
-    for rows in tables:
+def _push(nums: dict[int, int], steps: Sequence[tuple]) -> dict[int, int]:
+    """Integer weights of source ranks pushed through each of `steps` in
+    path order: weight w of rank s, times its cell's factor, adds w * value
+    to target rank places[m] for each (m, value) of the cell's block row,
+    places being the plan's targets of s.  The numerators, unreduced, over
+    the weights' denominator times every D.  Zero weights are skipped."""
+    for plan, rows, _ in steps:
+        cells, targets = plan.cells, plan.targets
         out: dict[int, int] = {}
         for s, w in nums.items():
             if w:
-                for t, value in rows[s]:
+                row, factor = rows[cells[s]]
+                places, w = targets[s], w * factor
+                for m, value in row:
+                    t = places[m]
                     out[t] = out.get(t, 0) + w * value
         nums = out
     return nums
@@ -253,17 +249,18 @@ def _push(nums: dict[int, int], tables: Sequence[tuple]) -> dict[int, int]:
 def one_move_coefficients(
     move: MoveRecord, cvec: Sequence[int], params: ParamSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Expand one source labeling over the rotated tree's labelings: its
-    row of `_move_table`, whose coefficient `_local_block` states, over the
-    table's denominator.  ValueError when `cvec` is not a labeling of the
-    move's source tree.  No route of the package calls it; it stays because
-    the perfbench tracer names it among its traced functions."""
+    """Expand one source labeling over the rotated tree's labelings: the
+    labeling pushed alone through the move's `_step`, each coefficient as
+    `_local_block` states it, over the step's denominator.  ValueError when
+    `cvec` is not a labeling of the move's source tree.  No route of the
+    package calls it; it stays because the perfbench tracer names it among
+    its traced functions."""
     cvec = tuple(cvec)
     n = sum(cvec)
-    rows, D = _move_table(move, n, params)
-    plan = _move_plan(move, n)
-    points = plan.domain.points
-    return [(points[t], Fraction(num, D)) for t, num in rows[_rank(plan, move, n, cvec)]]
+    step = _step(move, n, params)
+    plan, _, D = step
+    pushed = _push({_rank(plan, move, n, cvec): 1}, (step,))
+    return [(plan.domain.points[t], Fraction(num, D)) for t, num in pushed.items()]
 
 
 def apply_move(
@@ -276,7 +273,7 @@ def apply_move(
     The combination comes and goes as (numerators, denominator): integer
     weights by labeling over one positive denominator.  Zero weights are
     dropped, and the degree is that of the first labeling left.  The
-    result is put over that denominator times the degree's move-table
+    result is put over that denominator times the move's `_step`
     denominator by `_push`, the loop that `connection_by_path` runs, then
     reduced by one gcd, so it is in lowest terms.  ValueError when a
     weighted labeling is not a labeling of the move's source tree at that
@@ -286,10 +283,10 @@ def apply_move(
     n = next((sum(cvec) for cvec, w in nums.items() if w), None)
     if n is None:
         return {}, 1
-    rows, D = _move_table(move, n, params)
-    plan = _move_plan(move, n)
+    step = _step(move, n, params)
+    plan, _, D = step
     ranked = {_rank(plan, move, n, cvec): w for cvec, w in nums.items() if w}
-    return _labeled_row(_push(ranked, (rows,)), den * D, plan.domain.points)
+    return _labeled_row(_push(ranked, (step,)), den * D, plan.domain.points)
 
 
 @dataclass(frozen=True)
@@ -411,28 +408,28 @@ class ConnectionMatrix:
 
             inv[d][c] = r_d(c) |Q_d|^2 / |Q_c|^2.
 
-        Each new row d is summed in integers read from `integer_rows`, so
-        no `rows` view is built: its entries r_d(c) / |Q_c|^2 over the lcm
-        of their denominators, times |Q_d|^2, reduced once.
+        Each new row d is summed in integers read from `integer_rows` and
+        from the norms' integer pairs, so no `Fraction` is built: its
+        entries r_d(c) / |Q_c|^2 over the lcm of their denominators, times
+        |Q_d|^2, reduced once.
         """
         n, params = self.n, self.params
         target_norms = {
-            d: norm_Q(self.target, d, params, n) for d in self.target_labelings()
+            d: _norm_pair(self.target, d, params, n) for d in self.target_labelings()
         }
         columns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {
             d: [] for d in target_norms
         }
         for c, (nums, den) in self.integer_rows.items():
-            norm = norm_Q(self.source, c, params, n)
+            norm_num, norm_den = _norm_pair(self.source, c, params, n)
             for d, num in nums.items():
-                columns[d].append((c, num * norm.denominator, den * norm.numerator))
+                columns[d].append((c, num * norm_den, den * norm_num))
         rows = {}
         for d, column in columns.items():
             L = lcm(*(den for _, _, den in column))
-            norm = target_norms[d]
+            norm_num, norm_den = target_norms[d]
             rows[d] = _reduced_row(
-                {c: num * (L // den) * norm.numerator for c, num, den in column},
-                L * norm.denominator,
+                {c: num * (L // den) * norm_num for c, num, den in column}, L * norm_den
             )
         return ConnectionMatrix(
             self.target, self.source, self.n, self.params, rows, None
@@ -474,10 +471,10 @@ def connection_by_path(
 
     Without an explicit path the shortest right-to-left rotation path is
     used; NotRightReachable propagates when none exists.  Each move's
-    table is read once per call, and each source row is pushed through
-    every table in integers by `_push`, then reduced once over the
-    product D of the tables' denominators: the canonical row that
-    `apply_move` reaches by reducing after every move.
+    `_step` is taken once per call, and each source row is pushed through
+    every step in integers by `_push`, then reduced once over the product
+    D of the steps' denominators: the canonical row that `apply_move`
+    reaches by reducing after every move.
     """
     if path is None:
         path = find_rl_path(source, target)
@@ -491,9 +488,8 @@ def connection_by_path(
         current = move.target
     if current != target:
         raise ValueError(f"path ends at {current}, expected {target}")
-    tables = [_move_table(move, n, params) for move in path]
-    D = prod(den for _, den in tables)
-    steps = [rows for rows, _ in tables]
+    steps = [_step(move, n, params) for move in path]
+    D = prod(D for *_, D in steps)
     points = enumerate_labelings(source, n)
     rows = {cvec: _labeled_row(_push({s: 1}, steps), D, points) for s, cvec in enumerate(points)}
     return ConnectionMatrix(source, target, n, params, rows, path)

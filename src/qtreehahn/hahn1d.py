@@ -20,8 +20,8 @@ classical q-Racah bridge and is the cross-check.  `_racah_block` returns
 every degree at every lattice point in one pass, from the x-free factors
 shared by the whole block, in integer arithmetic, each point times a
 factor the caller passes so that each value is reduced once; the local
-blocks of the rotation move tables in `connect` read it with their
-q-power prefactor and cache those (`_racah_block` keeps no cache).  Tests
+blocks of the rotation steps in `connect` read it with their q-power
+prefactor and cache those (`_racah_block` keeps no cache).  Tests
 compare the two routes entry by entry.
 
 `hahn_row` and `_racah_block` return reduced integer pairs (numerator,
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from ._linalg import over_common_denominator
@@ -129,21 +130,19 @@ def _check_x(x: int, N: int):
 
 
 def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """Top-level value at its own level:
+    """Top-level value at its own level, in the form of `_hahn_levels`' seed,
+    with no beta^-1:
 
-        q^(-n^2/2) (q; q)_n (alpha beta q^(n+1))^x (beta^-1 q^-n; q)_x / (alpha q; q)_x.
+        q^(-n^2/2) (q; q)_n (alpha q^(n+1))^x prod_{j<x} (beta - q^(j-n)) / (alpha q; q)_x.
     """
-    q = ctx.q
-    if beta == 0:
-        raise ZeroDivisionError(f"beta^-1 q^-n is undefined for beta=0, n={n}")
-    den = pochhammer(ctx, alpha * q, x)
+    den = pochhammer(ctx, alpha * ctx.q, x)
     if den == 0:
         raise ZeroDivisionError(f"(alpha q; q)_x vanished for alpha={alpha}, x={x}")
     return (
         ctx.q_half_power(-n * n)
         * q_factorial(ctx, n)
-        * (alpha * beta * ctx.q_power(n + 1)) ** x
-        * pochhammer(ctx, ctx.q_power(-n) / beta, x)
+        * (alpha * ctx.q_power(n + 1)) ** x
+        * prod(beta - ctx.q_power(j - n) for j in range(x))
         / den
     )
 

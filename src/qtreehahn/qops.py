@@ -387,9 +387,9 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
     Everything is compared in integers; only the per-level scalars are
     `Fraction`s.  The five operator identities are checked on stencil
     products (`_compose`), composed once per call: delta k's case reads
-    column k, and the random functions go through `_image`, which
-    cross-checks the products.  Returns one `check_identity` report per
-    identity.
+    column k, and the two random functions of each level, drawn once per
+    call, go through `_image` once per product, which cross-checks the
+    products.  Returns one `check_identity` report per identity.
     """
     _check_h(h, p)
     ctx = p.ctx
@@ -402,42 +402,39 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
     ops.update((("L", N), _lowering_stencil(p, N)) for N in range(1, n_max + 1))
     ops.update((("D", N), _vertex_stencil(p, N, 0, h)) for N in range(n_max + 1))
 
-    def stored(P, N):
-        return P, [(c, P[1]) for c in zip(*_dense(P, dims[N]))]
+    def stored(P, N, randoms):
+        return P, [(c, P[1]) for c in zip(*_dense(P, dims[N]))] + randoms
 
-    # per (factors, N): the product of the named stencils, and its columns
+    # per (factors, N): the product of the named stencils, and the images of
+    # level N's deltas (its columns), then of level N's random vectors
     products = {
-        ((), N): stored(([((k,), (1,)) for k in range(d)], 1), N) for N, d in enumerate(dims)
+        ((), N): stored(([((k,), (1,)) for k in range(d)], 1), N, _random_functions(h, N, rng))
+        for N, d in enumerate(dims)
     }
 
-    def images(factors, N, draw):
-        # the images of level N's deltas (the product's columns), then of its
-        # random vectors draw[()], under the named stencils, the last first;
-        # each suffix is stored, by a loop: a recursive closure is a cycle
+    def images(factors, N):
+        # the images of level N's tests under the named stencils, the last
+        # first; each suffix is stored, by a loop: a recursive closure is a cycle
         for i in range(len(factors) - 1, -1, -1):
-            S, tail = ops[factors[i]], factors[i + 1 :]
-            if factors[i:] not in draw:
-                draw[factors[i:]] = [_push(S, v) for v in draw[tail]]
             if (factors[i:], N) not in products:
-                P = _compose(S, products[tail, N][0], dims[N]) if tail else S
-                products[factors[i:], N] = stored(P, N)
-        return products[factors, N][1] + draw[factors]
-
-    def tests(N):
-        return {(): _random_functions(h, N, rng)}
+                S, tail = ops[factors[i]], factors[i + 1 :]
+                P, tested = products[tail, N]
+                randoms = [_push(S, v) for v in tested[dims[N] :]]
+                products[factors[i:], N] = stored(_compose(S, P, dims[N]) if tail else S, N, randoms)
+        return products[factors, N][1]
 
     def raising(top, N):  # R^(top - N) from level N
         return tuple(("R", M) for M in range(top - 1, N - 1, -1))
 
-    def vanishes(N, draw, P, *terms):
+    def vanishes(N, P, *terms):
         # per test f of level N, whether P f plus each c Q f of terms (c, Q) is 0
-        sums = images(P, N, draw)
+        sums = images(P, N)
         for c, Q in terms:
-            sums = [_add(u, v, c.as_integer_ratio()) for u, v in zip(sums, images(Q, N, draw))]
+            sums = [_add(u, v, c.as_integer_ratio()) for u, v in zip(sums, images(Q, N))]
         return [not any(nums) for nums, _ in sums]
 
     def level_cases(N, *terms):
-        for k, ok in enumerate(vanishes(N, tests(N), *terms)):
+        for k, ok in enumerate(vanishes(N, *terms)):
             yield {"N": N, "f": k}, ok
 
     def rl_cases():
@@ -461,12 +458,11 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
         # of level N - 1.  With L f1 and R f2 weighted once, a delta's side is
         # an entry: a delta pair compares w_{N-1}(y) L[y, x] with -w_N(x) R[x, y]
         for N in range(1, n_max + 1):
-            upper, lower = tests(N), tests(N - 1)
             (wl, dl), (wu, du) = _weights(p, N - 1), _weights(p, N)
-            lf, rg = images((("L", N),), N, upper), images((("R", N - 1),), N - 1, lower)
+            lf, rg = images((("L", N),), N), images((("R", N - 1),), N - 1)
             left = [(list(map(mul, wl, a)), dl * da) for a, da in lf]
             right = [(list(map(mul, wu, b)), du * db) for b, db in rg]
-            fs, gs = [(None, 1)] * dims[N] + upper[()], [(None, 1)] * dims[N - 1] + lower[()]
+            fs, gs = ([(None, 1)] * dims[M] + images((), M)[dims[M] :] for M in (N, N - 1))
             for k1, ((a, da), (f, df)) in enumerate(zip(left, fs)):
                 for k2, ((b, db), (g, dg)) in enumerate(zip(right, gs)):
                     lhs = a[k2] if g is None else sum(map(mul, a, g))
@@ -476,13 +472,13 @@ def verify_operator_algebra(h: int, n_max: int, p: ParamSet, seed: int = 0) -> l
     def chain_swap_cases():
         # L R^(N - n) - R^(N - n) L - s R^(N - n - 1) == 0 from level n
         for n in range(0, n_max):
-            draw, oks = tests(n), {}
+            oks = {}
             for N in range(n + 1, n_max + 1):
                 s = ctx.q_power(-N) * (1 - ctx.q_power(N - n))
                 s *= A_h * ctx.q_power(N + n + h - 1) - 1
                 terms = [(-1, raising(N - 1, n - 1) + (("L", n),))] if n else []
                 terms.append((-s, raising(N - 1, n)))
-                oks[N] = vanishes(n, draw, (("L", N),) + raising(N, n), *terms)
+                oks[N] = vanishes(n, (("L", N),) + raising(N, n), *terms)
             for k in range(dims[n] + 2):  # function by function, as the cases are numbered
                 for N, ok in oks.items():
                     yield {"n": n, "N": N, "f": k}, ok[k]

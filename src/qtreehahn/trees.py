@@ -87,7 +87,7 @@ class PlanarTree:
         if leaves != list(range(1, len(leaves) + 1)):
             raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
         object.__setattr__(self, "_vertices", tuple(vertices))
-        # taken once: trees key the path and move-table caches
+        # taken once: trees key the path and move-plan caches
         object.__setattr__(self, "_h", len(leaves))
         object.__setattr__(self, "_hash", hash(self.shape))
 
@@ -283,7 +283,7 @@ class MoveRecord:
     h_local: int
 
     def __post_init__(self):
-        # hashed once: records key the move-table cache on every rotation step
+        # hashed once: records key the move-plan cache on every rotation step
         key = (self.source, self.target, self.vertex, self.base, self.s_local, self.r_local, self.h_local)
         object.__setattr__(self, "_hash", hash(key))
 

@@ -744,12 +744,6 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
              "--alphas", "0,1/2,1/3", "--allow-any-params"],
             "A_1 vanished for alpha_1=0",
         ),
-        # the seed of the one-variable family reads beta^-1, and beta = alpha_2
-        (
-            ["verify", "--suite", "vandermonde", "--h", "2", "--N", "2",
-             "--alphas", "1/2,0", "--allow-any-params"],
-            "beta^-1 q^-n is undefined for beta=0, n=0",
-        ),
         # the right-comb norm divides A_h by A_k; at h = 2 it is read first
         (
             ["verify", "--suite", "classical-bridge", "--h", "2", "--N", "2",
@@ -758,14 +752,22 @@ def test_pole_hit_during_evaluation_exit_3(capsys):
         ),
     ],
     ids=["classical-weight-pole", "oracle-zero-norm", "substitution-zero-alpha-2",
-         "substitution-zero-alpha-3", "comb-product-zero-alpha-1", "vandermonde-zero-beta",
-         "xi-norm-zero-alpha-1"],
+         "substitution-zero-alpha-3", "comb-product-zero-alpha-1", "xi-norm-zero-alpha-1"],
 )
 def test_arithmetic_errors_name_their_case(capsys, argv, message):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_vandermonde_passes_at_zero_beta(capsys):
+    """The seed reads no beta^-1: at beta = alpha_2 = 0 its singularity is
+    removable, and the alternating seed sum holds there too."""
+    obj = run_json(capsys, ["verify", "--suite", "vandermonde", "--h", "2", "--N", "2",
+                            "--alphas", "1/2,0", "--allow-any-params"])
+    assert obj["status"] == "pass"
+    assert obj["suites"][0]["reports"][0]["cases"] == 6  # pairs (n, j), 0 <= j <= n <= 2
 
 
 def test_connect_names_the_first_entry_where_path_and_oracle_disagree(capsys, monkeypatch):

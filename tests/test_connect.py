@@ -56,7 +56,7 @@ from qtreehahn import (
     ZeroDenominator,
 )
 from qtreehahn import connect
-from qtreehahn.connect import _local_block, _move_plan, _move_table
+from qtreehahn.connect import _local_block, _move_plan, _step
 from qtreehahn.hahn1d import _racah_block
 from qtreehahn.qops import _eigenvalue
 
@@ -429,7 +429,7 @@ def test_warm_oracle_builds_one_fraction_per_nonzero_entry(fraction_builds):
     p5 = make_params(5)
     rc, lc = right_comb(5), left_comb(5)
     for route in (connection_oracle, connection_by_path):
-        route(rc, lc, 3, p5)  # fills the basis, weight and move-table caches
+        route(rc, lc, 3, p5)  # fills the basis, weight, plan and block caches
         fraction_builds.clear()
         matrix = route(rc, lc, 3, p5)
         assert fraction_builds == [], route
@@ -509,13 +509,15 @@ def test_move_tables_match_displayed_coefficient():
                         if value != 0:
                             want[d] = value
                     assert dict(one_move_coefficients(move, c, p5)) == want, (tree, k, c)
-    assert _move_table.cache_info().maxsize is not None
+    caches = (_move_plan, _local_block)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
     rc, lc = right_comb(5), left_comb(5)
     connection_by_path(rc, lc, 2, make_params(5))
-    before = _move_table.cache_info()
+    before = [cache.cache_info() for cache in caches]
     connection_by_path(rc, lc, 2, make_params(5))
-    after = _move_table.cache_info()
-    assert after.hits > before.hits and after.misses == before.misses
+    after = [cache.cache_info() for cache in caches]
+    for old, new in zip(before, after):
+        assert new.hits > old.hits and new.misses == old.misses
 
 
 def _moves(h):
@@ -526,21 +528,27 @@ def _moves(h):
 
 
 def test_move_tables_are_integers_over_one_denominator():
+    """A step's block rows, each times its factor, are integers over one
+    denominator D, the lcm of the entries' reduced denominators, and place
+    each source labeling's coefficients at the plan's target ranks."""
     p5 = make_params(5)
     for move in _moves(5):
         for n in range(4):
-            rows, D = _move_table(move, n, p5)
+            plan, rows, D = _step(move, n, p5)
             assert type(D) is int and D > 0
-            entries = [Fraction(num, D) for row in rows for _, num in row]
+            assert all(type(factor) is int and factor > 0 for _, factor in rows)
+            entries = [Fraction(num * factor, D) for row, factor in rows for _, num in row]
             assert D == math.lcm(*(value.denominator for value in entries))
             sources = enumerate_labelings(move.source, n)
             targets = enumerate_labelings(move.target, n)
-            assert type(rows) is tuple and len(rows) == len(sources)
-            for cvec, row in zip(sources, rows):
-                assert all(type(t) is int and 0 <= t < len(targets) for t, _ in row)
+            assert len(plan.cells) == len(plan.targets) == len(sources)
+            for cvec, cell, places in zip(sources, plan.cells, plan.targets):
+                row, factor = rows[cell]
+                assert all(type(t) is int and 0 <= t < len(targets) for t in places)
+                assert all(type(m) is int and 0 <= m < len(places) for m, _ in row)
                 assert all(type(num) is int and num != 0 for _, num in row)
                 assert one_move_coefficients(move, cvec, p5) == [
-                    (targets[t], Fraction(num, D)) for t, num in row
+                    (targets[places[m]], Fraction(num * factor, D)) for m, num in row
                 ]
 
 
@@ -552,12 +560,12 @@ def test_move_tables_build_no_fraction(fraction_builds):
     _local_block.cache_clear()
     for move in moves:
         for n in range(4):
-            _move_table.__wrapped__(move, n, p5)
+            _step(move, n, p5)
     assert fraction_builds == []
 
 
 def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
-    """The move tables of every five-leaf move at degrees 0..3 build one
+    """The steps of every five-leaf move at degrees 0..3 build one
     local block per distinct (spans, i, l, j, n_U), with the sums read
     by the `coefficient_sums` walk, and share it between moves and
     degrees; each block has a row for every x = 0..N."""
@@ -576,7 +584,7 @@ def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
         U = tree.vertices[move.vertex]
         R = tree.vertices[U.right]
         for n in range(4):
-            _move_table.__wrapped__(move, n, p5)
+            _step(move, n, p5)
             table_keys = set()
             for c in enumerate_labelings(tree, n):
                 cs = coefficient_sums(tree, c)
@@ -591,13 +599,13 @@ def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
 
 
 def test_move_plans_carry_no_parameters():
-    """Tables of one move and degree at two alpha vectors, and at two
+    """Steps of one move and degree at two alpha vectors, and at two
     values of q, share one plan: one miss, then hits."""
     move = next(m for m in _moves(5) if m.source == right_comb(5))
     others = [make_params(5, "secondary"), make_params(5, s=Fraction(2, 3))]
     _move_plan.cache_clear()
     for p in [make_params(5)] + others:
-        _move_table.__wrapped__(move, 3, p)
+        _step(move, 3, p)
     info = _move_plan.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     plan = _move_plan(move, 3)
@@ -605,6 +613,37 @@ def test_move_plans_carry_no_parameters():
         enumerate_labelings(move.source, 3)
     )
     assert len(plan.cells) == len(plan.targets) == len(plan.domain.points)
+
+
+def test_a_pole_raises_before_any_push():
+    """At these alphas the second move of a two-move path reads a q-Racah
+    pole, though not in the row of a labeling that the first move sends
+    (1, 0, 0) to.  Pushing (1, 0, 0) on still raises at the second move, a
+    fresh copy of the pole's error, and so does the whole path."""
+    p = ParamSet(CTX, (Fraction(2), Fraction(2), Fraction(2), Fraction(32)), unchecked=True)
+    source = parse_tree("(1 (2 (3 4)))")
+    first = transplant_right_to_left(source, 1)[1]
+    second = transplant_right_to_left(first.target, 0)[1]
+    middle = apply_move(first, ({(1, 0, 0): 1}, 1), p)
+    plan = _move_plan(second, 1)
+    blocks = [_local_block(p, *plan.spans, *group) for group in plan.groups]
+    cells = [row for rows, _ in blocks for row in rows]
+    read = {plan.domain.ranks[d] for d in middle[0]}
+    poles = [s for s, cell in enumerate(plan.cells) if isinstance(cells[cell], ArithmeticError)]
+    assert read and poles and read.isdisjoint(poles)
+    text = "4phi3 denominator vanished at k=1 for alpha=1, beta=2, delta=2"
+    assert str(cells[plan.cells[poles[0]]]) == text  # the first pole in enumeration order
+    errors = []
+    for call in (
+        lambda: apply_move(second, middle, p),
+        lambda: connection_by_path(source, second.target, 1, p, (first, second)),
+    ):
+        with pytest.raises(ZeroDenominator) as caught:
+            call()
+        assert type(caught.value) is ZeroDenominator and str(caught.value) == text
+        assert caught.value is not cells[plan.cells[poles[0]]]
+        errors.append(caught.value)
+    assert errors[0] is not errors[1]
 
 
 def _push_by_fractions(move, weights, params):

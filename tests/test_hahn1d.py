@@ -78,11 +78,13 @@ def test_two_routes_agree():
         for N in range(5):
             for n in range(N + 1):
                 s = spec(n, N, which)
-                for x in range(N + 1):
-                    assert hahn_via_phi2(s, x) == hahn_via_raising(s, x)
-                    assert hahn_eval(CTX, n, x, s.alpha, s.beta, N) == hahn_via_phi2(
-                        s, x
-                    )
+                # beta = 0 too: the seed reads no beta^-1
+                for sp in (s, Hahn1DSpec(CTX, n, s.alpha, Fraction(0), N)):
+                    for x in range(N + 1):
+                        assert hahn_via_phi2(sp, x) == hahn_via_raising(sp, x)
+                        assert hahn_eval(CTX, n, x, sp.alpha, sp.beta, N) == hahn_via_phi2(
+                            sp, x
+                        )
 
 
 @settings(max_examples=40)
@@ -114,6 +116,7 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
         # signed, and above 1/q
         pairs = [(draw(), draw()) for _ in range(4)]
         pairs += [(1 / q + draw() ** 2, 2 / q + draw() ** 2), (1 / q + draw() ** 2, -draw() ** 2)]
+        pairs.append((draw(), Fraction(0)))
         for alpha, beta in pairs:
             for N in range(7):
                 for n in range(N + 1):
@@ -126,14 +129,14 @@ def test_hahn_row_equals_both_routes_entry_by_entry():
                         # a Fraction's own pair is reduced, with a positive denominator
                         assert row[x] == (want.numerator, want.denominator)
                         compared += 1
-    assert compared == 2 * 6 * sum((N + 1) ** 2 for N in range(7))
+    assert compared == 2 * 7 * sum((N + 1) ** 2 for N in range(7))
 
 
-# s in (0, 1), and alpha and beta signed, as integer pairs; beta is
-# nonzero, since the raising route's seed reads beta^-1
+# s in (0, 1), and alpha and beta signed, as integer pairs; beta may be
+# zero, since the raising route's seed reads no beta^-1
 s_pairs = st.tuples(st.integers(1, 8), st.integers(2, 9)).filter(lambda t: t[0] < t[1])
 alpha_pairs = st.tuples(st.integers(-40, 40), st.integers(1, 12))
-beta_pairs = st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 12))
+beta_pairs = st.tuples(st.integers(-40, 40), st.integers(1, 12))
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,6 +348,7 @@ def test_vandermonde_domain():
     with pytest.raises(ValueError):
         vandermonde_sum_check(CTX, 2, 3, Fraction(1, 2), Fraction(1, 3))
     assert vandermonde_sum_check(CTX, 3, 2, Fraction(1, 2), Fraction(1, 3))
+    assert vandermonde_sum_check(CTX, 3, 2, Fraction(1, 2), Fraction(0))  # no beta^-1
 
 
 def racah_spec(n, N, delta=Fraction(2, 7)):
@@ -398,7 +402,7 @@ def test_racah_column_equals_racah_entry_by_entry():
         triples = [(draw(), draw(), draw()) for _ in range(5)]
         # above 1/q, and negative
         triples += [(1 / q + draw() ** 2, -1 / q - draw() ** 2, 2 / q + draw() ** 2)]
-        # the shifted forms of a move table: p2 q^(2l-1), p1 q^(2i-1),
+        # the shifted forms of a local block: p2 q^(2l-1), p1 q^(2i-1),
         # p2 p3 q^(n_U + l + j - i - 1)
         p1, p2, p3 = (abs(draw()) for _ in range(3))
         for i, l, j, n_U in ((0, 0, 0, 0), (1, 0, 2, 4), (0, 2, 1, 6), (2, 1, 1, 5)):

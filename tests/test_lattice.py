@@ -270,7 +270,7 @@ def test_equal_parameter_sets_share_caches_without_fraction_compares(fraction_ke
         qops._vertex_stencil,
         qops._lowering_stencil,
         connect._move_plan,
-        connect._move_table,
+        connect._local_block,
     )
     first, second = _fresh_params(), _fresh_params()
     assert first == second and first.ctx is not second.ctx

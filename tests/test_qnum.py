@@ -128,7 +128,7 @@ def test_pochhammer_splits_multiplicatively(ctx, a, m, k, c, e):
     a, b = ctx.q.numerator, ctx.q.denominator
     num, den = qnum._poch_pair(c.numerator, c.denominator, e, k, a, b)
     assert Fraction(num, den) == pochhammer(ctx, c * ctx.q_power(e), k)
-    # the reduced pair (c q^e) of the move tables and norm factors
+    # the reduced pair (c q^e) of the local blocks and norm factors
     assert qnum._shifted(c.numerator, c.denominator, e, a, b) == (
         (c * ctx.q_power(e)).numerator,
         (c * ctx.q_power(e)).denominator,
