@@ -9,22 +9,19 @@ of two cached parts, indexed by labeling rank and built without
 Fractions: a parameter-free `_move_plan` per move and degree places every
 entry, and `_local_block`, one q-Racah block of `hahn1d` per group of
 coefficient sums over its own denominator, shared by every move with the
-same rotating spans and every degree, gives the numbers.  `_push` carries
-integer weights through steps: `connection_by_path` pushes each source
-rank through its whole path and reduces it once, over the product of the
-steps' denominators, and `apply_move` and `one_move_coefficients` push
-through one move.  A matrix keeps each finished row in that form,
-reading it as Fractions only on request.
-An inner-product oracle computes the same matrix from the definition,
-reading only the two bases, for any pair of trees.  It is block-diagonal:
-labelings are keyed by their eigenvalues at the spans both trees share,
-and a source row takes integer dot products only with the target columns
-of its block, over the lcm of the block's norms.  The way back against
-the rotation order is the inverse matrix, which needs no elimination:
-both bases are orthogonal with closed-form norms, so it is the transpose
-rescaled by the ratios of those norms, summed from the integer rows, and
-a matrix is orthogonal exactly when its product with that inverse is the
-identity.
+same rotating spans and every degree, gives the numbers.  A group whose
+rotating labels are both 0 builds no block: it maps each labeling to one
+target with coefficient r_0 = 1.  `_push` carries integer weights
+through steps: `connection_by_path` pushes each source rank through its
+whole path and reduces it once, over the product of the steps'
+denominators, and `apply_move` and `one_move_coefficients` push through
+one move.  A matrix keeps each finished row in that form, and `compose`
+and `invert` sum those rows; `rows` reads them as Fractions.
+An inner-product oracle, block-diagonal by the eigenvalues at shared
+spans, computes the same matrix from the two bases alone, for any pair
+of trees.  The way back is the inverse matrix, the transpose rescaled by
+closed-form norms, and a matrix is orthogonal exactly when its product
+with that inverse is the identity.
 
 The module also carries the three-leaf kernel-expansion machinery
 (expanding a lowering-kernel function over the left-comb basis, and the
@@ -44,7 +41,6 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ._linalg import over_common_denominator
 from .hahn1d import Racah1DSpec, _racah_block, _tilde_scale, gr_racah_bridge, racah_eval
 from .lattice import DomainTable, GridFunction, ParamSet, _weighted, domain_table, enumerate_compositions
 from .multihahn import _norm_pair, basis, norm_Q, theta_polynomial, xi_norm
@@ -139,11 +135,11 @@ def _move_plan(move: MoveRecord, n: int) -> _MovePlan:
     )
 
 
-# Bound set on the same replays: 512 blocks build each of the 6335 and
-# 6864 distinct blocks once, as with no bound (33.0 and 33.8 MB of peak
-# RSS); 256 build 6418 and 7027, and 1024 add 0.5 MB of peak RSS (25.7 MB
-# at 512) for no fewer builds.  The suite builds 746 of its 570 at 512.
-@lru_cache(maxsize=512)
+# Bound set on the same replays: 256 build each of their 3714 and 4032
+# distinct blocks once, as with no bound, and the suite each of its 245;
+# 192 build 3718 and 4036.  At 512 a `rotations` session peaks 0.6 MB
+# higher (27.8 MB) for no fewer builds.
+@lru_cache(maxsize=256)
 def _local_block(
     params: ParamSet,
     lo: int,
@@ -163,7 +159,8 @@ def _local_block(
 
         q^(-i x) r_m(x; p2 q^(2l-1), p1 q^(2i-1), p2 p3 q^(n_U + l + j - i - 1), N | q),
 
-    from `hahn1d._racah_block`, whose rows at a pole hold the error.
+    from `hahn1d._racah_block`, whose rows at a pole (from some x on)
+    hold the error.  A group with N = 0 builds no block (`_step`).
     Shared: never mutate one.
     """
     q = params.ctx.q
@@ -186,18 +183,30 @@ def _local_block(
     ), L
 
 
+# (rows, L) of a group with N = 0: r_0 = 1 at any parameters
+_IDENTITY_BLOCK = (((0, 1),),), 1
+
+
 def _step(move: MoveRecord, n: int, params: ParamSet) -> tuple[_MovePlan, list, int]:
     """(plan, rows, D): one move at degree n, over D > 0, the lcm of its
     blocks' L.  rows[cell] is the block row of each cell of `_move_plan`
-    with the factor D // L that puts it over D.  A pole raises, before any
-    push, at the first source labeling, in enumeration order, whose cell
-    reads it."""
+    with the factor D // L that puts it over D.  A group whose rotating
+    labels are both 0 maps each labeling to one target with coefficient 1
+    and builds no block.  A pole, which fills a block's last rows, raises
+    before any push at the first source labeling, in enumeration order,
+    whose cell reads it."""
     plan = _move_plan(move, n)
-    blocks = [_local_block(params, *plan.spans, *group) for group in plan.groups]
+    blocks = [
+        _local_block(params, *plan.spans, i, l, j, n_U) if n_U > i + l + j else _IDENTITY_BLOCK
+        for i, l, j, n_U in plan.groups
+    ]
     D = lcm(*(L for _, L in blocks))
-    rows = [(row, D // L) for block, L in blocks for row in block]
-    poles = {cell for cell, (row, _) in enumerate(rows) if isinstance(row, ArithmeticError)}
-    if poles:
+    rows = []
+    for block, L in blocks:
+        factor = D // L
+        rows += [(row, factor) for row in block]
+    if any(isinstance(block[-1], ArithmeticError) for block, _ in blocks):
+        poles = {cell for cell, (row, _) in enumerate(rows) if isinstance(row, ArithmeticError)}
         row = rows[next(cell for cell in plan.cells if cell in poles)][0]
         raise type(row)(*row.args)
     return plan, rows, D
@@ -373,9 +382,9 @@ class ConnectionMatrix:
         """Matrix product: expand through `other`'s target basis.  Both
         matrices must share the degree and the parameter set (q and alphas).
 
-        `other`'s `integer_rows` go over one denominator L, with no `rows`
-        view, and each product row is summed in integers over its own
-        row's denominator times L, then reduced once."""
+        `other`'s `integer_rows` go over one denominator L, and each
+        integer row of this matrix is summed over its denominator times L,
+        then reduced once."""
         if (self.target, self.n, self.params) != (other.source, other.n, other.params):
             raise ValueError("connection matrices do not chain")
         L = lcm(*(den for _, den in other.integer_rows.values()))
@@ -384,21 +393,14 @@ class ConnectionMatrix:
             for d, (nums, den) in other.integer_rows.items()
         }
         rows = {}
-        for c, row in self.rows.items():
-            vs, D = over_common_denominator(row.values())
+        for c, (nums, den) in self.integer_rows.items():
             acc: dict[tuple[int, ...], int] = {}
-            for d, v in zip(row, vs):
+            for d, v in nums.items():
                 for e, w in scaled.get(d, ()):
                     acc[e] = acc.get(e, 0) + v * w
-            rows[c] = _reduced_row(acc, D * L)
-        path = (
-            self.path + other.path
-            if self.path is not None and other.path is not None
-            else None
-        )
-        return ConnectionMatrix(
-            self.source, other.target, self.n, self.params, rows, path
-        )
+            rows[c] = _reduced_row(acc, den * L)
+        path = None if None in (self.path, other.path) else self.path + other.path
+        return ConnectionMatrix(self.source, other.target, self.n, self.params, rows, path)
 
     def invert(self) -> "ConnectionMatrix":
         """Exact inverse, read as a target-to-source expansion.
@@ -414,12 +416,8 @@ class ConnectionMatrix:
         |Q_d|^2, reduced once.
         """
         n, params = self.n, self.params
-        target_norms = {
-            d: _norm_pair(self.target, d, params, n) for d in self.target_labelings()
-        }
-        columns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {
-            d: [] for d in target_norms
-        }
+        target_norms = {d: _norm_pair(self.target, d, params, n) for d in self.target_labelings()}
+        columns: dict[tuple[int, ...], list[tuple]] = {d: [] for d in target_norms}
         for c, (nums, den) in self.integer_rows.items():
             norm_num, norm_den = _norm_pair(self.source, c, params, n)
             for d, num in nums.items():
@@ -431,9 +429,7 @@ class ConnectionMatrix:
             rows[d] = _reduced_row(
                 {c: num * (L // den) * norm_num for c, num, den in column}, L * norm_den
             )
-        return ConnectionMatrix(
-            self.target, self.source, self.n, self.params, rows, None
-        )
+        return ConnectionMatrix(self.target, self.source, self.n, self.params, rows, None)
 
     def json_header(self) -> dict:
         """The members of `to_json_obj` before its "matrix"."""

@@ -56,7 +56,8 @@ from qtreehahn import (
     ZeroDenominator,
 )
 from qtreehahn import connect
-from qtreehahn.connect import _local_block, _move_plan, _step
+from qtreehahn._linalg import over_common_denominator
+from qtreehahn.connect import _local_block, _move_plan, _reduced_row, _step
 from qtreehahn.hahn1d import _racah_block
 from qtreehahn.qops import _eigenvalue
 
@@ -566,9 +567,11 @@ def test_move_tables_build_no_fraction(fraction_builds):
 
 def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
     """The steps of every five-leaf move at degrees 0..3 build one
-    local block per distinct (spans, i, l, j, n_U), with the sums read
-    by the `coefficient_sums` walk, and share it between moves and
-    degrees; each block has a row for every x = 0..N."""
+    local block per distinct (spans, i, l, j, n_U) with N = n_U - i - l - j
+    > 0, with the sums read by the `coefficient_sums` walk, and share it
+    between moves and degrees; each block has a row for every x = 0..N.
+    No key with N = 0 reaches the block cache: every lookup is one of the
+    N > 0 keys, and every build has N > 0."""
     p5 = make_params(5)
     builds = []
 
@@ -589,13 +592,15 @@ def test_each_local_block_is_built_once_across_moves_and_degrees(monkeypatch):
             for c in enumerate_labelings(tree, n):
                 cs = coefficient_sums(tree, c)
                 (i, _), (l, j) = child_sums(U, cs), child_sums(R, cs)
-                table_keys.add((U.lo, U.split, R.split, R.hi, i, l, j, cs[U.index]))
+                if cs[U.index] > i + l + j:
+                    table_keys.add((U.lo, U.split, R.split, R.hi, i, l, j, cs[U.index]))
             keys |= table_keys
             looked_up += len(table_keys)
     info = _local_block.cache_info()
     assert len(builds) == info.misses == info.currsize == len(keys)
     assert info.hits == looked_up - len(keys) > 0
-    assert all(len(scales) == N + 1 for *_, N, scales in builds)  # a factor per x
+    assert info.hits + info.misses == looked_up  # no lookup of an N = 0 key
+    assert all(N > 0 and len(scales) == N + 1 for *_, N, scales in builds)  # a factor per x
 
 
 def test_move_plans_carry_no_parameters():
@@ -644,6 +649,54 @@ def test_a_pole_raises_before_any_push():
         assert caught.value is not cells[plan.cells[poles[0]]]
         errors.append(caught.value)
     assert errors[0] is not errors[1]
+
+
+def _step_through_every_block(move, n, params):
+    """`_step` with every group, N = 0 included, sent through
+    `_local_block`: the reference for the groups that build no block."""
+    plan = _move_plan(move, n)
+    blocks = [_local_block(params, *plan.spans, *group) for group in plan.groups]
+    D = math.lcm(*(L for _, L in blocks))
+    rows = [(row, D // L) for block, L in blocks for row in block]
+    poles = {cell for cell, (row, _) in enumerate(rows) if isinstance(row, ArithmeticError)}
+    if poles:
+        row = rows[next(cell for cell in plan.cells if cell in poles)][0]
+        raise type(row)(*row.args)
+    return plan, rows, D
+
+
+def _step_or_error(step, move, n, params):
+    try:
+        return step(move, n, params)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_identity_groups_leave_every_step_and_every_pole_unchanged():
+    """Every five-leaf move at degrees 0..3 gives the (plan, rows, D), or
+    the error type and text, of a step that builds every block, at the
+    stock alphas and at unchecked alphas from {2, 8, 32, 1/2, 1/8, 3},
+    whose products meet q-Racah poles at q = 1/4."""
+    rng = random.Random(34)
+    values = [Fraction(2), Fraction(8), Fraction(32), Fraction(1, 2), Fraction(1, 8), Fraction(3)]
+    params = [make_params(5), make_params(5, "secondary")] + [
+        ParamSet(CTX, tuple(rng.choice(values) for _ in range(5)), unchecked=True)
+        for _ in range(12)
+    ]
+    moves = list(_moves(5))
+    outcomes = {"rows": 0, "identity": 0, "poles": 0}
+    for p in params:
+        for move in moves:
+            for n in range(4):
+                got = _step_or_error(_step, move, n, p)
+                assert got == _step_or_error(_step_through_every_block, move, n, p), (p, move, n)
+                if len(got) == 2:
+                    outcomes["poles"] += 1
+                    continue
+                outcomes["rows"] += 1
+                groups = got[0].groups
+                outcomes["identity"] += any(n_U == i + l + j for i, l, j, n_U in groups)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def _push_by_fractions(move, weights, params):
@@ -839,6 +892,65 @@ def test_compose_reads_the_right_factor_s_integer_rows():
     inv = conn.invert()
     assert conn.compose(inv).is_identity()
     assert "rows" not in vars(inv)
+
+
+def _compose_by_fractions(left, right):
+    """`compose` read from its left factor's `rows` view, put over one
+    denominator by `over_common_denominator`: the reference for the
+    integer `compose`."""
+    L = math.lcm(*(den for _, den in right.integer_rows.values()))
+    scaled = {
+        d: [(e, w * (L // den)) for e, w in nums.items()]
+        for d, (nums, den) in right.integer_rows.items()
+    }
+    rows = {}
+    for c, row in left.rows.items():
+        vs, D = over_common_denominator(row.values())
+        acc = {}
+        for d, v in zip(row, vs):
+            for e, w in scaled.get(d, ()):
+                acc[e] = acc.get(e, 0) + v * w
+        rows[c] = _reduced_row(acc, D * L)
+    path = left.path + right.path if left.path is not None and right.path is not None else None
+    return rows, path
+
+
+def test_compose_equals_the_fraction_reading_compose():
+    """On every reachable five-leaf pair at degrees 0..2, products of path
+    matrices (split after the path's first move), their `invert` and the
+    oracle give the rows and path of a `compose` that reads its left
+    factor's `Fraction` view."""
+    p5 = make_params(5)
+    products = 0
+    for src, tgt in _reachable_pairs(5):
+        path = find_rl_path(src, tgt)
+        for n in range(3):
+            conn = connection_by_path(src, tgt, n, p5, path=path)
+            inv, oracle = conn.invert(), connection_oracle(src, tgt, n, p5)
+            pairs = [(conn, inv), (inv, conn), (oracle, inv), (inv, oracle)]
+            if len(path) > 1:
+                mid = path[0].target
+                head = connection_by_path(src, mid, n, p5, path=path[:1])
+                tail = connection_by_path(mid, tgt, n, p5, path=path[1:])
+                pairs += [(head, tail), (head, connection_oracle(mid, tgt, n, p5)), (oracle, tail.invert())]
+            for left, right in pairs:
+                got = left.compose(right)
+                assert (got.integer_rows, got.path) == _compose_by_fractions(left, right), (src, tgt, n)
+                products += 1
+    assert products > 4 * 54 * 3
+
+
+def test_orthogonality_check_builds_no_fraction(fraction_builds):
+    """Neither factor of the orthogonality check's product builds a
+    `Fraction`: the matrix, its inverse and their product stay in
+    integers."""
+    p5 = make_params(5)
+    rc, lc = right_comb(5), left_comb(5)
+    for n in range(4):
+        for conn in (connection_by_path(rc, lc, n, p5), connection_oracle(rc, lc, n, p5)):
+            fraction_builds.clear()
+            assert conn.orthogonality_check()
+            assert fraction_builds == [] and "rows" not in vars(conn), n
 
 
 def test_identity_matrix_for_equal_trees():

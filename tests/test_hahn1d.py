@@ -520,6 +520,45 @@ def test_racah_block_rows_are_reduced_and_are_racah():
     assert compared > 200 and poles > 20
 
 
+def _racah_parameter(q: Fraction, regime: str, u: int, w: int) -> Fraction:
+    """A parameter in (0, 1/q), or above q^(-12), from the integers u, w."""
+    inside = Fraction(u, u + w) / q  # in (0, 1/q)
+    return inside if regime == "unit" else q**-12 * (1 + inside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s_pairs,
+    st.sampled_from(["unit", "above"]),
+    st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=3, max_size=3),
+    st.sampled_from([None, "alpha q", "alpha beta q^2", "beta delta q^2"]),
+)
+def test_racah_block_of_degree_zero_is_one_at_every_parameter(s, regime, uws, pole):
+    """At N = 0 the block is the one value r_0(0) = 1, with no error, in
+    either positivity regime and at the pole parameters alpha = q^-1,
+    alpha beta = q^-2 and beta delta = q^-2.  At N = 1..3 the rows that
+    hold an error are the last ones, and each pole parameter makes one
+    (a drawn triple may meet a pole too)."""
+    q = Fraction(*s) ** 2
+    alpha, beta, delta = (_racah_parameter(q, regime, u, w) for u, w in uws)
+    if pole == "alpha q":
+        alpha = 1 / q
+    elif pole == "alpha beta q^2":
+        alpha = q**-2 / beta
+    elif pole == "beta delta q^2":
+        delta = q**-2 / beta
+    a, b = q.numerator, q.denominator
+    params = [_pair(v) for v in (alpha, beta, delta)]
+    assert _racah_block(a, b, *params, 0, [(1, 1)]) == (((1, 1),),)
+    errors = []
+    for N in range(1, 4):
+        block = _racah_block(a, b, *params, N, [(1, 1)] * (N + 1))
+        flags = [isinstance(row, ArithmeticError) for row in block]
+        assert flags == sorted(flags), N  # errors only in a final run of rows
+        errors.append(flags[-1])
+    assert any(errors) or pole is None
+
+
 def test_racah_degenerates_to_hahn_at_delta_zero():
     # At delta = 0 the 4phi3 collapses to the 3phi2 of the q-Hahn family up
     # to the same prefactor structure; compare against the explicit ratio.
