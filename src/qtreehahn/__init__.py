@@ -47,18 +47,12 @@ from .qops import (
 )
 from .hahn1d import (
     Hahn1DSpec,
-    NonSquareRadicand,
     Racah1DSpec,
-    gr_racah_bridge,
     hahn_eval,
-    hahn_norm,
     hahn_row,
     hahn_via_phi2,
-    hahn_via_raising,
     racah,
     racah_eval,
-    vandermonde_sum_check,
-    verify_hahn_recurrences,
 )
 from .trees import (
     MoveRecord,
@@ -83,30 +77,59 @@ from .multihahn import (
     basis,
     eval_Q,
     norm_Q,
-    raise_basis_element,
-    theta_polynomial,
     vertex_eigenvalue,
-    xi_norm,
-    xi_polynomial,
 )
 from .connect import (
     ConnectionMatrix,
-    NotInKernel,
     apply_move,
-    comb_connection_product,
     connection_by_path,
     connection_oracle,
-    dunkl_expansion_coeffs,
-    gasper_rahman_racah,
-    gr_conversion_factor,
-    gr_correspondence_cases,
-    gr_correspondence_check,
-    gr_substitution,
-    gr_weight_factor,
-    kernel_interpolation_basis,
     one_move_coefficients,
-    three_dim_racah_example_cases,
-    three_dim_racah_example_check,
 )
 
 __version__ = "0.1.0"
+
+# The cross-checks against the classical families, exported from
+# `classical` when one of them is first read.
+_LAZY = (
+    "NonSquareRadicand",
+    "NotInKernel",
+    "hahn_via_raising",
+    "hahn_norm",
+    "verify_hahn_recurrences",
+    "vandermonde_sum_check",
+    "gr_racah_bridge",
+    "raise_basis_element",
+    "xi_polynomial",
+    "xi_norm",
+    "theta_polynomial",
+    "dunkl_expansion_coeffs",
+    "kernel_interpolation_basis",
+    "gasper_rahman_racah",
+    "gr_substitution",
+    "comb_connection_product",
+    "gr_conversion_factor",
+    "gr_weight_factor",
+    "gr_correspondence_check",
+    "gr_correspondence_cases",
+    "three_dim_racah_example_check",
+    "three_dim_racah_example_cases",
+)
+
+# Every public name bound above, the imported submodules among them, and
+# then the lazy ones.
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import classical
+
+        value = getattr(classical, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -21,14 +21,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import mul
 
-from .connect import (
-    _ZERO_ROW,
-    connection_by_path,
-    connection_oracle,
-    gr_correspondence_cases,
-    three_dim_racah_example_cases,
-)
-from .hahn1d import verify_hahn_recurrences, vandermonde_sum_check
+from .connect import _ZERO_ROW, connection_by_path, connection_oracle
 from .lattice import OutsidePositivityRegime, ParamSet, _weighted, enumerate_compositions
 from .multihahn import _norm_pair, basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
@@ -338,11 +331,15 @@ def _suite_spectral(params, h, N, seed):
 
 
 def _suite_hahn_recurrences(params, h, N, seed):
+    from .classical import verify_hahn_recurrences
+
     ctx = params.ctx
     return verify_hahn_recurrences(ctx, params.alphas[0], params.alphas[1], N)
 
 
 def _suite_vandermonde(params, h, N, seed):
+    from .classical import vandermonde_sum_check
+
     ctx = params.ctx
     a, b = params.alphas[0], params.alphas[1]
     cases = (
@@ -398,10 +395,14 @@ def _over_degrees(cases_at, params, N):
 
 
 def _suite_classical_bridge(params, h, N, seed):
+    from .classical import gr_correspondence_cases
+
     return _over_degrees(gr_correspondence_cases, params, N)
 
 
 def _suite_worked_example(params, h, N, seed):
+    from .classical import three_dim_racah_example_cases
+
     return _over_degrees(three_dim_racah_example_cases, params, N)
 
 

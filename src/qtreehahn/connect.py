@@ -22,65 +22,30 @@ spans, computes the same matrix from the two bases alone, for any pair
 of trees.  The way back is the inverse matrix, the transpose rescaled by
 closed-form norms, and a matrix is orthogonal exactly when its product
 with that inverse is the identity.
-
-The module also carries the three-leaf kernel-expansion machinery
-(expanding a lowering-kernel function over the left-comb basis, and the
-interpolation functions that make that expansion explicit) and the
-bridge to the classical multivariable q-Racah product family, including
-the parameter substitution, conversion factor, and weight factor that
-align the two normalizations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .hahn1d import Racah1DSpec, _racah_block, _tilde_scale, gr_racah_bridge, racah_eval
-from .lattice import DomainTable, GridFunction, ParamSet, _weighted, domain_table, enumerate_compositions
-from .multihahn import _norm_pair, basis, norm_Q, theta_polynomial, xi_norm
-from .qnum import (
-    QContext,
-    ZeroDenominator,
-    _power_pair,
-    _reduced,
-    _shifted,
-    as_fraction,
-    pochhammer,
-    q_binomial,
-    q_factorial,
-)
-from .qops import _eigenvalue, apply_L, check_identity
+from .hahn1d import _racah_block
+from .lattice import DomainTable, ParamSet, _weighted, domain_table
+from .multihahn import _norm_pair, basis
+from .qnum import ZeroDenominator, _power_pair, _reduced, _shifted, _Value
+from .qops import _eigenvalue
 from .trees import MoveRecord, PlanarTree, enumerate_labelings, find_rl_path
 
 __all__ = [
-    "NotInKernel",
     "one_move_coefficients",
     "apply_move",
     "ConnectionMatrix",
     "connection_by_path",
     "connection_oracle",
-    "dunkl_expansion_coeffs",
-    "kernel_interpolation_basis",
-    "gasper_rahman_racah",
-    "gr_substitution",
-    "comb_connection_product",
-    "gr_conversion_factor",
-    "gr_weight_factor",
-    "gr_correspondence_check",
-    "gr_correspondence_cases",
-    "three_dim_racah_example_check",
-    "three_dim_racah_example_cases",
 ]
-
-
-class NotInKernel(ValueError):
-    """The function is not annihilated by the lowering operator."""
 
 
 class _MovePlan(NamedTuple):
@@ -298,8 +263,7 @@ def apply_move(
     return _labeled_row(_push(ranked, (step,)), den * D, plan.domain.points)
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(_Value):
     """Expansion of one tree basis over another at fixed degree n.
 
     `integer_rows[c]` is the row of the source element labeled c as
@@ -307,17 +271,26 @@ class ConnectionMatrix:
     that gcd(den, *nums) == 1, with zero entries absent: the canonical form
     of `GridFunction`, so equal rows have equal integers.  `rows[c][d]` is
     the same coefficient as a `Fraction`, a view built on first read and
-    then kept.  `path` records the rotation sequence used, or None when the
-    matrix came from the inner-product oracle or from `invert`, which
-    rescales the transpose by closed-form norms.
+    then kept: the fields and the view live in the instance `__dict__`,
+    which no other value type has.  `path` records the rotation sequence
+    used, or None when the matrix came from the inner-product oracle or
+    from `invert`, which rescales the transpose by closed-form norms.  The
+    rows are dicts, so a matrix has no hash.
     """
 
-    source: PlanarTree
-    target: PlanarTree
-    n: int
-    params: ParamSet
-    integer_rows: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]]
-    path: Optional[tuple[MoveRecord, ...]] = None
+    _fields = ("source", "target", "n", "params", "integer_rows", "path")
+
+    def __init__(
+        self,
+        source: PlanarTree,
+        target: PlanarTree,
+        n: int,
+        params: ParamSet,
+        integer_rows: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]],
+        path: Optional[tuple[MoveRecord, ...]] = None,
+    ):
+        for name, value in zip(self._fields, (source, target, n, params, integer_rows, path)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
@@ -562,538 +535,3 @@ def connection_oracle(
                 row[labeling] = dot * factor
         rows[es.labeling] = _reduced_row(row, den * M)
     return ConnectionMatrix(source, target, n, params, rows, None)
-
-
-def dunkl_expansion_coeffs(
-    f: GridFunction, params: ParamSet
-) -> list[Fraction]:
-    """Expand a three-variable lowering-kernel function over the
-    left-comb basis of its degree, using only values on the edge x2 = 0.
-
-    The coefficient of the element with bottom label i is
-
-        (-a2)^i (a1 q; q)_i q^((3i^2+i+n^2)/2 - ni)
-        / ((q; q)_{n-i} (a1 a2 q^(i+1), a2 q, q; q)_i)
-        * sum_{k=0}^{i} (-a1 a2 q^((k+1)/2))^(-k)
-            (a3 q^(n-i+1); q)_{i-k} (q^(-i), a1 a2 q^(i+1); q)_k
-            / (q; q)_k * f(k, 0).
-
-    Kernel membership is verified first (NotInKernel otherwise) and the
-    reconstruction is checked exactly before returning.
-    """
-    if params.h != 3 or f.h != 3:
-        raise ValueError("the edge-value expansion is a three-variable result")
-    n = f.N
-    if n >= 1 and not apply_L(f, params).is_zero():
-        raise NotInKernel("lowering the function does not give zero")
-    ctx = params.ctx
-    q = ctx.q
-    a1, a2, a3 = params.alphas
-    coeffs = []
-    for i in range(n + 1):
-        prefactor = (
-            (-a2) ** i
-            * pochhammer(ctx, a1 * q, i)
-            * ctx.q_half_power(3 * i * i + i + n * n - 2 * n * i)
-            / (
-                q_factorial(ctx, n - i)
-                * pochhammer(ctx, a1 * a2 * ctx.q_power(i + 1), i)
-                * pochhammer(ctx, a2 * q, i)
-                * q_factorial(ctx, i)
-            )
-        )
-        acc = Fraction(0)
-        for k in range(i + 1):
-            edge = f.at((k, 0, n - k))
-            if edge == 0:
-                continue
-            acc += (
-                (-1) ** k
-                * (a1 * a2) ** (-k)
-                * ctx.q_half_power(-k * (k + 1))
-                * pochhammer(ctx, a3 * ctx.q_power(n - i + 1), i - k)
-                * pochhammer(ctx, ctx.q_power(-i), k)
-                * pochhammer(ctx, a1 * a2 * ctx.q_power(i + 1), k)
-                / q_factorial(ctx, k)
-                * edge
-            )
-        coeffs.append(prefactor * acc)
-    recon = GridFunction.zero(3, n)
-    for i, a_i in enumerate(coeffs):
-        if a_i == 0:
-            continue
-        nv = (i, n - i)
-        grid = GridFunction.from_callable(
-            3, n, lambda x, nv=nv: theta_polynomial(params, nv, x)
-        )
-        recon = recon + grid.scale(a_i)
-    if not (recon - f).is_zero():
-        raise ArithmeticError("edge-value expansion failed to reconstruct")
-    return coeffs
-
-
-def kernel_interpolation_basis(
-    params: ParamSet, N: int, k: int
-) -> GridFunction:
-    """The lowering-kernel function at level N that is 1 at (k, 0) and 0
-    at every other point of the edge x2 = 0:
-
-        f(x1, x2) = (-1)^(x2) [x2, k-x1]_q (a1 q^(x1+1); q)_{k-x1}
-                    (a3 q^(N-x1-x2+1); q)_{x1+x2-k} / (a2 q; q)_{x2}
-                    * a1^(x1-k) a2^(x1+x2-k)
-                    * q^((x1-k)(x1+x2+1) + x2(x2+1)/2)
-
-    on 0 <= k - x1 <= x2, and 0 elsewhere; the alternating sign is forced
-    by the kernel equation.  Kernel membership and the edge deltas are
-    verified before returning.  No route of the package calls it: it stays
-    as the closed-form cross-check of `qops.kernel_basis`.
-    """
-    if params.h != 3:
-        raise ValueError("the interpolation functions are three-variable")
-    if not (0 <= k <= N):
-        raise ValueError(f"need 0 <= k <= N, got k={k}, N={N}")
-    ctx = params.ctx
-    q = ctx.q
-    a1, a2, a3 = params.alphas
-
-    def value(x):
-        x1, x2, _ = x
-        if not (0 <= k - x1 <= x2):
-            return Fraction(0)
-        return (
-            (-1) ** x2
-            * q_binomial(ctx, x2, k - x1)
-            * pochhammer(ctx, a1 * ctx.q_power(x1 + 1), k - x1)
-            * pochhammer(ctx, a3 * ctx.q_power(N - x1 - x2 + 1), x1 + x2 - k)
-            / pochhammer(ctx, a2 * q, x2)
-            * a1 ** (x1 - k)
-            * a2 ** (x1 + x2 - k)
-            * ctx.q_power((x1 - k) * (x1 + x2 + 1) + x2 * (x2 + 1) // 2)
-        )
-
-    grid = GridFunction.from_callable(3, N, value)
-    for m in range(N + 1):
-        expected = Fraction(1) if m == k else Fraction(0)
-        if grid.at((m, 0, N - m)) != expected:
-            raise ArithmeticError("edge values are not the expected deltas")
-    if N >= 1 and not apply_L(grid, params).is_zero():
-        raise ArithmeticError("interpolation function left the kernel")
-    return grid
-
-
-def gasper_rahman_racah(
-    ctx: QContext,
-    a: Sequence[Fraction],
-    b: Fraction,
-    N: int,
-    x: Sequence[int],
-    nlist: Sequence[int],
-    squared: bool = True,
-) -> Fraction:
-    """Product form of the classical multivariable q-Racah polynomial:
-
-        prod_{k=1}^{s} r~_{n_k}(x_{k+1} - x_k;
-            a_{k+1} q^(-1), b A~_k q^(2 N_{k-1}) / a_1,
-            A~_k^(-1) q^(-x_{k+1} - N_{k-1}), x_{k+1} - N_{k-1} | q)
-
-    with A~_k = a_1 ... a_k, N_k = n_1 + ... + n_k and x_{s+1} = N.
-    Factors whose degree or argument falls outside their finite lattice
-    make the product vanish.  `squared` mirrors the tilde-normalization
-    convention: True squares every factor (always rational), False keeps
-    signs and raises NonSquareRadicand when an odd-degree factor's
-    radicand is not a rational square.
-    """
-    a = tuple(as_fraction(v) for v in a)
-    b = as_fraction(b)
-    nlist = tuple(nlist)
-    x = tuple(x)
-    s = len(nlist)
-    if len(a) != s + 1:
-        raise ValueError(f"need {s + 1} a-parameters, got {len(a)}")
-    if len(x) != s:
-        raise ValueError(f"need {s} lattice points, got {len(x)}")
-    value = Fraction(1)
-    a_prefix = Fraction(1)
-    n_prefix = 0
-    for k in range(1, s + 1):
-        a_prefix *= a[k - 1]  # A~_k
-        x_next = x[k] if k < s else N  # x_{k+1}
-        degree = nlist[k - 1]
-        arg = x_next - x[k - 1]
-        lattice = x_next - n_prefix
-        if not (0 <= degree <= lattice and 0 <= arg <= lattice):
-            return Fraction(0)
-        spec = Racah1DSpec(
-            ctx,
-            degree,
-            a[k] * ctx.q_power(-1),
-            b * a_prefix * ctx.q_power(2 * n_prefix) / a[0],
-            ctx.q_power(-x_next - n_prefix) / a_prefix,
-            lattice,
-        )
-        value *= gr_racah_bridge(spec, arg, squared=squared)
-        n_prefix += degree
-    return value
-
-
-def gr_substitution(params: ParamSet, n: int) -> dict:
-    """Parameter dictionary aligning the classical product family with
-    the comb-to-comb connection coefficients at degree n:
-
-        s = h - 2,  b = alpha_1,
-        a_1 = (alpha_2 ... alpha_h)^(-1) q^(-2n - h + 2),
-        a_k = alpha_k q  for k = 2 .. h - 1,
-
-    lattice points x_k = m_1 + ... + m_k and total N = n.  A zero among
-    alpha_2 .. alpha_h raises ZeroDenominator naming the first.
-    """
-    h = params.h
-    ctx = params.ctx
-    if 0 in params.alphas[1:]:
-        k = params.alphas.index(0, 1) + 1
-        raise ZeroDenominator(f"alpha_2 ... alpha_{h} vanished for alpha_{k}=0")
-    a = [ctx.q_power(-2 * n - h + 2) / params.span_product(1, h)]
-    for k in range(2, h):
-        a.append(params.alphas[k - 1] * ctx.q)
-    return {"s": h - 2, "a": tuple(a), "b": params.alphas[0], "N": n}
-
-
-def comb_connection_product(
-    params: ParamSet, n: int, nv: Sequence[int], m: Sequence[int]
-) -> Fraction:
-    """Closed-form connection coefficient from the right comb labeled m
-    to the left comb labeled nv = (n_2, ..., n_h), both of degree n:
-
-        prod_{k=2}^{h-1} q^(-m_k i_k)
-            r_{n_k}(m_k; alpha_k, A_{k-1} q^(2 i_k + k - 2),
-                    A_{k-1}^(-1) A_h q^(n + j_k - i_k + h - k),
-                    n - i_k - j_k | q)
-
-    with i_k = n_2 + ... + n_{k-1} and j_k = m_{k+1} + ... + m_{h-1};
-    the product vanishes when any factor leaves its finite lattice.  A
-    factor read with A_{k-1} = 0 raises ZeroDenominator naming the first
-    zero alpha.
-    """
-    h = params.h
-    nv = tuple(nv)
-    m = tuple(m)
-    if len(nv) != h - 1 or len(m) != h - 1:
-        raise ValueError(f"need {h - 1} labels on each comb")
-    if sum(nv) != n or sum(m) != n:
-        raise ValueError("labelings must sum to the degree")
-    ctx = params.ctx
-    A_h = params.prefix_product(h)
-    value = Fraction(1)
-    for k in range(2, h):
-        i_k = sum(nv[: k - 2])
-        j_k = sum(m[k:])
-        lattice = n - i_k - j_k
-        degree = nv[k - 2]
-        arg = m[k - 1]
-        if degree > lattice or arg > lattice:
-            return Fraction(0)
-        A_prev = params.prefix_product(k - 1)
-        if not A_prev:
-            raise ZeroDenominator(
-                f"A_{k - 1} vanished for alpha_{params.alphas.index(0) + 1}=0"
-            )
-        value *= ctx.q_power(-arg * i_k) * racah_eval(
-            ctx,
-            degree,
-            arg,
-            params.alphas[k - 1],
-            A_prev * ctx.q_power(2 * i_k + k - 2),
-            A_h / A_prev * ctx.q_power(n + j_k - i_k + h - k),
-            lattice,
-        )
-        if value == 0:
-            return value
-    return value
-
-
-def gr_conversion_factor(
-    params: ParamSet, n: int, nv: Sequence[int], squared: bool = True
-) -> Fraction:
-    """Scalar relating the tilde-normalized classical product to the
-    comb-to-comb connection product at final labeling nv:
-
-        prod_{k=2}^{h-1} (-1)^(n_k)
-            (A_k q^(2 i_k + n_k + k - 1), alpha_k q, q; q)_{n_k}
-            (A_{k-1}^(-1) A_h q^(n_k + h - k + 1))^(-n_k / 2).
-
-    The label-dependent q-powers of the two sides cancel against each
-    other, leaving this labeling-only factor.  Squared mode squares it.
-    """
-    h = params.h
-    nv = tuple(nv)
-    if len(nv) != h - 1 or sum(nv) != n:
-        raise ValueError(f"need {h - 1} labels summing to {n}")
-    ctx = params.ctx
-    A_h = params.prefix_product(h)
-    value = Fraction(1)
-    for k in range(2, h):
-        n_k = nv[k - 2]
-        i_k = sum(nv[: k - 2])
-        poly = (
-            pochhammer(
-                ctx,
-                params.prefix_product(k) * ctx.q_power(2 * i_k + n_k + k - 1),
-                n_k,
-            )
-            * pochhammer(ctx, params.alphas[k - 1] * ctx.q, n_k)
-            * q_factorial(ctx, n_k)
-        )
-        radicand = A_h / params.prefix_product(k - 1) * ctx.q_power(n_k + h - k + 1)
-        value *= _tilde_scale(poly, radicand, n_k, squared)
-    return value
-
-
-def gr_weight_factor(params: ParamSet, n: int) -> Fraction:
-    """Scalar relating the classical weight to the reciprocal right-comb
-    norm at level n:
-
-        (A_{h-1} q^(h-1))^n q^((n^2 - 3n)/2)
-        (q, alpha_h q, alpha_{h-1} alpha_h q^(n+1); q)_n
-        / (alpha_{h-1}; q)_n.
-
-    The denominator vanishes at alpha_{h-1} = q^(-m) with 0 <= m < n.
-    `ParamSet` rejects every m >= 1, which leaves alpha_{h-1} = 1 at
-    n >= 1: that raises ZeroDenominator naming alpha_{h-1} and n.
-    """
-    h = params.h
-    ctx = params.ctx
-    a_last = params.alphas[h - 1]
-    a_prev = params.alphas[h - 2]
-    denominator = pochhammer(ctx, a_prev, n)
-    if denominator == 0:
-        raise ZeroDenominator(
-            f"(alpha_{h - 1}; q)_n vanished for alpha_{h - 1}={a_prev}, n={n}"
-        )
-    return (
-        (params.prefix_product(h - 1) * ctx.q_power(h - 1)) ** n
-        * ctx.q_power((n * n - 3 * n) // 2)
-        * q_factorial(ctx, n)
-        * pochhammer(ctx, a_last * ctx.q, n)
-        * pochhammer(ctx, a_prev * a_last * ctx.q_power(n + 1), n)
-        / denominator
-    )
-
-
-def gr_correspondence_check(params: ParamSet, n: int) -> list[dict]:
-    """The `check_identity` reports of `gr_correspondence_cases` at degree n."""
-    return [
-        check_identity(name, cases)
-        for name, cases in gr_correspondence_cases(params, n).items()
-    ]
-
-
-def gr_correspondence_cases(
-    params: ParamSet, n: int
-) -> dict[str, Iterable[tuple[dict, bool]]]:
-    """Cases of the bridge between the comb-to-comb connection products
-    and the classical multivariable q-Racah family at degree n.
-
-    Three exact identities, each mapped to its (locator, ok) cases; every
-    locator names n:
-      * squared product identity: classical product (squared) equals the
-        squared conversion factor times the squared connection product,
-        for every pair of labelings;
-      * signed product identity on labelings whose first h-2 entries are
-        all even, where every half-power is an integer power;
-      * weight orthogonality: the connection products are orthogonal for
-        the classical-side weight (weight factor over right-comb norms),
-        with squared norms equal to the weight factor over left-comb
-        norms.
-    """
-    from .trees import left_comb, right_comb
-
-    h = params.h
-    ctx = params.ctx
-    sub = gr_substitution(params, n)
-    labelings = enumerate_compositions(h - 1, n)
-    points = {m: list(accumulate(m[: h - 2])) for m in labelings}
-    ours = {
-        (nv, m): comb_connection_product(params, n, nv, m)
-        for nv in labelings
-        for m in labelings
-    }
-
-    def classical(nv, m, squared):
-        return gasper_rahman_racah(
-            ctx, sub["a"], sub["b"], sub["N"], points[m], nv[: h - 2], squared=squared
-        )
-
-    def product_cases():
-        for nv in labelings:
-            conv_sq = gr_conversion_factor(params, n, nv, squared=True)
-            for m in labelings:
-                ok = classical(nv, m, True) == conv_sq * ours[nv, m] * ours[nv, m]
-                yield {"n": n, "nv": list(nv), "m": list(m)}, ok
-
-    def signed_cases():
-        for nv in labelings:
-            if any(v % 2 for v in nv[: h - 2]):
-                continue
-            conv = gr_conversion_factor(params, n, nv, squared=False)
-            for m in labelings:
-                ok = classical(nv, m, False) == conv * ours[nv, m]
-                yield {"n": n, "nv": list(nv), "m": list(m)}, ok
-
-    def weight_cases():
-        conn = connection_by_path(right_comb(h), left_comb(h), n, params)
-        wf = gr_weight_factor(params, n)
-        weights = {m: wf / xi_norm(params, m, n) for m in labelings}
-        targets = conn.target_labelings()
-        for idx, d1 in enumerate(targets):
-            for d2 in targets[idx:]:
-                acc = Fraction(0)
-                for c in labelings:
-                    v1 = conn.value(c, d1)
-                    v2 = conn.value(c, d2)
-                    if v1 and v2:
-                        acc += v1 * v2 * weights[c]
-                if d1 == d2:
-                    expected = wf / norm_Q(left_comb(h), d1, params, n)
-                else:
-                    expected = Fraction(0)
-                yield {"n": n, "d1": list(d1), "d2": list(d2)}, acc == expected
-
-    return {
-        "classical-product-identity": product_cases(),
-        "classical-signed-product-identity": signed_cases(),
-        "classical-weight-orthogonality": weight_cases(),
-    }
-
-
-def _example_norm_reciprocal(
-    params: ParamSet, n: int, u1: int, u2: int, u3: int
-) -> Fraction:
-    """Displayed squared norm of the five-leaf example's final basis,
-    as a function of the labels (u1, u2, u3)."""
-    ctx = params.ctx
-    q = ctx.q
-    a1, a2, a3, a4, a5 = params.alphas
-    A4 = params.prefix_product(4)
-    A5 = params.prefix_product(5)
-    num = (
-        pochhammer(ctx, A4 * ctx.q_power(2 * u3 + 4), n - u3)
-        * pochhammer(ctx, a1 * a2 * ctx.q_power(2 * u1 + 2), u3 - u1 - u2)
-        * pochhammer(ctx, a1 * q, u1)
-        * pochhammer(ctx, a3 * q, u2)
-        * a1 ** (-n)
-        * a2 ** (-n + u1)
-        * a3 ** (-n + u3 - u2)
-        * a4 ** (-n + u3)
-    )
-    den = (
-        q_factorial(ctx, n - u3)
-        * pochhammer(ctx, A5 * ctx.q_power(n + u3 + 4), n - u3)
-        * pochhammer(ctx, a5 * q, n - u3)
-        * q_factorial(ctx, u3 - u1 - u2)
-        * pochhammer(ctx, A4 * ctx.q_power(u1 + u2 + u3 + 3), u3 - u1 - u2)
-        * pochhammer(ctx, a3 * a4 * ctx.q_power(2 * u2 + 2), u3 - u1 - u2)
-        * q_factorial(ctx, u1)
-        * pochhammer(ctx, a1 * a2 * ctx.q_power(u1 + 1), u1)
-        * pochhammer(ctx, a2 * q, u1)
-        * q_factorial(ctx, u2)
-        * pochhammer(ctx, a3 * a4 * ctx.q_power(u2 + 1), u2)
-        * pochhammer(ctx, a4 * q, u2)
-    )
-    exponent = (
-        -(2 * u3 + 3) * (n - u3)
-        - (2 * u1 + 1) * (u3 - u1)
-        + 2 * u1 * u2
-        - u2
-        + (n * n - 3 * n) // 2
-    )
-    return num / den * ctx.q_power(exponent)
-
-
-def three_dim_racah_example_check(params: ParamSet, n: int) -> list[dict]:
-    """The `check_identity` reports of `three_dim_racah_example_cases` at degree n."""
-    return [
-        check_identity(name, cases)
-        for name, cases in three_dim_racah_example_cases(params, n).items()
-    ]
-
-
-def three_dim_racah_example_cases(
-    params: ParamSet, n: int
-) -> dict[str, Iterable[tuple[dict, bool]]]:
-    """Cases of the worked five-leaf example, end to end at degree n.
-
-    The three-move path from the right comb to (((1 2) (3 4)) 5) is
-    composed explicitly and compared against the trees of the figures;
-    every entry is compared against the displayed triple product and
-    against the inner-product oracle; the displayed squared-norm
-    expression is compared against the closed-form norm of the final
-    tree; and the composed matrix is checked for orthogonality.  Maps
-    each identity to its (locator, ok) cases; every locator names n.
-    """
-    from .trees import right_comb, transplant_right_to_left
-
-    if params.h != 5:
-        raise ValueError("the worked example has five leaves")
-    ctx = params.ctx
-    a1, a2, a3, a4, a5 = params.alphas
-    t0 = right_comb(5)
-    t1, mv1 = transplant_right_to_left(t0, 0)
-    t2, mv2 = transplant_right_to_left(t1, 2)
-    t3, mv3 = transplant_right_to_left(t2, 0)
-    conn = connection_by_path(t0, t3, n, params, path=(mv1, mv2, mv3))
-    oracle = connection_oracle(t0, t3, n, params)
-    figures = [t.serialize() for t in (t1, t2, t3)]
-    figures_ok = figures == [
-        "((1 2) (3 (4 5)))",
-        "((1 2) ((3 4) 5))",
-        "(((1 2) (3 4)) 5)",
-    ]
-
-    def triple_product(m, d):
-        m1, m2, m3, m4 = m
-        u1, u2 = d[2], d[3]
-        u3 = n - d[0]  # d[1] == u3 - u1 - u2 for every degree-n labeling
-        if u1 > m1 + m2 or u2 > m3 + m4:
-            return Fraction(0)
-        return (
-            racah_eval(
-                ctx, u1, m2, a2, a1,
-                a2 * a3 * a4 * a5 * ctx.q_power(n + m3 + m4 + 3),
-                m1 + m2,
-            )
-            * racah_eval(
-                ctx, u2, m4, a4, a3,
-                a4 * a5 * ctx.q_power(m3 + m4 + 1),
-                m3 + m4,
-            )
-            * ctx.q_power(-u1 * (m3 + m4 - u2))
-            * racah_eval(
-                ctx, u3 - u1 - u2, m3 + m4 - u2,
-                a3 * a4 * ctx.q_power(2 * u2 + 1),
-                a1 * a2 * ctx.q_power(2 * u1 + 1),
-                a3 * a4 * a5 * ctx.q_power(n + u2 - u1 + 2),
-                n - u1 - u2,
-            )
-        )
-
-    def entry_cases(check):
-        for m in conn.source_labelings():
-            for d in conn.target_labelings():
-                yield {"n": n, "m": list(m), "d": list(d)}, check(m, d)
-
-    def norm_cases():
-        for d in conn.target_labelings():
-            displayed = _example_norm_reciprocal(params, n, d[2], d[3], n - d[0])
-            yield {"n": n, "d": list(d)}, displayed * norm_Q(t3, d, params, n) == 1
-
-    return {
-        "worked-example-path": [({"n": n, "trees": figures}, figures_ok)],
-        "worked-example-triple-product": entry_cases(
-            lambda m, d: conn.value(m, d) == triple_product(m, d)
-        ),
-        "worked-example-oracle-agreement": entry_cases(
-            lambda m, d: oracle.value(m, d) == conn.value(m, d)
-        ),
-        "worked-example-norm-display": norm_cases(),
-        "worked-example-orthogonality": [({"n": n}, conn.orthogonality_check())],
-    }

@@ -1,9 +1,9 @@
 """One-dimensional q-Hahn and q-Racah polynomials, exactly.
 
-Two genuinely independent evaluation routes are kept for the q-Hahn
-family: a terminating 3-phi-2 sum (memoized as `hahn_eval`), and a raising
-chain applied to the top-level seed in closed form.  Tests compare them
-point by point.
+The q-Hahn family is evaluated by a terminating 3-phi-2 sum (memoized as
+`hahn_eval`).  The raising chain applied to the top-level seed in closed
+form, the independent route that tests compare with it point by point,
+is `classical.hahn_via_raising`.
 
 The polynomials here are normalized so that the raising chain is exactly
 the level-lift: the value at level N is the chain applied to the level-n
@@ -29,22 +29,14 @@ denominator) with a positive denominator, `_hahn_levels` numerators over
 one denominator; none builds a Fraction.  The Fraction views left are the
 termwise routes `hahn_eval` and `racah_eval`, which serve single values
 and the cross-checks.
-
-The standard-reference q-Racah normalization multiplies by a signed
-half-power (-1)^n poly radicand^(-n/2); `_tilde_scale` states it once for
-`gr_racah_bridge` and for the classical conversion factor in `connect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import Sequence
 
-from ._linalg import over_common_denominator
-from .lattice import ParamSet
 from .qnum import (
     QContext,
     Rational,
@@ -53,98 +45,60 @@ from .qnum import (
     _poch_pair,
     _power_pair,
     _reduced,
+    _Value,
     as_fraction,
     phi_sum,
     pochhammer,
-    q_binomial,
     q_factorial,
-    rational_sqrt,
 )
-from .qops import _eigenvalue, _push, _same, _scaled, _vertex_stencil, check_identity
 
 __all__ = [
-    "NonSquareRadicand",
     "Hahn1DSpec",
     "Racah1DSpec",
     "hahn_via_phi2",
-    "hahn_via_raising",
     "hahn_eval",
     "hahn_row",
-    "hahn_norm",
     "norm_exponent",
-    "verify_hahn_recurrences",
-    "vandermonde_sum_check",
     "racah",
     "racah_eval",
-    "gr_racah_bridge",
 ]
 
 
-class NonSquareRadicand(ArithmeticError):
-    """An explicit half-integer exponent landed on a non-square rational."""
-
-
-@dataclass(frozen=True)
-class Hahn1DSpec:
+class Hahn1DSpec(_Value):
     """Degree, parameter pair and level of a one-dimensional q-Hahn polynomial."""
 
-    ctx: QContext
-    n: int
-    alpha: Fraction
-    beta: Fraction
-    N: int
+    __slots__ = _fields = ("ctx", "n", "alpha", "beta", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if not (0 <= self.n <= self.N):
-            raise ValueError(f"need 0 <= n <= N, got n={self.n}, N={self.N}")
+    def __init__(self, ctx: QContext, n: int, alpha: Rational, beta: Rational, N: int):
+        values = (ctx, n, as_fraction(alpha), as_fraction(beta), N)
+        if not (0 <= n <= N):
+            raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class Racah1DSpec:
+class Racah1DSpec(_Value):
     """Degree, three parameters and level of a one-dimensional q-Racah polynomial.
 
     The lattice is always the finite one: the fourth textbook parameter is
     pinned to q**(-N) by the level.
     """
 
-    ctx: QContext
-    n: int
-    alpha: Fraction
-    beta: Fraction
-    delta: Fraction
-    N: int
+    __slots__ = _fields = ("ctx", "n", "alpha", "beta", "delta", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if not (0 <= self.n <= self.N):
-            raise ValueError(f"need 0 <= n <= N, got n={self.n}, N={self.N}")
+    def __init__(
+        self, ctx: QContext, n: int, alpha: Rational, beta: Rational, delta: Rational, N: int
+    ):
+        values = (ctx, n, as_fraction(alpha), as_fraction(beta), as_fraction(delta), N)
+        if not (0 <= n <= N):
+            raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def _check_x(x: int, N: int):
     if not (0 <= x <= N):
         raise ValueError(f"lattice point x={x} outside 0..{N}")
-
-
-def _seed_value(ctx: QContext, n: int, x: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """Top-level value at its own level, in the form of `_hahn_levels`' seed,
-    with no beta^-1:
-
-        q^(-n^2/2) (q; q)_n (alpha q^(n+1))^x prod_{j<x} (beta - q^(j-n)) / (alpha q; q)_x.
-    """
-    den = pochhammer(ctx, alpha * ctx.q, x)
-    if den == 0:
-        raise ZeroDivisionError(f"(alpha q; q)_x vanished for alpha={alpha}, x={x}")
-    return (
-        ctx.q_half_power(-n * n)
-        * q_factorial(ctx, n)
-        * (alpha * ctx.q_power(n + 1)) ** x
-        * prod(beta - ctx.q_power(j - n) for j in range(x))
-        / den
-    )
 
 
 def hahn_via_phi2(spec: Hahn1DSpec, x: int) -> Fraction:
@@ -168,24 +122,6 @@ def hahn_via_phi2(spec: Hahn1DSpec, x: int) -> Fraction:
         min(n, x),
     )
     return prefactor * series
-
-
-def hahn_via_raising(spec: Hahn1DSpec, x: int) -> Fraction:
-    """Chain route: the raising chain from the level-n seed, in closed form.
-
-        q^(-n(N-n)) * sum_y [N-x, n-y]_q [x, y]_q q^(y(y+N-x-n)) seed(y)
-    """
-    _check_x(x, spec.N)
-    ctx, n, N = spec.ctx, spec.n, spec.N
-    total = Fraction(0)
-    for y in range(max(0, x - (N - n)), min(x, n) + 1):
-        total += (
-            q_binomial(ctx, N - x, n - y)
-            * q_binomial(ctx, x, y)
-            * ctx.q_power(y * (y + N - x - n))
-            * _seed_value(ctx, n, y, spec.alpha, spec.beta)
-        )
-    return ctx.q_power(-n * (N - n)) * total
 
 
 @lru_cache(maxsize=1 << 14)
@@ -262,7 +198,7 @@ def hahn_row(
 @lru_cache(maxsize=64)
 def _lift_step(a: int, b: int, c: int, M: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The lift of degree c from level M to M + 1 at q = a/b, free of the
-    parameters: the raising relation of `verify_hahn_recurrences` over its
+    parameters: the raising relation of `classical.verify_hahn_recurrences` over its
     factor q^(c-M-1) - 1, cleared of powers of q.  For x = 0..M+1,
 
         Q_c(x; M+1) = (left[x] Q_c(x-1; M) + right[x] Q_c(x; M)) / den,
@@ -324,137 +260,6 @@ def _hahn_levels(
 def norm_exponent(N: int, n: int) -> int:
     """The (always even) exponent 2e with q^e = q^(((N-2n)^2 + N + 2n - 2n^2)/2)."""
     return (N - 2 * n) ** 2 + N + 2 * n - 2 * n * n
-
-
-def hahn_norm(spec: Hahn1DSpec) -> Fraction:
-    """Squared norm for the lattice inner product with parameters (alpha, beta):
-
-        (alpha beta q^(n+1); q)_{N+1} (q; q)_n (beta q; q)_n
-        / ((1 - alpha beta q^(2n+1)) (q; q)_{N-n} (alpha q; q)_n)
-        * alpha^n q^(((N-2n)^2 + N + 2n - 2n^2)/2).
-    """
-    ctx, n, N = spec.ctx, spec.n, spec.N
-    alpha, beta = spec.alpha, spec.beta
-    q = ctx.q
-    return (
-        pochhammer(ctx, alpha * beta * ctx.q_power(n + 1), N + 1)
-        * q_factorial(ctx, n)
-        * pochhammer(ctx, beta * q, n)
-        / (
-            (1 - alpha * beta * ctx.q_power(2 * n + 1))
-            * q_factorial(ctx, N - n)
-            * pochhammer(ctx, alpha * q, n)
-        )
-        * alpha**n
-        * ctx.q_power(norm_exponent(N, n) // 2)
-    )
-
-
-def verify_hahn_recurrences(
-    ctx: QContext, alpha: Rational, beta: Rational, n_max: int
-) -> list[dict]:
-    """Exact check of the three structure relations of the q-Hahn family.
-
-    For all 0 <= n <= N <= n_max and all lattice points:
-
-      * raising: the raising operator sends the level-(N-1) polynomial to
-        (q^(n-N) - 1) times the level-N one,
-      * lowering: the lowering operator sends the level-(N+1) polynomial to
-        q^(-n) (alpha beta q^(N+n+2) - 1) times the level-N one,
-      * eigen: the full operator D at level N multiplies the polynomial by
-        q^(-n) (1 - q^n) (1 - alpha beta q^(n+1)).
-
-    Raising and lowering are checked against their explicit two-variable
-    displays.  The eigen relation goes through the operator module: the
-    integer image of the values under the stencil of D is compared with
-    the values times the eigenvalue, cross-multiplied, so no case builds
-    a GridFunction.  Returns one `check_identity` report per relation.
-    """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    p = ParamSet(ctx, (alpha, beta), unchecked=True)
-
-    def value(n, x, N):
-        return hahn_eval(ctx, n, x, alpha, beta, N)
-
-    def raise_cases():
-        for n in range(n_max + 1):
-            for N in range(n + 1, n_max + 1):
-                for x1 in range(N + 1):
-                    x2 = N - x1
-                    lhs = Fraction(0)
-                    if x1 > 0:
-                        lhs += (
-                            ctx.q_power(-x1 - x2)
-                            * (1 - ctx.q_power(x1))
-                            * value(n, x1 - 1, N - 1)
-                        )
-                    if x2 > 0:
-                        lhs += ctx.q_power(-x2) * (1 - ctx.q_power(x2)) * value(n, x1, N - 1)
-                    rhs = (ctx.q_power(-x1 - x2 + n) - 1) * value(n, x1, N)
-                    yield {"n": n, "N": N, "x1": x1}, lhs == rhs
-
-    def lower_cases():
-        for n in range(n_max + 1):
-            for N in range(n, n_max + 1):
-                for x1 in range(N + 1):
-                    x2 = N - x1
-                    lhs = (alpha * ctx.q_power(x1 + 1) - 1) * value(n, x1 + 1, N + 1)
-                    lhs += (
-                        alpha
-                        * ctx.q_power(x1 + 1)
-                        * (beta * ctx.q_power(x2 + 1) - 1)
-                        * value(n, x1, N + 1)
-                    )
-                    rhs = (
-                        ctx.q_power(-n)
-                        * (alpha * beta * ctx.q_power(x1 + x2 + n + 2) - 1)
-                        * value(n, x1, N)
-                    )
-                    yield {"n": n, "N": N, "x1": x1}, lhs == rhs
-
-    def eigen_cases():
-        for n in range(n_max + 1):
-            lam = _eigenvalue(ctx, p.p_pair(0, 2), n)  # P = alpha beta q^2
-            for N in range(n, n_max + 1):
-                # the point (x, N - x) of [2; N] has rank x
-                v = over_common_denominator(value(n, x, N) for x in range(N + 1))
-                image = _push(_vertex_stencil(p, N, 0, 2), v)
-                yield {"n": n, "N": N}, _same(image, _scaled(v, lam))
-
-    return [
-        check_identity("raising_shifts_level", raise_cases()),
-        check_identity("lowering_shifts_level", lower_cases()),
-        check_identity("diagonal_operator_eigenvalue", eigen_cases()),
-    ]
-
-
-def vandermonde_sum_check(
-    ctx: QContext, n: int, j: int, alpha: Rational, beta: Rational
-) -> bool:
-    """Exact check of the alternating seed sum used to normalize kernels:
-
-        sum_{x=0}^{j} (-1)^x q^(x(x-1)/2) seed(x) / ((q;q)_x (q;q)_{j-x})
-            = (alpha beta q^(n+1); q)_j / ((alpha q; q)_j (q; q)_j)
-              * q^(-n^2/2) (q; q)_n          for 0 <= j <= n.
-    """
-    if not (0 <= j <= n):
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    lhs = Fraction(0)
-    for x in range(j + 1):
-        lhs += (
-            (-1) ** x
-            * ctx.q_power(x * (x - 1) // 2)
-            * _seed_value(ctx, n, x, alpha, beta)
-            / (q_factorial(ctx, x) * q_factorial(ctx, j - x))
-        )
-    rhs = (
-        pochhammer(ctx, alpha * beta * ctx.q_power(n + 1), j)
-        / (pochhammer(ctx, alpha * ctx.q, j) * q_factorial(ctx, j))
-        * ctx.q_half_power(-n * n)
-        * q_factorial(ctx, n)
-    )
-    return lhs == rhs
 
 
 def racah(spec: Racah1DSpec, x: int) -> Fraction:
@@ -617,41 +422,3 @@ def _racah_block(
     return tuple(block)
 
 
-def _tilde_scale(poly: Fraction, radicand: Fraction, n: int, squared: bool) -> Fraction:
-    """The standard-reference scale (-1)^n poly radicand^(-n/2), or its
-    square (always rational) when `squared`.  Unsquared at odd n, a
-    radicand that is not a rational square raises NonSquareRadicand, and
-    the positive root is taken."""
-    if squared:
-        return poly * poly * radicand ** (-n)
-    if n % 2 == 0:
-        return poly * radicand ** (-n // 2)
-    try:
-        root = rational_sqrt(radicand)
-    except ValueError as exc:
-        raise NonSquareRadicand(f"{radicand} has no rational square root") from exc
-    return -poly * root ** (-n)
-
-
-def gr_racah_bridge(spec: Racah1DSpec, x: int, squared: bool = True) -> Fraction:
-    """Standard-reference q-Racah normalization:
-
-        r~_n = (-1)^n (alpha beta q^(n+1); q)_n (alpha q; q)_n (q; q)_n
-               * (q^(-N+n+1) delta)^(-n/2) * r_n.
-
-    For odd n the radicand q^(-N+n+1) delta must be a positive rational
-    square for r~_n itself to be rational; `squared=True` (the default)
-    sidesteps the branch question by returning r~_n**2, which is always
-    rational.  With squared=False a non-square radicand raises
-    NonSquareRadicand, and the positive square root is always taken.
-    """
-    ctx, n, N = spec.ctx, spec.n, spec.N
-    value = racah_eval(ctx, n, x, spec.alpha, spec.beta, spec.delta, N)
-    poly = (
-        pochhammer(ctx, spec.alpha * spec.beta * ctx.q_power(n + 1), n)
-        * pochhammer(ctx, spec.alpha * ctx.q, n)
-        * q_factorial(ctx, n)
-    )
-    radicand = ctx.q_power(-N + n + 1) * spec.delta
-    scale = _tilde_scale(poly, radicand, n, squared)
-    return scale * value * value if squared else scale * value

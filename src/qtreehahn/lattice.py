@@ -12,7 +12,6 @@ up to sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -20,7 +19,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from ._linalg import over_common_denominator
-from .qnum import QContext, Rational, _power_pair, _reduced, as_fraction, pochhammer, q_factorial
+from .qnum import QContext, Rational, _power_pair, _reduced, _Value, as_fraction, pochhammer, q_factorial
 
 __all__ = [
     "DimensionMismatch",
@@ -108,8 +107,7 @@ def partial_sums(x: Sequence[int]) -> tuple[int, ...]:
     return tuple(sums)
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(_Value):
     """A q-context together with the per-variable parameters alpha_1..alpha_h.
 
     By default the constructor insists the parameters sit in a regime where
@@ -126,31 +124,28 @@ class ParamSet:
     read by `p_pair`; `span_product` and `span_p` are `Fraction` views.
     """
 
-    ctx: QContext = field(compare=False)
-    alphas: tuple[Fraction, ...] = field(compare=False)
-    n_max: int = field(default=12, compare=False)
-    unchecked: bool = field(default=False, compare=False)
-    _key: tuple = field(init=False, repr=False)
+    __slots__ = ("ctx", "alphas", "n_max", "unchecked", "_key", "_hash", "_product_pairs", "_p_pairs")
+    _fields = ("ctx", "alphas", "n_max", "unchecked")
 
-    def __post_init__(self):
-        alphas = tuple(as_fraction(a) for a in self.alphas)
+    def __init__(self, ctx: QContext, alphas: Sequence[Rational], n_max: int = 12, unchecked: bool = False):
+        alphas = tuple(as_fraction(a) for a in alphas)
         if not alphas:
             raise ValueError("need at least one parameter")
-        object.__setattr__(self, "alphas", alphas)
-        ctx = self.ctx
+        for name, value in zip(self._fields, (ctx, alphas, n_max, unchecked)):
+            object.__setattr__(self, name, value)
         pairs = tuple((a.numerator, a.denominator) for a in alphas)
         object.__setattr__(self, "_key", (ctx._key, pairs))
         object.__setattr__(self, "_hash", hash(self._key))
         a, b = ctx.q.numerator, ctx.q.denominator
         # both sides reduced: u/w == q**(-m) == b^m / a^m iff u == b^m and w == a^m
-        poles = {(b**m, a**m): m for m in range(1, self.n_max + 1)}
+        poles = {(b**m, a**m): m for m in range(1, n_max + 1)}
         for alpha, pair in zip(alphas, pairs):
             if pair in poles:
                 raise ValueError(
                     f"alpha={alpha} equals q**(-{poles[pair]}); weights degenerate below n_max"
                 )
-        if not self.unchecked:
-            top, bottom = _power_pair(a, b, -self.n_max)  # q**(-n_max)
+        if not unchecked:
+            top, bottom = _power_pair(a, b, -n_max)  # q**(-n_max)
             in_unit_band = all(0 < u and u * a < w * b for u, w in pairs)
             above_band = all(u * bottom > w * top for u, w in pairs)
             if not (in_unit_band or above_band):

@@ -27,7 +27,6 @@ the phi-sum values of `hahn_eval`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -36,17 +35,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .hahn1d import _hahn_levels, hahn_eval, norm_exponent
 from .lattice import GridFunction, ParamSet, domain_table, partial_sums, rank_of
-from .qnum import (
-    ZeroDenominator,
-    _poch_pair,
-    _power_pair,
-    _reduced,
-    _shifted,
-    pochhammer,
-    pochhammer_many,
-    q_factorial,
-)
-from .qops import _check_h, _eigenvalue, _push, _same, _scaled, _vertex_stencil, raise_chain
+from .qnum import ZeroDenominator, _poch_pair, _power_pair, _reduced, _shifted
+from .qops import _check_h, _eigenvalue, _push, _same, _scaled, _vertex_stencil
 from .trees import PlanarTree, child_sums, coefficient_sums, enumerate_labelings
 
 __all__ = [
@@ -54,12 +44,8 @@ __all__ = [
     "eval_Q",
     "norm_Q",
     "basis",
-    "raise_basis_element",
     "vertex_eigen_cases",
     "vertex_eigenvalue",
-    "xi_polynomial",
-    "xi_norm",
-    "theta_polynomial",
     "norm_exponent",
 ]
 
@@ -205,8 +191,7 @@ def _norm_pair(
     return num, den
 
 
-@dataclass(frozen=True)
-class TreeBasisElement:
+class TreeBasisElement(NamedTuple):
     """A labeled tree at a level, together with its materialized grid."""
 
     tree: PlanarTree
@@ -362,26 +347,6 @@ def basis(
     return tuple(out)
 
 
-def raise_basis_element(elem: TreeBasisElement, target_N: int) -> TreeBasisElement:
-    """Lift to a higher level through the raising chain.
-
-    The chain from level n scaled by q^((N-n)(N-n+1)/2) / (q;q)_{N-n}
-    reproduces the closed-form values; lifting from an intermediate level
-    divides out the scale already applied.
-    """
-    if target_N < elem.N:
-        raise ValueError(f"cannot raise from level {elem.N} down to {target_N}")
-    ctx = elem.params.ctx
-    n, M, N = elem.n, elem.N, target_N
-    chain = raise_chain(elem.grid, elem.params, N)
-    scale = (
-        ctx.q_power(((N - n) * (N - n + 1) - (M - n) * (M - n + 1)) // 2)
-        * q_factorial(ctx, M - n)
-        / q_factorial(ctx, N - n)
-    )
-    return TreeBasisElement(elem.tree, elem.labeling, elem.params, N, chain.scale(scale))
-
-
 def vertex_eigen_cases(
     tree: PlanarTree, labeling: Sequence[int], params: ParamSet, N: int
 ) -> Iterator[tuple[dict, bool]]:
@@ -419,138 +384,3 @@ def vertex_eigen_cases(
     yield {**where, "vertex": "global"}, (
         verdicts[0] if verdicts else is_eigenvector(0, tree.h, n)
     )
-
-
-# --- closed forms for the two comb trees ---------------------------------
-
-
-def xi_polynomial(
-    params: ParamSet, m: Sequence[int], x: Sequence[int]
-) -> Fraction:
-    """Right-comb basis function from its explicit product form.
-
-    m = (m_1, ..., m_{h-1}) labels the comb top-down; with
-    j_k = m_{k+1} + ... + m_{h-1} the value is
-
-        prod_{k=1}^{h-1} q^(-j_k x_k)
-            Q_{m_k}(x_k; alpha_k, (A_h / A_k) q^(h-k+2 j_k - 1),
-                    X_h - X_{k-1} - j_k)
-
-    and vanishes unless x_k + ... + x_h >= j_{k-1} for every k.
-    """
-    m = tuple(m)
-    x = tuple(x)
-    h = params.h
-    if len(m) != h - 1 or len(x) != h:
-        raise ValueError(f"need {h - 1} labels and {h} variables")
-    ctx = params.ctx
-    j = [sum(m[k:]) for k in range(h)]  # j[k] = m_{k+1} + ... + m_{h-1}; j[0] = n
-    for k in range(1, h):
-        if sum(x[k - 1 :]) < j[k - 1]:
-            return Fraction(0)
-    X = 0
-    total = sum(x)
-    value = Fraction(1)
-    A_h = params.prefix_product(h)
-    for k in range(1, h):
-        beta = (
-            A_h / params.prefix_product(k) * ctx.q_power(h - k + 2 * j[k] - 1)
-        )
-        value *= ctx.q_power(-j[k] * x[k - 1]) * hahn_eval(
-            ctx, m[k - 1], x[k - 1], params.alphas[k - 1], beta, total - X - j[k]
-        )
-        if value == 0:
-            return value
-        X += x[k - 1]
-    return value
-
-
-def xi_norm(params: ParamSet, m: Sequence[int], N: int) -> Fraction:
-    """Squared norm of the right-comb function from its explicit product form:
-
-        (A_h q^(h+2n); q)_{N-n} / (q; q)_{N-n} * q^(((N-2n)^2+N+2n-2n^2)/2)
-        * prod_{k=1}^{h-1}
-            (q, (A_h/A_{k-1}) q^(h-k+j_{k-1}+j_k), (A_h/A_k) q^(h-k+2 j_k); q)_{m_k}
-            / (alpha_k q; q)_{m_k} * (alpha_k q)^(j_{k-1}) * q^(-m_k).
-
-    A zero among alpha_1 .. alpha_{h-1} raises ZeroDenominator naming the
-    first: its A_k divides A_h.
-    """
-    m = tuple(m)
-    h = params.h
-    if len(m) != h - 1:
-        raise ValueError(f"need {h - 1} labels for h = {h}")
-    ctx = params.ctx
-    n = sum(m)
-    if n > N:
-        raise ValueError(f"degree {n} exceeds level {N}")
-    if 0 in params.alphas[: h - 1]:
-        k = params.alphas.index(0) + 1
-        raise ZeroDenominator(f"A_{k} vanished for alpha_{k}=0")
-    j = [sum(m[k:]) for k in range(h)]
-    A_h = params.prefix_product(h)
-    out = (
-        pochhammer(ctx, A_h * ctx.q_power(h + 2 * n), N - n)
-        / q_factorial(ctx, N - n)
-        * ctx.q_power(norm_exponent(N, n) // 2)
-    )
-    for k in range(1, h):
-        alpha_k = params.alphas[k - 1]
-        out *= (
-            pochhammer_many(
-                ctx,
-                (
-                    ctx.q,
-                    A_h / params.prefix_product(k - 1) * ctx.q_power(h - k + j[k - 1] + j[k]),
-                    A_h / params.prefix_product(k) * ctx.q_power(h - k + 2 * j[k]),
-                ),
-                m[k - 1],
-            )
-            / pochhammer(ctx, alpha_k * ctx.q, m[k - 1])
-            * (alpha_k * ctx.q) ** j[k - 1]
-            * ctx.q_power(-m[k - 1])
-        )
-    return out
-
-
-def theta_polynomial(
-    params: ParamSet, nv: Sequence[int], x: Sequence[int]
-) -> Fraction:
-    """Left-comb basis function from its explicit product form.
-
-    nv = (n_2, ..., n_h) labels the comb bottom-up (n_k at the vertex
-    covering the first k leaves), so the left comb's pre-order labeling is
-    nv reversed; with i_k = n_2 + ... + n_{k-1} the value
-    is
-
-        prod_{k=2}^{h} Q_{n_k}(X_{k-1} - i_k;
-                               A_{k-1} q^(k+2 i_k - 2), alpha_k, X_k - i_k)
-
-    and vanishes unless X_{k-1} >= i_k and X_k >= i_k + n_k for every k.
-    """
-    nv = tuple(nv)
-    x = tuple(x)
-    h = params.h
-    if len(nv) != h - 1 or len(x) != h:
-        raise ValueError(f"need {h - 1} labels and {h} variables")
-    ctx = params.ctx
-    # i[k] = n_2 + ... + n_{k-1}, stored for k = 2..h+1
-    i = {2: 0}
-    for k in range(2, h + 1):
-        i[k + 1] = i[k] + nv[k - 2]
-    X = partial_sums(x)
-    value = Fraction(1)
-    for k in range(2, h + 1):
-        if X[k - 1] < i[k] or X[k] < i[k + 1]:
-            return Fraction(0)
-        value *= hahn_eval(
-            ctx,
-            nv[k - 2],
-            X[k - 1] - i[k],
-            params.prefix_product(k - 1) * ctx.q_power(k + 2 * i[k] - 2),
-            params.alphas[k - 1],
-            X[k] - i[k],
-        )
-        if value == 0:
-            return value
-    return value

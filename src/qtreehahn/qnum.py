@@ -10,11 +10,13 @@ The q-shifted factorial has one statement, the integer product
 `Fraction` views of it or of a power of q, and a context keeps no tables.
 `phi_sum` keeps its own termwise products: it is the independent reference
 that the integer rows are checked against.
+
+`_Value` is the base of the package's immutable value types, the context
+first among them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -45,8 +47,48 @@ def as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class QContext:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its constructor arguments in `_fields` and fills its
+    slots once in `__init__` through `object.__setattr__`.  Assignment
+    raises AttributeError.  Equality holds between instances of one class
+    with equal `_key`s, by default the tuple of the `_fields`, and the hash
+    is the key's; a subclass that keys caches stores it once as `_hash`.
+    Repr shows the `_fields`, and pickle and copy rebuild the value through
+    its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class QContext(_Value):
     """Evaluation point q = s**2 for a rational square root s, 0 < s < 1.
 
     All q-dependent quantities in the package are functions of this context.
@@ -55,16 +97,15 @@ class QContext:
     nothing else, so the value that keys every cache is immutable.
     """
 
-    s: Fraction = field(compare=False)
-    q: Fraction = field(init=False, compare=False)  # derived from s
-    _key: tuple[int, int] = field(init=False, repr=False)
+    __slots__ = ("s", "q", "_key", "_hash")
+    _fields = ("s",)
 
-    def __post_init__(self):
-        s = as_fraction(self.s)
+    def __init__(self, s: Rational):
+        s = as_fraction(s)
         if not (0 < s < 1):
             raise ValueError(f"square root of q must satisfy 0 < s < 1, got {s}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "q", s * s)
+        object.__setattr__(self, "q", s * s)  # derived from s
         object.__setattr__(self, "_key", (s.numerator, s.denominator))
         object.__setattr__(self, "_hash", hash(self._key))
 
@@ -78,6 +119,9 @@ class QContext:
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"QContext(s={self.s!r}, q={self.q!r})"
 
 
 def _power_pair(a: int, b: int, e: int) -> tuple[int, int]:

@@ -17,11 +17,11 @@ coefficients in `connect`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .lattice import enumerate_compositions
+from .qnum import _Value
 
 __all__ = [
     "ParseError",
@@ -62,8 +62,7 @@ class NotRightReachable(ValueError):
     """No path of right-to-left moves joins the two trees."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """One internal vertex: its pre-order index, its leaf span (lo, hi],
     its split point and the pre-order indices of its internal children."""
 
@@ -75,21 +74,26 @@ class Vertex:
     right: Optional[int]  # None when the right child is a leaf
 
 
-@dataclass(frozen=True)
-class PlanarTree:
+class PlanarTree(_Value):
     """Immutable planar binary tree; equality and hashing follow the shape."""
 
-    shape: Shape
+    __slots__ = ("shape", "_vertices", "_h", "_hash")
+    _fields = ("shape",)
 
-    def __post_init__(self):
+    def __init__(self, shape: Shape):
         leaves, vertices = [], []
-        _walk(self.shape, leaves, vertices)
+        _walk(shape, leaves, vertices)
         if leaves != list(range(1, len(leaves) + 1)):
             raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_vertices", tuple(vertices))
         # taken once: trees key the path and move-plan caches
         object.__setattr__(self, "_h", len(leaves))
-        object.__setattr__(self, "_hash", hash(self.shape))
+        object.__setattr__(self, "_hash", hash(shape))
+
+    @property
+    def _key(self) -> Shape:
+        return self.shape
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -263,8 +267,7 @@ def child_sums(vert: Vertex, cs: Sequence[int]) -> tuple[int, int]:
     return lcs, rcs
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(_Value):
     """One right-to-left transplantation; the rotating vertex and its
     children, read off `source`, carry everything needed to map labelings
     of the source tree onto labelings of the target tree.
@@ -274,17 +277,18 @@ class MoveRecord:
     with `base` the number of leaves strictly to the left of the subtree.
     """
 
-    source: PlanarTree
-    target: PlanarTree
-    vertex: int
-    base: int
-    s_local: int
-    r_local: int
-    h_local: int
+    _fields = ("source", "target", "vertex", "base", "s_local", "r_local", "h_local")
+    __slots__ = (*_fields, "_key", "_hash")
 
-    def __post_init__(self):
-        # hashed once: records key the move-plan cache on every rotation step
-        key = (self.source, self.target, self.vertex, self.base, self.s_local, self.r_local, self.h_local)
+    def __init__(
+        self, source: PlanarTree, target: PlanarTree, vertex: int, base: int,
+        s_local: int, r_local: int, h_local: int,
+    ):
+        key = (source, target, vertex, base, s_local, r_local, h_local)
+        for name, value in zip(self._fields, key):
+            object.__setattr__(self, name, value)
+        # kept, and hashed once: records key the move-plan cache on every rotation step
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self):

@@ -9,7 +9,6 @@ checkout with ``PYTHONPATH=src``.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -26,9 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
-from qtreehahn import cli, multihahn
+from qtreehahn import classical, cli, multihahn
 from qtreehahn.cli import main
 from qtreehahn import (
+    ConnectionMatrix,
     NotRightReachable,
     all_trees,
     connection_by_path,
@@ -582,7 +582,7 @@ def test_verify_classical_bridge_reports_each_identity_once(capsys):
 
 
 def test_verify_classical_bridge_failure_names_its_degree(capsys, monkeypatch):
-    real = cli.gr_correspondence_cases
+    real = classical.gr_correspondence_cases
 
     def broken(params, n):
         cases = real(params, n)
@@ -590,7 +590,7 @@ def test_verify_classical_bridge_failure_names_its_degree(capsys, monkeypatch):
             cases["classical-weight-orthogonality"] = [({"n": n}, False)]
         return cases
 
-    monkeypatch.setattr(cli, "gr_correspondence_cases", broken)
+    monkeypatch.setattr(classical, "gr_correspondence_cases", broken)
     assert main(["verify", "--suite", "classical-bridge", "--h", "2", "--N", "2"]) == 1
     reports = json.loads(capsys.readouterr().out)["suites"][0]["reports"]
     failing = [r for r in reports if r["status"] == "fail"]
@@ -675,7 +675,7 @@ def test_verify_connections_failure_names_pair_and_degree(capsys, monkeypatch):
             return matrix
         rows = dict(matrix.integer_rows)
         rows.pop(next(iter(rows)))
-        return dataclasses.replace(matrix, integer_rows=rows)
+        return ConnectionMatrix(matrix.source, matrix.target, matrix.n, matrix.params, rows, matrix.path)
 
     monkeypatch.setattr(cli, "connection_oracle", broken)
     report = failing_report(
@@ -782,7 +782,7 @@ def test_connect_names_the_first_entry_where_path_and_oracle_disagree(capsys, mo
         ):
             nums, den = rows[c]
             nums[d] += den  # the entry plus one, and the row still canonical
-        return dataclasses.replace(matrix, integer_rows=rows)
+        return ConnectionMatrix(matrix.source, matrix.target, matrix.n, matrix.params, rows, matrix.path)
 
     monkeypatch.setattr(cli, "connection_by_path", two_entries_off)
     argv = ["connect", "--source", "(1 (2 3))", "--target", "((1 2) 3)", "--n", "1"]

@@ -1,13 +1,15 @@
-"""Every exported name resolves, and so does every function the perfbench
-tracer wraps or reads the cache of: deleting a traced function, or the
-cache of one, would otherwise break ``perfbench/run.py --trace 1`` without
-failing any other test."""
+"""Every exported name resolves, the lazy ones of `classical` too, and so
+does every function the perfbench tracer wraps or reads the cache of:
+deleting a traced function, or the cache of one, would otherwise break
+``perfbench/run.py --trace 1`` without failing any other test."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import qtreehahn
 
@@ -23,6 +25,10 @@ def test_exports_and_traced_functions_resolve():
     init = ast.parse(Path(qtreehahn.__file__).read_text())
     for node in ast.walk(init):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # `from . import classical`: submodules
+                for alias in node.names:
+                    importlib.import_module(f"qtreehahn.{alias.name}")
+                continue
             module = importlib.import_module(f"qtreehahn.{node.module}")
             for alias in node.names:
                 assert hasattr(module, alias.name), f"qtreehahn.{node.module}.{alias.name}"
@@ -42,6 +48,51 @@ def test_exports_and_traced_functions_resolve():
         mod_name, fn_name = qualname.split(".")
         module = importlib.import_module(f"qtreehahn.{mod_name}")
         assert callable(getattr(getattr(module, fn_name), "cache_info", None)), qualname
+
+
+# What `from qtreehahn import *` bound before the package listed `__all__`:
+# every public name that `__init__` imported, and the submodules it loaded.
+STAR_NAMES = (
+    "ConnectionMatrix", "DimensionMismatch", "EmptyDomain", "GridFunction", "Hahn1DSpec",
+    "IndexOutOfRange", "InvalidSlice", "MoveRecord", "NonConsecutiveLeaves",
+    "NonSquareRadicand", "NotInKernel", "NotRightReachable", "OutsidePositivityRegime",
+    "ParamSet", "ParseError", "PlanarTree", "QContext", "Racah1DSpec", "RightChildIsLeaf",
+    "TreeBasisElement", "ZeroDenominator", "all_trees", "apply_D", "apply_D_at_vertex",
+    "apply_L", "apply_R", "apply_move", "as_fraction", "basis", "check_identity",
+    "child_sums", "coefficient_sums", "comb_connection_product", "composition_count",
+    "connect", "connection_by_path", "connection_oracle", "dunkl_expansion_coeffs",
+    "eigenvalue", "enumerate_compositions", "enumerate_labelings", "eval_Q", "find_rl_path",
+    "gasper_rahman_racah", "gr_conversion_factor", "gr_correspondence_cases",
+    "gr_correspondence_check", "gr_racah_bridge", "gr_substitution", "gr_weight_factor",
+    "hahn1d", "hahn_eval", "hahn_norm", "hahn_row", "hahn_via_phi2", "hahn_via_raising",
+    "inner_product", "kernel_basis", "kernel_interpolation_basis", "lattice", "left_comb",
+    "multihahn", "norm_Q", "norm_squared", "one_move_coefficients", "parse_tree",
+    "partial_sums", "phi_sum", "pochhammer", "pochhammer_many", "q_binomial", "q_factorial",
+    "qnum", "qops", "racah", "racah_eval", "raise_basis_element", "raise_chain", "rank_of",
+    "rational_sqrt", "right_comb", "rl_neighbors", "spectral_decomposition_check",
+    "theta_polynomial", "three_dim_racah_example_cases", "three_dim_racah_example_check",
+    "transplant_right_to_left", "trees", "vandermonde_sum_check", "verify_hahn_recurrences",
+    "verify_operator_algebra", "vertex_eigenvalue", "weight", "xi_norm", "xi_polynomial",
+)
+
+
+def test_lazy_exports_resolve_and_are_listed():
+    # the names `classical` exports are the package's lazy ones, and each
+    # resolves to the same object from either module
+    from qtreehahn import classical
+
+    assert list(qtreehahn._LAZY) == classical.__all__
+    listed = set(dir(qtreehahn))
+    for name in qtreehahn._LAZY:
+        assert getattr(qtreehahn, name) is getattr(classical, name), name
+        assert name in listed and name in qtreehahn.__all__, name
+    assert len(set(qtreehahn.__all__)) == len(qtreehahn.__all__)
+    assert set(qtreehahn.__all__) <= listed
+    namespace = {}
+    exec("from qtreehahn import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(STAR_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'not_an_export'"):
+        qtreehahn.not_an_export
 
 
 def test_no_module_imports_a_name_it_never_uses():

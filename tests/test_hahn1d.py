@@ -28,7 +28,7 @@ from qtreehahn import (
     vandermonde_sum_check,
     verify_hahn_recurrences,
 )
-from qtreehahn import hahn1d
+from qtreehahn import classical, hahn1d
 from qtreehahn._linalg import rref
 from qtreehahn.hahn1d import _racah_block
 
@@ -338,8 +338,8 @@ def test_eigen_cases_match_the_grid_function_route_and_a_wrong_eigenvalue_fails(
             "status": "pass",
             "counterexample": None,
         }
-    exact = hahn1d._eigenvalue
-    monkeypatch.setattr(hahn1d, "_eigenvalue", lambda ctx, P, n: exact(ctx, P, n + 1))
+    exact = classical._eigenvalue
+    monkeypatch.setattr(classical, "_eigenvalue", lambda ctx, P, n: exact(ctx, P, n + 1))
     report = verify_hahn_recurrences(CTX, alpha, beta, 4)[2]
     assert (report["status"], report["counterexample"]) == ("fail", {"n": 0, "N": 0})
 

@@ -28,7 +28,7 @@ from qtreehahn import (
     spectral_decomposition_check,
     verify_operator_algebra,
 )
-from qtreehahn import _linalg, connect, hahn1d, lattice, multihahn, qnum, qops, trees
+from qtreehahn import _linalg, classical, connect, hahn1d, lattice, multihahn, qnum, qops, trees
 from qtreehahn.qops import to_matrix
 
 from conftest import MIXED_ALPHAS, make_ctx, make_params
@@ -489,7 +489,7 @@ def test_every_span_operator_is_symmetric_for_the_weight(regime):
 def test_every_cache_is_bounded():
     caches = {
         f"{obj.__module__}.{obj.__qualname__}": obj
-        for module in (qnum, lattice, qops, hahn1d, multihahn, connect, trees)
+        for module in (qnum, lattice, qops, hahn1d, multihahn, connect, trees, classical)
         for obj in vars(module).values()
         if hasattr(obj, "cache_info")
     }

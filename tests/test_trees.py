@@ -1,6 +1,5 @@
 """Planar binary trees, labelings, and right-to-left transplantations."""
 
-import dataclasses
 import pickle
 from math import comb
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtreehahn import (
+    MoveRecord,
     NonConsecutiveLeaves,
     NotRightReachable,
     ParseError,
@@ -299,16 +299,16 @@ def test_tree_and_move_hashes_are_taken_once_and_agree():
             assert twin is not tree and twin == tree
             assert hash(twin) == hash(tree) == hash(tree.shape)
             assert tree.h == twin.h == len(tree.vertices) + 1 == h
-            swapped = dataclasses.replace(tree, shape=left_comb(h).shape)
+            swapped = PlanarTree(left_comb(h).shape)
             assert swapped == left_comb(h) and hash(swapped) == hash(left_comb(h))
             for (_, rec), (_, twin_rec) in zip(rl_neighbors(tree), rl_neighbors(twin)):
                 assert twin_rec is not rec and twin_rec == rec
-                fields = tuple(getattr(rec, f.name) for f in dataclasses.fields(rec))
+                fields = tuple(getattr(rec, name) for name in rec._fields)
                 assert hash(twin_rec) == hash(rec) == hash(fields)
                 assert repr(twin_rec) == repr(rec)
-                for copy in (pickle.loads(pickle.dumps(rec)), dataclasses.replace(rec)):
+                for copy in (pickle.loads(pickle.dumps(rec)), MoveRecord(*fields)):
                     assert copy == rec and hash(copy) == hash(rec) and repr(copy) == repr(rec)
-                moved = dataclasses.replace(rec, base=rec.base + 1)
+                moved = MoveRecord(*fields[:3], rec.base + 1, *fields[4:])
                 assert moved != rec
                 assert hash(moved) == hash(fields[:3] + (rec.base + 1,) + fields[4:])
 
