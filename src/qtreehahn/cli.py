@@ -19,11 +19,10 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import mul
 
 from .connect import _ZERO_ROW, connection_by_path, connection_oracle
-from .lattice import OutsidePositivityRegime, ParamSet, _weighted, enumerate_compositions
-from .multihahn import _norm_pair, basis, eval_Q, vertex_eigen_cases
+from .lattice import OutsidePositivityRegime, ParamSet, enumerate_compositions
+from .multihahn import _gram_table, _norm_pair, basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
 from .qops import (
     check_identity,
@@ -242,28 +241,27 @@ def cmd_gram(args) -> int:
     if N < 0:
         raise ConfigError("--N must be nonnegative")
     started = time.monotonic()
+    nums, den, dens, poles = _gram_table(tree, params, N)
+    if poles:  # raises the error of the first pole that an element reads
+        for n in range(N + 1):
+            basis(tree, params, n, N)
     elements = []
     degrees = []
     for n in range(N + 1):
-        level = basis(tree, params, n, N)
+        level = enumerate_labelings(tree, n)
         degrees.append({"n": n, "count": len(level)})
         elements.extend(level)
-    entries = []
-    diagonal = True
+    index = {e: i for i, e in enumerate(elements)}
+    entries = sorted(
+        (index[e], index[f], _ratio_text(dot, den * dens[e] * dens[f]))
+        for (e, f), dot in nums.items()
+        if index[e] <= index[f]
+    )
     norms_match = True
-    for i, ei in enumerate(elements):
-        weighted, w_den = _weighted(ei.grid, params)
-        for j in range(i, len(elements)):
-            nums, den = elements[j].grid._integer_form
-            dot = sum(map(mul, weighted, nums))
-            if dot:
-                entries.append({"i": i, "j": j, "value": _ratio_text(dot, w_den * den)})
-                if i != j:
-                    diagonal = False
-            if i == j:
-                g_num, g_den = _norm_pair(ei.tree, ei.labeling, params, N)
-                if dot * g_den != g_num * w_den * den:
-                    norms_match = False
+    for e in elements:
+        g_num, g_den = _norm_pair(tree, e, params, N)
+        if nums.get((e, e), 0) * g_den != g_num * den * dens[e] ** 2:
+            norms_match = False
     elapsed = time.monotonic() - started
     _emit(
         args,
@@ -272,8 +270,8 @@ def cmd_gram(args) -> int:
             "N": N,
             "dimension": len(elements),
             "degrees": degrees,
-            "entries": entries,
-            "diagonal": diagonal,
+            "entries": [{"i": i, "j": j, "value": v} for i, j, v in entries],
+            "diagonal": all(i == j for i, j, _ in entries),
             "norms_match_closed_form": norms_match,
         },
     )

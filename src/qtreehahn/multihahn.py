@@ -22,14 +22,18 @@ label and child sums for every tree and degree that shares it.  A column's
 rows are the raising chain of `hahn1d._hahn_levels`: one seed row at the
 level of its label, lifted level by level by a recurrence free of the
 parameters, with no 3phi2 sum.  `eval_Q` is the per-point route, through
-the phi-sum values of `hahn_eval`.
+the phi-sum values of `hahn_eval`.  `_gram_table` takes the Gram matrix of
+a whole level without building it: the weight splits at each vertex over
+its children's lattices, so each vertex's table is a sum over the split of
+its local level, of its factor triangle times its children's tables.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -208,9 +212,9 @@ class TreeBasisElement(NamedTuple):
         return norm_Q(self.tree, self.labeling, self.params, self.N)
 
 
-# Bound set on the benchmarks: `gram` makes 92 distinct keys, `connect` 60
-# and `operators` 36, and each entry is one tuple of at most 126 small
-# integers (6 leaves, N = 4).
+# Bound set on the benchmarks: `connect` makes 60 distinct keys and
+# `operators` 36 (`gram` builds no basis), and each entry is one tuple of
+# at most 126 small integers (6 leaves, N = 4).
 @lru_cache(maxsize=128)
 def _span_index(h: int, N: int, lo: int, split: int, hi: int) -> tuple[int, ...]:
     """For every point x of [h; N], in order, the index v (v + 1) / 2 + lv
@@ -225,11 +229,12 @@ def _span_index(h: int, N: int, lo: int, split: int, hi: int) -> tuple[int, ...]
 
 
 class _Column(NamedTuple):
-    """One vertex factor q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` at every
-    point of [h; N]: the numerators over one positive denominator, with
-    gcd(den, *nums) == 1, zero where the vertex fails its own support.
-    `poles` maps the rank of each point where the factor's (alpha q; q)_k
-    vanishes, the points where `hahn_row` has None (a zero placeholder in
+    """One vertex factor q^(-rcs lv) Q_c(lv - lcs; ...) of `eval_Q` on the
+    triangle 0 <= lv <= v <= N, entry v (v + 1) / 2 + lv (`_triangle`), or
+    at every point of [h; N] (`_column`): the numerators over one positive
+    denominator, with gcd(den, *nums) == 1, zero where the vertex fails its
+    own support.  `poles` maps each entry where the factor's (alpha q; q)_k
+    vanishes, the entries where `hahn_row` has None (a zero placeholder in
     `nums`), to the text of the ZeroDenominator that reading it raises."""
 
     nums: tuple[int, ...]
@@ -237,27 +242,21 @@ class _Column(NamedTuple):
     poles: dict[int, str]
 
 
-# Sized on the benchmarks (seed 11, 4 rounds) and the h = 7 connections
-# suite: 1024 entries build each distinct key once (`gram` 817, `operators`
-# 812, `connect` 1,113, the suite 608), where 256 built 1,137 on `connect`
-# and 512 built 1,722 in the suite.  Peak RSS at 1024 (seed 3): 24.9, 24.9
-# and 27.8 MB on those benchmarks, and 27.9 MB for the suite.
-@lru_cache(maxsize=1024)
-def _column(
+def _triangle(
     params: ParamSet, N: int, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
 ) -> _Column:
-    """The factor column on [h; N] of the vertex over the leaves (lo, hi]
-    split at `split`, with label c and child coefficient sums lcs and rcs;
-    shared by every tree and degree through the cache: never mutate it.
-    The level M = v - lcs - rcs row of each v comes from `_hahn_levels`,
-    one seed row lifted level by level over one denominator; the rows fill
-    the triangle of (lv, v), times q^(-rcs lv), one gcd reduces it, and
-    `_span_index` expands it to the points.  The column vanishes where
-    lv < lcs, v - lv < rcs or v < c + lcs + rcs."""
+    """The factor triangle up to level N of the vertex over the leaves
+    (lo, hi] split at `split`, with label c and child coefficient sums lcs
+    and rcs.  The level M = v - lcs - rcs row of each v comes from
+    `_hahn_levels`, one seed row lifted level by level over one
+    denominator; the rows fill the triangle of (lv, v), times q^(-rcs lv),
+    and one gcd reduces it.  The triangle vanishes where lv < lcs,
+    v - lv < rcs or v < c + lcs + rcs, and a vertex over every leaf fills
+    only the row v = N, the one it sees."""
     h, ctx = params.h, params.ctx
     a, b = ctx.q.numerator, ctx.q.denominator
     top = N - lcs - rcs
-    low = top if hi - lo == h else c  # a vertex over every leaf sees only v = N
+    low = top if hi - lo == h else c
     if c:
         alpha = _shifted(*params.p_pair(lo, split), 2 * lcs - 1, a, b)
         beta = _shifted(*params.p_pair(split, hi), 2 * rcs - 1, a, b)
@@ -285,10 +284,114 @@ def _column(
     if g != 1:
         triangle = [t // g for t in triangle]
         den //= g
-    index = _span_index(h, N, lo, split, hi)
+    return _Column(tuple(triangle), den, poles)
+
+
+# Sized on the benchmarks (seed 11, 4 rounds) and the h = 7 connections
+# suite: 1024 entries build each distinct key once (`operators` 812,
+# `connect` 1,113, the suite 608; `gram` reads uncached triangles), where
+# 256 built 1,137 on `connect` and 512 built 1,722 in the suite.  Peak RSS
+# at 1024 (seed 3): 24.9 and 27.8 MB on those benchmarks, and 27.9 MB for
+# the suite.
+@lru_cache(maxsize=1024)
+def _column(
+    params: ParamSet, N: int, lo: int, split: int, hi: int, c: int, lcs: int, rcs: int
+) -> _Column:
+    """The `_triangle` of the same key expanded by `_span_index` to the
+    points of [h; N]; shared by every tree and degree through the cache:
+    never mutate it."""
+    nums, den, poles = _triangle(params, N, lo, split, hi, c, lcs, rcs)
+    index = _span_index(params.h, N, lo, split, hi)
     if poles:
         poles = {r: poles[t] for r, t in enumerate(index) if t in poles}
-    return _Column(tuple(map(triangle.__getitem__, index)), den, poles)
+    return _Column(tuple(map(nums.__getitem__, index)), den, poles)
+
+
+def _gram_table(tree: PlanarTree, params: ParamSet, N: int) -> tuple[dict, int, dict, bool]:
+    """The Gram matrix of the tree's basis at level N, all degrees, summed
+    down the tree: (nums, den, dens, poles), the inner product of the
+    elements labeled e and e' being nums[e, e'] / (den * dens[e] * dens[e']),
+    with zero entries left out.
+
+    The weight splits at a vertex U, with j of its local level m on the left,
+    as w_m(x) = q^(j (m - j)) p(U.lo, U.split)^(m - j) w_j(x_L) w_(m-j)(x_R),
+    and U's factor reads only (j, m).  So U's table at level m, entry
+    ((c, l, r), (c', l', r')), is the sum over j of q^(j (m - j)) p^(m - j)
+    F_c(j, m) F_c'(j, m) G^L_j[l, l'] G^R_(m-j)[r, r'], with F the `_triangle`
+    numerators and G the children's tables (a leaf's: q^(m (m + 1) / 2)
+    (q alpha; q)_m / (q; q)_m), over the lcm of the terms' denominators.
+    Each entry is the exact sum over the lattice, with no orthogonality
+    assumed; a term is skipped only where a child's entry is zero.
+
+    A pole reads as its triangle's zero placeholder, and `poles` says that
+    a triangle had one: the table then holds only if no element reads a
+    pole, which building the basis levels checks (`basis` raises if one does).
+    """
+    a, b = params.ctx.q.numerator, params.ctx.q.denominator
+    # per subtree, by its leaf span: the product of the factor denominators
+    # of each of its labelings (pre-order tuples of degree <= N), and its
+    # table at each level it is read at
+    subtrees = {}
+    for i in range(tree.h):
+        tables = {}
+        for m in range(N + 1):
+            u, v = _poch_pair(*params.p_pair(i, i + 1), 0, m, a, b)
+            w, z = _poch_pair(a, b, 0, m, a, b)
+            s, t = _power_pair(a, b, m * (m + 1) // 2)
+            num, den = _reduced(s * u * z, t * v * w)
+            tables[m] = ({((), ()): num} if num else {}, den)
+        subtrees[i, i + 1] = ({(): 1}, tables)
+    poles = False
+    for vert in reversed(tree.vertices):  # children before parents
+        ldens, ltables = subtrees[vert.lo, vert.split]
+        rdens, rtables = subtrees[vert.split, vert.hi]
+        triangles, dens = {}, {}
+        for l, dl in ldens.items():
+            for r, dr in rdens.items():
+                lcs, rcs = sum(l), sum(r)
+                for c in range(N - lcs - rcs + 1):
+                    if (c, lcs, rcs) not in triangles:
+                        tri = _triangle(params, N, vert.lo, vert.split, vert.hi, c, lcs, rcs)
+                        triangles[c, lcs, rcs] = tri
+                        poles = poles or bool(tri.poles)
+                    dens[(c, *l, *r)] = triangles[c, lcs, rcs].den * dl * dr
+        pn, pd = params.p_pair(vert.lo, vert.split)
+        tables = {}
+        for m in [N] if vert.hi - vert.lo == tree.h else range(N + 1):
+            terms = []
+            for j in range(m + 1):
+                (KL, DL), (KR, DR) = ltables[j], rtables[m - j]
+                if KL and KR:
+                    terms.append((j, KL, KR, b ** (j * (m - j)) * pd ** (m - j) * DL * DR))
+            den = lcm(*(T for *_, T in terms))
+            nums = defaultdict(int)
+            for j, KL, KR, T in terms:
+                coef = a ** (j * (m - j)) * pn ** (m - j) * (den // T)
+                at = m * (m + 1) // 2 + j
+                # per (l, r) that a child entry reads (the tables are
+                # symmetric): each (c, l, r) whose F_c(j, m) is nonzero
+                factors = {}
+                rights = {r for r, _ in KR}
+                for l in {l for l, _ in KL}:
+                    for r in rights:
+                        lcs, rcs = sum(l), sum(r)
+                        factors[l, r] = [
+                            ((c, *l, *r), f)
+                            for c in range(m - lcs - rcs + 1)
+                            if (f := triangles[c, lcs, rcs].nums[at])
+                        ]
+                for (l, l2), kl in KL.items():
+                    for (r, r2), kr in KR.items():
+                        x = coef * kl * kr
+                        pairs = factors[l2, r2]
+                        for e, f in factors[l, r]:
+                            y = x * f
+                            for e2, f2 in pairs:
+                                nums[e, e2] += y * f2
+            tables[m] = ({k: v for k, v in nums.items() if v}, den)
+        subtrees[vert.lo, vert.hi] = (dens, tables)
+    dens, tables = subtrees[0, tree.h]
+    return (*tables[N], dens, poles)
 
 
 def _raise_first_pole(tree: PlanarTree, cs: Sequence[int], columns: Sequence[_Column], N: int):

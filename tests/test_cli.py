@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
-from qtreehahn import classical, cli, multihahn
+from qtreehahn import classical, cli, lattice, multihahn
 from qtreehahn.cli import main
 from qtreehahn import (
     ConnectionMatrix,
@@ -289,6 +289,16 @@ def test_gram_diagonal_and_norms(capsys):
     assert obj["norms_match_closed_form"] is True
     assert len(obj["entries"]) == 6
     assert all(e["i"] == e["j"] for e in obj["entries"])
+
+
+def test_gram_builds_no_basis_level_and_no_weight_table(capsys):
+    """`gram` sums each entry down the tree from the factor triangles, so a
+    request leaves the caches of the basis and of the weights untouched."""
+    before = multihahn.basis.cache_info(), lattice._weights.cache_info()
+    argv = ["gram", "--tree", "((1 2) (3 4))", "--N", "3", "--alphas", "5/3,7/9,11/27,13/9"]
+    obj = run_json(capsys, argv)
+    assert obj["dimension"] == 20 and obj["diagonal"] and obj["norms_match_closed_form"]
+    assert (multihahn.basis.cache_info(), lattice._weights.cache_info()) == before
 
 
 def test_gram_comb_trees_share_degree_counts(capsys):
@@ -884,6 +894,17 @@ GOLDEN_STDOUT_SHA256 = {
     "gram": (
         ("gram", "--tree", "((1 2) (3 4))", "--N", "3"),
         "3a43bad5b1dd6b02b12756f1a73fbe9da7e022eccc0f17faf474a59e27e915ff",
+    ),
+    # the two heaviest `gram` cells of the benchmark, with its style of
+    # alphas (odd primes over 3, 9 or 27), pinned while `gram` still took
+    # every entry as a weighted dot product of materialized basis elements
+    "gram h 5": (
+        ("gram", "--tree", "((1 2) ((3 4) 5))", "--N", "3", "--alphas", "5/3,7/9,11/27,13/9,17/27"),
+        "c25417bca7a772bcfbcbadcef9e725b17a3cfe6a493783bdcb06caf4853f7de8",
+    ),
+    "gram h 4": (
+        ("gram", "--tree", "(1 ((2 3) 4))", "--N", "4", "--alphas", "19/27,5/9,23/9,7/3"),
+        "e20a04543adee716c630ff404aec58f1d77d6c4078cc5c3c1d5293dfef035ff2",
     ),
     "connect": (
         ("connect", *PAIR),

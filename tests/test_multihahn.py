@@ -42,7 +42,7 @@ from qtreehahn.multihahn import norm_exponent, vertex_eigen_cases
 from qtreehahn.qnum import _shifted
 from qtreehahn.trees import child_sums, coefficient_sums, enumerate_labelings
 
-from conftest import PRIMARY_ALPHAS, make_ctx, make_params
+from conftest import MIXED_ALPHAS, PRIMARY_ALPHAS, SECONDARY_ALPHAS, make_ctx, make_params
 
 CTX = make_ctx()
 
@@ -106,6 +106,69 @@ def test_brute_gram_three_leaves():
                             assert got == ei.norm_squared()
                         else:
                             assert got == 0
+
+
+def _gram_by_dot_products(tree, p, N):
+    """The reference for `_gram_table`: every pair of elements of the
+    materialized level-N basis, each inner product a weighted dot product
+    over the whole lattice."""
+    elems = [e for n in range(N + 1) for e in basis(tree, p, n, N)]
+    return {
+        (e.labeling, f.labeling): inner_product(e.grid, f.grid, p) for e in elems for f in elems
+    }
+
+
+def _gram_table_values(tree, p, N):
+    """The table of `_gram_table` as Fractions, every pair of elements;
+    where it met a pole, the basis levels raise if an element reads one."""
+    nums, den, dens, poles = multihahn._gram_table(tree, p, N)
+    for n in range(N + 1) if poles else ():
+        basis(tree, p, n, N)
+    assert all(nums.values())  # a zero sum is left out
+    return {
+        (e, f): Fraction(nums.get((e, f), 0), den * dens[e] * dens[f]) for e in dens for f in dens
+    }
+
+
+@pytest.mark.parametrize(
+    "alphas, unchecked",
+    [(PRIMARY_ALPHAS, False), (SECONDARY_ALPHAS, False), (MIXED_ALPHAS, True)],
+    ids=["primary", "secondary", "mixed-unchecked"],
+)
+def test_gram_table_equals_the_dot_products_of_the_basis(alphas, unchecked):
+    """The Gram table summed down the tree equals the weighted dot products
+    of the materialized basis entry for entry, zeros included, on every tree
+    with h <= 5 at every level up to 4 (up to 3 at h = 5)."""
+    for h in range(1, 6):
+        p = ParamSet(CTX, alphas[:h], unchecked=unchecked)
+        for tree in all_trees(h) if h > 1 else [parse_tree("1")]:
+            for N in range(4 if h == 5 else 5):
+                assert _gram_table_values(tree, p, N) == _gram_by_dot_products(tree, p, N), (
+                    tree, N,
+                )
+
+
+def test_gram_table_at_pole_alphas_raises_what_the_basis_raises():
+    """At alpha tuples where products of alphas meet powers of 1/q = 4, the
+    table raises the error of the first basis level that reads a pole, or,
+    where none does, equals the dot products of the basis."""
+    outcomes = []
+    for h in (2, 3):
+        for alphas in itertools.product((2, 8, 32, Fraction(1, 2), 3), repeat=h):
+            p = ParamSet(CTX, alphas, n_max=0, unchecked=True)
+            for tree in all_trees(h):
+                for N in range(4):
+                    try:
+                        want = _gram_by_dot_products(tree, p, N)
+                    except ArithmeticError as exc:
+                        want = type(exc), str(exc)
+                    try:
+                        got = _gram_table_values(tree, p, N)
+                    except ArithmeticError as exc:
+                        got = type(exc), str(exc)
+                    assert got == want, (tree, alphas, N)
+                    outcomes.append(type(got) is tuple)
+    assert 0 < sum(outcomes) < len(outcomes) // 4
 
 
 def test_basis_is_linearly_independent_and_spans():
