@@ -296,11 +296,11 @@ def cmd_connect(args) -> int:
         oracle = connection_oracle(source, target, n, params)
         mine, theirs = matrix.integer_rows, oracle.integer_rows
         if mine != theirs:
-            # labelings are tuples of one length in lex order, so min is the first
-            c, d = min(
+            targets = matrix.target_labelings()
+            c, d = next(
                 (c, d)
-                for c in mine.keys() | theirs.keys()
-                for d in mine.get(c, _ZERO_ROW)[0].keys() | theirs.get(c, _ZERO_ROW)[0].keys()
+                for c in matrix.source_labelings()
+                for d in targets
                 if matrix.value(c, d) != oracle.value(c, d)
             )
             raise ArithmeticError(

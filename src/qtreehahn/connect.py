@@ -14,9 +14,10 @@ rotating labels are both 0 builds no block: it maps each labeling to one
 target with coefficient r_0 = 1.  `_push` carries integer weights
 through steps: `connection_by_path` pushes each source rank through its
 whole path and reduces it once, over the product of the steps'
-denominators, and `apply_move` and `one_move_coefficients` push through
-one move.  A matrix keeps each finished row in that form, and `compose`
-and `invert` sum those rows; `rows` reads them as Fractions.
+denominators, and `apply_move` pushes through one move, of which
+`one_move_coefficients` is the `Fraction` view.  A matrix keeps each
+finished row in that form, and `compose` and `invert` sum those rows;
+`rows` reads them as Fractions.
 An inner-product oracle, block-diagonal by the eigenvalues at shared
 spans, computes the same matrix from the two bases alone, for any pair
 of trees.  The way back is the inverse matrix, the transpose rescaled by
@@ -27,7 +28,7 @@ with that inverse is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -193,13 +194,6 @@ def _labeled_row(nums: dict[int, int], den: int, points: Sequence[tuple[int, ...
     return {points[t]: v // g for t, v in nums.items() if v}, den // g
 
 
-def _rank(plan: _MovePlan, move: MoveRecord, n: int, cvec: tuple[int, ...]) -> int:
-    rank = plan.domain.ranks.get(cvec)
-    if rank is None:
-        raise ValueError(f"{cvec} is not a degree-{n} labeling of {move.source}")
-    return rank
-
-
 def _push(nums: dict[int, int], steps: Sequence[tuple]) -> dict[int, int]:
     """Integer weights of source ranks pushed through each of `steps` in
     path order: weight w of rank s, times its cell's factor, adds w * value
@@ -224,17 +218,12 @@ def one_move_coefficients(
     move: MoveRecord, cvec: Sequence[int], params: ParamSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Expand one source labeling over the rotated tree's labelings: the
-    labeling pushed alone through the move's `_step`, each coefficient as
-    `_local_block` states it, over the step's denominator.  ValueError when
-    `cvec` is not a labeling of the move's source tree.  No route of the
-    package calls it; it stays because the perfbench tracer names it among
-    its traced functions."""
-    cvec = tuple(cvec)
-    n = sum(cvec)
-    step = _step(move, n, params)
-    plan, _, D = step
-    pushed = _push({_rank(plan, move, n, cvec): 1}, (step,))
-    return [(plan.domain.points[t], Fraction(num, D)) for t, num in pushed.items()]
+    `Fraction` view of `apply_move` on that labeling alone.  ValueError
+    when `cvec` is not a labeling of the move's source tree.  No route of
+    the package calls it; it stays because the perfbench tracer names it
+    among its traced functions."""
+    nums, den = apply_move(move, ({tuple(cvec): 1}, 1), params)
+    return [(d, Fraction(v, den)) for d, v in nums.items()]
 
 
 def apply_move(
@@ -259,7 +248,11 @@ def apply_move(
         return {}, 1
     step = _step(move, n, params)
     plan, _, D = step
-    ranked = {_rank(plan, move, n, cvec): w for cvec, w in nums.items() if w}
+    ranks = plan.domain.ranks
+    try:
+        ranked = {ranks[cvec]: w for cvec, w in nums.items() if w}
+    except KeyError as missing:
+        raise ValueError(f"{missing.args[0]} is not a degree-{n} labeling of {move.source}") from None
     return _labeled_row(_push(ranked, (step,)), den * D, plan.domain.points)
 
 
@@ -271,14 +264,14 @@ class ConnectionMatrix(_Value):
     that gcd(den, *nums) == 1, with zero entries absent: the canonical form
     of `GridFunction`, so equal rows have equal integers.  `rows[c][d]` is
     the same coefficient as a `Fraction`, a view built on first read and
-    then kept: the fields and the view live in the instance `__dict__`,
-    which no other value type has.  `path` records the rotation sequence
-    used, or None when the matrix came from the inner-product oracle or
-    from `invert`, which rescales the transpose by closed-form norms.  The
-    rows are dicts, so a matrix has no hash.
+    then kept in a slot.  `path` records the rotation sequence used, or
+    None when the matrix came from the inner-product oracle or from
+    `invert`, which rescales the transpose by closed-form norms.  The rows
+    are dicts, so a matrix has no hash.
     """
 
     _fields = ("source", "target", "n", "params", "integer_rows", "path")
+    __slots__ = (*_fields, "_rows")
 
     def __init__(
         self,
@@ -289,15 +282,18 @@ class ConnectionMatrix(_Value):
         integer_rows: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]],
         path: Optional[tuple[MoveRecord, ...]] = None,
     ):
-        for name, value in zip(self._fields, (source, target, n, params, integer_rows, path)):
-            object.__setattr__(self, name, value)
+        self._set(source, target, n, params, integer_rows, path, _rows=None)
 
-    @cached_property
+    @property
     def rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-        return {
-            c: {d: Fraction(v, den) for d, v in nums.items()}
-            for c, (nums, den) in self.integer_rows.items()
-        }
+        rows = self._rows
+        if rows is None:
+            rows = {
+                c: {d: Fraction(v, den) for d, v in nums.items()}
+                for c, (nums, den) in self.integer_rows.items()
+            }
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def source_labelings(self) -> list[tuple[int, ...]]:
         return enumerate_labelings(self.source, self.n)

@@ -73,8 +73,7 @@ class Hahn1DSpec(_Value):
         values = (ctx, n, as_fraction(alpha), as_fraction(beta), N)
         if not (0 <= n <= N):
             raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self._set(*values)
 
 
 class Racah1DSpec(_Value):
@@ -92,8 +91,7 @@ class Racah1DSpec(_Value):
         values = (ctx, n, as_fraction(alpha), as_fraction(beta), as_fraction(delta), N)
         if not (0 <= n <= N):
             raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self._set(*values)
 
 
 def _check_x(x: int, N: int):

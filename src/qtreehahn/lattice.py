@@ -131,11 +131,7 @@ class ParamSet(_Value):
         alphas = tuple(as_fraction(a) for a in alphas)
         if not alphas:
             raise ValueError("need at least one parameter")
-        for name, value in zip(self._fields, (ctx, alphas, n_max, unchecked)):
-            object.__setattr__(self, name, value)
         pairs = tuple((a.numerator, a.denominator) for a in alphas)
-        object.__setattr__(self, "_key", (ctx._key, pairs))
-        object.__setattr__(self, "_hash", hash(self._key))
         a, b = ctx.q.numerator, ctx.q.denominator
         # both sides reduced: u/w == q**(-m) == b^m / a^m iff u == b^m and w == a^m
         poles = {(b**m, a**m): m for m in range(1, n_max + 1)}
@@ -154,11 +150,17 @@ class ParamSet(_Value):
                     "pass unchecked=True for generic identity testing"
                 )
         shifted = tuple((u * a, w * b) for u, w in pairs)  # a p-value multiplies alpha_i q
-        for name, factors in (("_product_pairs", pairs), ("_p_pairs", shifted)):
-            object.__setattr__(self, name, tuple(
+        product_pairs, p_pairs = (
+            tuple(
                 tuple(accumulate(factors[lo:], _times, initial=(1, 1)))
                 for lo in range(len(pairs) + 1)
-            ))
+            )
+            for factors in (pairs, shifted)
+        )
+        self._set(
+            ctx, alphas, n_max, unchecked, _key=(ctx._key, pairs),
+            _product_pairs=product_pairs, _p_pairs=p_pairs,
+        )
 
     @property
     def h(self) -> int:
@@ -186,9 +188,6 @@ class ParamSet(_Value):
         """p-value of the span (lo, hi]: alpha_{lo+1} * ... * alpha_{hi} * q^(hi - lo)."""
         return Fraction(*self.p_pair(lo, hi))
 
-    def __hash__(self):
-        return self._hash
-
 
 def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """The product of two integer pairs, reduced."""
@@ -204,21 +203,21 @@ def _rank_in(h: int, N: int, x: Sequence[int]) -> int:
     return rank
 
 
-class GridFunction:
+class GridFunction(_Value):
     """Dense rational-valued function on [h; N], stored in lexicographic order.
 
     The one stored form is `_integer_form`: a tuple of integer numerators,
     one per point, over one positive common denominator, reduced so that
-    gcd(den, *nums) == 1.  Since that form is canonical, equality and
-    hashing compare it directly, and `+`, `-` and `scale` work in integers
+    gcd(den, *nums) == 1.  Since that form is canonical, the value's `_key`
+    is (h, N, `_integer_form`), and `+`, `-` and `scale` work in integers
     and reduce once per result; code that has integers already builds
     through `_from_integers`, which makes no `Fraction`.  `.values` reads
     the function as a tuple of `Fraction`s: the caller's tuple when one was
-    passed in, otherwise built on first use.  Instances are immutable: the
-    slots are written once, by `_set`, through their descriptors.
+    passed in, otherwise built on first use.
     """
 
     __slots__ = ("h", "N", "_integer_form", "_values")
+    _fields = ("h", "N", "values")
 
     def __init__(self, h: int, N: int, values: Sequence[Rational]):
         expected = composition_count(h, N)
@@ -228,15 +227,7 @@ class GridFunction:
             )
         if type(values) is not tuple or not all(isinstance(v, Fraction) for v in values):
             values = tuple(as_fraction(v) for v in values)
-        self._set(h, N, over_common_denominator(values), values)
-
-    def _set(self, h: int, N: int, integer_form, values) -> None:
-        """Fill the slots of a new instance through their descriptors, past
-        the __setattr__ guard."""
-        _set_h(self, h)
-        _set_N(self, N)
-        _set_integer_form(self, integer_form)
-        _set_values(self, values)
+        self._set(h, N, _integer_form=over_common_denominator(values), _values=values)
 
     @classmethod
     def _from_integers(cls, h: int, N: int, nums, den: int) -> "GridFunction":
@@ -248,7 +239,7 @@ class GridFunction:
         elif type(nums) is not tuple:
             nums = tuple(nums)
         out = object.__new__(cls)
-        out._set(h, N, (nums, den), None)
+        out._set(h, N, _integer_form=(nums, den), _values=None)
         return out
 
     @property
@@ -257,31 +248,17 @@ class GridFunction:
         if values is None:
             nums, den = self._integer_form
             values = tuple(Fraction(n, den) for n in nums)
-            _set_values(self, values)
+            object.__setattr__(self, "_values", values)
         return values
+
+    @property
+    def _key(self) -> tuple:
+        return self.h, self.N, self._integer_form
 
     @property
     def nums(self) -> tuple[int, ...]:
         """The integer numerators of `_integer_form`, one per point."""
         return self._integer_form[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GridFunction is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild from the stored form, past the guard above
-        return GridFunction._from_integers, (self.h, self.N, *self._integer_form)
-
-    def __eq__(self, other):
-        if type(other) is not GridFunction:
-            return NotImplemented
-        return (self.h, self.N, self._integer_form) == (other.h, other.N, other._integer_form)
-
-    def __hash__(self):
-        return hash((self.h, self.N, self._integer_form))
-
-    def __repr__(self):
-        return f"GridFunction(h={self.h}, N={self.N}, values={self.values!r})"
 
     @classmethod
     def from_callable(cls, h: int, N: int, fn: Callable[[tuple[int, ...]], Rational]):
@@ -343,12 +320,6 @@ class GridFunction:
 
     def is_zero(self) -> bool:
         return not any(self._integer_form[0])
-
-
-# The slot descriptors' setters, which write past `GridFunction.__setattr__`.
-_set_h, _set_N, _set_integer_form, _set_values = (
-    GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__
-)
 
 
 def weight(x: Sequence[int], p: ParamSet) -> Fraction:

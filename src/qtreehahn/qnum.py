@@ -11,8 +11,9 @@ The q-shifted factorial has one statement, the integer product
 `phi_sum` keeps its own termwise products: it is the independent reference
 that the integer rows are checked against.
 
-`_Value` is the base of the package's immutable value types, the context
-first among them.
+`_Value` is the base of every immutable value type of the package, the
+context first among them: one statement of write-once slots, equality by
+key, the key's stored hash, repr, pickle and copy.
 """
 
 from __future__ import annotations
@@ -51,16 +52,30 @@ class _Value:
     """Base of the package's immutable value types.
 
     A subclass names its constructor arguments in `_fields` and fills its
-    slots once in `__init__` through `object.__setattr__`.  Assignment
-    raises AttributeError.  Equality holds between instances of one class
-    with equal `_key`s, by default the tuple of the `_fields`, and the hash
-    is the key's; a subclass that keys caches stores it once as `_hash`.
-    Repr shows the `_fields`, and pickle and copy rebuild the value through
-    its constructor.
+    slots once in `__init__` through `_set`, the one writer past the guard:
+    assignment and deletion raise AttributeError, and no instance has a
+    `__dict__`.  Equality holds between instances of one class with equal
+    `_key`s, by default the tuple of the `_fields`.  A type that keys caches
+    passes its key to `_set`, which keeps it as `_key` with its hash taken
+    once; `__hash__` returns that hash, or hashes `_key` for a type that
+    stores none.  Repr shows the `_fields`, and pickle and copy rebuild the
+    value through its constructor.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _hash = None  # shadowed by the slot of a type that stores its key's hash
+
+    def _set(self, *fields, _key=None, **slots) -> None:
+        """Write the `_fields` slots from `fields`, in order, then each of
+        `slots` by name; with a `_key`, also `_key` and `_hash`."""
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+        if _key is not None:
+            object.__setattr__(self, "_key", _key)
+            object.__setattr__(self, "_hash", hash(_key))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,7 +93,8 @@ class _Value:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        stored = self._hash
+        return hash(self._key) if stored is None else stored
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -104,10 +120,7 @@ class QContext(_Value):
         s = as_fraction(s)
         if not (0 < s < 1):
             raise ValueError(f"square root of q must satisfy 0 < s < 1, got {s}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "q", s * s)  # derived from s
-        object.__setattr__(self, "_key", (s.numerator, s.denominator))
-        object.__setattr__(self, "_hash", hash(self._key))
+        self._set(s, q=s * s, _key=(s.numerator, s.denominator))  # q derived from s
 
     def q_power(self, k: int) -> Fraction:
         """q**k for any integer k (negative exponents allowed)."""
@@ -116,9 +129,6 @@ class QContext(_Value):
     def q_half_power(self, half_exponent: int) -> Fraction:
         """q**(half_exponent/2), i.e. s**half_exponent, exactly."""
         return self.s ** half_exponent
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"QContext(s={self.s!r}, q={self.q!r})"

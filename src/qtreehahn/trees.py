@@ -75,9 +75,10 @@ class Vertex(NamedTuple):
 
 
 class PlanarTree(_Value):
-    """Immutable planar binary tree; equality and hashing follow the shape."""
+    """Immutable planar binary tree; equality and hashing follow the shape,
+    which is stored as the tree's `_key`."""
 
-    __slots__ = ("shape", "_vertices", "_h", "_hash")
+    __slots__ = ("shape", "_vertices", "_h", "_key", "_hash")
     _fields = ("shape",)
 
     def __init__(self, shape: Shape):
@@ -85,15 +86,8 @@ class PlanarTree(_Value):
         _walk(shape, leaves, vertices)
         if leaves != list(range(1, len(leaves) + 1)):
             raise NonConsecutiveLeaves(f"leaves read {leaves}, expected 1..{len(leaves)}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        # taken once: trees key the path and move-plan caches
-        object.__setattr__(self, "_h", len(leaves))
-        object.__setattr__(self, "_hash", hash(shape))
-
-    @property
-    def _key(self) -> Shape:
-        return self.shape
+        # key and hash kept: trees key the path and move-plan caches
+        self._set(shape, _vertices=tuple(vertices), _h=len(leaves), _key=shape)
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -116,9 +110,6 @@ class PlanarTree(_Value):
 
     def __repr__(self) -> str:
         return f"PlanarTree({self.serialize()!r})"
-
-    def __hash__(self):
-        return self._hash
 
 
 def _walk(shape: Shape, leaves: list, out: list) -> Optional[int]:
@@ -285,14 +276,8 @@ class MoveRecord(_Value):
         s_local: int, r_local: int, h_local: int,
     ):
         key = (source, target, vertex, base, s_local, r_local, h_local)
-        for name, value in zip(self._fields, key):
-            object.__setattr__(self, name, value)
         # kept, and hashed once: records key the move-plan cache on every rotation step
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
+        self._set(*key, _key=key)
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,10 +1,10 @@
-"""The contract of the package's nine immutable value types.
+"""The contract of the package's ten immutable value types.
 
 Each type is built twice from equal inputs.  The two are equal, hash
 alike and repr alike; a pickle round trip gives an equal value with an
-equal hash; and assigning or deleting an attribute raises
-AttributeError, a new name as well as a field.  `ConnectionMatrix` keeps
-its rows in dicts, so it has no hash.
+equal hash; assigning or deleting an attribute raises AttributeError, a
+new name as well as a field; and no instance has a `__dict__`.
+`ConnectionMatrix` keeps its rows in dicts, so it has no hash.
 """
 
 import copy
@@ -15,6 +15,7 @@ import pytest
 
 from qtreehahn import (
     ConnectionMatrix,
+    GridFunction,
     Hahn1DSpec,
     MoveRecord,
     ParamSet,
@@ -59,6 +60,8 @@ def build(kind: str):
         m = connection_by_path(right_comb(4), left_comb(4), 2, params)
         rows = {c: (dict(nums), den) for c, (nums, den) in m.integer_rows.items()}
         return ConnectionMatrix(m.source, m.target, m.n, params, rows, m.path)
+    if kind == "GridFunction":
+        return GridFunction(3, 2, (Fraction(1, 2), 0, "2/3", Fraction(-3), 1, Fraction(5, 7)))
     raise ValueError(kind)
 
 
@@ -72,6 +75,7 @@ KINDS = {
     "Racah1DSpec": Racah1DSpec,
     "TreeBasisElement": TreeBasisElement,
     "ConnectionMatrix": ConnectionMatrix,
+    "GridFunction": GridFunction,
 }
 
 
@@ -110,7 +114,8 @@ def test_assignment_and_deletion_raise_attribute_error(kind):
     value = build(kind)
     field = {"QContext": "s", "ParamSet": "alphas", "Vertex": "lo", "PlanarTree": "shape",
              "MoveRecord": "base", "Hahn1DSpec": "n", "Racah1DSpec": "delta",
-             "TreeBasisElement": "N", "ConnectionMatrix": "integer_rows"}[kind]
+             "TreeBasisElement": "N", "ConnectionMatrix": "integer_rows",
+             "GridFunction": "N"}[kind]
     before = getattr(value, field)
     for name in (field, "not_a_field"):
         with pytest.raises(AttributeError):
@@ -119,6 +124,14 @@ def test_assignment_and_deletion_raise_attribute_error(kind):
             delattr(value, name)
     assert getattr(value, field) is before
     assert value == build(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_instance_has_a_dict(kind):
+    value = build(kind)
+    if isinstance(value, ConnectionMatrix):
+        value.rows  # the cached Fraction view is kept in a slot
+    assert not hasattr(value, "__dict__")
 
 
 def test_values_of_other_types_or_inputs_differ():
