@@ -20,7 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from .connect import _ZERO_ROW, connection_by_path, connection_oracle
+from .connect import connection_by_path, connection_oracle
 from .lattice import OutsidePositivityRegime, ParamSet, enumerate_compositions
 from .multihahn import _gram_table, _norm_pair, basis, eval_Q, vertex_eigen_cases
 from .qnum import QContext
@@ -146,23 +146,21 @@ def _ratio_text(num: int, den: int) -> str:
 def _matrix_json(matrix, pad: str) -> str:
     """The text `_json` gives for `matrix.to_json_obj()["matrix"]` at pad,
     written from the integer rows through one template: each labeling's
-    text is taken once, and each entry costs one gcd."""
+    text is taken once, each row's ranks are walked in order, and each
+    entry costs one gcd."""
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
     sep = "," + i3
 
     def text(labelings):
-        return {c: f"[{i3}{sep.join(map(str, c))}{i2}]" if c else "[]" for c in labelings}
+        return [f"[{i3}{sep.join(map(str, c))}{i2}]" if c else "[]" for c in labelings]
 
-    targets = text(matrix.target_labelings()).items()
+    targets = text(matrix.target_labelings())
     entries = []
-    for c, c_text in text(matrix.source_labelings()).items():
-        nums, den = matrix.integer_rows.get(c, _ZERO_ROW)
-        for d, d_text in targets:
-            v = nums.get(d)
-            if v is not None:
-                entries.append(
-                    f'{{{i2}"c": {c_text},{i2}"d": {d_text},{i2}"value": "{_ratio_text(v, den)}"{i1}}}'
-                )
+    for c_text, (nums, den) in zip(text(matrix.source_labelings()), matrix.integer_rows):
+        for t in sorted(nums):
+            entries.append(
+                f'{{{i2}"c": {c_text},{i2}"d": {targets[t]},{i2}"value": "{_ratio_text(nums[t], den)}"{i1}}}'
+            )
     if not entries:
         return "[]"
     return f"[{i1}{(',' + i1).join(entries)}{pad}]"

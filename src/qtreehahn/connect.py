@@ -16,8 +16,8 @@ through steps: `connection_by_path` pushes each source rank through its
 whole path and reduces it once, over the product of the steps'
 denominators, and `apply_move` pushes through one move, of which
 `one_move_coefficients` is the `Fraction` view.  A matrix keeps each
-finished row in that form, and `compose` and `invert` sum those rows;
-`rows` reads them as Fractions.
+finished row in that form, by rank, and sums them by rank; labelings
+come back only in `rows`, `value` and `to_json_obj`.
 An inner-product oracle, block-diagonal by the eigenvalues at shared
 spans, computes the same matrix from the two bases alone, for any pair
 of trees.  The way back is the inverse matrix, the transpose rescaled by
@@ -178,20 +178,11 @@ def _step(move: MoveRecord, n: int, params: ParamSet) -> tuple[_MovePlan, list, 
     return plan, rows, D
 
 
-_ZERO_ROW: tuple[dict, int] = ({}, 1)  # shared: never mutate
-
-
-def _reduced_row(nums: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]:
+def _reduced_row(nums: dict, den: int) -> tuple[dict, int]:
     """The canonical row of nums / den (den > 0): zeros dropped, reduced by
     one gcd."""
     g = gcd(den, *nums.values())
     return {d: v // g for d, v in nums.items() if v}, den // g
-
-
-def _labeled_row(nums: dict[int, int], den: int, points: Sequence[tuple[int, ...]]) -> tuple[dict, int]:
-    """`_reduced_row`, each rank t read as the labeling points[t]."""
-    g = gcd(den, *nums.values())
-    return {points[t]: v // g for t, v in nums.items() if v}, den // g
 
 
 def _push(nums: dict[int, int], steps: Sequence[tuple]) -> dict[int, int]:
@@ -248,26 +239,35 @@ def apply_move(
         return {}, 1
     step = _step(move, n, params)
     plan, _, D = step
-    ranks = plan.domain.ranks
+    points, ranks = plan.domain
     try:
         ranked = {ranks[cvec]: w for cvec, w in nums.items() if w}
     except KeyError as missing:
         raise ValueError(f"{missing.args[0]} is not a degree-{n} labeling of {move.source}") from None
-    return _labeled_row(_push(ranked, (step,)), den * D, plan.domain.points)
+    out, den = _reduced_row(_push(ranked, (step,)), den * D)
+    return {points[t]: v for t, v in out.items()}, den
+
+
+def _ranks(tree: PlanarTree, n: int) -> dict[tuple[int, ...], int]:
+    """Each degree-n labeling of `tree` to its index in `enumerate_labelings`."""
+    k = tree.n_internal
+    return domain_table(k, n).ranks if k else dict.fromkeys(enumerate_labelings(tree, n), 0)
 
 
 class ConnectionMatrix(_Value):
     """Expansion of one tree basis over another at fixed degree n.
 
-    `integer_rows[c]` is the row of the source element labeled c as
-    (numerators by target labeling, one positive denominator), reduced so
-    that gcd(den, *nums) == 1, with zero entries absent: the canonical form
-    of `GridFunction`, so equal rows have equal integers.  `rows[c][d]` is
-    the same coefficient as a `Fraction`, a view built on first read and
-    then kept in a slot.  `path` records the rotation sequence used, or
-    None when the matrix came from the inner-product oracle or from
-    `invert`, which rescales the transpose by closed-form norms.  The rows
-    are dicts, so a matrix has no hash.
+    `integer_rows[s]` is the row of the source element of rank s, its
+    index in `source_labelings()`, as (numerators by target rank, one
+    positive denominator), reduced so that gcd(den, *nums) == 1, with zero
+    entries absent: the canonical form of `GridFunction`, so equal rows
+    have equal integers.  It is a tuple of one row per source labeling
+    (ValueError otherwise).  `rows[c][d]` is the same coefficient keyed by
+    labelings, as a `Fraction`, a view built on first read and then kept
+    in a slot.  `path` records the rotation sequence used, or None when
+    the matrix came from the inner-product oracle or from `invert`, which
+    rescales the transpose by closed-form norms.  The rows are dicts, so
+    a matrix has no hash.
     """
 
     _fields = ("source", "target", "n", "params", "integer_rows", "path")
@@ -279,18 +279,22 @@ class ConnectionMatrix(_Value):
         target: PlanarTree,
         n: int,
         params: ParamSet,
-        integer_rows: dict[tuple[int, ...], tuple[dict[tuple[int, ...], int], int]],
+        integer_rows: Sequence[tuple[dict[int, int], int]],
         path: Optional[tuple[MoveRecord, ...]] = None,
     ):
+        integer_rows = tuple(integer_rows)
+        if len(integer_rows) != len(enumerate_labelings(source, n)):
+            raise ValueError(f"{len(integer_rows)} rows for the degree-{n} labelings of {source}")
         self._set(source, target, n, params, integer_rows, path, _rows=None)
 
     @property
     def rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
         rows = self._rows
         if rows is None:
+            targets = self.target_labelings()
             rows = {
-                c: {d: Fraction(v, den) for d, v in nums.items()}
-                for c, (nums, den) in self.integer_rows.items()
+                c: {targets[t]: Fraction(v, den) for t, v in nums.items()}
+                for c, (nums, den) in zip(self.source_labelings(), self.integer_rows)
             }
             object.__setattr__(self, "_rows", rows)
         return rows
@@ -302,14 +306,17 @@ class ConnectionMatrix(_Value):
         return enumerate_labelings(self.target, self.n)
 
     def value(self, cvec: Sequence[int], dvec: Sequence[int]) -> Fraction:
-        nums, den = self.integer_rows.get(tuple(cvec), _ZERO_ROW)
-        return Fraction(nums.get(tuple(dvec), 0), den)
+        """r_c(d), or 0 where c or d is not a degree-n labeling of its tree."""
+        s = _ranks(self.source, self.n).get(tuple(cvec))
+        if s is None:
+            return Fraction(0)
+        nums, den = self.integer_rows[s]
+        return Fraction(nums.get(_ranks(self.target, self.n).get(tuple(dvec)), 0), den)
 
     def is_identity(self) -> bool:
-        if self.source != self.target:
-            return False
-        rows = self.integer_rows
-        return all(rows.get(c) == ({c: 1}, 1) for c in self.source_labelings())
+        return self.source == self.target and all(
+            row == ({s: 1}, 1) for s, row in enumerate(self.integer_rows)
+        )
 
     def orthogonality_check(self) -> bool:
         """The matrix times its `invert` is the identity, that is
@@ -328,19 +335,18 @@ class ConnectionMatrix(_Value):
         two bases.
 
         Each row (nums, den) is checked in integers, from the integer forms
-        (t_d, T_d) of the target elements and (s, S) of the source one:
-        with L the lcm of the T_d, at every point
+        (t_d, T_d) of the target elements and (s, S) of the source one,
+        both bases in rank order: with L the lcm of the T_d, at every point
 
             S sum_d nums[d] (L / T_d) t_d == den L s."""
         N = self.n if N is None else N
         src, tgt = (
-            {e.labeling: e.grid._integer_form for e in basis(tree, self.params, self.n, N)}
+            [e.grid._integer_form for e in basis(tree, self.params, self.n, N)]
             for tree in (self.source, self.target)
         )
-        for c, (nums, den) in self.integer_rows.items():
-            s_nums, s_den = src[c]
-            L = lcm(*(tgt[d][1] for d in nums))
-            terms = [(w * (L // tgt[d][1]), tgt[d][0]) for d, w in nums.items()]
+        for (s_nums, s_den), (nums, den) in zip(src, self.integer_rows):
+            L = lcm(*(tgt[t][1] for t in nums))
+            terms = [(w * (L // tgt[t][1]), tgt[t][0]) for t, w in nums.items()]
             scale = den * L
             for k, v in enumerate(s_nums):
                 if s_den * sum(w * t[k] for w, t in terms) != scale * v:
@@ -356,18 +362,15 @@ class ConnectionMatrix(_Value):
         then reduced once."""
         if (self.target, self.n, self.params) != (other.source, other.n, other.params):
             raise ValueError("connection matrices do not chain")
-        L = lcm(*(den for _, den in other.integer_rows.values()))
-        scaled = {
-            d: [(e, w * (L // den)) for e, w in nums.items()]
-            for d, (nums, den) in other.integer_rows.items()
-        }
-        rows = {}
-        for c, (nums, den) in self.integer_rows.items():
-            acc: dict[tuple[int, ...], int] = {}
-            for d, v in nums.items():
-                for e, w in scaled.get(d, ()):
+        L = lcm(*(den for _, den in other.integer_rows))
+        scaled = [[(e, w * (L // den)) for e, w in nums.items()] for nums, den in other.integer_rows]
+        rows = []
+        for nums, den in self.integer_rows:
+            acc: dict[int, int] = {}
+            for t, v in nums.items():
+                for e, w in scaled[t]:
                     acc[e] = acc.get(e, 0) + v * w
-            rows[c] = _reduced_row(acc, den * L)
+            rows.append(_reduced_row(acc, den * L))
         path = None if None in (self.path, other.path) else self.path + other.path
         return ConnectionMatrix(self.source, other.target, self.n, self.params, rows, path)
 
@@ -385,18 +388,17 @@ class ConnectionMatrix(_Value):
         |Q_d|^2, reduced once.
         """
         n, params = self.n, self.params
-        target_norms = {d: _norm_pair(self.target, d, params, n) for d in self.target_labelings()}
-        columns: dict[tuple[int, ...], list[tuple]] = {d: [] for d in target_norms}
-        for c, (nums, den) in self.integer_rows.items():
+        target_norms = [_norm_pair(self.target, d, params, n) for d in self.target_labelings()]
+        columns: list[list[tuple]] = [[] for _ in target_norms]
+        for s, (c, (nums, den)) in enumerate(zip(self.source_labelings(), self.integer_rows)):
             norm_num, norm_den = _norm_pair(self.source, c, params, n)
-            for d, num in nums.items():
-                columns[d].append((c, num * norm_den, den * norm_num))
-        rows = {}
-        for d, column in columns.items():
+            for t, num in nums.items():
+                columns[t].append((s, num * norm_den, den * norm_num))
+        rows = []
+        for column, (norm_num, norm_den) in zip(columns, target_norms):
             L = lcm(*(den for _, _, den in column))
-            norm_num, norm_den = target_norms[d]
-            rows[d] = _reduced_row(
-                {c: num * (L // den) * norm_num for c, num, den in column}, L * norm_den
+            rows.append(
+                _reduced_row({s: num * (L // den) * norm_num for s, num, den in column}, L * norm_den)
             )
         return ConnectionMatrix(self.target, self.source, self.n, self.params, rows, None)
 
@@ -413,15 +415,14 @@ class ConnectionMatrix(_Value):
 
     def to_json_obj(self) -> dict:
         """`json_header` and "matrix": one {"c", "d", "value"} object per
-        nonzero entry of the `Fraction` view, in source then target
-        labeling order."""
+        nonzero entry of the `Fraction` view, in source then target rank
+        order, each row's ranks read from `integer_rows`."""
         targets = self.target_labelings()
         matrix = []
-        for c in self.source_labelings():
-            row = self.rows.get(c, {})
-            for d in targets:
-                if d in row:
-                    matrix.append({"c": list(c), "d": list(d), "value": str(row[d])})
+        for (c, row), (nums, _) in zip(self.rows.items(), self.integer_rows):
+            for t in sorted(nums):
+                d = targets[t]
+                matrix.append({"c": list(c), "d": list(d), "value": str(row[d])})
         return {**self.json_header(), "matrix": matrix}
 
 
@@ -455,8 +456,7 @@ def connection_by_path(
         raise ValueError(f"path ends at {current}, expected {target}")
     steps = [_step(move, n, params) for move in path]
     D = prod(D for *_, D in steps)
-    points = enumerate_labelings(source, n)
-    rows = {cvec: _labeled_row(_push({s: 1}, steps), D, points) for s, cvec in enumerate(points)}
+    rows = [_reduced_row(_push({s: 1}, steps), D) for s in range(len(enumerate_labelings(source, n)))]
     return ConnectionMatrix(source, target, n, params, rows, path)
 
 
@@ -479,10 +479,10 @@ def connection_oracle(
     share a block only where p(U) q^(m+m'-1) = 1, and their entries are
     then computed, not skipped.
 
-    Each target column is weighted once by `lattice._weighted`; its norm,
-    the dot product with its own numerators, is taken for every target in
-    basis order.  With the source numerators over d_s and the target's
-    over d_t, r_d(c) = dot * d_t / (d_s * norm).  A row goes over
+    Each target column is weighted once by `lattice._weighted` and keyed
+    by its rank, its index in basis order; its norm is the dot product
+    with its own numerators.  With the source numerators over d_s and the
+    target's over d_t, r_d(c) = dot * d_t / (d_s * norm).  A row goes over
     d_s * M, M the lcm of the absolute norms in its block, so the entry's
     numerator is dot * d_t * (M / norm), signed; it is reduced once.
     """
@@ -506,7 +506,7 @@ def connection_oracle(
 
     src_key, tgt_key = keyer(u for u, _ in shared), keyer(w for _, w in shared)
     blocks = {}
-    for elem in tgt:
+    for t, elem in enumerate(tgt):
         nums, den = elem.grid._integer_form
         weighted = _weighted(elem.grid, params)[0]
         norm = sum(map(mul, weighted, nums))
@@ -514,20 +514,18 @@ def connection_oracle(
             raise ZeroDenominator(
                 f"basis element {elem.labeling} of {target} has zero norm"
             )
-        blocks.setdefault(tgt_key(elem.labeling), []).append(
-            (elem.labeling, weighted, den, norm)
-        )
+        blocks.setdefault(tgt_key(elem.labeling), []).append((t, weighted, den, norm))
     for k, block in blocks.items():
         M = lcm(*(norm for *_, norm in block))
-        blocks[k] = M, [(d, weighted, d_t * (M // norm)) for d, weighted, d_t, norm in block]
-    rows = {}
+        blocks[k] = M, [(t, weighted, d_t * (M // norm)) for t, weighted, d_t, norm in block]
+    rows = []
     for es in src:
         nums, den = es.grid._integer_form
         M, columns = blocks.get(src_key(es.labeling), (1, ()))
         row = {}
-        for labeling, weighted, factor in columns:
+        for t, weighted, factor in columns:
             dot = sum(map(mul, nums, weighted))
             if dot:
-                row[labeling] = dot * factor
-        rows[es.labeling] = _reduced_row(row, den * M)
+                row[t] = dot * factor
+        rows.append(_reduced_row(row, den * M))
     return ConnectionMatrix(source, target, n, params, rows, None)

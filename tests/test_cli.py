@@ -676,15 +676,14 @@ def test_verify_eigen_failure_names_tree_labeling_and_vertex(capsys, monkeypatch
 
 
 def test_verify_connections_failure_names_pair_and_degree(capsys, monkeypatch):
-    """Drop one row of the oracle matrix for every distinct pair at n = 1."""
+    """Zero one row of the oracle matrix for every distinct pair at n = 1."""
     original = cli.connection_oracle
 
     def broken(src, tgt, n, params):
         matrix = original(src, tgt, n, params)
         if n != 1 or src == tgt:
             return matrix
-        rows = dict(matrix.integer_rows)
-        rows.pop(next(iter(rows)))
+        rows = ({}, 1), *matrix.integer_rows[1:]
         return ConnectionMatrix(matrix.source, matrix.target, matrix.n, matrix.params, rows, matrix.path)
 
     monkeypatch.setattr(cli, "connection_oracle", broken)
@@ -785,13 +784,14 @@ def test_connect_names_the_first_entry_where_path_and_oracle_disagree(capsys, mo
 
     def two_entries_off(source, target, n, params):
         matrix = real(source, target, n, params)
-        rows = {c: (dict(nums), den) for c, (nums, den) in matrix.integer_rows.items()}
+        rows = [(dict(nums), den) for nums, den in matrix.integer_rows]
+        sources, targets = matrix.source_labelings(), matrix.target_labelings()
         for c, d in (
             ((1, 0), (0, 1)),  # 115/114 in the README example
             ((0, 1), (1, 0)),  # 1, first in labeling order
         ):
-            nums, den = rows[c]
-            nums[d] += den  # the entry plus one, and the row still canonical
+            nums, den = rows[sources.index(c)]
+            nums[targets.index(d)] += den  # the entry plus one, and the row still canonical
         return ConnectionMatrix(matrix.source, matrix.target, matrix.n, matrix.params, rows, matrix.path)
 
     monkeypatch.setattr(cli, "connection_by_path", two_entries_off)
@@ -917,6 +917,23 @@ GOLDEN_STDOUT_SHA256 = {
     "connect-unreachable-oracle-only": (
         ("connect", *REVERSED, "--oracle-only"),
         "156e903678fff4dc2c086ce3b25c7563eafe6ea447377b8642234d5b29ccaaa4",
+    ),
+    # a tree with no vertex: one row, the empty labeling, at n = 0 and none at n = 1
+    "connect one leaf n 0": (
+        ("connect", "--source", "1", "--target", "1", "--n", "0"),
+        "a66183b8cf2fa2e4b79b5c4d0d7ca0002b1988156be7c33d3e24c674cc03fa3e",
+    ),
+    "connect one leaf n 0 oracle-only": (
+        ("connect", "--source", "1", "--target", "1", "--n", "0", "--oracle-only"),
+        "a0355bace79a4c94072c93526d217f7e34c3daec502c442af62a044d7c57b254",
+    ),
+    "connect one leaf n 1": (
+        ("connect", "--source", "1", "--target", "1", "--n", "1"),
+        "7eff58fc70b43ae5fee70fb8f6f45b24aa814006e99ada48d86188f456edf7dc",
+    ),
+    "connect one leaf n 1 oracle-only": (
+        ("connect", "--source", "1", "--target", "1", "--n", "1", "--oracle-only"),
+        "7f58a05707a59ffdff5ffdf153f7ddb58909e7fa86b91a5426de64bb71c508b9",
     ),
     "eval-all": (
         ("eval", "--tree", "((1 2) (3 4))", "--labels", "1,0,1", "--N", "3", "--all"),

@@ -175,11 +175,13 @@ def _assert_push_is_the_per_move_composition_and_the_oracle(params_of):
             path = find_rl_path(src, tgt)
             for n in range(4):
                 got = connection_by_path(src, tgt, n, p, path=path)
-                for c in enumerate_labelings(src, n):
+                ranks = {d: t for t, d in enumerate(enumerate_labelings(tgt, n))}
+                for s, c in enumerate(enumerate_labelings(src, n)):
                     weights = ({c: 1}, 1)
                     for move in path:
                         weights = apply_move(move, weights, p)
-                    assert got.integer_rows[c] == weights, (src, tgt, c)
+                    nums, den = weights
+                    assert got.integer_rows[s] == ({ranks[d]: v for d, v in nums.items()}, den), (src, tgt, c)
                 want = connection_oracle(src, tgt, n, p)
                 assert got.integer_rows == want.integer_rows, (src, tgt, n)
 
@@ -392,13 +394,17 @@ COLLIDING = ParamSet(CTX, (Fraction(32), Fraction(8), Fraction(2, 3), Fraction(3
 
 
 def _oracle_outcome(src, tgt, n, p):
-    """The oracle's canonical integer rows as text, or the text of the
-    ZeroDenominator it raises."""
+    """The oracle's canonical integer rows as text, each rank read as its
+    labeling, or the text of the ZeroDenominator it raises."""
     try:
-        rows = connection_oracle(src, tgt, n, p).integer_rows
+        matrix = connection_oracle(src, tgt, n, p)
     except ZeroDenominator as exc:
         return f"ZeroDenominator: {exc}"
-    return repr(sorted((c, sorted(nums.items()), den) for c, (nums, den) in rows.items()))
+    targets = matrix.target_labelings()
+    return repr(sorted(
+        (c, sorted((targets[t], v) for t, v in nums.items()), den)
+        for c, (nums, den) in zip(matrix.source_labelings(), matrix.integer_rows)
+    ))
 
 
 def test_oracle_where_two_levels_of_a_shared_span_share_an_eigenvalue():
@@ -440,13 +446,17 @@ def test_warm_oracle_builds_one_fraction_per_nonzero_entry(fraction_builds):
 
 
 def _assert_integer_rows(matrix):
-    """Every row is canonical, and `.rows` is its Fraction view."""
-    for c, (nums, den) in matrix.integer_rows.items():
-        assert den > 0 and math.gcd(den, *nums.values()) == 1, c
-        assert all(type(v) is int and v for v in nums.values()), c
+    """One row per source labeling, each canonical and keyed by target
+    ranks, and `.rows` is its Fraction view keyed by labelings."""
+    sources, targets = matrix.source_labelings(), matrix.target_labelings()
+    assert type(matrix.integer_rows) is tuple and len(matrix.integer_rows) == len(sources)
+    for s, (nums, den) in enumerate(matrix.integer_rows):
+        assert den > 0 and math.gcd(den, *nums.values()) == 1, s
+        assert all(type(v) is int and v for v in nums.values()), s
+        assert all(t in range(len(targets)) for t in nums), s
     assert matrix.rows == {
-        c: {d: Fraction(v, den) for d, v in nums.items()}
-        for c, (nums, den) in matrix.integer_rows.items()
+        c: {targets[t]: Fraction(v, den) for t, v in nums.items()}
+        for c, (nums, den) in zip(sources, matrix.integer_rows)
     }
 
 
@@ -797,16 +807,20 @@ def test_orthogonality_check_rejects_a_scaled_entry_or_a_dropped_row():
     p4 = make_params(4)
     conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
     assert conn.orthogonality_check()
-    c, (nums, den) = next((c, row) for c, row in conn.integer_rows.items() if len(row[0]) > 1)
-    d = next(iter(nums))
-    nums = {**nums, d: 2 * nums[d]}
+    s, (nums, den) = next((s, row) for s, row in enumerate(conn.integer_rows) if len(row[0]) > 1)
+    t = next(iter(nums))
+    nums = {**nums, t: 2 * nums[t]}
     g = math.gcd(den, *nums.values())
-    scaled = {**conn.integer_rows, c: ({e: v // g for e, v in nums.items()}, den // g)}
-    bad = ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, scaled, conn.path)
+    rows = list(conn.integer_rows)
+    rows[s] = ({e: v // g for e, v in nums.items()}, den // g)
+    bad = ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, rows, conn.path)
+    c, d = conn.source_labelings()[s], conn.target_labelings()[t]
     assert bad.rows[c][d] == 2 * conn.rows[c][d]
     assert not bad.orthogonality_check()
-    dropped = {k: v for k, v in conn.integer_rows.items() if k != c}
-    assert not ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, dropped, conn.path).orthogonality_check()
+    rows[s] = ({}, 1)  # the row dropped: zeroed, since every source keeps its rank
+    assert not ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, rows, conn.path).orthogonality_check()
+    with pytest.raises(ValueError):
+        ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, rows[:s] + rows[s + 1 :], conn.path)
 
 
 def _defining_relation_by_grids(matrix, N):
@@ -829,23 +843,23 @@ def test_defining_relation_check_rejects_every_changed_entry():
     p4 = make_params(4)
     conn = connection_by_path(right_comb(4), left_comb(4), 2, p4)
 
-    def with_row(c, row):
-        rows = {**conn.integer_rows, c: row}
+    def with_row(s, row):
+        rows = conn.integer_rows[:s] + (row,) + conn.integer_rows[s + 1 :]
         return ConnectionMatrix(conn.source, conn.target, conn.n, conn.params, rows, conn.path)
 
     bad = []
-    for c, (nums, den) in conn.integer_rows.items():
-        for d in conn.target_labelings():
-            changed = {**nums, d: nums.get(d, 0) + 1}
-            if not changed[d]:
-                del changed[d]
+    for s, (nums, den) in enumerate(conn.integer_rows):
+        for t in range(len(conn.target_labelings())):
+            changed = {**nums, t: nums.get(t, 0) + 1}
+            if not changed[t]:
+                del changed[t]
             g = math.gcd(den, *changed.values())
             row = ({e: v // g for e, v in changed.items()}, den // g)
-            bad.append(with_row(c, row))
+            bad.append(with_row(s, row))
         if len(nums) > 1:
-            d = next(iter(nums))
-            row = ({e: v for e, v in nums.items() if e != d}, den)
-            bad.append(with_row(c, row))
+            t = next(iter(nums))
+            row = ({e: v for e, v in nums.items() if e != t}, den)
+            bad.append(with_row(s, row))
     assert len(bad) > len(conn.integer_rows) * len(conn.target_labelings())
     for N in (2, 3):
         assert conn.defining_relation_check(N) and _defining_relation_by_grids(conn, N)
@@ -902,24 +916,24 @@ def test_compose_reads_the_right_factor_s_integer_rows(fraction_builds):
 
 
 def _compose_by_fractions(left, right):
-    """`compose` read from its left factor's `rows` view, put over one
-    denominator by `over_common_denominator`: the reference for the
-    integer `compose`."""
-    L = math.lcm(*(den for _, den in right.integer_rows.values()))
+    """`compose` read from its left factor's `rows` view, keyed by
+    labelings, put over one denominator by `over_common_denominator`: the
+    reference for the integer `compose`, its rows by rank."""
+    L = math.lcm(*(den for _, den in right.integer_rows))
     scaled = {
         d: [(e, w * (L // den)) for e, w in nums.items()]
-        for d, (nums, den) in right.integer_rows.items()
+        for d, (nums, den) in zip(right.source_labelings(), right.integer_rows)
     }
-    rows = {}
-    for c, row in left.rows.items():
+    rows = []
+    for row in left.rows.values():
         vs, D = over_common_denominator(row.values())
         acc = {}
         for d, v in zip(row, vs):
-            for e, w in scaled.get(d, ()):
+            for e, w in scaled[d]:
                 acc[e] = acc.get(e, 0) + v * w
-        rows[c] = _reduced_row(acc, D * L)
+        rows.append(_reduced_row(acc, D * L))
     path = left.path + right.path if left.path is not None and right.path is not None else None
-    return rows, path
+    return tuple(rows), path
 
 
 def test_compose_equals_the_fraction_reading_compose():
@@ -972,7 +986,14 @@ def test_identity_matrix_for_equal_trees():
 def test_connection_value_and_json():
     rc, lc = right_comb(3), left_comb(3)
     conn = connection_by_path(rc, lc, 1, P3)
-    assert conn.value((1, 0), (0, 1)) == conn.rows[(1, 0)][(0, 1)]
+    assert conn.value((1, 0), (0, 1)) == conn.rows[(1, 0)][(0, 1)] == Fraction(115, 114)
+    for c, d in (((2, 0), (0, 1)), ((1, 0), (9, 9)), ((1, 0, 0), (0, 1))):
+        assert conn.value(c, d) == 0, (c, d)
+    for c in conn.source_labelings():
+        for d in conn.target_labelings():
+            assert conn.value(c, d) == conn.rows[c].get(d, 0), (c, d)
+    leaf = parse_tree("1")  # no vertex: one labeling, (), at n = 0 and none at n = 1
+    assert [connection_by_path(leaf, leaf, n, P3).value((), ()) for n in (0, 1)] == [1, 0]
     obj = conn.to_json_obj()
     assert obj["source"] == "(1 (2 3))"
     assert obj["target"] == "((1 2) 3)"

@@ -58,7 +58,7 @@ def build(kind: str):
         return TreeBasisElement(PlanarTree(tree.shape), elem.labeling, params, elem.N, elem.grid)
     if kind == "ConnectionMatrix":
         m = connection_by_path(right_comb(4), left_comb(4), 2, params)
-        rows = {c: (dict(nums), den) for c, (nums, den) in m.integer_rows.items()}
+        rows = [(dict(nums), den) for nums, den in m.integer_rows]
         return ConnectionMatrix(m.source, m.target, m.n, params, rows, m.path)
     if kind == "GridFunction":
         return GridFunction(3, 2, (Fraction(1, 2), 0, "2/3", Fraction(-3), 1, Fraction(5, 7)))
