@@ -37,7 +37,7 @@ from .hahn1d import _racah_block
 from .lattice import DomainTable, ParamSet, _weighted, domain_table
 from .multihahn import _norm_pair, basis
 from .qnum import ZeroDenominator, _power_pair, _reduced, _shifted, _Value
-from .qops import _eigenvalue
+from .qops import _check_h, _eigenvalue
 from .trees import MoveRecord, PlanarTree, enumerate_labelings, find_rl_path
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 
 
 class _MovePlan(NamedTuple):
-    spans: tuple[int, int, int, int]
     groups: tuple[tuple[int, int, int, int], ...]
     cells: tuple[int, ...]
     targets: tuple[tuple[int, ...], ...]
@@ -64,16 +63,15 @@ class _MovePlan(NamedTuple):
 # The suite builds each of its 990 plans once at 1024, 2612 at 512.
 @lru_cache(maxsize=1024)
 def _move_plan(move: MoveRecord, n: int) -> _MovePlan:
-    """All of the degree-n `_step` of `move` but its numbers: the spans
-    (lo, split, r_split, hi) of the rotating vertex U and its right child
-    R, the block groups (i, l, j, n_U) in order of first use, and for each
-    source rank (in `domain`, whose ranks label both trees) its cell, row
-    x of its group's block with rows numbered across the blocks in group
-    order, and the target rank of each entry m = 0..N.  A labeling enters
-    only through i = lcs(U), v = rcs(U), l = lcs(R), j = rcs(R) and
-    n_U = cs(U), read off pre-order slices; x = v - l - j,
-    N = n_U - i - l - j, and entry m gives the new left child the label m
-    and U the label N - m."""
+    """All of the degree-n `_step` of `move` but its numbers, which come
+    from blocks over `move.spans`: the block groups (i, l, j, n_U) in
+    order of first use, and for each source rank (in `domain`, whose
+    ranks label both trees) its cell, row x of its group's block with rows
+    numbered across the blocks in group order, and the target rank of
+    each entry m = 0..N.  A labeling enters only through i = lcs(U),
+    v = rcs(U), l = lcs(R), j = rcs(R) and n_U = cs(U), read off
+    pre-order slices; x = v - l - j, N = n_U - i - l - j, and entry m
+    gives the new left child the label m and U the label N - m."""
     tree = move.source
     U = tree.vertices[move.vertex]
     R = tree.vertices[U.right]
@@ -96,9 +94,7 @@ def _move_plan(move: MoveRecord, n: int) -> _MovePlan:
         blocks = cvec[k + 1 : r] + cvec[r + 1 : end]
         places = tuple(ranks[prefix + (N - m, m) + blocks + suffix] for m in range(N + 1))
         targets.append(shared.setdefault(places, places))
-    return _MovePlan(
-        (U.lo, U.split, R.split, R.hi), tuple(groups), tuple(cells), tuple(targets), domain
-    )
+    return _MovePlan(tuple(groups), tuple(cells), tuple(targets), domain)
 
 
 # Bound set on the same replays: 256 build each of their 3714 and 4032
@@ -163,7 +159,7 @@ def _step(move: MoveRecord, n: int, params: ParamSet) -> tuple[_MovePlan, list, 
     whose cell reads it."""
     plan = _move_plan(move, n)
     blocks = [
-        _local_block(params, *plan.spans, i, l, j, n_U) if n_U > i + l + j else _IDENTITY_BLOCK
+        _local_block(params, *move.spans, i, l, j, n_U) if n_U > i + l + j else _IDENTITY_BLOCK
         for i, l, j, n_U in plan.groups
     ]
     D = lcm(*(L for _, L in blocks))
@@ -229,10 +225,12 @@ def apply_move(
     dropped, and the degree is that of the first labeling left.  The
     result is put over that denominator times the move's `_step`
     denominator by `_push`, the loop that `connection_by_path` runs, then
-    reduced by one gcd, so it is in lowest terms.  ValueError when a
+    reduced by one gcd, so it is in lowest terms.  InvalidSlice when
+    `params` does not have one alpha per leaf, and ValueError when a
     weighted labeling is not a labeling of the move's source tree at that
     degree.
     """
+    _check_h(move.source.h, params)
     nums, den = weights
     n = next((sum(cvec) for cvec, w in nums.items() if w), None)
     if n is None:
@@ -264,10 +262,11 @@ class ConnectionMatrix(_Value):
     have equal integers.  It is a tuple of one row per source labeling
     (ValueError otherwise).  `rows[c][d]` is the same coefficient keyed by
     labelings, as a `Fraction`, a view built on first read and then kept
-    in a slot.  `path` records the rotation sequence used, or None when
-    the matrix came from the inner-product oracle or from `invert`, which
-    rescales the transpose by closed-form norms.  The rows are dicts, so
-    a matrix has no hash.
+    in a slot.  `path` records the rotation sequence used, whose moves
+    must chain from `source` to `target` (ValueError otherwise), or None
+    when the matrix came from the inner-product oracle or from `invert`,
+    which rescales the transpose by closed-form norms.  The rows are
+    dicts, so a matrix has no hash.
     """
 
     _fields = ("source", "target", "n", "params", "integer_rows", "path")
@@ -285,6 +284,8 @@ class ConnectionMatrix(_Value):
         integer_rows = tuple(integer_rows)
         if len(integer_rows) != len(enumerate_labelings(source, n)):
             raise ValueError(f"{len(integer_rows)} rows for the degree-{n} labelings of {source}")
+        if path is not None:
+            _check_path(source, target, path)
         self._set(source, target, n, params, integer_rows, path, _rows=None)
 
     @property
@@ -426,6 +427,18 @@ class ConnectionMatrix(_Value):
         return {**self.json_header(), "matrix": matrix}
 
 
+def _check_path(source: PlanarTree, target: PlanarTree, path: Sequence[MoveRecord]) -> None:
+    """Raise ValueError unless the moves of `path` chain from `source` to
+    `target`."""
+    current = source
+    for move in path:
+        if move.source != current:
+            raise ValueError(f"path step starts at {move.source}, expected {current}")
+        current = move.target
+    if current != target:
+        raise ValueError(f"path ends at {current}, expected {target}")
+
+
 def connection_by_path(
     source: PlanarTree,
     target: PlanarTree,
@@ -440,20 +453,13 @@ def connection_by_path(
     `_step` is taken once per call, and each source row is pushed through
     every step in integers by `_push`, then reduced once over the product
     D of the steps' denominators: the canonical row that `apply_move`
-    reaches by reducing after every move.
+    reaches by reducing after every move.  Before any push, InvalidSlice
+    when `params` does not have one alpha per leaf, and ValueError when
+    the moves of `path` do not chain from `source` to `target`.
     """
-    if path is None:
-        path = find_rl_path(source, target)
-    path = tuple(path)
-    current = source
-    for move in path:
-        if move.source != current:
-            raise ValueError(
-                f"path step starts at {move.source}, expected {current}"
-            )
-        current = move.target
-    if current != target:
-        raise ValueError(f"path ends at {current}, expected {target}")
+    _check_h(source.h, params)
+    path = tuple(find_rl_path(source, target) if path is None else path)
+    _check_path(source, target, path)
     steps = [_step(move, n, params) for move in path]
     D = prod(D for *_, D in steps)
     rows = [_reduced_row(_push({s: 1}, steps), D) for s in range(len(enumerate_labelings(source, n)))]
@@ -467,7 +473,8 @@ def connection_oracle(
 
     r_d(c) = <Q_c, Q_d> / <Q_d, Q_d> with the weighted inner product on
     the degree-n lattice; no rotation path is needed, so this also covers
-    pairs the one-move formula cannot reach.
+    pairs the one-move formula cannot reach.  `basis` raises InvalidSlice
+    when `params` does not have one alpha per leaf.
 
     Q_c and Q_d are eigenfunctions of the symmetric operator of every
     span U below the root that is a vertex of both trees, so

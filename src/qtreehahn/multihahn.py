@@ -54,6 +54,21 @@ __all__ = [
 ]
 
 
+def _check_labeled(tree: PlanarTree, labeling: Sequence[int], params: ParamSet) -> tuple[int, ...]:
+    """The labeling as a tuple.  InvalidSlice unless `params` has one alpha
+    per leaf of `tree`, and ValueError unless the labeling has one
+    nonnegative entry per internal vertex."""
+    _check_h(tree.h, params)
+    labeling = tuple(labeling)
+    if len(labeling) != tree.n_internal:
+        raise ValueError(
+            f"labeling has {len(labeling)} entries, tree has {tree.n_internal} vertices"
+        )
+    if any(c < 0 for c in labeling):
+        raise ValueError(f"labeling must be nonnegative, got {labeling}")
+    return labeling
+
+
 def eval_Q(
     tree: PlanarTree,
     labeling: Sequence[int],
@@ -61,16 +76,10 @@ def eval_Q(
     x: Sequence[int],
 ) -> Fraction:
     """Value at a lattice point of the basis function for (tree, labeling)."""
-    labeling = tuple(labeling)
     x = tuple(x)
     if len(x) != tree.h:
         raise ValueError(f"point has {len(x)} parts, tree has {tree.h} leaves")
-    if len(labeling) != tree.n_internal:
-        raise ValueError(
-            f"labeling has {len(labeling)} entries, tree has {tree.n_internal} vertices"
-        )
-    if any(c < 0 for c in labeling):
-        raise ValueError(f"labeling must be nonnegative, got {labeling}")
+    labeling = _check_labeled(tree, labeling, params)
     ctx = params.ctx
     cs = coefficient_sums(tree, labeling)
 
@@ -99,6 +108,7 @@ def eval_Q(
 
 def vertex_eigenvalue(tree: PlanarTree, labeling: Sequence[int], params: ParamSet, u: int) -> Fraction:
     """Eigenvalue q^(-cs) (1 - q^cs) (1 - p(U) q^(cs-1)) of the vertex operator."""
+    labeling = _check_labeled(tree, labeling, params)
     vert = tree.vertices[u]
     cs = coefficient_sums(tree, labeling)[u]
     return Fraction(*_eigenvalue(params.ctx, params.p_pair(vert.lo, vert.hi), cs))
@@ -170,7 +180,7 @@ def norm_Q(
 
     the `Fraction` view of `_norm_pair`.
     """
-    return Fraction(*_norm_pair(tree, labeling, params, N))
+    return Fraction(*_norm_pair(tree, _check_labeled(tree, labeling, params), params, N))
 
 
 def _norm_pair(
@@ -178,7 +188,8 @@ def _norm_pair(
 ) -> tuple[int, int]:
     """The squared norm of `norm_Q` as an unreduced integer pair
     (numerator, positive denominator): each factor read from its table as
-    a reduced pair, and their product taken without a gcd."""
+    a reduced pair, and their product taken without a gcd.  It runs once
+    per labeling, so `norm_Q` checks the labeling and the parameters."""
     labeling = tuple(labeling)
     n = sum(labeling)
     if n > N:
@@ -418,7 +429,8 @@ def basis(
     """All degree-n basis elements of the tree, materialized on [h; N].
 
     Labelings are enumerated lexicographically over the pre-order vertex
-    list; the result is cached, so treat it as read-only.
+    list; the result is cached, so treat it as read-only.  InvalidSlice
+    unless `params` has one alpha per leaf.
 
     Each element is the product of `eval_Q` taken a whole column at a
     time: one cached `_column` per vertex, shared with every tree, degree
@@ -430,6 +442,7 @@ def basis(
     """
     if not (0 <= n <= N):
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
+    _check_h(tree.h, params)
     out = []
     for labeling in enumerate_labelings(tree, n):
         cs = coefficient_sums(tree, labeling)
@@ -466,10 +479,7 @@ def vertex_eigen_cases(
     numerators times the eigenvalue, cross-multiplied, so no case builds a
     GridFunction or a Fraction.
     """
-    labeling = tuple(labeling)
-    if len(labeling) != tree.n_internal:
-        raise ValueError(f"labeling {labeling} does not fit the tree {tree}")
-    _check_h(tree.h, params)
+    labeling = _check_labeled(tree, labeling, params)
     n = sum(labeling)
     # the one basis element of a tree with no vertex has the empty labeling
     v = basis(tree, params, n, N)[rank_of(labeling) if labeling else 0].grid._integer_form

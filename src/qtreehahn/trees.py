@@ -259,69 +259,59 @@ def child_sums(vert: Vertex, cs: Sequence[int]) -> tuple[int, int]:
 
 
 class MoveRecord(_Value):
-    """One right-to-left transplantation; the rotating vertex and its
-    children, read off `source`, carry everything needed to map labelings
-    of the source tree onto labelings of the target tree.
+    """The right-to-left transplantation (T' (T'' T''')) -> ((T' T'') T''')
+    at the vertex U of `source` with pre-order index `vertex`, whose right
+    child R must be internal.  Two records are equal, and hash alike,
+    exactly when their (source, vertex) are.
 
-    `vertex` indexes the source tree's pre-order; spans are local to the
-    moved subtree: s leaves in T', r - s in T'', h_local - r in T''',
-    with `base` the number of leaves strictly to the left of the subtree.
+    `target`, the rotated tree, is built once.  `spans` = (lo, split,
+    r_split, hi) are global leaf positions read off U and R, as in
+    `Vertex`: T' lies over (lo, split], T'' over (split, r_split] and
+    T''' over (r_split, hi].  U, R and these spans carry everything needed
+    to map labelings of the source tree onto labelings of the target tree.
     """
 
-    _fields = ("source", "target", "vertex", "base", "s_local", "r_local", "h_local")
-    __slots__ = (*_fields, "_key", "_hash")
+    _fields = ("source", "vertex")
+    __slots__ = (*_fields, "target", "spans", "_key", "_hash")
 
-    def __init__(
-        self, source: PlanarTree, target: PlanarTree, vertex: int, base: int,
-        s_local: int, r_local: int, h_local: int,
-    ):
-        key = (source, target, vertex, base, s_local, r_local, h_local)
-        # kept, and hashed once: records key the move-plan cache on every rotation step
-        self._set(*key, _key=key)
+    def __init__(self, source: PlanarTree, vertex: int):
+        if not (0 <= vertex < source.n_internal):
+            raise IndexError(f"vertex {vertex} outside 0..{source.n_internal - 1}")
+        U = source.vertices[vertex]
+        if U.right is None:
+            raise RightChildIsLeaf(f"vertex {vertex} of {source} has a leaf right child")
+
+        def rotated(shape: Shape, k: int) -> Shape:
+            # rebuild only U and its ancestors, each found by its leaf span
+            if k == vertex:
+                t1, (t2, t3) = shape
+                return (t1, t2), t3
+            v = source.vertices[k]
+            if U.hi <= v.split:
+                return rotated(shape[0], v.left), shape[1]
+            return shape[0], rotated(shape[1], v.right)
+
+        spans = (U.lo, U.split, source.vertices[U.right].split, U.hi)
+        # hashed once: records key the move-plan cache on every rotation step
+        self._set(source, vertex, target=PlanarTree(rotated(source.shape, 0)), spans=spans,
+                  _key=(source, vertex))
 
     def to_json_obj(self) -> dict:
+        """The vertex and the spans local to the moved subtree: s leaves in
+        T', r - s in T'', h - r in T''', and `base` leaves to its left."""
+        lo, split, r_split, hi = self.spans
         return {
             "vertex": self.vertex,
-            "spans": {"s": self.s_local, "r": self.r_local, "h": self.h_local},
-            "base": self.base,
+            "spans": {"s": split - lo, "r": r_split - lo, "h": hi - lo},
+            "base": lo,
         }
 
 
 def transplant_right_to_left(tree: PlanarTree, u: int) -> tuple[PlanarTree, MoveRecord]:
-    """Apply (T' (T'' T''')) -> ((T' T'') T''') at vertex u."""
-    if not (0 <= u < tree.n_internal):
-        raise IndexError(f"vertex {u} outside 0..{tree.n_internal - 1}")
-    vert = tree.vertices[u]
-    if vert.right is None:
-        raise RightChildIsLeaf(f"vertex {u} of {tree} has a leaf right child")
-    right_vert = tree.vertices[vert.right]
-
-    counter = [0]
-
-    def rebuild(shape: Shape) -> Shape:
-        if isinstance(shape, int):
-            return shape
-        here = counter[0]
-        counter[0] += 1
-        if here == u:
-            t1 = shape[0]
-            t2, t3 = shape[1]
-            return ((t1, t2), t3)
-        left = rebuild(shape[0])
-        right = rebuild(shape[1])
-        return (left, right)
-
-    new_tree = PlanarTree(rebuild(tree.shape))
-    record = MoveRecord(
-        source=tree,
-        target=new_tree,
-        vertex=u,
-        base=vert.lo,
-        s_local=vert.split - vert.lo,
-        r_local=right_vert.split - vert.lo,
-        h_local=vert.hi - vert.lo,
-    )
-    return new_tree, record
+    """Apply (T' (T'' T''')) -> ((T' T'') T''') at vertex u: the rotated
+    tree and the move's record."""
+    record = MoveRecord(tree, u)
+    return record.target, record
 
 
 def rl_neighbors(tree: PlanarTree) -> list[tuple[PlanarTree, MoveRecord]]:
@@ -349,10 +339,10 @@ def find_rl_path(source: PlanarTree, target: PlanarTree) -> list[MoveRecord]:
     parents = _rl_parents(source)
     if target not in parents:
         raise NotRightReachable(f"no right-to-left path from {source} to {target}")
-    path, node = [], target
-    while parents[node] is not None:
-        node, record = parents[node]
+    path, record = [], parents[target]
+    while record is not None:
         path.append(record)
+        record = parents[record.source]
     path.reverse()
     return path
 
@@ -361,16 +351,17 @@ def find_rl_path(source: PlanarTree, target: PlanarTree) -> list[MoveRecord]:
 # the connections suite and perfbench's `tree_pairs` walk source by source.
 @lru_cache(maxsize=64)
 def _rl_parents(source: PlanarTree) -> dict:
-    """Every tree `source` reaches, mapped to its first-found (previous
-    tree, MoveRecord) in a breadth-first search over `rl_neighbors`;
-    `source` maps to None.  A search that stopped at one target would
-    assign the same parents up to it, so every path is the same."""
+    """Every tree `source` reaches, mapped to the first-found MoveRecord
+    that reaches it in a breadth-first search over `rl_neighbors`, whose
+    `source` is the tree before it; `source` maps to None.  A search that
+    stopped at one target would find the same records up to it, so every
+    path is the same."""
     parents = {source: None}
     queue = deque([source])
     while queue:
         tree = queue.popleft()
         for neighbor, record in rl_neighbors(tree):
             if neighbor not in parents:
-                parents[neighbor] = (tree, record)
+                parents[neighbor] = record
                 queue.append(neighbor)
     return parents

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from qtreehahn import (
     ConnectionMatrix,
     GridFunction,
+    InvalidSlice,
+    MoveRecord,
     NotInKernel,
     NotRightReachable,
     ParamSet,
@@ -624,7 +626,7 @@ def test_move_plans_carry_no_parameters():
     info = _move_plan.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     plan = _move_plan(move, 3)
-    assert all(type(v) is int for v in plan.spans) and plan.domain.points == tuple(
+    assert all(type(v) is int for v in move.spans) and plan.domain.points == tuple(
         enumerate_labelings(move.source, 3)
     )
     assert len(plan.cells) == len(plan.targets) == len(plan.domain.points)
@@ -641,7 +643,7 @@ def test_a_pole_raises_before_any_push():
     second = transplant_right_to_left(first.target, 0)[1]
     middle = apply_move(first, ({(1, 0, 0): 1}, 1), p)
     plan = _move_plan(second, 1)
-    blocks = [_local_block(p, *plan.spans, *group) for group in plan.groups]
+    blocks = [_local_block(p, *second.spans, *group) for group in plan.groups]
     cells = [row for rows, _ in blocks for row in rows]
     read = {plan.domain.ranks[d] for d in middle[0]}
     poles = [s for s, cell in enumerate(plan.cells) if isinstance(cells[cell], ArithmeticError)]
@@ -665,7 +667,7 @@ def _step_through_every_block(move, n, params):
     """`_step` with every group, N = 0 included, sent through
     `_local_block`: the reference for the groups that build no block."""
     plan = _move_plan(move, n)
-    blocks = [_local_block(params, *plan.spans, *group) for group in plan.groups]
+    blocks = [_local_block(params, *move.spans, *group) for group in plan.groups]
     D = math.lcm(*(L for _, L in blocks))
     rows = [(row, D // L) for block, L in blocks for row in block]
     poles = {cell for cell, (row, _) in enumerate(rows) if isinstance(row, ArithmeticError)}
@@ -993,7 +995,8 @@ def test_connection_value_and_json():
         for d in conn.target_labelings():
             assert conn.value(c, d) == conn.rows[c].get(d, 0), (c, d)
     leaf = parse_tree("1")  # no vertex: one labeling, (), at n = 0 and none at n = 1
-    assert [connection_by_path(leaf, leaf, n, P3).value((), ()) for n in (0, 1)] == [1, 0]
+    p1 = make_params(1)
+    assert [connection_by_path(leaf, leaf, n, p1).value((), ()) for n in (0, 1)] == [1, 0]
     obj = conn.to_json_obj()
     assert obj["source"] == "(1 (2 3))"
     assert obj["target"] == "((1 2) 3)"
@@ -1010,6 +1013,59 @@ def test_path_validation():
     bad_order = list(reversed(find_rl_path(rc, lc)))
     with pytest.raises(ValueError):
         connection_by_path(rc, lc, 1, make_params(4), path=bad_order)
+
+
+def test_a_matrix_with_another_pairs_path_is_refused(monkeypatch):
+    """The constructor and `connection_by_path` check a path alike, and
+    `connection_by_path` before any step is taken."""
+    p4 = make_params(4)
+    rc, lc, mid = right_comb(4), left_comb(4), parse_tree("((1 2) (3 4))")
+    rows = connection_by_path(rc, lc, 1, p4).integer_rows
+    cases = [
+        (find_rl_path(rc, mid), f"path ends at {mid}, expected {lc}"),
+        (find_rl_path(mid, lc), f"path step starts at {mid}, expected {rc}"),
+    ]
+    monkeypatch.setattr(connect, "_step", lambda *args: pytest.fail("a step was taken"))
+    for path, text in cases:
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ConnectionMatrix(rc, lc, 1, p4, rows, tuple(path))
+        with pytest.raises(ValueError, match=re.escape(text)):
+            connection_by_path(rc, lc, 1, p4, path=path)
+
+
+@pytest.mark.parametrize("entry", ["connection_by_path", "connection_oracle", "apply_move"])
+def test_connection_entry_points_refuse_a_parameter_set_for_another_leaf_count(entry):
+    rc, lc = right_comb(3), left_comb(3)
+    move = MoveRecord(rc, 0)
+    call = {
+        "connection_by_path": lambda p: connection_by_path(rc, lc, 1, p),
+        "connection_oracle": lambda p: connection_oracle(rc, lc, 1, p),
+        "apply_move": lambda p: apply_move(move, ({(1, 0): 1}, 1), p),
+    }[entry]
+    for h in (2, 4):
+        with pytest.raises(InvalidSlice, match=re.escape(f"function has 3 variables, params have {h}")):
+            call(make_params(h))
+
+
+_WALK_SOURCES = [t for h in (3, 4, 5) for t in all_trees(h) if t != left_comb(h)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_WALK_SOURCES), st.integers(1, 4), st.data())
+def test_connection_is_path_independent_on_random_walks(source, length, data):
+    """A walk of moves need not be a shortest path; the product along it
+    is still the oracle's matrix."""
+    walk, current = [], source
+    while len(walk) < length:
+        movable = [v.index for v in current.vertices if v.right is not None]
+        if not movable:
+            break
+        walk.append(MoveRecord(current, data.draw(st.sampled_from(movable))))
+        current = walk[-1].target
+    p = make_params(source.h)
+    for n in range(3):
+        by_walk = connection_by_path(source, current, n, p, path=walk)
+        assert by_walk.integer_rows == connection_oracle(source, current, n, p).integer_rows
 
 
 # --- edge-value expansion and interpolation kernel ----------------------

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qtreehahn import (
     GridFunction,
     Hahn1DSpec,
+    InvalidSlice,
     ParamSet,
     all_trees,
     basis,
@@ -580,6 +582,34 @@ def test_basis_validation_and_cache():
     assert basis(tree, p, 1, 2) is basis(tree, p, 1, 2)
     labs = [e.labeling for e in basis(tree, p, 2, 3)]
     assert labs == enumerate_labelings(tree, 2)
+
+
+# Each entry point called with a tree, a labeling and a parameter set;
+# `basis` takes the labeling's degree.
+ENTRY_POINTS = {
+    "basis": lambda tree, lab, p: basis(tree, p, sum(lab), 2),
+    "eval_Q": lambda tree, lab, p: eval_Q(tree, lab, p, (0,) * (tree.h - 1) + (2,)),
+    "norm_Q": lambda tree, lab, p: norm_Q(tree, lab, p, 2),
+    "vertex_eigenvalue": lambda tree, lab, p: vertex_eigenvalue(tree, lab, p, 0),
+    "vertex_eigen_cases": lambda tree, lab, p: list(vertex_eigen_cases(tree, lab, p, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_parameter_set_for_another_leaf_count_raises_invalid_slice(entry):
+    tree = parse_tree("(1 (2 3))")
+    for h in (2, 4):
+        with pytest.raises(InvalidSlice, match=re.escape(f"function has 3 variables, params have {h}")):
+            ENTRY_POINTS[entry](tree, (1, 0), make_params(h))
+
+
+@pytest.mark.parametrize("entry", [name for name in ENTRY_POINTS if name != "basis"])
+def test_every_labeled_entry_point_checks_the_labeling_alike(entry):
+    tree, p = parse_tree("(1 2)"), make_params(2)
+    with pytest.raises(ValueError, match=re.escape("labeling has 2 entries, tree has 1 vertices")):
+        ENTRY_POINTS[entry](tree, (0, 1), p)
+    with pytest.raises(ValueError, match=re.escape("labeling must be nonnegative, got (-1,)")):
+        ENTRY_POINTS[entry](tree, (-1,), p)
 
 
 def test_vertex_eigenvalue_matches_global_at_root():

@@ -1,6 +1,8 @@
 """Planar binary trees, labelings, and right-to-left transplantations."""
 
+import copy
 import pickle
+import re
 from math import comb
 
 import pytest
@@ -157,16 +159,16 @@ def test_vertex_data_hand_example():
 def test_transplant_shapes():
     t, rec = transplant_right_to_left(parse_tree("(1 (2 3))"), 0)
     assert t.serialize() == "((1 2) 3)"
-    assert (rec.base, rec.s_local, rec.r_local, rec.h_local) == (0, 1, 2, 3)
+    assert rec.spans == (0, 1, 2, 3)
 
     rc4 = right_comb(4)
     t0, rec0 = transplant_right_to_left(rc4, 0)
     assert t0.serialize() == "((1 2) (3 4))"
-    assert (rec0.base, rec0.s_local, rec0.r_local, rec0.h_local) == (0, 1, 2, 4)
+    assert rec0.spans == (0, 1, 2, 4)
 
     t1, rec1 = transplant_right_to_left(rc4, 1)
     assert t1.serialize() == "(1 ((2 3) 4))"
-    assert (rec1.base, rec1.s_local, rec1.r_local, rec1.h_local) == (1, 1, 2, 3)
+    assert rec1.spans == (1, 2, 3, 4)
     assert rec1.to_json_obj() == {
         "vertex": 1,
         "spans": {"s": 1, "r": 2, "h": 3},
@@ -301,16 +303,15 @@ def test_tree_and_move_hashes_are_taken_once_and_agree():
             assert tree.h == twin.h == len(tree.vertices) + 1 == h
             swapped = PlanarTree(left_comb(h).shape)
             assert swapped == left_comb(h) and hash(swapped) == hash(left_comb(h))
-            for (_, rec), (_, twin_rec) in zip(rl_neighbors(tree), rl_neighbors(twin)):
+            records = [rec for _, rec in rl_neighbors(tree)]
+            for rec, (_, twin_rec) in zip(records, rl_neighbors(twin)):
                 assert twin_rec is not rec and twin_rec == rec
                 fields = tuple(getattr(rec, name) for name in rec._fields)
                 assert hash(twin_rec) == hash(rec) == hash(fields)
                 assert repr(twin_rec) == repr(rec)
-                for copy in (pickle.loads(pickle.dumps(rec)), MoveRecord(*fields)):
-                    assert copy == rec and hash(copy) == hash(rec) and repr(copy) == repr(rec)
-                moved = MoveRecord(*fields[:3], rec.base + 1, *fields[4:])
-                assert moved != rec
-                assert hash(moved) == hash(fields[:3] + (rec.base + 1,) + fields[4:])
+                for rebuilt in (pickle.loads(pickle.dumps(rec)), MoveRecord(*fields)):
+                    assert rebuilt == rec and hash(rebuilt) == hash(rec) and repr(rebuilt) == repr(rec)
+                assert all(other != rec for other in records if other.vertex != rec.vertex)
 
 
 @settings(max_examples=30)
@@ -321,8 +322,73 @@ def test_move_block_bookkeeping(tree, data):
         return
     u = data.draw(st.sampled_from(movable))
     target, rec = transplant_right_to_left(tree, u)
-    assert rec.h_local == tree.vertices[u].hi - tree.vertices[u].lo
-    assert 1 <= rec.s_local < rec.r_local < rec.h_local
-    assert 0 <= rec.base <= tree.h - rec.h_local
+    lo, split, r_split, hi = rec.spans
+    assert (lo, hi) == (tree.vertices[u].lo, tree.vertices[u].hi)
+    assert lo < split < r_split < hi
+    assert 0 <= lo and hi <= tree.h
     assert target != tree
     assert target.h == tree.h
+
+
+def _rotated_shape(tree, u):
+    """Reference rotation: rebuild the whole shape, counting vertices in
+    pre-order, and rotate the one numbered u."""
+    count = [0]
+
+    def rebuild(shape):
+        if isinstance(shape, int):
+            return shape
+        here = count[0]
+        count[0] += 1
+        if here == u:
+            t1, (t2, t3) = shape
+            return ((t1, t2), t3)
+        return (rebuild(shape[0]), rebuild(shape[1]))
+
+    return rebuild(tree.shape)
+
+
+def test_a_move_record_is_its_source_tree_and_vertex():
+    for h in range(2, 7):
+        for tree in all_trees(h):
+            neighbors = rl_neighbors(tree)
+            movable = [v for v in tree.vertices if v.right is not None]
+            assert [rec.vertex for _, rec in neighbors] == [v.index for v in movable]
+            for U, (neighbor, listed) in zip(movable, neighbors):
+                rec = MoveRecord(tree, U.index)
+                assert rec == listed and hash(rec) == hash(listed)
+                assert rec.target == neighbor == PlanarTree(_rotated_shape(tree, U.index))
+                assert rec.spans == (U.lo, U.split, tree.vertices[U.right].split, U.hi)
+                for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+                    assert twin == rec and hash(twin) == hash(rec)
+                    assert (twin.target, twin.spans) == (rec.target, rec.spans)
+
+
+def test_move_record_json_is_unchanged():
+    # pinned to the output of the seven-field records
+    want = {
+        ("((1 2) (3 (4 (5 6))))", 0): {"vertex": 0, "spans": {"s": 2, "r": 3, "h": 6}, "base": 0},
+        ("(1 ((2 (3 4)) (5 6)))", 0): {"vertex": 0, "spans": {"s": 1, "r": 4, "h": 6}, "base": 0},
+        ("(1 ((2 (3 4)) (5 6)))", 1): {"vertex": 1, "spans": {"s": 3, "r": 4, "h": 5}, "base": 1},
+        ("(1 ((2 (3 4)) (5 6)))", 2): {"vertex": 2, "spans": {"s": 1, "r": 2, "h": 3}, "base": 1},
+    }
+    for (text, u), obj in want.items():
+        assert MoveRecord(parse_tree(text), u).to_json_obj() == obj
+
+
+def test_move_record_takes_only_a_tree_and_a_vertex():
+    source = right_comb(4)
+    # the seven fields of a record that claims one target and carries
+    # the spans of another move
+    with pytest.raises(TypeError):
+        MoveRecord(source, parse_tree("(1 ((2 3) 4))"), 0, 0, 1, 2, 4)
+    with pytest.raises(IndexError, match=re.escape("vertex 3 outside 0..2")):
+        MoveRecord(source, 3)
+    with pytest.raises(IndexError, match=re.escape("vertex -1 outside 0..2")):
+        MoveRecord(source, -1)
+    with pytest.raises(RightChildIsLeaf, match=re.escape("vertex 2 of (1 (2 (3 4))) has a leaf")):
+        MoveRecord(source, 2)
+    rec = MoveRecord(source, 0)
+    for name in ("target", "spans"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))

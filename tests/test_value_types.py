@@ -113,7 +113,7 @@ def test_pickle_and_copy_give_an_equal_value_with_an_equal_hash(kind):
 def test_assignment_and_deletion_raise_attribute_error(kind):
     value = build(kind)
     field = {"QContext": "s", "ParamSet": "alphas", "Vertex": "lo", "PlanarTree": "shape",
-             "MoveRecord": "base", "Hahn1DSpec": "n", "Racah1DSpec": "delta",
+             "MoveRecord": "vertex", "Hahn1DSpec": "n", "Racah1DSpec": "delta",
              "TreeBasisElement": "N", "ConnectionMatrix": "integer_rows",
              "GridFunction": "N"}[kind]
     before = getattr(value, field)
@@ -164,6 +164,5 @@ def test_reprs_name_the_constructor_arguments():
     )
     record = rl_neighbors(parse_tree("(1 (2 3))"))[0][1]
     assert repr(record) == (
-        "MoveRecord(source=PlanarTree('(1 (2 3))'), target=PlanarTree('((1 2) 3)'), "
-        "vertex=0, base=0, s_local=1, r_local=2, h_local=3)"
+        "MoveRecord(source=PlanarTree('(1 (2 3))'), vertex=0)"
     )
